@@ -83,7 +83,12 @@ def load_arrays(path: str) -> dict[str, np.ndarray]:
         for i in range(count):
             name_len = struct.unpack("<H", _read_exact(f, 2, offset, f"name length of entry {i}"))[0]
             offset += 2
-            name = _read_exact(f, name_len, offset, f"name of entry {i}").decode("utf-8")
+            raw_name = _read_exact(f, name_len, offset, f"name of entry {i}")
+            try:
+                name = raw_name.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"name of entry {i} is not valid UTF-8",
+                                  offset + exc.start) from None
             offset += name_len
             rank = struct.unpack("<B", _read_exact(f, 1, offset, f"rank of '{name}'"))[0]
             offset += 1

@@ -215,4 +215,10 @@ def load_dataset(path: str) -> LabeledDataset:
         .astype(np.float64)
     )
     labels = np.frombuffer(payload[pixel_bytes:], dtype="<u2").astype(np.int64)
+    bad = np.flatnonzero(labels >= class_count)
+    if bad.size:
+        raise FormatError(
+            f"label {int(labels[bad[0]])} outside [0, {class_count})",
+            24 + pixel_bytes + 2 * int(bad[0]),
+        )
     return LabeledDataset(images=images, labels=labels, class_count=class_count)

@@ -7,8 +7,22 @@ outside any active tape compute plain values and track no gradients,
 which is how frozen-model forwards are expressed.
 
 Shapes are explicit everywhere; the only broadcasting is trailing-shape
-bias addition in `add`. Every operation validates its inputs and checks
-its output for NaN/Inf so a diverging training run fails loudly.
+bias addition in `add` and the affine ops. Every operation validates
+its inputs and checks its output for NaN/Inf so a diverging training
+run fails loudly.
+
+The ViT runs on three fused ops, each one tape record with a
+hand-written backward: `linear` (x @ w + b), `attention` (Q/K/V
+projections, scaled scores, softmax, context and head merge) and `mlp`
+(linear, exact-erf GELU, linear). A fused op checks only its one
+output for NaN/Inf, not its intermediates; a non-finite intermediate
+still surfaces there, except where the softmax maps a -inf score to an
+exact zero weight. Each fused op runs the same numpy expressions, in
+the same order, as the composition of fine-grained ops it replaces,
+so both produce identical bytes. One training step of the depth-2
+model records 20 ops: per block `layer_norm`, `attention`,
+`add`, `layer_norm`, `mlp`, `add`, plus the patch embedding, the head
+and the loss.
 """
 
 from __future__ import annotations
@@ -209,6 +223,32 @@ def backward(loss: Tensor, tape: Tape) -> None:
 
 
 # ---------------------------------------------------------------------------
+# numeric kernels shared by the fine-grained and the fused ops
+# ---------------------------------------------------------------------------
+
+
+def _softmax(x: np.ndarray) -> np.ndarray:
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_backward(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    dot = (g * y).sum(axis=-1, keepdims=True)
+    return (g - dot) * y
+
+
+def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    return x * cdf, cdf
+
+
+def _gelu_backward(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+    return g * (cdf + x * pdf)
+
+
+# ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
 
@@ -321,13 +361,10 @@ def softmax_rows(x: Tensor) -> Tensor:
     """Softmax over the last axis, max-subtracted for stability."""
     if x.ndim < 1 or x.shape[-1] < 1:
         raise DimensionError(f"softmax_rows requires a non-empty last dimension, got {x.shape}")
-    shifted = x.values - x.values.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _softmax(x.values)
 
     def bwd(g: np.ndarray):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return ((g - dot) * y,)
+        return (_softmax_backward(g, y),)
 
     return _result((x,), y, bwd)
 
@@ -362,12 +399,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian error linear unit: 0.5 x (1 + erf(x / sqrt 2))."""
-    cdf = 0.5 * (1.0 + erf(x.values * _INV_SQRT2))
-    out = x.values * cdf
+    out, cdf = _gelu(x.values)
 
     def bwd(g: np.ndarray):
-        pdf = np.exp(-0.5 * x.values * x.values) * _INV_SQRT_2PI
-        return (g * (cdf + x.values * pdf),)
+        return (_gelu_backward(g, x.values, cdf),)
 
     return _result((x,), out, bwd)
 
@@ -517,6 +552,129 @@ def take_token(x: Tensor, index: int) -> Tensor:
     return _result((x,), out, bwd)
 
 
+# ---------------------------------------------------------------------------
+# fused model-path ops
+# ---------------------------------------------------------------------------
+
+
+def _check_affine(name: str, in_shape: tuple[int, ...], weight: Tensor, bias: Tensor) -> None:
+    if len(in_shape) < 2 or weight.ndim != 2:
+        raise DimensionError(
+            f"{name} requires rank >= 2 input and a 2-D weight, got {in_shape} and {weight.shape}"
+        )
+    if in_shape[-1] != weight.shape[0]:
+        raise DimensionError(f"{name} inner dimensions disagree: {in_shape} vs {weight.shape}")
+    if bias.shape != (weight.shape[1],):
+        raise DimensionError(
+            f"{name} bias must have shape ({weight.shape[1]},), got {bias.shape}"
+        )
+
+
+def _affine_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray, need_x: bool = True):
+    """Gradients of x @ w + b for upstream `g`: (gx or None, gw, gb).
+
+    The expressions are those of the `matmul` and bias-`add` backwards,
+    so a fused op's gradients equal its composition's bit for bit.
+    """
+    k, n = w.shape
+    gx = g @ w.T if need_x else None
+    gw = x.reshape(-1, k).T @ g.reshape(-1, n)
+    gb = g.sum(axis=tuple(range(g.ndim - 1)))
+    return gx, gw, gb
+
+
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map x @ weight + bias; the embedding/projection workhorse."""
-    return add(matmul(x, weight), bias)
+    """Affine map x @ weight + bias over the last axis of a rank >= 2 input."""
+    _check_affine("linear", x.shape, weight, bias)
+    xv, wv = x.values, weight.values
+    out = xv @ wv + bias.values
+    need_x = x.requires_grad
+
+    def bwd(g: np.ndarray):
+        return _affine_backward(xv, wv, g, need_x)
+
+    return _result((x, weight, bias), out, bwd)
+
+
+def attention(
+    x: Tensor,
+    wq: Tensor, bq: Tensor,
+    wk: Tensor, bk: Tensor,
+    wv: Tensor, bv: Tensor,
+    wo: Tensor, bo: Tensor,
+    heads: int,
+) -> tuple[Tensor, np.ndarray]:
+    """Multi-head self-attention over [batch, tokens, dim] as one op.
+
+    Projects Q, K and V, splits `heads` heads, applies softmax to the
+    1/sqrt(head_dim)-scaled scores, merges the heads' context and
+    projects it with `wo`/`bo`. Returns the output and the read-only
+    post-softmax weights, [batch, heads, tokens, tokens].
+    """
+    if x.ndim != 3:
+        raise DimensionError(f"attention expects [batch, tokens, dim], got {x.shape}")
+    b, t, d = x.shape
+    if heads < 1 or d % heads != 0:
+        raise DimensionError(f"attention dim {d} not divisible by heads {heads}")
+    for weight, bias in ((wq, bq), (wk, bk), (wv, bv), (wo, bo)):
+        if weight.shape != (d, d) or bias.shape != (d,):
+            raise DimensionError(
+                f"attention weights must be ({d}, {d}) and biases ({d},), "
+                f"got {weight.shape} and {bias.shape}"
+            )
+    hd = d // heads
+    factor = float(1.0 / np.sqrt(hd))
+    xv = x.values
+
+    def split(a: np.ndarray) -> np.ndarray:  # [B, T, D] -> [B, H, T, hd]
+        return a.reshape(b, t, heads, hd).transpose(0, 2, 1, 3)
+
+    def merge(a: np.ndarray) -> np.ndarray:  # [B, H, T, hd] -> [B, T, D]
+        return a.transpose(0, 2, 1, 3).reshape(b, t, d)
+
+    qh = split(xv @ wq.values + bq.values)
+    kh = split(xv @ wk.values + bk.values)
+    vh = split(xv @ wv.values + bv.values)
+    kt = kh.transpose(0, 1, 3, 2)
+    probs = _softmax((qh @ kt) * factor)
+    probs.setflags(write=False)
+    merged = merge(probs @ vh)
+    out = merged @ wo.values + bo.values
+    need_x = x.requires_grad
+
+    def bwd(g: np.ndarray):
+        g_merged, g_wo, g_bo = _affine_backward(merged, wo.values, g)
+        g_ctx = g_merged.reshape(b, t, heads, hd).transpose(0, 2, 1, 3)
+        g_probs = g_ctx @ np.swapaxes(vh, -1, -2)
+        g_vh = np.swapaxes(probs, -1, -2) @ g_ctx
+        g_scores = _softmax_backward(g_probs, probs) * factor
+        g_qh = g_scores @ np.swapaxes(kt, -1, -2)
+        g_kt = np.swapaxes(qh, -1, -2) @ g_scores
+        gx_v, g_wv, g_bv = _affine_backward(xv, wv.values, merge(g_vh), need_x)
+        gx_k, g_wk, g_bk = _affine_backward(
+            xv, wk.values, merge(g_kt.transpose(0, 1, 3, 2)), need_x)
+        gx_q, g_wq, g_bq = _affine_backward(xv, wq.values, merge(g_qh), need_x)
+        # the order in which the tape summed the three branches
+        gx = (gx_v + gx_k) + gx_q if need_x else None
+        return gx, g_wq, g_bq, g_wk, g_bk, g_wv, g_bv, g_wo, g_bo
+
+    return _result((x, wq, bq, wk, bk, wv, bv, wo, bo), out, bwd), probs
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """Two-layer perceptron x -> linear -> exact-erf GELU -> linear, as one op."""
+    _check_affine("mlp", x.shape, w1, b1)
+    _check_affine("mlp", x.shape[:-1] + w1.shape[1:], w2, b2)
+    xv = x.values
+    pre = xv @ w1.values + b1.values
+    hidden, cdf = _gelu(pre)
+    out = hidden @ w2.values + b2.values
+    need_x = x.requires_grad
+
+    def bwd(g: np.ndarray):
+        g_hidden, g_w2, g_b2 = _affine_backward(hidden, w2.values, g)
+        g_pre = _gelu_backward(g_hidden, pre, cdf)
+        gx, g_w1, g_b1 = _affine_backward(xv, w1.values, g_pre, need_x)
+        return gx, g_w1, g_b1, g_w2, g_b2
+
+    return _result((x, w1, b1, w2, b2), out, bwd)

@@ -1,7 +1,8 @@
 """A minimal Vision Transformer classifier with class-token pooling.
 
 The forward pass is built entirely from the autodiff ops in
-`lethevit.tensor`, uses pre-norm blocks (norm -> attention -> residual,
+`lethevit.tensor` (the fused `attention` and `mlp` ops carry each
+block), uses pre-norm blocks (norm -> attention -> residual,
 norm -> MLP -> residual), learned positional embeddings, and can expose
 the final block's post-softmax attention weights for masking.
 """
@@ -19,18 +20,17 @@ from .tensor import (
     DTYPE,
     Tensor,
     add,
+    attention,
     concat,
-    gelu,
     layer_norm,
     linear,
-    matmul,
+    mlp,
     repeat_batch,
-    reshape,
-    scale,
-    softmax_rows,
     take_token,
-    transpose,
 )
+# not called by `forward`; bound here because the per-layer benchmark
+# trace (perfbench/layertrace.py) wraps these names on this module
+from .tensor import gelu, matmul, reshape, scale, softmax_rows, transpose  # noqa: F401
 
 INIT_STD = 0.02
 
@@ -230,7 +230,6 @@ def forward(params: ViTParams, images: np.ndarray, capture_attention: bool = Fal
     """Run the classifier; optionally return the final block's attention."""
     cfg = params.config
     b = np.asarray(images).shape[0]
-    t_count, h, hd, d = cfg.tokens, cfg.heads, cfg.head_dim, cfg.dim
 
     x = Tensor(patchify(images, cfg))
     tokens = linear(x, params["patch.weight"], params["patch.bias"])
@@ -242,28 +241,26 @@ def forward(params: ViTParams, images: np.ndarray, capture_attention: bool = Fal
     for i in range(cfg.depth):
         p = f"block{i}."
         normed = layer_norm(tokens, params[p + "ln1.gain"], params[p + "ln1.bias"])
-        q = linear(normed, params[p + "attn.wq"], params[p + "attn.bq"])
-        k = linear(normed, params[p + "attn.wk"], params[p + "attn.bk"])
-        v = linear(normed, params[p + "attn.wv"], params[p + "attn.bv"])
-        qh = transpose(reshape(q, (b, t_count, h, hd)), (0, 2, 1, 3))
-        kh = transpose(reshape(k, (b, t_count, h, hd)), (0, 2, 1, 3))
-        vh = transpose(reshape(v, (b, t_count, h, hd)), (0, 2, 1, 3))
-        scores = scale(matmul(qh, transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
-        attn = softmax_rows(scores)
+        attended, probs = attention(
+            normed,
+            params[p + "attn.wq"], params[p + "attn.bq"],
+            params[p + "attn.wk"], params[p + "attn.bk"],
+            params[p + "attn.wv"], params[p + "attn.bv"],
+            params[p + "attn.wo"], params[p + "attn.bo"],
+            cfg.heads,
+        )
         if capture_attention and i == cfg.depth - 1:
-            captured = np.array(attn.values)
-        ctx = matmul(attn, vh)
-        merged = reshape(transpose(ctx, (0, 2, 1, 3)), (b, t_count, d))
-        tokens = add(tokens, linear(merged, params[p + "attn.wo"], params[p + "attn.bo"]))
+            captured = probs
+        tokens = add(tokens, attended)
 
         normed2 = layer_norm(tokens, params[p + "ln2.gain"], params[p + "ln2.bias"])
-        hidden = gelu(linear(normed2, params[p + "mlp.w1"], params[p + "mlp.b1"]))
-        tokens = add(tokens, linear(hidden, params[p + "mlp.w2"], params[p + "mlp.b2"]))
+        tokens = add(tokens, mlp(normed2, params[p + "mlp.w1"], params[p + "mlp.b1"],
+                                 params[p + "mlp.w2"], params[p + "mlp.b2"]))
 
     final = layer_norm(tokens, params["ln_final.gain"], params["ln_final.bias"])
     logits = linear(take_token(final, 0), params["head.weight"], params["head.bias"])
-    attention = AttentionMap(captured) if captured is not None else None
-    return ForwardOutput(logits=logits, last_attention=attention)
+    last_attention = AttentionMap(captured) if captured is not None else None
+    return ForwardOutput(logits=logits, last_attention=last_attention)
 
 
 def params_checksum(params: ViTParams) -> int:

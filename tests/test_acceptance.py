@@ -96,6 +96,10 @@ def protocol_runs():
 class TestCriterion1GradientOracle:
     def test_every_op_and_full_model(self):
         rng = np.random.default_rng(1001)
+        # the fused ops draw from their own stream so the other entries
+        # and the full-model check keep their inputs
+        fused = np.random.default_rng(1002)
+        key_bias = Tensor(fused.normal(size=4))
         checks = {
             "matmul_2d": (lambda t: T.sum_all(T.matmul(t[0], t[1])),
                           [rng.normal(size=(3, 4)), rng.normal(size=(4, 2))]),
@@ -140,6 +144,22 @@ class TestCriterion1GradientOracle:
             "linear": (lambda t: T.sum_all(T.linear(t[0], t[1], t[2])),
                        [rng.normal(size=(2, 3)), rng.normal(size=(3, 4)),
                         rng.normal(size=4)]),
+            "linear_rank3": (lambda t: T.sum_all(T.matmul(T.linear(t[0], t[1], t[2]), t[3])),
+                             [fused.normal(size=(2, 3, 4)), fused.normal(size=(4, 5)),
+                              fused.normal(size=5), fused.normal(size=(5, 2))]),
+            # the key bias is held fixed: its exact gradient is zero (it
+            # shifts a whole score row), which differences cannot resolve
+            "attention": (lambda t: T.sum_all(T.matmul(T.attention(
+                              t[0], t[1], t[2], t[3], key_bias, t[4], t[5], t[6], t[7],
+                              heads=2)[0], t[8])),
+                          [fused.normal(size=(2, 5, 4))]
+                          + [fused.normal(size=s)
+                             for s in ((4, 4), 4, (4, 4), (4, 4), 4, (4, 4), 4)]
+                          + [fused.normal(size=(4, 3))]),
+            "mlp": (lambda t: T.sum_all(T.matmul(T.mlp(t[0], t[1], t[2], t[3], t[4]), t[5])),
+                    [fused.normal(size=(2, 3, 4)), fused.normal(size=(4, 6)),
+                     fused.normal(size=6), fused.normal(size=(6, 4)), fused.normal(size=4),
+                     fused.normal(size=(4, 2))]),
         }
         for name, (build, arrays) in checks.items():
             assert_gradients_match(build, arrays, rel_tol=1e-4)

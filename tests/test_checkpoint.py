@@ -97,6 +97,18 @@ def test_corrupted_payload_fails_checksum(tmp_path):
     assert "checksum" in str(exc.value)
 
 
+def test_invalid_utf8_name_names_offset(tmp_path):
+    path = tmp_path / "name.ltvt"
+    checkpoint.save_arrays(str(path), {"abc": np.zeros(2)})
+    raw = bytearray(path.read_bytes())
+    raw[15] = 0xFF  # second byte of the name: magic, version, count, name_len come first
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError) as exc:
+        checkpoint.load_arrays(str(path))
+    assert "UTF-8" in str(exc.value)
+    assert exc.value.offset == 15
+
+
 def test_trailing_bytes_rejected(tmp_path):
     path = tmp_path / "extra.ltvt"
     checkpoint.save_arrays(str(path), {"w": np.zeros(1)})

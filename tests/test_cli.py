@@ -9,6 +9,9 @@ import pytest
 
 from lethevit.checkpoint import load_arrays
 from lethevit.cli import main
+from lethevit.data import load_dataset
+
+from test_data import write_label
 
 TINY_KEYS = [
     "classes=2", "per_class=6", "test_per_class=4", "image_size=8", "channels=1",
@@ -100,6 +103,34 @@ class TestTrain:
         assert code == 0
         manifest = [json.loads(line) for line in open(tmp_path / "manifests.jsonl")][-1]
         assert manifest["config"]["epochs"] == 2  # flag wins over file
+
+
+class TestCorruptInputs:
+    """A corrupt input file is a runtime failure: exit 1, no traceback."""
+
+    def test_invalid_utf8_checkpoint_name_exits_1(self, pipeline, tmp_path, capsys):
+        _, train_path, test_path, theta_o = pipeline
+        raw = bytearray(open(theta_o, "rb").read())
+        raw[14] = 0xFF  # first byte of the first entry name
+        bad = tmp_path / "bad_name.ltvt"
+        bad.write_bytes(bytes(raw))
+        code = run("unlearn", "--method", "ga", "--data", train_path, "--test", test_path,
+                   "--original", str(bad), "--out", str(tmp_path / "u.ltvt"),
+                   *sets("seed=5", "lr=0.05", "batch=6"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "UTF-8" in err and "byte offset 14" in err
+
+    def test_out_of_range_label_exits_1(self, pipeline, tmp_path, capsys):
+        _, train_path, _, _ = pipeline
+        ds = load_dataset(train_path)
+        bad = tmp_path / "bad_label.ltds"
+        bad.write_bytes(open(train_path, "rb").read())
+        write_label(bad, ds, index=0, label=ds.class_count)
+        code = run("train", "--data", str(bad), "--out", str(tmp_path / "t.ltvt"),
+                   *sets("seed=5", "epochs=1", "lr=0.05", "batch=6", *MODEL_KEYS))
+        assert code == 1
+        assert f"label {ds.class_count}" in capsys.readouterr().err
 
 
 class TestUnlearn:

@@ -19,6 +19,16 @@ from lethevit.data import (
 from lethevit.errors import ConfigError, FormatError
 
 
+def write_label(path, ds, index, label):
+    """Overwrite one stored label of an LTDS file, keeping its checksum valid."""
+    raw = bytearray(path.read_bytes())
+    at = 24 + ds.images.size * 4 + 2 * index
+    raw[at:at + 2] = struct.pack("<H", label)
+    checksum = int(np.frombuffer(bytes(raw[24:-8]), dtype=np.uint8).sum(dtype=np.uint64))
+    raw[-8:] = struct.pack("<Q", checksum)
+    path.write_bytes(bytes(raw))
+
+
 def small_dataset(seed=0, per_class=10, size=16):
     return generate_toy_dataset(3, per_class, size, seed=seed)
 
@@ -176,6 +186,16 @@ class TestPersistence:
         with pytest.raises(FormatError) as exc:
             load_dataset(str(path))
         assert "checksum" in str(exc.value)
+
+    def test_label_out_of_range_names_offset(self, tmp_path):
+        path = tmp_path / "label.ltds"
+        ds = small_dataset()
+        save_dataset(ds, str(path))
+        write_label(path, ds, index=7, label=ds.class_count)
+        with pytest.raises(FormatError) as exc:
+            load_dataset(str(path))
+        assert f"label {ds.class_count}" in str(exc.value)
+        assert exc.value.offset == 24 + ds.images.size * 4 + 2 * 7
 
     def test_truncation_names_offset(self, tmp_path):
         path = tmp_path / "short.ltds"

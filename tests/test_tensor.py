@@ -18,6 +18,7 @@ from lethevit.tensor import (
     Tape,
     Tensor,
     add,
+    attention,
     backward,
     concat,
     cosine_similarity,
@@ -27,6 +28,7 @@ from lethevit.tensor import (
     linear,
     matmul,
     mean_all,
+    mlp,
     per_sample_cross_entropy,
     repeat_batch,
     reshape,
@@ -40,7 +42,13 @@ from lethevit.tensor import (
     transpose,
 )
 
-from helpers import assert_gradients_match
+from helpers import (
+    assert_gradients_match,
+    autodiff_gradients,
+    reference_attention,
+    reference_linear,
+    reference_mlp,
+)
 
 RNG = np.random.default_rng(20240811)
 
@@ -377,6 +385,127 @@ class TestRemainingOpGradients:
         w = RNG.normal(size=(3, 4))
         b = RNG.normal(size=4)
         assert_gradients_match(lambda t: sum_all(linear(t[0], t[1], t[2])), [x, w, b])
+
+
+def _attention_inputs(b=2, t=5, d=4):
+    arrays = [RNG.normal(size=(b, t, d))]
+    for _ in range(4):
+        arrays += [RNG.normal(size=(d, d)), RNG.normal(size=d) * 0.1]
+    return arrays
+
+
+def _mlp_inputs(b=2, t=3, d=4, hidden=6):
+    return [RNG.normal(size=(b, t, d)), RNG.normal(size=(d, hidden)), RNG.normal(size=hidden),
+            RNG.normal(size=(hidden, d)), RNG.normal(size=d)]
+
+
+class TestFusedOps:
+    """The fused model-path ops: gradient oracle, equality with the
+    fine-grained compositions they replace, and the output contract."""
+
+    def test_linear_rank3_gradients(self):
+        x, w, b = RNG.normal(size=(2, 3, 4)), RNG.normal(size=(4, 5)), RNG.normal(size=5)
+        probe = RNG.normal(size=(5, 2))
+        assert_gradients_match(lambda t: sum_all(matmul(linear(t[0], t[1], t[2]), t[3])),
+                               [x, w, b, probe])
+
+    def test_attention_gradients(self):
+        # a key bias shifts every score of a query row by the same amount,
+        # so its exact gradient is zero and central differences see only
+        # rounding noise: hold it fixed and check the zero separately
+        arrays = _attention_inputs()
+        bk = Tensor(arrays.pop(4))
+        probe = RNG.normal(size=(4, 3))
+
+        def build(t):
+            return sum_all(matmul(attention(*t[:4], bk, *t[4:8], heads=2)[0], t[8]))
+
+        assert_gradients_match(build, arrays + [probe])
+        tensors = [Tensor(a, requires_grad=True) for a in _attention_inputs()]
+        with Tape() as tape:
+            loss = sum_all(attention(*tensors, heads=2)[0])
+        backward(loss, tape)
+        assert np.abs(tensors[4].grad).max() < 1e-12
+
+    def test_mlp_gradients(self):
+        probe = RNG.normal(size=(4, 3))
+        assert_gradients_match(lambda t: sum_all(matmul(mlp(*t[:5]), t[5])),
+                               _mlp_inputs() + [probe])
+
+    @pytest.mark.parametrize("fused,reference,inputs", [
+        (lambda t: linear(*t), reference_linear,
+         lambda: [RNG.normal(size=(2, 3, 4)), RNG.normal(size=(4, 5)), RNG.normal(size=5)]),
+        (lambda t: linear(*t), reference_linear,
+         lambda: [RNG.normal(size=(3, 4)), RNG.normal(size=(4, 5)), RNG.normal(size=5)]),
+        (lambda t: attention(*t, heads=2)[0], lambda *t: reference_attention(*t, heads=2)[0],
+         _attention_inputs),
+        (lambda t: mlp(*t), reference_mlp, _mlp_inputs),
+    ], ids=["linear_rank3", "linear_rank2", "attention", "mlp"])
+    def test_matches_reference_composition_bit_for_bit(self, fused, reference, inputs):
+        arrays = inputs()
+        out = fused([Tensor(a) for a in arrays]).values
+        probe = RNG.normal(size=out.shape)
+        np.testing.assert_array_equal(out, reference(*[Tensor(a) for a in arrays]).values)
+        fused_grads = autodiff_gradients(lambda t: sum_all(_probe_dot(fused(t), probe)),
+                                         arrays)
+        reference_grads = autodiff_gradients(
+            lambda t: sum_all(_probe_dot(reference(*t), probe)), arrays)
+        for g_fused, g_reference in zip(fused_grads, reference_grads):
+            np.testing.assert_array_equal(g_fused, g_reference)
+
+    def test_attention_probabilities_match_reference(self):
+        arrays = _attention_inputs(b=3, t=6, d=8)
+        out, probs = attention(*[Tensor(a) for a in arrays], heads=2)
+        ref_out, ref_probs = reference_attention(*[Tensor(a) for a in arrays], heads=2)
+        assert probs.shape == (3, 2, 6, 6)
+        np.testing.assert_array_equal(probs, ref_probs)
+        np.testing.assert_array_equal(out.values, ref_out.values)
+        with pytest.raises(ValueError):
+            probs[0, 0, 0, 0] = 1.0
+
+    def test_one_record_each(self):
+        tensors = [Tensor(a, requires_grad=True) for a in _attention_inputs()]
+        with Tape() as tape:
+            attention(*tensors, heads=2)
+            mlp(tensors[0], *[Tensor(a, requires_grad=True) for a in _mlp_inputs(d=4)[1:]])
+            linear(*tensors[:3])
+        assert len(tape) == 3
+
+    def test_shape_errors(self):
+        arrays = [Tensor(a) for a in _attention_inputs(d=4)]
+        with pytest.raises(DimensionError):
+            attention(*arrays, heads=3)
+        with pytest.raises(DimensionError):
+            attention(Tensor(np.zeros((5, 4))), *arrays[1:], heads=2)
+        with pytest.raises(DimensionError):
+            attention(arrays[0], Tensor(np.zeros((4, 2))), *arrays[2:], heads=2)
+        x, w1, b1, w2, b2 = [Tensor(a) for a in _mlp_inputs()]
+        with pytest.raises(DimensionError):
+            mlp(x, w1, b1, Tensor(np.zeros((5, 4))), b2)
+        with pytest.raises(DimensionError):
+            linear(x, w1, b2)
+        with pytest.raises(DimensionError):
+            linear(Tensor(np.zeros(4)), w1, b1)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_attention_overflow_raises_at_fused_output(self):
+        arrays = _attention_inputs()
+        arrays[1] = arrays[1] * 1e200  # wq
+        arrays[3] = arrays[3] * 1e200  # wk: the scores overflow to +-inf
+        with pytest.raises(NonFiniteError):
+            attention(*[Tensor(a) for a in arrays], heads=2)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_mlp_overflow_raises_at_fused_output(self):
+        x, w1, b1, w2, b2 = _mlp_inputs()
+        # the hidden pre-activation overflows to +-inf inside the op
+        with pytest.raises(NonFiniteError):
+            mlp(Tensor(x * 1e200), Tensor(w1 * 1e200), Tensor(b1), Tensor(w2), Tensor(b2))
+
+
+def _probe_dot(out: Tensor, probe: np.ndarray) -> Tensor:
+    """The dot product of `out` with a fixed probe array, as a [1, 1] tensor."""
+    return matmul(reshape(out, (1, out.size)), Tensor(probe.reshape(-1, 1)))
 
 
 class TestDeterminism:

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from lethevit.data import LabeledDataset, DataSplit, generate_toy_dataset, split_random_forget
-from lethevit.errors import ConfigError, ContractError, DegenerateVectorError, DivergenceError
+from lethevit.errors import (
+    ConfigError,
+    ContractError,
+    DegenerateVectorError,
+    DivergenceError,
+    NonFiniteError,
+)
 from lethevit.evaluation import per_sample_losses
 from lethevit.masking import MaskSpec, MaskType, build_masked_view
 from lethevit.tensor import Tape, Tensor, add, backward, mean_all, scale, softplus, stop_recording
@@ -269,6 +275,33 @@ class TestGradientAscent:
             gradient_ascent(theta_o, split, cfg)
         assert exc.value.phase == "gradient_ascent"
         assert exc.value.step >= 0
+
+
+class TestFusedOpDivergence:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("overflowing", [("block0.attn.wq", "block0.attn.wk"),
+                                             ("block0.ln2.gain", "block0.mlp.w1")],
+                             ids=["attention", "mlp"])
+    def test_overflow_inside_fused_op_names_phase_and_step(self, monkeypatch, overflowing):
+        """Parameters scaled by 1e200 make the attention scores, or the
+        MLP's pre-activation (fed by a 1e200-gain layer norm), overflow
+        inside the op; that surfaces at the op's output and ends
+        training as a divergence."""
+
+        def overflowing_init(config, seed):
+            params = init_params(config, seed)
+            for name in overflowing:
+                params.replace(name, params[name].values * 1e200)
+            return params
+
+        monkeypatch.setattr("lethevit.unlearning.init_params", overflowing_init)
+        train = generate_toy_dataset(3, 4, 8, seed=502)
+        config = TrainConfig(model=TINY, epochs=1, batch_size=6, seed=3)
+        with pytest.raises(DivergenceError) as exc:
+            train_model(train, config)
+        assert exc.value.phase == "train"
+        assert exc.value.step == 0
+        assert isinstance(exc.value.__cause__, NonFiniteError)
 
 
 class TestRandomLabels:
