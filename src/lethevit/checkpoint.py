@@ -20,7 +20,7 @@ parameter sets always serialize to identical bytes.
 from __future__ import annotations
 
 import struct
-from typing import BinaryIO, Mapping
+from typing import BinaryIO, Mapping, Optional
 
 import numpy as np
 
@@ -64,8 +64,9 @@ def _read_exact(f: BinaryIO, count: int, offset: int, what: str) -> bytes:
     return data
 
 
-def load_arrays(path: str) -> dict[str, np.ndarray]:
-    """Load a checkpoint, validating magic, version and checksum."""
+def load_arrays(path: str, offsets: Optional[dict[str, int]] = None) -> dict[str, np.ndarray]:
+    """Load a checkpoint, validating magic, version and checksum; fill
+    `offsets`, if given, with each entry's starting byte offset by name."""
     arrays: dict[str, np.ndarray] = {}
     chunks: list[bytes] = []
     with open(path, "rb") as f:
@@ -81,6 +82,7 @@ def load_arrays(path: str) -> dict[str, np.ndarray]:
         count = struct.unpack("<I", _read_exact(f, 4, offset, "entry count"))[0]
         offset += 4
         for i in range(count):
+            start = offset
             name_len = struct.unpack("<H", _read_exact(f, 2, offset, f"name length of entry {i}"))[0]
             offset += 2
             raw_name = _read_exact(f, name_len, offset, f"name of entry {i}")
@@ -102,6 +104,8 @@ def load_arrays(path: str) -> dict[str, np.ndarray]:
             chunks.append(payload)
             values = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float64)
             arrays[name] = values
+            if offsets is not None:
+                offsets[name] = start
         stored = struct.unpack("<Q", _read_exact(f, 8, offset, "checksum"))[0]
         computed = payload_checksum(chunks)
         if stored != computed:

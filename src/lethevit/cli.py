@@ -4,9 +4,9 @@ Commands: gen-data, train, unlearn, evaluate, sweep-mask, report.
 
 Configuration comes from flat key=value files; any key can be
 overridden on the command line with repeated `--set key=value` flags
-(flags win). Every run appends one JSON manifest line recording the
-resolved configuration, input checkpoints, output checksums and wall
-time to `manifests.jsonl` next to its primary output.
+(flags win). Every run appends one JSON manifest line recording the resolved
+configuration, inputs, output checksums, wall time and environment
+(versions, BLAS, threads) to `manifests.jsonl` beside its main output.
 
 Exit codes: 0 success, 1 runtime failure (divergence, bad file), 2
 usage or configuration error.
@@ -22,6 +22,9 @@ import sys
 import time
 from typing import Optional
 
+import numpy as np
+import scipy
+
 from . import data as data_mod
 from . import evaluation, unlearning, vit
 from .errors import ConfigError, LetheError
@@ -31,6 +34,7 @@ METHODS = ("lethevit", "retrain", "ft", "ga", "rl")
 
 _SWEEP_HEADER = "ratio,mask_type,ta,mia"
 _EVAL_HEADER = "method,seed,fa,ra,ta,mia,dfa,dra,dta,dmia,ag"
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # key: (type, default); None default means the key is required
 _KEY_SPECS: dict[str, tuple[type, object]] = {
@@ -121,6 +125,7 @@ def _sha256(path: str) -> str:
 
 def _write_manifest(out_path: str, command: str, config: dict, started: float,
                     inputs: Optional[dict] = None, extra: Optional[dict] = None) -> None:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "command": command,
         "config": config,
@@ -128,6 +133,11 @@ def _write_manifest(out_path: str, command: str, config: dict, started: float,
         "inputs": inputs or {},
         "outputs": {out_path: _sha256(out_path)},
         "duration_seconds": time.perf_counter() - started,
+        # checkpoint bytes depend on the BLAS thread count (README, determinism)
+        "env": {"python": sys.version.split()[0], "numpy": np.__version__,
+                "scipy": scipy.__version__,
+                "blas": {"name": blas.get("name"), "version": blas.get("version")},
+                "threads": {var: os.environ.get(var) for var in _THREAD_VARS}},
     }
     if extra:
         manifest.update(extra)

@@ -7,6 +7,9 @@ cross-entropy losses are computed for the retain set (members) and the
 test set (non-members), a single threshold maximizing balanced
 member/non-member accuracy is fitted on those two sets, and the attack
 score is the fraction of forget samples whose loss falls below it.
+
+Each forward runs once: `evaluate_model` takes accuracy and losses from
+one forward per set, and `masking_sweep` scores attention once per set.
 """
 
 from __future__ import annotations
@@ -18,9 +21,10 @@ import numpy as np
 
 from .data import LabeledDataset
 from .errors import ContractError
-from .masking import MaskSpec, MaskType, build_masked_view
+from .masking import MaskSpec, MaskType, class_token_attention, mask_from_scores
+from .masking import build_masked_view  # noqa: F401  unused; perfbench/layertrace.py wraps it
 from .tensor import per_sample_cross_entropy, stop_recording
-from .vit import ViTParams, forward
+from .vit import ForwardOutput, ViTParams, forward
 
 _EVAL_BATCH = 256
 
@@ -54,27 +58,31 @@ class GapReport:
     ag: float
 
 
-def batched_logits(params: ViTParams, images: np.ndarray) -> np.ndarray:
+def _forward_chunks(params: ViTParams, images: np.ndarray,
+                    capture_attention: bool = False) -> list[ForwardOutput]:
     """Forward in evaluation mode (no gradient recording), chunked."""
-    outputs = []
     with stop_recording():
-        for start in range(0, len(images), _EVAL_BATCH):
-            outputs.append(forward(params, images[start:start + _EVAL_BATCH]).logits.values)
-    return np.concatenate(outputs, axis=0)
+        return [forward(params, images[start:start + _EVAL_BATCH], capture_attention)
+                for start in range(0, len(images), _EVAL_BATCH)]
+
+
+def batched_logits(params: ViTParams, images: np.ndarray) -> np.ndarray:
+    """Logits of `images` in evaluation mode, chunked."""
+    return np.concatenate([out.logits.values for out in _forward_chunks(params, images)], axis=0)
+
+
+def _accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
+    predictions = np.argmax(logits, axis=1)  # ties resolve to the lowest index
+    return 100.0 * float((predictions == labels).mean())
 
 
 def accuracy(params: ViTParams, dataset: LabeledDataset) -> float:
     """Top-1 accuracy as a percentage; argmax ties pick the lowest class."""
-    if len(dataset) == 0:
-        raise ContractError("accuracy of an empty dataset is undefined")
-    logits = batched_logits(params, dataset.images)
-    predictions = np.argmax(logits, axis=1)  # ties resolve to the lowest index
-    return 100.0 * float((predictions == dataset.labels).mean())
+    return _accuracy(batched_logits(params, dataset.images), dataset.labels)
 
 
 def per_sample_losses(params: ViTParams, dataset: LabeledDataset) -> np.ndarray:
-    logits = batched_logits(params, dataset.images)
-    return per_sample_cross_entropy(logits, dataset.labels)
+    return per_sample_cross_entropy(batched_logits(params, dataset.images), dataset.labels)
 
 
 def fit_loss_threshold(member_losses: np.ndarray, nonmember_losses: np.ndarray) -> float:
@@ -83,7 +91,8 @@ def fit_loss_threshold(member_losses: np.ndarray, nonmember_losses: np.ndarray) 
     Candidates are the midpoints of adjacent distinct loss values plus
     -inf ("nobody is a member") and +inf ("everybody is"); the smallest
     maximizer wins. When all losses coincide the threshold sits at that
-    single value.
+    single value. Each candidate's member and non-member counts come
+    from a binary search over the sorted losses (a ROC sweep).
     """
     member_losses = np.asarray(member_losses, dtype=np.float64)
     nonmember_losses = np.asarray(nonmember_losses, dtype=np.float64)
@@ -96,16 +105,11 @@ def fit_loss_threshold(member_losses: np.ndarray, nonmember_losses: np.ndarray) 
         midpoints = (values[:-1] + values[1:]) / 2.0
         candidates = np.concatenate([[-np.inf], midpoints, [np.inf]])
 
-    best_t = candidates[0]
-    best_acc = -1.0
-    for t in candidates:
-        tpr = float((member_losses < t).mean())
-        tnr = float((nonmember_losses >= t).mean())
-        balanced = 0.5 * (tpr + tnr)
-        if balanced > best_acc:
-            best_acc = balanced
-            best_t = float(t)
-    return best_t
+    # count/n is the float division `(losses < t).mean()` performs
+    tpr = np.searchsorted(np.sort(member_losses), candidates) / len(member_losses)
+    below = np.searchsorted(np.sort(nonmember_losses), candidates)
+    tnr = (len(nonmember_losses) - below) / len(nonmember_losses)
+    return float(candidates[np.argmax(0.5 * (tpr + tnr))])  # argmax: first maximizer
 
 
 def mia_from_losses(
@@ -137,17 +141,14 @@ def mia_success_rate(
 
 
 def evaluate_model(params: ViTParams, split, method: str = "", seed: int = 0) -> MetricsReport:
-    """Full FA / RA / TA / MIA report for one model on one split."""
-    forget = split.forget_set()
-    retain = split.retain_set()
-    return MetricsReport(
-        fa=accuracy(params, forget),
-        ra=accuracy(params, retain),
-        ta=accuracy(params, split.test),
-        mia=mia_success_rate(params, forget, retain, split.test),
-        method=method,
-        seed=seed,
-    )
+    """Full FA / RA / TA / MIA report for one model on one split; one
+    forward per set gives both its accuracy and its per-sample losses."""
+    sets = (split.forget_set(), split.retain_set(), split.test)
+    logits = [batched_logits(params, dataset.images) for dataset in sets]
+    fa, ra, ta = (_accuracy(z, dataset.labels) for z, dataset in zip(logits, sets))
+    losses = [per_sample_cross_entropy(z, dataset.labels) for z, dataset in zip(logits, sets)]
+    return MetricsReport(fa=fa, ra=ra, ta=ta, mia=mia_from_losses(*losses),
+                         method=method, seed=seed)
 
 
 def average_gap(method: MetricsReport, retrain: MetricsReport) -> GapReport:
@@ -167,6 +168,13 @@ class SweepRow:
     mia: float
 
 
+def _logits_and_scores(params: ViTParams, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unmasked logits and class-token attention scores from one forward."""
+    outputs = _forward_chunks(params, images, capture_attention=True)
+    return (np.concatenate([out.logits.values for out in outputs], axis=0),
+            np.concatenate([class_token_attention(out.last_attention) for out in outputs], axis=0))
+
+
 def masking_sweep(
     params: ViTParams,
     forget: LabeledDataset,
@@ -182,21 +190,23 @@ def masking_sweep(
     `params` plays the attention-source role, normally the retrained
     model. The test set is masked for TA, the forget set is masked for
     the attack's input losses; the attack threshold itself is fitted on
-    the unmasked retain and test sets.
+    the unmasked retain and test sets. The attention scores do not
+    depend on the ratio or the type, so each set is scored once.
     """
     member_losses = per_sample_losses(params, retain)
-    nonmember_losses = per_sample_losses(params, test)
+    test_logits, test_scores = _logits_and_scores(params, test.images)
+    _, forget_scores = _logits_and_scores(params, forget.images)
+    nonmember_losses = per_sample_cross_entropy(test_logits, test.labels)
+    patch_size = params.config.patch_size
     rows = []
     for ratio in ratios:
         for mask_type in types:
             spec = MaskSpec(ratio=ratio, mask_type=mask_type, gaussian_std=gaussian_std)
-            masked_test = build_masked_view(params, test.images, spec, seed=seed)
-            ta = accuracy(
-                params, LabeledDataset(masked_test.images, test.labels, test.class_count)
-            )
-            masked_forget = build_masked_view(params, forget.images, spec, seed=seed)
-            forget_losses = per_sample_losses(
-                params, LabeledDataset(masked_forget.images, forget.labels, forget.class_count)
+            masked_test = mask_from_scores(test.images, test_scores, spec, patch_size, seed)
+            ta = _accuracy(batched_logits(params, masked_test.images), test.labels)
+            masked_forget = mask_from_scores(forget.images, forget_scores, spec, patch_size, seed)
+            forget_losses = per_sample_cross_entropy(
+                batched_logits(params, masked_forget.images), forget.labels
             )
             mia = mia_from_losses(forget_losses, member_losses, nonmember_losses)
             rows.append(SweepRow(ratio=ratio, mask_type=mask_type.value, ta=ta, mia=mia))

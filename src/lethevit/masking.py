@@ -125,6 +125,12 @@ def apply_mask(
     return MaskedBatch(images=out, masked_indices=indices)
 
 
+def mask_from_scores(images: np.ndarray, scores: np.ndarray, spec: MaskSpec,
+                     patch_size: int, seed: int = 0) -> MaskedBatch:
+    """Mask the top `spec.ratio` fraction of patches by `scores` [B, N]."""
+    return apply_mask(images, select_top_k(scores, spec.ratio), spec, patch_size, seed=seed)
+
+
 def build_masked_view(
     model: ViTParams,
     images: np.ndarray,
@@ -139,5 +145,4 @@ def build_masked_view(
     with stop_recording():
         out = forward(model, images, capture_attention=True)
     scores = class_token_attention(out.last_attention)
-    indices = select_top_k(scores, spec.ratio)
-    return apply_mask(images, indices, spec, model.config.patch_size, seed=seed)
+    return mask_from_scores(images, scores, spec, model.config.patch_size, seed=seed)

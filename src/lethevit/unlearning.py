@@ -5,7 +5,7 @@ The core method runs two strictly sequential phases, both plain SGD:
   phase 1 (forget): for each forget batch, mask the images using the
   frozen original model's attention, then pull the current model's
   logits toward the original model's logits for the masked images and
-  away from its logits for the unmasked ones.
+  away from its logits for the unmasked ones (`teacher_views`).
 
   phase 2 (retain): ordinary cross-entropy training on the retain set.
 
@@ -25,7 +25,8 @@ import numpy as np
 
 from .data import DataSplit, LabeledDataset
 from .errors import ConfigError, ContractError, DivergenceError, NonFiniteError
-from .masking import MaskSpec, build_masked_view
+from .masking import MaskSpec, class_token_attention, mask_from_scores
+from .masking import build_masked_view  # noqa: F401  unused; perfbench/layertrace.py wraps it
 from .tensor import (
     Tape,
     Tensor,
@@ -94,6 +95,18 @@ class UnlearnConfig:
             raise ConfigError("epoch counts must be >= 0")
         if self.learning_rate <= 0 or self.temperature <= 0 or self.batch_size < 1:
             raise ConfigError("learning_rate, temperature and batch_size must be positive")
+
+
+def teacher_views(original: ViTParams, images: np.ndarray, mask_spec: MaskSpec,
+                  mask_seed: int) -> tuple[Tensor, Tensor]:
+    """The frozen original's (positive, negative) logits in two forwards:
+    the unmasked one gives the attention that picks the masked patches
+    and the negative logits, the masked one the positive logits."""
+    with stop_recording():
+        plain = forward(original, images, capture_attention=True)
+        scores = class_token_attention(plain.last_attention)
+        masked = mask_from_scores(images, scores, mask_spec, original.config.patch_size, mask_seed)
+        return forward(original, masked.images).logits, plain.logits
 
 
 def contrastive_loss(triplet: TripletLogits, temperature: float) -> Tensor:
@@ -240,10 +253,7 @@ def unlearn(
                 np.random.SeedSequence((config.seed, epoch, step)).generate_state(1, np.uint64)[0]
             )
             try:
-                masked = build_masked_view(original, images, config.mask_spec, seed=mask_seed)
-                with stop_recording():
-                    positive = forward(original, masked.images).logits
-                    negative = forward(original, images).logits
+                positive, negative = teacher_views(original, images, config.mask_spec, mask_seed)
                 with Tape() as tape:
                     anchor = forward(theta, images).logits
                     loss = contrastive_loss(
@@ -358,10 +368,8 @@ def triplet_cosine_stats(
         for start in range(0, len(indices), batch_size):
             batch = indices[start:start + batch_size]
             images = dataset.images[batch]
-            masked = build_masked_view(original, images, mask_spec, seed=mask_seed)
+            positive, negative = teacher_views(original, images, mask_spec, mask_seed)
             anchor = forward(current, images).logits
-            positive = forward(original, masked.images).logits
-            negative = forward(original, images).logits
             sims_p.append(row_cosine(anchor, positive).values)
             sims_n.append(row_cosine(anchor, negative).values)
     return float(np.concatenate(sims_p).mean()), float(np.concatenate(sims_n).mean())

@@ -15,7 +15,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import checkpoint
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, FormatError
 from .tensor import (
     DTYPE,
     Tensor,
@@ -89,9 +89,10 @@ class ViTConfig:
 
     @staticmethod
     def from_array(values: np.ndarray) -> "ViTConfig":
-        vals = [int(v) for v in np.asarray(values).ravel()]
-        if len(vals) != 8:
-            raise ConfigError(f"config entry must hold 8 values, got {len(vals)}")
+        values = np.asarray(values).ravel()
+        vals = [int(v) for v in values]
+        if len(vals) != 8 or vals != values.tolist():
+            raise ConfigError(f"config entry must hold 8 integers, got {values.tolist()}")
         return ViTConfig(*vals)
 
 
@@ -279,21 +280,26 @@ def save_params(params: ViTParams, path: str) -> None:
 
 
 def load_params(path: str) -> ViTParams:
-    arrays = checkpoint.load_arrays(path)
+    """Load a model checkpoint; a bad entry is a `FormatError` at its offset."""
+    offsets: dict[str, int] = {}
+    arrays = checkpoint.load_arrays(path, offsets)
     if _CONFIG_KEY not in arrays:
-        raise ConfigError(f"checkpoint {path} is missing the '{_CONFIG_KEY}' entry")
-    config = ViTConfig.from_array(arrays.pop(_CONFIG_KEY))
-    expected = parameter_shapes(config)
+        raise FormatError(f"checkpoint {path} is missing the '{_CONFIG_KEY}' entry", 0)
+    try:
+        config = ViTConfig.from_array(arrays.pop(_CONFIG_KEY))
+    except (ConfigError, ValueError, OverflowError) as exc:  # int() of NaN / inf
+        raise FormatError(f"checkpoint entry '{_CONFIG_KEY}' is invalid: {exc}",
+                          offsets[_CONFIG_KEY]) from None
     tensors: dict[str, Tensor] = {}
-    for name, shape in expected.items():
+    for name, shape in parameter_shapes(config).items():
         if name not in arrays:
-            raise ConfigError(f"checkpoint {path} is missing parameter '{name}'")
+            raise FormatError(f"checkpoint {path} is missing parameter '{name}'", 0)
         values = arrays.pop(name)
         if values.shape != shape:
-            raise ConfigError(
-                f"checkpoint parameter '{name}' has shape {values.shape}, expected {shape}"
-            )
+            raise FormatError(f"checkpoint parameter '{name}' has shape {values.shape}, "
+                              f"expected {shape}", offsets[name])
         tensors[name] = Tensor(values, requires_grad=True)
     if arrays:
-        raise ConfigError(f"checkpoint {path} has unexpected entries: {sorted(arrays)}")
+        extra = sorted(arrays)
+        raise FormatError(f"checkpoint {path} has unexpected entries: {extra}", offsets[extra[0]])
     return ViTParams(config, tensors)

@@ -1,8 +1,11 @@
-"""Shared test utilities: the central finite-difference gradient oracle
-and the fine-grained reference compositions of the fused model ops."""
+"""Shared test utilities: the central finite-difference gradient oracle,
+the fine-grained reference compositions of the fused model ops, the
+recompute-everything reference compositions of the evaluation, masking
+sweep and teacher paths, and a forward-call counter."""
 
 import numpy as np
 
+from lethevit import evaluation, masking, unlearning, vit
 from lethevit import tensor as T
 from lethevit.tensor import Tape, Tensor, backward
 
@@ -79,3 +82,112 @@ def reference_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads):
 def reference_mlp(x, w1, b1, w2, b2):
     """`mlp` as the composition of fine-grained ops it replaced."""
     return reference_linear(T.gelu(reference_linear(x, w1, b1)), w2, b2)
+
+
+def reference_fit_loss_threshold(member_losses, nonmember_losses):
+    """`fit_loss_threshold` as the candidate loop it replaced."""
+    member_losses = np.asarray(member_losses, dtype=np.float64)
+    nonmember_losses = np.asarray(nonmember_losses, dtype=np.float64)
+    values = np.unique(np.concatenate([member_losses, nonmember_losses]))
+    if len(values) == 1:
+        candidates = values
+    else:
+        midpoints = (values[:-1] + values[1:]) / 2.0
+        candidates = np.concatenate([[-np.inf], midpoints, [np.inf]])
+    best_t = candidates[0]
+    best_acc = -1.0
+    for t in candidates:
+        tpr = float((member_losses < t).mean())
+        tnr = float((nonmember_losses >= t).mean())
+        balanced = 0.5 * (tpr + tnr)
+        if balanced > best_acc:
+            best_acc = balanced
+            best_t = float(t)
+    return best_t
+
+
+def _reference_logits(params, images):
+    outputs = []
+    with T.stop_recording():
+        for start in range(0, len(images), 256):
+            outputs.append(vit.forward(params, images[start:start + 256]).logits.values)
+    return np.concatenate(outputs, axis=0)
+
+
+def _reference_accuracy(params, images, labels):
+    predictions = np.argmax(_reference_logits(params, images), axis=1)
+    return 100.0 * float((predictions == labels).mean())
+
+
+def _reference_losses(params, images, labels):
+    return T.per_sample_cross_entropy(_reference_logits(params, images), labels)
+
+
+def _reference_mia(forget_losses, member_losses, nonmember_losses):
+    threshold = reference_fit_loss_threshold(member_losses, nonmember_losses)
+    return 100.0 * float((np.asarray(forget_losses) < threshold).mean())
+
+
+def reference_evaluate_model(params, split, method="", seed=0):
+    """`evaluate_model` as the composition it replaced: accuracy and
+    per-sample losses each run their own forward over each set."""
+    sets = (split.forget_set(), split.retain_set(), split.test)
+    fa, ra, ta = (_reference_accuracy(params, s.images, s.labels) for s in sets)
+    losses = [_reference_losses(params, s.images, s.labels) for s in sets]
+    return evaluation.MetricsReport(fa=fa, ra=ra, ta=ta, mia=_reference_mia(*losses),
+                                    method=method, seed=seed)
+
+
+def reference_build_masked_view(model, images, spec, seed=0):
+    """Attention-guided masking as one unchunked capture forward."""
+    with T.stop_recording():
+        out = vit.forward(model, images, capture_attention=True)
+    indices = masking.select_top_k(masking.class_token_attention(out.last_attention), spec.ratio)
+    return masking.apply_mask(images, indices, spec, model.config.patch_size, seed=seed)
+
+
+def reference_masking_sweep(params, forget, retain, test, ratios, types,
+                            gaussian_std=1.0, seed=0):
+    """`masking_sweep` as the composition it replaced: the attention
+    forward reruns for every (ratio, type) pair and set."""
+    member_losses = _reference_losses(params, retain.images, retain.labels)
+    nonmember_losses = _reference_losses(params, test.images, test.labels)
+    rows = []
+    for ratio in ratios:
+        for mask_type in types:
+            spec = masking.MaskSpec(ratio=ratio, mask_type=mask_type, gaussian_std=gaussian_std)
+            masked_test = reference_build_masked_view(params, test.images, spec, seed=seed)
+            ta = _reference_accuracy(params, masked_test.images, test.labels)
+            masked_forget = reference_build_masked_view(params, forget.images, spec, seed=seed)
+            forget_losses = _reference_losses(params, masked_forget.images, forget.labels)
+            mia = _reference_mia(forget_losses, member_losses, nonmember_losses)
+            rows.append(evaluation.SweepRow(ratio=ratio, mask_type=mask_type.value, ta=ta, mia=mia))
+    return rows
+
+
+def reference_teacher_views(original, images, mask_spec, mask_seed):
+    """`teacher_views` as the 3-forward teacher it replaced: the masking
+    forward, then separate masked (positive) and unmasked (negative)
+    forwards."""
+    masked = reference_build_masked_view(original, images, mask_spec, seed=mask_seed)
+    with T.stop_recording():
+        positive = vit.forward(original, masked.images).logits
+        negative = vit.forward(original, images).logits
+    return positive, negative
+
+
+def count_forwards(monkeypatch):
+    """Route `forward` in every module that calls it through a counter;
+    returns the list that receives (images, capture_attention, tracked)
+    per call."""
+    calls = []
+    real = vit.forward
+
+    def counted(params, images, capture_attention=False):
+        out = real(params, images, capture_attention)
+        calls.append((len(images), capture_attention, out.logits.requires_grad))
+        return out
+
+    for module in (evaluation, masking, unlearning):
+        monkeypatch.setattr(module, "forward", counted)
+    return calls

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lethevit import checkpoint
-from lethevit.errors import ConfigError, FormatError
+from lethevit.errors import FormatError
 from lethevit.vit import ViTConfig, init_params, load_params, save_params
 
 
@@ -146,15 +146,39 @@ class TestModelCheckpoints:
         del arrays["head.bias"]
         path = tmp_path / "partial.ltvt"
         checkpoint.save_arrays(str(path), arrays)
-        with pytest.raises(ConfigError) as exc:
+        with pytest.raises(FormatError) as exc:
             load_params(str(path))
         assert "head.bias" in str(exc.value)
 
     def test_missing_config_entry_rejected(self, tmp_path):
         path = tmp_path / "noconfig.ltvt"
         checkpoint.save_arrays(str(path), {"w": np.zeros(2)})
-        with pytest.raises(ConfigError):
+        with pytest.raises(FormatError):
             load_params(str(path))
+
+    @pytest.mark.parametrize("entry, corrupt", [
+        ("head.bias", lambda arrays: arrays.update({"head.bias": np.zeros(5)})),
+        ("__config__", lambda arrays: arrays["__config__"].__setitem__(4, 3.0)),  # heads=3, dim=8
+        ("__config__", lambda arrays: arrays["__config__"].__setitem__(0, np.nan)),
+        ("__config__", lambda arrays: arrays["__config__"].__setitem__(4, 2.5)),
+        ("zzz.extra", lambda arrays: arrays.update({"zzz.extra": np.zeros(1)})),
+    ])
+    def test_bad_entry_named_at_its_offset(self, tmp_path, entry, corrupt):
+        """A checksum-valid file with a wrong entry is a corrupt file, not
+        a usage error: FormatError naming the entry at its first byte."""
+        arrays = {name: t.values for name, t in init_params(self.CONFIG, seed=0).items()}
+        arrays["__config__"] = self.CONFIG.to_array()
+        corrupt(arrays)
+        path = tmp_path / "bad.ltvt"
+        checkpoint.save_arrays(str(path), arrays)
+        offsets: dict = {}
+        checkpoint.load_arrays(str(path), offsets)
+        with pytest.raises(FormatError) as exc:
+            load_params(str(path))
+        assert entry in str(exc.value)
+        assert exc.value.offset == offsets[entry]
+        raw = path.read_bytes()
+        assert raw[offsets[entry] + 2:offsets[entry] + 2 + len(entry)] == entry.encode()
 
     def test_identical_params_write_identical_bytes(self, tmp_path):
         a = tmp_path / "a.ltvt"

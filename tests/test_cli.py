@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from lethevit.checkpoint import load_arrays
+from lethevit.checkpoint import load_arrays, save_arrays
 from lethevit.cli import main
 from lethevit.data import load_dataset
 
@@ -131,6 +131,43 @@ class TestCorruptInputs:
                    *sets("seed=5", "epochs=1", "lr=0.05", "batch=6", *MODEL_KEYS))
         assert code == 1
         assert f"label {ds.class_count}" in capsys.readouterr().err
+
+
+def _head_bias_missing(arrays):
+    del arrays["head.bias"]
+
+
+def _head_bias_wrong_shape(arrays):
+    arrays["head.bias"] = np.zeros(5)
+
+
+def _heads_not_dividing_dim(arrays):
+    arrays["__config__"][4] = 3.0  # heads=3 for dim=8
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep-mask", "unlearn"])
+@pytest.mark.parametrize("corrupt", [_head_bias_missing, _head_bias_wrong_shape,
+                                     _heads_not_dividing_dim])
+def test_corrupt_model_checkpoint_exits_1(pipeline, tmp_path, capsys, command, corrupt):
+    """A checksum-valid checkpoint with a missing, misshapen or invalid
+    entry is a corrupt file: exit 1 naming the entry, no traceback."""
+    _, train_path, test_path, theta_o = pipeline
+    arrays = load_arrays(theta_o)
+    corrupt(arrays)
+    bad = str(tmp_path / "bad.ltvt")
+    save_arrays(bad, arrays)
+    data = ["--data", train_path, "--test", test_path]
+    out = ["--out", str(tmp_path / "out")]
+    argv = {
+        "evaluate": ["evaluate", *data, "--checkpoint", f"retrain={bad}", *out],
+        "sweep-mask": ["sweep-mask", *data, "--checkpoint", bad, *out],
+        "unlearn": ["unlearn", "--method", "ga", *data, "--original", bad, *out,
+                    *sets("lr=0.05", "batch=6")],
+    }[command]
+    assert run(*argv, *sets("seed=5", "forget_ratio=0.25")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert ("head.bias" if corrupt is not _heads_not_dividing_dim else "__config__") in err
 
 
 class TestUnlearn:
@@ -260,6 +297,34 @@ class TestSweepMask:
         zero_vals = lines[1].split(",")[2:]
         gauss_vals = lines[2].split(",")[2:]
         assert zero_vals == gauss_vals
+
+
+def test_every_manifest_records_environment(pipeline, checkpoints, tmp_path):
+    """Checkpoint bytes depend on the BLAS thread count, so every
+    command's manifest records versions, BLAS and thread settings."""
+    _, train_path, test_path, theta_o = pipeline
+    _, _, _, retrain_path, _ = checkpoints
+    data = ["--data", train_path, "--test", test_path]
+    split = sets("seed=5", "forget_ratio=0.25")
+    assert run("gen-data", "--out-dir", str(tmp_path), *sets("seed=5", *TINY_KEYS)) == 0
+    assert run("train", "--data", train_path, "--out", str(tmp_path / "t.ltvt"),
+               *sets("seed=5", "epochs=1", "lr=0.05", "batch=6", *MODEL_KEYS)) == 0
+    assert run("unlearn", "--method", "ga", *data, "--original", theta_o,
+               "--out", str(tmp_path / "u.ltvt"), *split, *sets("lr=0.05", "batch=6")) == 0
+    assert run("evaluate", *data, "--checkpoint", f"retrain={retrain_path}",
+               "--out", str(tmp_path / "r.csv"), *split) == 0
+    assert run("sweep-mask", *data, "--checkpoint", retrain_path,
+               "--out", str(tmp_path / "s.csv"), *split, *sets("ratios=0.25")) == 0
+    entries = [json.loads(line) for line in open(tmp_path / "manifests.jsonl")]
+    assert [e["command"] for e in entries] == [
+        "gen-data", "train", "unlearn", "evaluate", "sweep-mask"]
+    for entry in entries:
+        env = entry["env"]
+        assert set(env) == {"python", "numpy", "scipy", "blas", "threads"}
+        assert env["numpy"] == np.__version__
+        assert set(env["blas"]) == {"name", "version"}
+        assert set(env["threads"]) == {
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
 
 
 class TestReport:

@@ -7,6 +7,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lethevit.data import LabeledDataset, generate_toy_dataset, split_random_forget
 from lethevit.errors import ContractError
@@ -14,6 +16,7 @@ from lethevit.evaluation import (
     MetricsReport,
     accuracy,
     average_gap,
+    evaluate_model,
     fit_loss_threshold,
     masking_sweep,
     mia_from_losses,
@@ -21,7 +24,15 @@ from lethevit.evaluation import (
     per_sample_losses,
 )
 from lethevit.masking import MaskType
+from lethevit.unlearning import TrainConfig, train_model
 from lethevit.vit import ViTConfig, init_params
+
+from helpers import (
+    count_forwards,
+    reference_evaluate_model,
+    reference_fit_loss_threshold,
+    reference_masking_sweep,
+)
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "reference_gaps.csv")
 
@@ -142,6 +153,27 @@ class TestMiaThreshold:
             want = oracle_mia(forget, member, nonmember)
             assert got == pytest.approx(want, abs=1e-12), f"trial {trial}"
 
+    @settings(max_examples=150, deadline=None)
+    @given(member=st.lists(st.floats(0.0, 8.0), min_size=1, max_size=600),
+           nonmember=st.lists(st.floats(0.0, 8.0), min_size=1, max_size=600),
+           digits=st.integers(0, 2))
+    @example(member=[3.0, 4.0], nonmember=[1.0, 2.0], digits=0)  # threshold -inf
+    def test_sweep_equals_candidate_loop_on_tied_losses(self, member, nonmember, digits):
+        member = np.round(np.array(member), digits)
+        nonmember = np.round(np.array(nonmember), digits)
+        assert fit_loss_threshold(member, nonmember) == reference_fit_loss_threshold(
+            member, nonmember)
+
+    @settings(max_examples=50, deadline=None)
+    @given(value=st.floats(0.0, 8.0), n_m=st.integers(1, 600), n_n=st.integers(1, 600),
+           nonmember_shift=st.sampled_from([0.0, 0.5]))
+    def test_sweep_equals_candidate_loop_on_constant_sets(self, value, n_m, n_n,
+                                                          nonmember_shift):
+        member = np.full(n_m, value)
+        nonmember = np.full(n_n, value + nonmember_shift)
+        assert fit_loss_threshold(member, nonmember) == reference_fit_loss_threshold(
+            member, nonmember)
+
     def test_empty_sets_rejected(self):
         with pytest.raises(ContractError):
             mia_from_losses(np.array([]), np.array([1.0]), np.array([2.0]))
@@ -230,3 +262,61 @@ class TestMaskingSweep:
                              [0.0, 0.25, 0.5], [MaskType.ZERO, MaskType.GAUSSIAN])
         assert len(rows) == 6
         assert [(r.ratio, r.mask_type) for r in rows[:2]] == [(0.0, "zero"), (0.0, "gaussian")]
+
+
+@pytest.fixture(scope="module")
+def trained_world():
+    """A briefly trained model and a split whose retain set spans two
+    256-image evaluation chunks."""
+    train = generate_toy_dataset(3, 100, 8, seed=310)
+    test = generate_toy_dataset(3, 10, 8, seed=311)
+    split = split_random_forget(train, test, 0.1, seed=310)
+    params = train_model(train, TrainConfig(model=TINY, epochs=3, learning_rate=0.05,
+                                            batch_size=32, seed=310))
+    return params, split
+
+
+def _chunks(dataset):
+    return -(-len(dataset) // 256)
+
+
+class TestComputeOnce:
+    """Evaluation and the masking sweep reuse each forward; their results
+    equal the recompute-everything compositions bit for bit."""
+
+    RATIOS = [0.0, 0.25, 1.0]
+    TYPES = [MaskType.ZERO, MaskType.GAUSSIAN]
+
+    def test_evaluate_model_equals_reference(self, trained_world):
+        params, split = trained_world
+        assert evaluate_model(params, split, "m", 3) == reference_evaluate_model(
+            params, split, "m", 3)
+
+    def test_masking_sweep_equals_reference(self, trained_world):
+        params, split = trained_world
+        args = (params, split.forget_set(), split.retain_set(), split.test,
+                self.RATIOS, self.TYPES)
+        assert masking_sweep(*args, gaussian_std=0.7, seed=9) == reference_masking_sweep(
+            *args, gaussian_std=0.7, seed=9)
+
+    def test_evaluate_model_one_forward_per_chunk_per_set(self, trained_world, monkeypatch):
+        params, split = trained_world
+        calls = count_forwards(monkeypatch)
+        evaluate_model(params, split)
+        sets = (split.forget_set(), split.retain_set(), split.test)
+        assert _chunks(split.retain_set()) == 2
+        assert len(calls) == sum(_chunks(s) for s in sets)
+        assert sum(n for n, _, _ in calls) == sum(len(s) for s in sets)
+        assert not any(capture or tracked for _, capture, tracked in calls)
+
+    def test_masking_sweep_scores_each_set_once(self, trained_world, monkeypatch):
+        params, split = trained_world
+        forget, retain, test = split.forget_set(), split.retain_set(), split.test
+        calls = count_forwards(monkeypatch)
+        masking_sweep(params, forget, retain, test, self.RATIOS, self.TYPES)
+        pairs = len(self.RATIOS) * len(self.TYPES)
+        captures = [n for n, capture, _ in calls if capture]
+        assert captures == [len(test), len(forget)]
+        assert len(calls) == (_chunks(retain) + _chunks(test) + _chunks(forget)
+                              + pairs * (_chunks(test) + _chunks(forget)))
+        assert not any(tracked for _, _, tracked in calls)

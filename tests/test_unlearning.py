@@ -15,6 +15,7 @@ from lethevit.errors import (
 from lethevit.evaluation import per_sample_losses
 from lethevit.masking import MaskSpec, MaskType, build_masked_view
 from lethevit.tensor import Tape, Tensor, add, backward, mean_all, scale, softplus, stop_recording
+from lethevit import unlearning
 from lethevit.unlearning import (
     TrainConfig,
     TripletLogits,
@@ -26,9 +27,12 @@ from lethevit.unlearning import (
     relabel_forget,
     retrain,
     train_model,
+    triplet_cosine_stats,
     unlearn,
 )
 from lethevit.vit import ViTConfig, forward, init_params, params_checksum
+
+from helpers import count_forwards, reference_teacher_views
 
 RNG = np.random.default_rng(99)
 
@@ -154,6 +158,30 @@ class TestUnlearnPipeline:
         assert telemetry["phase1_seconds"] > 0.0
         assert telemetry["phase2_seconds"] > 0.0
         assert telemetry["forget_steps"] >= 1
+
+    @pytest.mark.parametrize("mask_type", [MaskType.ZERO, MaskType.GAUSSIAN])
+    def test_equals_three_forward_teacher_bit_for_bit(self, tiny_world, monkeypatch,
+                                                      mask_type):
+        train, test, split, config, theta_o = tiny_world
+        cfg = UnlearnConfig(forget_epochs=2, retain_epochs=1, learning_rate=0.05,
+                            batch_size=4, mask_spec=MaskSpec(0.25, mask_type), seed=6)
+        got = unlearn(theta_o, split, cfg)
+        got_stats = triplet_cosine_stats(got, theta_o, train, split.forget, cfg.mask_spec, 5)
+        monkeypatch.setattr(unlearning, "teacher_views", reference_teacher_views)
+        want = unlearn(theta_o, split, cfg)
+        assert triplet_cosine_stats(want, theta_o, train, split.forget,
+                                    cfg.mask_spec, 5) == got_stats
+        for name, tensor in want.items():
+            assert got[name].values.tobytes() == tensor.values.tobytes(), name
+
+    def test_phase1_step_runs_original_twice(self, tiny_world, monkeypatch):
+        train, test, split, config, theta_o = tiny_world
+        cfg = UnlearnConfig(forget_epochs=1, retain_epochs=0, learning_rate=0.05,
+                            batch_size=len(split.forget), mask_spec=MaskSpec(0.25), seed=2)
+        calls = count_forwards(monkeypatch)
+        unlearn(theta_o, split, cfg)
+        n = len(split.forget)
+        assert sorted(calls) == [(n, False, False), (n, False, True), (n, True, False)]
 
     def test_single_step_matches_finite_difference_gradient(self, tiny_world):
         """One phase-1 step must equal theta_o - lr * dL/dtheta with the
