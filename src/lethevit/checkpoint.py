@@ -19,6 +19,8 @@ parameter sets always serialize to identical bytes.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from typing import BinaryIO, Mapping, Optional
 
@@ -91,14 +93,23 @@ def load_arrays(path: str, offsets: Optional[dict[str, int]] = None) -> dict[str
             except UnicodeDecodeError as exc:
                 raise FormatError(f"name of entry {i} is not valid UTF-8",
                                   offset + exc.start) from None
+            if name in arrays:
+                raise FormatError(f"duplicate entry name '{name}'", start)
             offset += name_len
             rank = struct.unpack("<B", _read_exact(f, 1, offset, f"rank of '{name}'"))[0]
             offset += 1
+            dims_offset = offset
             dims = []
             for _ in range(rank):
                 dims.append(struct.unpack("<I", _read_exact(f, 4, offset, f"dims of '{name}'"))[0])
                 offset += 4
-            n_bytes = 4 * int(np.prod(dims, dtype=np.int64))
+            # Python ints: hostile dims overflow int64 and must fail before any read
+            n_bytes = 4 * math.prod(dims)
+            left = os.fstat(f.fileno()).st_size - offset
+            if n_bytes > left:
+                raise FormatError(
+                    f"truncated file: the dims of '{name}' at byte {dims_offset} declare "
+                    f"a payload larger than the {left} bytes left", offset + left)
             payload = _read_exact(f, n_bytes, offset, f"payload of '{name}'")
             offset += n_bytes
             chunks.append(payload)

@@ -6,7 +6,7 @@ Configuration comes from flat key=value files; any key can be
 overridden on the command line with repeated `--set key=value` flags
 (flags win). Every run appends one JSON manifest line recording the resolved
 configuration, inputs, output checksums, wall time and environment
-(versions, BLAS, threads) to `manifests.jsonl` beside its main output.
+(versions, BLAS, threads, heap policy) to `manifests.jsonl` beside its main output.
 
 Exit codes: 0 success, 1 runtime failure (divergence, bad file), 2
 usage or configuration error.
@@ -29,6 +29,7 @@ from . import data as data_mod
 from . import evaluation, unlearning, vit
 from .errors import ConfigError, LetheError
 from .masking import MaskSpec, MaskType
+from .tensor import heap_policy, keep_heap
 
 METHODS = ("lethevit", "retrain", "ft", "ga", "rl")
 
@@ -137,7 +138,8 @@ def _write_manifest(out_path: str, command: str, config: dict, started: float,
         "env": {"python": sys.version.split()[0], "numpy": np.__version__,
                 "scipy": scipy.__version__,
                 "blas": {"name": blas.get("name"), "version": blas.get("version")},
-                "threads": {var: os.environ.get(var) for var in _THREAD_VARS}},
+                "threads": {var: os.environ.get(var) for var in _THREAD_VARS},
+                "heap": heap_policy()},
     }
     if extra:
         manifest.update(extra)
@@ -427,6 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    keep_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

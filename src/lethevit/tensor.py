@@ -23,10 +23,15 @@ so both produce identical bytes. One training step of the depth-2
 model records 20 ops: per block `layer_norm`, `attention`,
 `add`, `layer_norm`, `mlp`, `add`, plus the patch embedding, the head
 and the loss.
+
+Every step allocates its tape's arrays and frees them all in
+`backward`. `keep_heap` sets the C heap policy that suits that pattern;
+the program calls it once at start-up, never at import.
 """
 
 from __future__ import annotations
 
+import ctypes
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -220,6 +225,52 @@ def backward(loss: Tensor, tape: Tape) -> None:
 
     tape.consumed = True
     tape._records.clear()
+
+
+# ---------------------------------------------------------------------------
+# heap policy
+# ---------------------------------------------------------------------------
+
+# glibc mallopt(3) parameter numbers and the values keep_heap sets.
+# Every array the engine makes is under 3.5 MB; 32 MiB is glibc's
+# largest mmap threshold on 64-bit hosts, so all of them come from the
+# heap.
+_HEAP_SETTINGS = {"M_MMAP_THRESHOLD": (-3, 32 << 20), "M_TRIM_THRESHOLD": (-1, 256 << 20)}
+
+_heap_applied: Optional[dict[str, int]] = None
+
+
+def keep_heap() -> Optional[dict[str, int]]:
+    """Make the C heap keep the memory the engine frees.
+
+    A training step allocates a tape's worth of arrays and `backward`
+    frees them all at once. Under glibc's default policy the freed top
+    of the heap goes back to the OS and large arrays get fresh `mmap`s,
+    so every step faults in megabytes of new pages. Raising the mmap and
+    trim thresholds lets numpy reuse warm heap pages instead. No value
+    changes, only where it lives.
+
+    Returns the applied settings, or None where libc has no `mallopt`
+    (macOS, musl, Windows) or rejects a value; then nothing is applied.
+    Calling it again is harmless. Importing the package does not call
+    it: the CLI's `main` and the test suite do.
+    """
+    global _heap_applied
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return None
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if not all(mallopt(param, value) == 1 for param, value in _HEAP_SETTINGS.values()):
+        return None
+    _heap_applied = {name: value for name, (_, value) in _HEAP_SETTINGS.items()}
+    return heap_policy()
+
+
+def heap_policy() -> Optional[dict[str, int]]:
+    """The settings `keep_heap` applied in this process, None if none."""
+    return None if _heap_applied is None else dict(_heap_applied)
 
 
 # ---------------------------------------------------------------------------

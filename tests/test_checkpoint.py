@@ -109,6 +109,45 @@ def test_invalid_utf8_name_names_offset(tmp_path):
     assert exc.value.offset == 15
 
 
+def write_raw_checkpoint(path, entries):
+    """Write LTVT bytes by hand with a valid checksum: `entries` is a list
+    of (name, dims, payload bytes), so dims and names need not be sane."""
+    raw = b"LTVT" + struct.pack("<I", 1) + struct.pack("<I", len(entries))
+    for name, dims, payload in entries:
+        raw += struct.pack("<H", len(name)) + name.encode() + struct.pack("<B", len(dims))
+        raw += b"".join(struct.pack("<I", d) for d in dims) + payload
+    raw += struct.pack("<Q", checkpoint.payload_checksum([p for _, _, p in entries]))
+    path.write_bytes(raw)
+
+
+HOSTILE_DIMS = {
+    "int64-overflow": (2**32 - 1, 2**32 - 1),
+    "rank-255": (2**32 - 1,) * 255,
+}
+
+
+@pytest.mark.parametrize("dims", HOSTILE_DIMS.values(), ids=HOSTILE_DIMS.keys())
+def test_hostile_dims_rejected_before_reading(tmp_path, dims):
+    """Dims whose payload cannot fit in the file fail as a truncation,
+    naming the dims, without overflowing or allocating the payload."""
+    path = tmp_path / "hostile.ltvt"
+    write_raw_checkpoint(path, [("w", dims, b"")])
+    with pytest.raises(FormatError) as exc:
+        checkpoint.load_arrays(str(path))
+    assert "truncated" in str(exc.value) and "dims of 'w' at byte 16" in str(exc.value)
+    assert exc.value.offset == path.stat().st_size
+
+
+def test_duplicate_entry_name_rejected_at_its_offset(tmp_path):
+    path = tmp_path / "dup.ltvt"
+    first = ("w", (2,), np.array([1, 2], dtype="<f4").tobytes())
+    write_raw_checkpoint(path, [first, ("w", (1,), np.array([3], dtype="<f4").tobytes())])
+    with pytest.raises(FormatError) as exc:
+        checkpoint.load_arrays(str(path))
+    assert "duplicate entry name 'w'" in str(exc.value)
+    assert exc.value.offset == 12 + 2 + 1 + 1 + 4 + 8  # header, then the first entry
+
+
 def test_trailing_bytes_rejected(tmp_path):
     path = tmp_path / "extra.ltvt"
     checkpoint.save_arrays(str(path), {"w": np.zeros(1)})

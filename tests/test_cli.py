@@ -10,7 +10,9 @@ import pytest
 from lethevit.checkpoint import load_arrays, save_arrays
 from lethevit.cli import main
 from lethevit.data import load_dataset
+from lethevit.tensor import keep_heap
 
+from test_checkpoint import HOSTILE_DIMS, write_raw_checkpoint
 from test_data import write_label
 
 TINY_KEYS = [
@@ -120,6 +122,18 @@ class TestCorruptInputs:
         assert code == 1
         err = capsys.readouterr().err
         assert "UTF-8" in err and "byte offset 14" in err
+
+    @pytest.mark.parametrize("dims", HOSTILE_DIMS.values(), ids=HOSTILE_DIMS.keys())
+    def test_hostile_checkpoint_dims_exit_1(self, pipeline, tmp_path, capsys, dims):
+        _, train_path, test_path, _ = pipeline
+        bad = tmp_path / "hostile.ltvt"
+        write_raw_checkpoint(bad, [("w", dims, b"")])
+        code = run("evaluate", "--data", train_path, "--test", test_path,
+                   "--checkpoint", f"retrain={bad}", "--out", str(tmp_path / "r.csv"),
+                   *sets("seed=5", "forget_ratio=0.25"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: truncated file") and "Traceback" not in err
 
     def test_out_of_range_label_exits_1(self, pipeline, tmp_path, capsys):
         _, train_path, _, _ = pipeline
@@ -301,7 +315,8 @@ class TestSweepMask:
 
 def test_every_manifest_records_environment(pipeline, checkpoints, tmp_path):
     """Checkpoint bytes depend on the BLAS thread count, so every
-    command's manifest records versions, BLAS and thread settings."""
+    command's manifest records versions, BLAS and thread settings, and
+    the heap policy the command ran under."""
     _, train_path, test_path, theta_o = pipeline
     _, _, _, retrain_path, _ = checkpoints
     data = ["--data", train_path, "--test", test_path]
@@ -320,8 +335,9 @@ def test_every_manifest_records_environment(pipeline, checkpoints, tmp_path):
         "gen-data", "train", "unlearn", "evaluate", "sweep-mask"]
     for entry in entries:
         env = entry["env"]
-        assert set(env) == {"python", "numpy", "scipy", "blas", "threads"}
+        assert set(env) == {"python", "numpy", "scipy", "blas", "threads", "heap"}
         assert env["numpy"] == np.__version__
+        assert env["heap"] == keep_heap()  # the settings, or None off glibc
         assert set(env["blas"]) == {"name", "version"}
         assert set(env["threads"]) == {
             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
