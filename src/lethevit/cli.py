@@ -27,7 +27,7 @@ import scipy
 
 from . import data as data_mod
 from . import evaluation, unlearning, vit
-from .errors import ConfigError, LetheError
+from .errors import ConfigError, FormatError, LetheError
 from .masking import MaskSpec, MaskType
 from .tensor import heap_policy, keep_heap
 
@@ -106,11 +106,17 @@ def _resolve_config(args, needed: list[str]) -> dict:
             except ValueError:
                 raise ConfigError(f"config key {key} expects {kind.__name__}, got {raw[key]!r}")
         elif key == "seed" and os.environ.get("LETHE_SEED"):
-            resolved[key] = int(os.environ["LETHE_SEED"])
+            env_seed = os.environ["LETHE_SEED"]
+            try:
+                resolved[key] = int(env_seed)
+            except ValueError:
+                raise ConfigError(f"LETHE_SEED expects int, got {env_seed!r}") from None
         elif default is None:
             raise ConfigError(f"missing config key: {key}")
         else:
             resolved[key] = default
+    if resolved.get("seed", 0) < 0:  # the PCG64 generators take no negative seed
+        raise ConfigError(f"seed must be >= 0, got {resolved['seed']}")
     if "split_seed" in resolved and resolved["split_seed"] < 0:
         resolved["split_seed"] = resolved.get("seed", 0)
     return resolved
@@ -353,14 +359,25 @@ def cmd_report(args) -> int:
     if os.path.isdir(path):
         path = os.path.join(path, "manifests.jsonl")
     lines = ["command,method,seed,duration_seconds,outputs"]
-    with open(path) as f:
-        for raw in f:
-            entry = json.loads(raw)
-            outputs = ";".join(sorted(entry.get("outputs", {})))
-            lines.append(
-                f"{entry.get('command')},{entry.get('method', '')},{entry.get('seed')},"
-                f"{entry.get('duration_seconds', 0.0):.2f},{outputs}"
-            )
+    with open(path, "rb") as f:
+        offset = 0
+        for line_no, raw in enumerate(f, 1):
+            try:
+                entry = json.loads(raw)  # ValueError: not JSON, or not UTF-8
+            except ValueError:
+                entry = None
+            if not isinstance(entry, dict):
+                raise FormatError(f"{path}:{line_no}: manifest line is not a JSON object", offset)
+            try:
+                outputs = ";".join(sorted(entry.get("outputs", {})))
+                lines.append(
+                    f"{entry.get('command')},{entry.get('method', '')},{entry.get('seed')},"
+                    f"{entry.get('duration_seconds', 0.0):.2f},{outputs}"
+                )
+            except (TypeError, ValueError):
+                raise FormatError(f"{path}:{line_no}: manifest line has a malformed "
+                                  "'outputs' or 'duration_seconds'", offset) from None
+            offset += len(raw)
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as f:

@@ -9,7 +9,8 @@ member/non-member accuracy is fitted on those two sets, and the attack
 score is the fraction of forget samples whose loss falls below it.
 
 Each forward runs once: `evaluate_model` takes accuracy and losses from
-one forward per set, and `masking_sweep` scores attention once per set.
+one forward per set, and `masking_sweep` scores attention once per set
+and fits the attack threshold once.
 """
 
 from __future__ import annotations
@@ -119,10 +120,14 @@ def mia_from_losses(
 ) -> float:
     """Attack success as the percentage of forget losses below the
     threshold fitted on member vs non-member losses."""
+    return _mia_at(forget_losses, fit_loss_threshold(member_losses, nonmember_losses))
+
+
+def _mia_at(forget_losses: np.ndarray, threshold: float) -> float:
+    """Percentage of forget losses below a fitted attack threshold."""
     forget_losses = np.asarray(forget_losses, dtype=np.float64)
     if len(forget_losses) == 0:
         raise ContractError("MIA requires a nonempty forget set")
-    threshold = fit_loss_threshold(member_losses, nonmember_losses)
     return 100.0 * float((forget_losses < threshold).mean())
 
 
@@ -190,13 +195,15 @@ def masking_sweep(
     `params` plays the attention-source role, normally the retrained
     model. The test set is masked for TA, the forget set is masked for
     the attack's input losses; the attack threshold itself is fitted on
-    the unmasked retain and test sets. The attention scores do not
-    depend on the ratio or the type, so each set is scored once.
+    the unmasked retain and test sets. Neither the attention scores nor
+    the threshold depend on the ratio or the type, so each set is scored
+    once and the threshold is fitted once.
     """
     member_losses = per_sample_losses(params, retain)
     test_logits, test_scores = _logits_and_scores(params, test.images)
     _, forget_scores = _logits_and_scores(params, forget.images)
-    nonmember_losses = per_sample_cross_entropy(test_logits, test.labels)
+    threshold = fit_loss_threshold(member_losses,
+                                   per_sample_cross_entropy(test_logits, test.labels))
     patch_size = params.config.patch_size
     rows = []
     for ratio in ratios:
@@ -208,6 +215,6 @@ def masking_sweep(
             forget_losses = per_sample_cross_entropy(
                 batched_logits(params, masked_forget.images), forget.labels
             )
-            mia = mia_from_losses(forget_losses, member_losses, nonmember_losses)
-            rows.append(SweepRow(ratio=ratio, mask_type=mask_type.value, ta=ta, mia=mia))
+            rows.append(SweepRow(ratio=ratio, mask_type=mask_type.value, ta=ta,
+                                 mia=_mia_at(forget_losses, threshold)))
     return rows

@@ -20,9 +20,10 @@ still surfaces there, except where the softmax maps a -inf score to an
 exact zero weight. Each fused op runs the same numpy expressions, in
 the same order, as the composition of fine-grained ops it replaces,
 so both produce identical bytes. One training step of the depth-2
-model records 20 ops: per block `layer_norm`, `attention`,
-`add`, `layer_norm`, `mlp`, `add`, plus the patch embedding, the head
-and the loss.
+model records 21 ops: per block `layer_norm`, `attention`,
+`add`, `layer_norm`, `mlp`, `add`, plus the patch embedding, two
+`take_token`s after the final attention, the final `layer_norm`, the
+head and the loss.
 
 Every step allocates its tape's arrays and frees them all in
 `backward`. `keep_heap` sets the C heap policy that suits that pattern;
@@ -427,10 +428,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         raise DimensionError(
             f"layer_norm gain/bias must have shape ({n},), got {gain.shape} and {bias.shape}"
         )
-    mu = x.values.mean(axis=-1, keepdims=True)
-    var = x.values.var(axis=-1, keepdims=True)
+    # centre once; the variance is np.var's own arithmetic on `xc`
+    xc = x.values - x.values.mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = (x.values - mu) * inv
+    xhat = xc * inv
     out = xhat * gain.values + bias.values
     lead = tuple(range(x.ndim - 1))
 

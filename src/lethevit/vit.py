@@ -5,6 +5,14 @@ The forward pass is built entirely from the autodiff ops in
 block), uses pre-norm blocks (norm -> attention -> residual,
 norm -> MLP -> residual), learned positional embeddings, and can expose
 the final block's post-softmax attention weights for masking.
+
+The head reads only the class token, and past the final block's
+attention every op works per token. So right after that attention the
+forward keeps only the class token's row of the residual stream and of
+the attention output, and the final residuals, MLP and layer norms run
+on [batch, dim] (the class-attention stage of CaiT, Touvron et al.,
+2021). The attention itself still sees every token, so the captured
+weights stay [batch, heads, tokens, tokens].
 """
 
 from __future__ import annotations
@@ -238,7 +246,6 @@ def forward(params: ViTParams, images: np.ndarray, capture_attention: bool = Fal
     tokens = concat([cls, tokens], axis=1)
     tokens = add(tokens, params["pos_embed"])
 
-    captured: Optional[np.ndarray] = None
     for i in range(cfg.depth):
         p = f"block{i}."
         normed = layer_norm(tokens, params[p + "ln1.gain"], params[p + "ln1.bias"])
@@ -250,8 +257,8 @@ def forward(params: ViTParams, images: np.ndarray, capture_attention: bool = Fal
             params[p + "attn.wo"], params[p + "attn.bo"],
             cfg.heads,
         )
-        if capture_attention and i == cfg.depth - 1:
-            captured = probs
+        if i == cfg.depth - 1:  # from here on only the class token (module docstring)
+            tokens, attended = take_token(tokens, 0), take_token(attended, 0)
         tokens = add(tokens, attended)
 
         normed2 = layer_norm(tokens, params[p + "ln2.gain"], params[p + "ln2.bias"])
@@ -259,8 +266,8 @@ def forward(params: ViTParams, images: np.ndarray, capture_attention: bool = Fal
                                  params[p + "mlp.w2"], params[p + "mlp.b2"]))
 
     final = layer_norm(tokens, params["ln_final.gain"], params["ln_final.bias"])
-    logits = linear(take_token(final, 0), params["head.weight"], params["head.bias"])
-    last_attention = AttentionMap(captured) if captured is not None else None
+    logits = linear(final, params["head.weight"], params["head.bias"])
+    last_attention = AttentionMap(probs) if capture_attention else None
     return ForwardOutput(logits=logits, last_attention=last_attention)
 
 

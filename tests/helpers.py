@@ -1,7 +1,8 @@
 """Shared test utilities: the central finite-difference gradient oracle,
 the fine-grained reference compositions of the fused model ops, the
-recompute-everything reference compositions of the evaluation, masking
-sweep and teacher paths, and a forward-call counter."""
+`x.var` layer norm, the all-token ViT forward, the recompute-everything
+reference compositions of the evaluation, masking sweep and teacher
+paths, and a forward-call counter."""
 
 import numpy as np
 
@@ -79,9 +80,51 @@ def reference_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads):
     return reference_linear(merged, wo, bo), probs.values
 
 
+def reference_layer_norm(x, gain, bias):
+    """`layer_norm` with the `x.var` forward it replaced; same backward."""
+    mu = x.values.mean(axis=-1, keepdims=True)
+    var = x.values.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + T._LN_EPS)
+    xhat = (x.values - mu) * inv
+    lead = tuple(range(x.ndim - 1))
+
+    def bwd(g):
+        dxhat = g * gain.values
+        dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        return dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+
+    return T._result((x, gain, bias), xhat * gain.values + bias.values, bwd)
+
+
 def reference_mlp(x, w1, b1, w2, b2):
     """`mlp` as the composition of fine-grained ops it replaced."""
     return reference_linear(T.gelu(reference_linear(x, w1, b1)), w2, b2)
+
+
+def reference_forward(params, images, capture_attention=False):
+    """`vit.forward` as the all-token composition it replaced: the final
+    block's residual, `ln2`, `mlp` and `ln_final` run over every token
+    and the head takes the class token last."""
+    cfg = params.config
+    tokens = T.linear(Tensor(vit.patchify(images, cfg)), params["patch.weight"],
+                      params["patch.bias"])
+    cls = T.repeat_batch(params["cls_token"], len(images))
+    tokens = T.add(T.concat([cls, tokens], axis=1), params["pos_embed"])
+    captured = None
+    for i in range(cfg.depth):
+        p = f"block{i}."
+        normed = T.layer_norm(tokens, params[p + "ln1.gain"], params[p + "ln1.bias"])
+        attended, captured = T.attention(
+            normed, *(params[p + "attn." + n] for n in ("wq", "bq", "wk", "bk", "wv", "bv",
+                                                         "wo", "bo")), cfg.heads)
+        tokens = T.add(tokens, attended)
+        normed2 = T.layer_norm(tokens, params[p + "ln2.gain"], params[p + "ln2.bias"])
+        tokens = T.add(tokens, T.mlp(normed2, *(params[p + "mlp." + n]
+                                               for n in ("w1", "b1", "w2", "b2"))))
+    final = T.layer_norm(tokens, params["ln_final.gain"], params["ln_final.bias"])
+    logits = T.linear(T.take_token(final, 0), params["head.weight"], params["head.bias"])
+    return vit.ForwardOutput(logits, vit.AttentionMap(captured) if capture_attention else None)
 
 
 def reference_fit_loss_threshold(member_losses, nonmember_losses):

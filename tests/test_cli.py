@@ -71,6 +71,18 @@ class TestGenData:
         code = run("gen-data", "--out-dir", str(tmp_path), *sets(*TINY_KEYS))
         assert code == 0
 
+    @pytest.mark.parametrize("env_seed,flags,message", [
+        ("abc", [], "LETHE_SEED expects int, got 'abc'"),
+        ("-5", [], "seed must be >= 0, got -5"),
+        ("", ["seed=-1"], "seed must be >= 0, got -1"),
+    ], ids=["env-not-int", "env-negative", "flag-negative"])
+    def test_bad_seed_exits_2_naming_it(self, tmp_path, capsys, monkeypatch,
+                                        env_seed, flags, message):
+        monkeypatch.setenv("LETHE_SEED", env_seed)
+        code = run("gen-data", "--out-dir", str(tmp_path), *sets(*flags, *TINY_KEYS))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         code = run("gen-data", "--out-dir", str(tmp_path),
                    *sets("seed=1", "bogus_key=1", *TINY_KEYS))
@@ -351,6 +363,20 @@ class TestReport:
         out = capsys.readouterr().out
         assert out.startswith("command,method,seed,duration_seconds,outputs")
         assert "gen-data" in out
+
+    @pytest.mark.parametrize("bad_line", [
+        b"{not json", b"[1, 2]", b'"text"', b"\xff\xfe", b'{"duration_seconds": "slow"}',
+        b'{"outputs": 3}',
+    ], ids=["not-json", "array", "string", "bad-utf8", "text-duration", "number-outputs"])
+    def test_malformed_line_exits_1_naming_it(self, tmp_path, capsys, bad_line):
+        good = b'{"command": "train", "seed": 1, "duration_seconds": 0.5, "outputs": {}}\n'
+        path = tmp_path / "manifests.jsonl"
+        path.write_bytes(good + bad_line + b"\n" + good)
+        code = run("report", "--manifests", str(tmp_path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"{path}:2:" in err and f"byte offset {len(good)}" in err
 
 
 class TestWriteDiscipline:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lethevit import evaluation
 from lethevit.data import LabeledDataset, generate_toy_dataset, split_random_forget
 from lethevit.errors import ContractError
 from lethevit.evaluation import (
@@ -320,3 +321,19 @@ class TestComputeOnce:
         assert len(calls) == (_chunks(retain) + _chunks(test) + _chunks(forget)
                               + pairs * (_chunks(test) + _chunks(forget)))
         assert not any(tracked for _, _, tracked in calls)
+
+    def test_masking_sweep_fits_the_threshold_once(self, trained_world, monkeypatch):
+        """The attack threshold depends on neither the ratio nor the type."""
+        params, split = trained_world
+        fits = []
+        real = evaluation.fit_loss_threshold
+
+        def counted(member_losses, nonmember_losses):
+            fits.append(len(member_losses))
+            return real(member_losses, nonmember_losses)
+
+        monkeypatch.setattr(evaluation, "fit_loss_threshold", counted)
+        rows = masking_sweep(params, split.forget_set(), split.retain_set(), split.test,
+                             self.RATIOS, self.TYPES)
+        assert len(rows) == len(self.RATIOS) * len(self.TYPES)
+        assert fits == [len(split.retain_set())]

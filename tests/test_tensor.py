@@ -46,6 +46,7 @@ from helpers import (
     assert_gradients_match,
     autodiff_gradients,
     reference_attention,
+    reference_layer_norm,
     reference_linear,
     reference_mlp,
 )
@@ -440,7 +441,15 @@ class TestFusedOps:
         (lambda t: attention(*t, heads=2)[0], lambda *t: reference_attention(*t, heads=2)[0],
          _attention_inputs),
         (lambda t: mlp(*t), reference_mlp, _mlp_inputs),
-    ], ids=["linear_rank3", "linear_rank2", "attention", "mlp"])
+        (lambda t: layer_norm(*t), reference_layer_norm,
+         lambda: [RNG.normal(size=(4, 26, 32)), RNG.normal(size=32), RNG.normal(size=32)]),
+        (lambda t: layer_norm(*t), reference_layer_norm,
+         lambda: [RNG.normal(size=(7, 5)), RNG.normal(size=5), RNG.normal(size=5)]),
+        (lambda t: layer_norm(*t), reference_layer_norm,
+         lambda: [1e3 + 1e-2 * RNG.normal(size=(3, 6, 17)), RNG.normal(size=17),
+                  RNG.normal(size=17)]),
+    ], ids=["linear_rank3", "linear_rank2", "attention", "mlp", "layer_norm_rank3",
+            "layer_norm_rank2", "layer_norm_offset"])
     def test_matches_reference_composition_bit_for_bit(self, fused, reference, inputs):
         arrays = inputs()
         out = fused([Tensor(a) for a in arrays]).values

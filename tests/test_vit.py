@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lethevit.errors import ConfigError, DimensionError
-from lethevit.tensor import Tensor, cross_entropy, sum_all
+from lethevit.tensor import Tape, Tensor, backward, cross_entropy, stop_recording, sum_all
 from lethevit.vit import (
     ViTConfig,
     forward,
@@ -16,7 +16,7 @@ from lethevit.vit import (
     patchify,
 )
 
-from helpers import assert_gradients_match
+from helpers import assert_gradients_match, reference_forward
 
 TINY = ViTConfig(image_size=8, patch_size=4, channels=1, depth=1,
                  heads=2, dim=8, mlp_ratio=2, num_classes=3)
@@ -171,3 +171,79 @@ class TestModelGradients:
 
         arrays = [params[name].values.copy() for name in names]
         assert_gradients_match(build, arrays, rel_tol=1e-3)
+
+
+def _committed_shapes(depth, seed):
+    """The benchmark's model shapes at `depth`, every parameter perturbed
+    away from its zero / unit initial value."""
+    cfg = ViTConfig(image_size=20, patch_size=4, channels=1, depth=depth,
+                    heads=2, dim=32, mlp_ratio=2, num_classes=3)
+    params = init_params(cfg, seed)
+    rng = np.random.default_rng(seed)
+    for name, tensor in list(params.items()):
+        params.replace(name, tensor.values + 0.1 * rng.normal(size=tensor.shape))
+    return params
+
+
+def _tracked_step(run, params, images, labels):
+    """Forward a fresh copy of `params` under a tape and run backward;
+    returns the output, the tape's records and the copy, which holds the
+    gradients."""
+    probe = params.copy()
+    with Tape() as tape:
+        out = run(probe, images, capture_attention=True)
+        loss = cross_entropy(out.logits, labels)
+    records = list(tape._records)
+    backward(loss, tape)
+    return out, records, probe
+
+
+class TestClassTokenTail:
+    """Past the final attention the forward runs on the class token only;
+    it equals the all-token composition it replaced."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("batch", [1, 2, 7, 32, 256])
+    def test_equals_all_token_forward(self, depth, batch):
+        params = _committed_shapes(depth, seed=40 + depth)
+        rng = np.random.default_rng(batch)
+        images = rng.normal(size=(batch, 1, 20, 20))
+        labels = rng.integers(0, 3, size=batch)
+
+        with stop_recording():
+            untracked = (forward(params, images, capture_attention=True),
+                         reference_forward(params, images, capture_attention=True))
+        got, _, got_params = _tracked_step(forward, params, images, labels)
+        want, _, want_params = _tracked_step(reference_forward, params, images, labels)
+        assert got.logits.requires_grad and not untracked[0].logits.requires_grad
+        for new, old in (untracked, (got, want)):
+            np.testing.assert_array_equal(new.last_attention.weights,
+                                          old.last_attention.weights)
+            if batch == 1:
+                # a one-row tail goes through numpy's vector-matrix (gemv)
+                # path, which sums each dot product in another order
+                assert (np.abs(new.logits.values - old.logits.values).max()
+                        <= 1e-12 * np.abs(old.logits.values).max())
+            else:
+                np.testing.assert_array_equal(new.logits.values, old.logits.values)
+        largest = max(float(np.abs(t.grad).max()) for _, t in want_params.items())
+        for name, t in got_params.items():
+            assert np.abs(t.grad - want_params[name].grad).max() <= 1e-12 * largest, name
+
+    def test_tail_records_are_class_token_sized(self):
+        params = _committed_shapes(2, seed=5)
+        b, d = 9, params.config.dim
+        images = np.random.default_rng(5).normal(size=(b, 1, 20, 20))
+        _, records, params = _tracked_step(forward, params, images, np.zeros(b, dtype=int))
+        assert len(records) == 21
+
+        def reading(name):
+            return next(i for i, rec in enumerate(records)
+                        if any(t is params[name] for t in rec.inputs))
+
+        # take_token ×2, add, ln2, mlp, add, ln_final, then the head and the loss
+        tail = records[reading("block1.attn.wq") + 1:]
+        assert len(tail) == 9
+        assert all(rec.output.shape == (b, d) for rec in tail[:7])
+        for name in ("block1.ln2.gain", "block1.mlp.w1", "ln_final.gain", "head.weight"):
+            assert records[reading(name)].inputs[0].shape == (b, d), name
