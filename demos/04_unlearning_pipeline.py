@@ -29,13 +29,15 @@ print("retraining from scratch on the retain set (the reference)...")
 theta_r = retrain(split, recipe)
 
 print("contrastive unlearning (2 forget epochs + 8 retain epochs)...")
+t1 = time.time()
 unlearn_cfg = UnlearnConfig(forget_epochs=2, retain_epochs=8, learning_rate=0.05,
                             batch_size=32, temperature=0.5,
                             mask_spec=MaskSpec(0.05, MaskType.ZERO), seed=7)
-telemetry = {}
-theta_u = unlearn(theta_o, split, unlearn_cfg, telemetry=telemetry)
-print(f"  phase timings: {telemetry['phase1_seconds']:.1f}s forget, "
-      f"{telemetry['phase2_seconds']:.1f}s retain")
+steps = {}
+theta_u = unlearn(theta_o, split, unlearn_cfg,
+                  on_step=lambda phase, step, batch: steps.update({phase: step + 1}))
+print(f"  {steps.get('forget', 0)} forget steps, {steps.get('retain', 0)} retain steps "
+      f"in {time.time()-t1:.1f}s")
 
 print("gradient-ascent baseline...")
 ga_cfg = UnlearnConfig(forget_epochs=10, retain_epochs=0, learning_rate=0.3,

@@ -6,7 +6,8 @@ Configuration comes from flat key=value files; any key can be
 overridden on the command line with repeated `--set key=value` flags
 (flags win). Every run appends one JSON manifest line recording the resolved
 configuration, inputs, output checksums, wall time and environment
-(versions, BLAS, threads, heap policy) to `manifests.jsonl` beside its main output.
+(versions, BLAS, threads, heap policy) to `manifests.jsonl` beside its main output;
+`train` and `unlearn` add per-phase wall time and step counts.
 
 Exit codes: 0 success, 1 runtime failure (divergence, bad file), 2
 usage or configuration error.
@@ -31,7 +32,12 @@ from .errors import ConfigError, FormatError, LetheError
 from .masking import MaskSpec, MaskType
 from .tensor import heap_policy, keep_heap
 
-METHODS = ("lethevit", "retrain", "ft", "ga", "rl")
+# methods that start from --original -> `unlearning` function name, looked
+# up at call time so that wrappers installed on the module see the call
+_FROM_ORIGINAL = {"lethevit": "unlearn", "ft": "fine_tune", "ga": "gradient_ascent",
+                  "rl": "random_labels"}
+METHODS = ("retrain", *_FROM_ORIGINAL)
+_TRAIN_KEYS = ["epochs", "patch_size", "depth", "heads", "dim", "mlp_ratio"]
 
 _SWEEP_HEADER = "ratio,mask_type,ta,mia"
 _EVAL_HEADER = "method,seed,fa,ra,ta,mia,dfa,dra,dta,dmia,ag"
@@ -70,15 +76,19 @@ _KEY_SPECS: dict[str, tuple[type, object]] = {
 
 def _parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path) as f:
-        for line_no, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected key=value, got {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+    with open(path, encoding="utf-8") as f:
+        try:
+            lines = f.readlines()
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}: config file is not UTF-8 text") from None
+    for line_no, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{line_no}: expected key=value, got {raw.strip()!r}")
+        key, value = line.split("=", 1)
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -154,9 +164,9 @@ def _write_manifest(out_path: str, command: str, config: dict, started: float,
         f.write(json.dumps(manifest, sort_keys=True) + "\n")
 
 
-def _model_config(cfg: dict, dataset: data_mod.LabeledDataset) -> vit.ViTConfig:
+def _train_config(cfg: dict, dataset: data_mod.LabeledDataset) -> unlearning.TrainConfig:
     _, channels, size, _ = dataset.images.shape
-    return vit.ViTConfig(
+    model = vit.ViTConfig(
         image_size=size,
         patch_size=cfg["patch_size"],
         channels=channels,
@@ -165,6 +175,15 @@ def _model_config(cfg: dict, dataset: data_mod.LabeledDataset) -> vit.ViTConfig:
         dim=cfg["dim"],
         mlp_ratio=cfg["mlp_ratio"],
         num_classes=dataset.class_count,
+    )
+    return unlearning.TrainConfig(
+        model=model,
+        epochs=cfg["epochs"],
+        learning_rate=cfg["lr"],
+        batch_size=cfg["batch"],
+        seed=cfg["seed"],
+        momentum=cfg["momentum"],
+        weight_decay=cfg["weight_decay"],
     )
 
 
@@ -199,6 +218,22 @@ def _unlearn_config(cfg: dict) -> unlearning.UnlearnConfig:
     )
 
 
+def _phase_clock(phases: dict):
+    """An `on_step` sink that fills `phases` as {phase: {"seconds", "steps"}};
+    each step's time runs from the previous call, or from the clock's making."""
+    last = time.perf_counter()
+
+    def on_step(phase: str, step: int, batch: np.ndarray) -> None:
+        nonlocal last
+        now = time.perf_counter()
+        entry = phases.setdefault(phase, {"seconds": 0.0, "steps": 0})
+        entry["seconds"] += now - last
+        entry["steps"] = step + 1
+        last = now
+
+    return on_step
+
+
 def cmd_gen_data(args) -> int:
     started = time.perf_counter()
     cfg = _resolve_config(args, ["seed", "classes", "per_class", "test_per_class",
@@ -223,21 +258,15 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     started = time.perf_counter()
-    cfg = _resolve_config(args, ["seed", "epochs", "lr", "batch", "momentum", "weight_decay",
-                                 "patch_size", "depth", "heads", "dim", "mlp_ratio"])
+    cfg = _resolve_config(args, ["seed", "lr", "batch", "momentum", "weight_decay",
+                                 *_TRAIN_KEYS])
     dataset = data_mod.load_dataset(args.data)
-    config = unlearning.TrainConfig(
-        model=_model_config(cfg, dataset),
-        epochs=cfg["epochs"],
-        learning_rate=cfg["lr"],
-        batch_size=cfg["batch"],
-        seed=cfg["seed"],
-        momentum=cfg["momentum"],
-        weight_decay=cfg["weight_decay"],
-    )
-    params = unlearning.train_model(dataset, config)
+    config = _train_config(cfg, dataset)
+    phases: dict = {}
+    params = unlearning.train_model(dataset, config, on_step=_phase_clock(phases))
     vit.save_params(params, args.out)
-    _write_manifest(args.out, "train", cfg, started, inputs={args.data: _sha256(args.data)})
+    _write_manifest(args.out, "train", cfg, started, inputs={args.data: _sha256(args.data)},
+                    extra={"phases": phases})
     print(f"wrote {args.out}")
     return 0
 
@@ -248,42 +277,27 @@ def cmd_unlearn(args) -> int:
               "ef", "er", "tau", "ratio", "mask_type", "gaussian_std",
               "forget_ratio", "split_seed"]
     if args.method == "retrain":
-        needed += ["epochs", "patch_size", "depth", "heads", "dim", "mlp_ratio"]
+        needed += _TRAIN_KEYS
     cfg = _resolve_config(args, needed)
     split = _load_split(cfg, args.data, args.test)
     inputs = {args.data: _sha256(args.data), args.test: _sha256(args.test)}
-    extra: dict = {"method": args.method}
+    phases: dict = {}
 
     if args.method == "retrain":
-        config = unlearning.TrainConfig(
-            model=_model_config(cfg, split.train),
-            epochs=cfg["epochs"],
-            learning_rate=cfg["lr"],
-            batch_size=cfg["batch"],
-            seed=cfg["seed"],
-            momentum=cfg["momentum"],
-            weight_decay=cfg["weight_decay"],
-        )
-        result = unlearning.retrain(split, config)
+        config = _train_config(cfg, split.train)
+        result = unlearning.retrain(split, config, on_step=_phase_clock(phases))
     else:
         if not args.original:
             raise ConfigError(f"method {args.method} requires --original CHECKPOINT")
         original = vit.load_params(args.original)
         inputs[args.original] = _sha256(args.original)
         config = _unlearn_config(cfg)
-        if args.method == "lethevit":
-            telemetry: dict = {}
-            result = unlearning.unlearn(original, split, config, telemetry=telemetry)
-            extra["phases"] = telemetry
-        elif args.method == "ft":
-            result = unlearning.fine_tune(original, split, config)
-        elif args.method == "ga":
-            result = unlearning.gradient_ascent(original, split, config)
-        else:  # rl
-            result = unlearning.random_labels(original, split, config, seed=cfg["seed"])
+        method = getattr(unlearning, _FROM_ORIGINAL[args.method])
+        result = method(original, split, config, on_step=_phase_clock(phases))
 
     vit.save_params(result, args.out)
-    _write_manifest(args.out, "unlearn", cfg, started, inputs=inputs, extra=extra)
+    _write_manifest(args.out, "unlearn", cfg, started, inputs=inputs,
+                    extra={"method": args.method, "phases": phases})
     print(f"wrote {args.out}")
     return 0
 

@@ -5,6 +5,9 @@ subclasses signal bad user input (exit 2), everything else under
 LetheError signals a runtime failure (exit 1).
 """
 
+import dataclasses
+import math
+
 
 class LetheError(Exception):
     """Base class for all lethevit errors."""
@@ -12,6 +15,15 @@ class LetheError(Exception):
 
 class ConfigError(LetheError):
     """Invalid configuration value or missing config key."""
+
+
+def require_finite(config) -> None:
+    """Raise ConfigError naming the first float field of the dataclass
+    `config` that holds NaN or an infinity."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{type(config).__name__}.{f.name} must be finite, got {value}")
 
 
 class DimensionError(LetheError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, require_finite
 from .tensor import DTYPE, stop_recording
 from .vit import AttentionMap, ViTParams, forward
 
@@ -38,6 +38,7 @@ class MaskSpec:
     gaussian_std: float = 1.0
 
     def __post_init__(self):
+        require_finite(self)
         if not 0.0 <= self.ratio <= 1.0:
             raise ConfigError(f"mask ratio must be in [0, 1], got {self.ratio}")
         if self.gaussian_std <= 0.0:

@@ -493,8 +493,9 @@ def mean_all(x: Tensor) -> Tensor:
     return _result((x,), out, bwd)
 
 
-def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-softmax of the true class over the batch."""
+def _log_softmax(logits: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Row log-softmax of [batch, classes] logits, after checking that
+    `labels` holds one in-range class per row; returns (logp, labels)."""
     if logits.ndim != 2:
         raise DimensionError(f"cross_entropy expects [batch, classes] logits, got {logits.shape}")
     labels = np.asarray(labels)
@@ -505,10 +506,15 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     if bad.any():
         idx = int(np.argmax(bad))
         raise LabelError(f"label {int(labels[idx])} at index {idx} outside [0, {classes})")
-
-    shifted = logits.values - logits.values.max(axis=-1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    logp = shifted - lse
+    return shifted - lse, labels
+
+
+def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean negative log-softmax of the true class over the batch."""
+    logp, labels = _log_softmax(logits.values, labels)
+    batch = len(labels)
     loss = -logp[np.arange(batch), labels].mean()
 
     def bwd(g: np.ndarray):
@@ -521,17 +527,8 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 def per_sample_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Non-differentiable helper: one cross-entropy value per row."""
-    logits = np.asarray(logits, dtype=DTYPE)
-    labels = np.asarray(labels)
-    batch, classes = logits.shape
-    bad = (labels < 0) | (labels >= classes)
-    if bad.any():
-        idx = int(np.argmax(bad))
-        raise LabelError(f"label {int(labels[idx])} at index {idx} outside [0, {classes})")
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    logp = shifted - lse
-    return -logp[np.arange(batch), labels]
+    logp, labels = _log_softmax(np.asarray(logits, dtype=DTYPE), labels)
+    return -logp[np.arange(len(labels)), labels]
 
 
 def row_cosine(a: Tensor, b: Tensor) -> Tensor:

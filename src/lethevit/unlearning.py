@@ -1,30 +1,32 @@
 """Contrastive unlearning pipeline and reference baselines.
 
-The core method runs two strictly sequential phases, both plain SGD:
+Every method is a sequence of plain SGD phases run by one loop,
+`_sgd_phase`; only the index set, the loss and the step direction vary.
+`unlearn`, the core method, runs two phases from the original model:
 
-  phase 1 (forget): for each forget batch, mask the images using the
-  frozen original model's attention, then pull the current model's
-  logits toward the original model's logits for the masked images and
-  away from its logits for the unmasked ones (`teacher_views`).
+  forget: for each forget batch, mask the images using the frozen
+  original model's attention, then pull the current model's logits
+  toward the original model's logits for the masked images and away
+  from its logits for the unmasked ones (`teacher_views`).
 
-  phase 2 (retain): ordinary cross-entropy training on the retain set.
+  retain: ordinary cross-entropy training on the retain set.
 
-Baselines: retraining from scratch on the retain set (the reference
-every other method is measured against), fine-tuning on the retain set,
-gradient ascent on the forget set, and training with randomized forget
-labels.
+Baselines, one cross-entropy phase each: retraining from scratch on the
+retain set (the reference every other method is measured against),
+fine-tuning on the retain set, gradient ascent on the forget set, and
+training with randomized forget labels. Every entry point takes
+`on_step(phase, step, batch)`, called after each SGD step.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .data import DataSplit, LabeledDataset
-from .errors import ConfigError, ContractError, DivergenceError, NonFiniteError
+from .errors import ConfigError, ContractError, DivergenceError, NonFiniteError, require_finite
 from .masking import MaskSpec, class_token_attention, mask_from_scores
 from .masking import build_masked_view  # noqa: F401  unused; perfbench/layertrace.py wraps it
 from .tensor import (
@@ -74,6 +76,7 @@ class TrainConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.epochs < 0 or self.learning_rate <= 0 or self.batch_size < 1:
             raise ConfigError("epochs >= 0, learning_rate > 0 and batch_size >= 1 required")
 
@@ -91,6 +94,7 @@ class UnlearnConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.forget_epochs < 0 or self.retain_epochs < 0:
             raise ConfigError("epoch counts must be >= 0")
         if self.learning_rate <= 0 or self.temperature <= 0 or self.batch_size < 1:
@@ -124,14 +128,6 @@ def contrastive_loss(triplet: TripletLogits, temperature: float) -> Tensor:
     return mean_all(softplus(scale(gap, 1.0 / temperature)))
 
 
-def _epoch_batches(
-    indices: np.ndarray, batch_size: int, rng: np.random.Generator
-) -> Iterator[np.ndarray]:
-    shuffled = indices[rng.permutation(len(indices))]
-    for start in range(0, len(shuffled), batch_size):
-        yield shuffled[start:start + batch_size]
-
-
 def _sgd_step(
     params: ViTParams,
     velocity: dict[str, np.ndarray],
@@ -154,165 +150,131 @@ def _sgd_step(
         params.replace(name, t.values + direction * learning_rate * g)
 
 
-def _train_cross_entropy(
+StepSink = Callable[[str, int, np.ndarray], None]  # (phase, step, batch)
+StepLoss = Callable[[np.ndarray, int, int], Tensor]  # (batch, epoch, step) -> loss
+
+
+def _sgd_phase(
     params: ViTParams,
-    dataset: LabeledDataset,
     indices: np.ndarray,
     epochs: int,
-    learning_rate: float,
-    batch_size: int,
+    config: TrainConfig | UnlearnConfig,
     rng: np.random.Generator,
-    *,
     phase: str,
-    momentum: float = 0.0,
-    weight_decay: float = 0.0,
+    step_loss: StepLoss,
+    *,
     direction: float = -1.0,
     allowed: Optional[np.ndarray] = None,
-    on_batch: Optional[Callable[[int, np.ndarray], None]] = None,
+    on_step: Optional[StepSink] = None,
 ) -> None:
-    """Shared SGD loop over cross-entropy; mutates `params` in place."""
+    """The one SGD loop, mutating `params`: `epochs` passes over `indices`
+    reshuffled by `rng`, each step's loss built by `step_loss(batch,
+    epoch, step)` on the active tape. Step count and momentum restart per
+    phase; `on_step(phase, step, batch)` runs after each step."""
+    if epochs > 0 and len(indices) == 0:
+        raise ConfigError(f"the {phase} phase has {epochs} epochs over an empty index set")
     velocity: dict[str, np.ndarray] = {}
     step = 0
-    for _ in range(epochs):
-        for batch in _epoch_batches(indices, batch_size, rng):
+    for epoch in range(epochs):
+        shuffled = indices[rng.permutation(len(indices))]
+        for start in range(0, len(shuffled), config.batch_size):
+            batch = shuffled[start:start + config.batch_size]
             if allowed is not None and not np.isin(batch, allowed).all():
                 raise ContractError(f"training step touched indices outside the allowed set ({phase})")
-            if on_batch is not None:
-                on_batch(step, batch)
             try:
                 with Tape() as tape:
-                    logits = forward(params, dataset.images[batch]).logits
-                    loss = cross_entropy(logits, dataset.labels[batch])
+                    loss = step_loss(batch, epoch, step)
                 backward(loss, tape)
             except NonFiniteError as exc:
                 raise DivergenceError(phase, step, str(exc)) from exc
-            _sgd_step(params, velocity, learning_rate, momentum, weight_decay, direction)
+            _sgd_step(params, velocity, config.learning_rate, config.momentum,
+                      config.weight_decay, direction)
+            if on_step is not None:
+                on_step(phase, step, batch)
             step += 1
 
 
-def train_model(
-    dataset: LabeledDataset,
-    config: TrainConfig,
-    indices: Optional[np.ndarray] = None,
-    *,
-    allowed: Optional[np.ndarray] = None,
-    on_batch: Optional[Callable[[int, np.ndarray], None]] = None,
-) -> ViTParams:
-    """Train a fresh model with cross-entropy SGD; the original-model recipe."""
+def _cross_entropy(params: ViTParams, dataset: LabeledDataset) -> StepLoss:
+    """The step loss of every cross-entropy phase."""
+    def step_loss(batch: np.ndarray, epoch: int, step: int) -> Tensor:
+        return cross_entropy(forward(params, dataset.images[batch]).logits, dataset.labels[batch])
+    return step_loss
+
+
+def _from_scratch(dataset: LabeledDataset, config: TrainConfig, indices: np.ndarray,
+                  allowed: Optional[np.ndarray], on_step: Optional[StepSink]) -> ViTParams:
     params = init_params(config.model, config.seed)
-    if indices is None:
-        indices = np.arange(len(dataset), dtype=np.int64)
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    _train_cross_entropy(
-        params, dataset, indices, config.epochs, config.learning_rate,
-        config.batch_size, rng, phase="train",
-        momentum=config.momentum, weight_decay=config.weight_decay,
-        allowed=allowed, on_batch=on_batch,
-    )
+    _sgd_phase(params, indices, config.epochs, config, rng, "train",
+               _cross_entropy(params, dataset), allowed=allowed, on_step=on_step)
     return params
 
 
-def retrain(
-    split: DataSplit,
-    config: TrainConfig,
-    on_batch: Optional[Callable[[int, np.ndarray], None]] = None,
-) -> ViTParams:
+def train_model(dataset: LabeledDataset, config: TrainConfig, *,
+                on_step: Optional[StepSink] = None) -> ViTParams:
+    """Train a fresh model with cross-entropy SGD; the original-model recipe."""
+    return _from_scratch(dataset, config, np.arange(len(dataset), dtype=np.int64), None, on_step)
+
+
+def retrain(split: DataSplit, config: TrainConfig, *,
+            on_step: Optional[StepSink] = None) -> ViTParams:
     """Train from scratch on the retain set only: the gold-standard
     reference. The batch loader verifies no forget index is ever used."""
-    return train_model(
-        split.train, config, indices=split.retain, allowed=split.retain, on_batch=on_batch
-    )
+    return _from_scratch(split.train, config, split.retain, split.retain, on_step)
 
 
-def unlearn(
-    original: ViTParams,
-    split: DataSplit,
-    config: UnlearnConfig,
-    telemetry: Optional[dict] = None,
-) -> ViTParams:
-    """Two-phase contrastive unlearning starting from the original model.
-
-    Phase 1 runs `forget_epochs` of contrastive SGD over the forget set,
-    phase 2 runs `retain_epochs` of cross-entropy SGD over the retain
-    set. Batch order reshuffles every epoch from `config.seed`. The
-    original model is read-only throughout (checksum-guarded).
-    """
-    if config.forget_epochs > 0 and len(split.forget) == 0:
-        raise ConfigError("forget set is empty but forget_epochs > 0")
+def _from_original(original: ViTParams, config: UnlearnConfig,
+                   run: Callable[[ViTParams, np.random.Generator], None]) -> ViTParams:
+    """`run(theta, rng)` trains a copy of `original` with batches drawn
+    from `config.seed`; the original is checksum-guarded throughout."""
     guard = params_checksum(original)
     theta = original.copy()
-    rng = np.random.Generator(np.random.PCG64(config.seed))
+    run(theta, np.random.Generator(np.random.PCG64(config.seed)))
+    if params_checksum(original) != guard:
+        raise ContractError("original model parameters were mutated during unlearning")
+    return theta
 
-    start = time.perf_counter()
-    velocity: dict[str, np.ndarray] = {}
-    step = 0
-    for epoch in range(config.forget_epochs):
-        for batch in _epoch_batches(split.forget, config.batch_size, rng):
+
+def unlearn(original: ViTParams, split: DataSplit, config: UnlearnConfig, *,
+            on_step: Optional[StepSink] = None) -> ViTParams:
+    """Two-phase contrastive unlearning starting from the original model:
+    `forget_epochs` of contrastive SGD over the forget set (`forget`),
+    then `retain_epochs` of cross-entropy SGD over the retain set
+    (`retain`). One generator, seeded with `config.seed`, orders the
+    batches of both phases; each mask is seeded from (seed, epoch, step).
+    """
+    def run(theta: ViTParams, rng: np.random.Generator) -> None:
+        def forget_loss(batch: np.ndarray, epoch: int, step: int) -> Tensor:
             images = split.train.images[batch]
             mask_seed = int(
                 np.random.SeedSequence((config.seed, epoch, step)).generate_state(1, np.uint64)[0]
             )
-            try:
-                positive, negative = teacher_views(original, images, config.mask_spec, mask_seed)
-                with Tape() as tape:
-                    anchor = forward(theta, images).logits
-                    loss = contrastive_loss(
-                        TripletLogits(anchor, positive, negative), config.temperature
-                    )
-                backward(loss, tape)
-            except NonFiniteError as exc:
-                raise DivergenceError("forget", step, str(exc)) from exc
-            _sgd_step(theta, velocity, config.learning_rate, config.momentum, config.weight_decay)
-            step += 1
-    phase1_seconds = time.perf_counter() - start
+            positive, negative = teacher_views(original, images, config.mask_spec, mask_seed)
+            anchor = forward(theta, images).logits
+            return contrastive_loss(TripletLogits(anchor, positive, negative), config.temperature)
 
-    start = time.perf_counter()
-    _train_cross_entropy(
-        theta, split.train, split.retain, config.retain_epochs, config.learning_rate,
-        config.batch_size, rng, phase="retain",
-        momentum=config.momentum, weight_decay=config.weight_decay,
-    )
-    phase2_seconds = time.perf_counter() - start
+        _sgd_phase(theta, split.forget, config.forget_epochs, config, rng, "forget",
+                   forget_loss, on_step=on_step)
+        _sgd_phase(theta, split.retain, config.retain_epochs, config, rng, "retain",
+                   _cross_entropy(theta, split.train), on_step=on_step)
 
-    if params_checksum(original) != guard:
-        raise ContractError("original model parameters were mutated during unlearning")
-    if telemetry is not None:
-        telemetry["phase1_seconds"] = phase1_seconds
-        telemetry["phase2_seconds"] = phase2_seconds
-        telemetry["forget_steps"] = step
-    return theta
+    return _from_original(original, config, run)
 
 
-def fine_tune(original: ViTParams, split: DataSplit, config: UnlearnConfig) -> ViTParams:
+def fine_tune(original: ViTParams, split: DataSplit, config: UnlearnConfig, *,
+              on_step: Optional[StepSink] = None) -> ViTParams:
     """Continue cross-entropy training on the retain set only."""
-    guard = params_checksum(original)
-    theta = original.copy()
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    _train_cross_entropy(
-        theta, split.train, split.retain, config.retain_epochs, config.learning_rate,
-        config.batch_size, rng, phase="fine_tune",
-        momentum=config.momentum, weight_decay=config.weight_decay,
-    )
-    if params_checksum(original) != guard:
-        raise ContractError("original model parameters were mutated during unlearning")
-    return theta
+    return _from_original(original, config, lambda theta, rng: _sgd_phase(
+        theta, split.retain, config.retain_epochs, config, rng, "fine_tune",
+        _cross_entropy(theta, split.train), on_step=on_step))
 
 
-def gradient_ascent(original: ViTParams, split: DataSplit, config: UnlearnConfig) -> ViTParams:
+def gradient_ascent(original: ViTParams, split: DataSplit, config: UnlearnConfig, *,
+                    on_step: Optional[StepSink] = None) -> ViTParams:
     """Ascend the cross-entropy loss on the forget set."""
-    if config.forget_epochs > 0 and len(split.forget) == 0:
-        raise ConfigError("forget set is empty but forget_epochs > 0")
-    guard = params_checksum(original)
-    theta = original.copy()
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    _train_cross_entropy(
-        theta, split.train, split.forget, config.forget_epochs, config.learning_rate,
-        config.batch_size, rng, phase="gradient_ascent",
-        momentum=config.momentum, weight_decay=config.weight_decay, direction=+1.0,
-    )
-    if params_checksum(original) != guard:
-        raise ContractError("original model parameters were mutated during unlearning")
-    return theta
+    return _from_original(original, config, lambda theta, rng: _sgd_phase(
+        theta, split.forget, config.forget_epochs, config, rng, "gradient_ascent",
+        _cross_entropy(theta, split.train), direction=+1.0, on_step=on_step))
 
 
 def relabel_forget(
@@ -327,28 +289,19 @@ def relabel_forget(
     return new_labels
 
 
-def random_labels(
-    original: ViTParams, split: DataSplit, config: UnlearnConfig, seed: int
-) -> ViTParams:
+def random_labels(original: ViTParams, split: DataSplit, config: UnlearnConfig, *,
+                  on_step: Optional[StepSink] = None) -> ViTParams:
     """Train on the full set with the forget labels randomized (never the
-    true label); `seed` drives the relabeling, `config.seed` the batches."""
-    guard = params_checksum(original)
-    theta = original.copy()
+    true label); `config.seed` drives both the relabeling and the batches."""
+    train = split.train
     relabeled = LabeledDataset(
-        images=split.train.images,
-        labels=relabel_forget(split.train.labels, split.forget, split.train.class_count, seed),
-        class_count=split.train.class_count,
+        images=train.images,
+        labels=relabel_forget(train.labels, split.forget, train.class_count, config.seed),
+        class_count=train.class_count,
     )
-    all_indices = np.arange(len(split.train), dtype=np.int64)
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    _train_cross_entropy(
-        theta, relabeled, all_indices, config.retain_epochs, config.learning_rate,
-        config.batch_size, rng, phase="random_labels",
-        momentum=config.momentum, weight_decay=config.weight_decay,
-    )
-    if params_checksum(original) != guard:
-        raise ContractError("original model parameters were mutated during unlearning")
-    return theta
+    return _from_original(original, config, lambda theta, rng: _sgd_phase(
+        theta, np.arange(len(train), dtype=np.int64), config.retain_epochs, config, rng,
+        "random_labels", _cross_entropy(theta, relabeled), on_step=on_step))
 
 
 def triplet_cosine_stats(

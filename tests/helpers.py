@@ -2,11 +2,13 @@
 the fine-grained reference compositions of the fused model ops, the
 `x.var` layer norm, the all-token ViT forward, the recompute-everything
 reference compositions of the evaluation, masking sweep and teacher
-paths, and a forward-call counter."""
+paths, the per-method training loops the one SGD phase loop replaced,
+and a forward-call counter."""
 
 import numpy as np
 
 from lethevit import evaluation, masking, unlearning, vit
+from lethevit.data import LabeledDataset
 from lethevit import tensor as T
 from lethevit.tensor import Tape, Tensor, backward
 
@@ -217,6 +219,87 @@ def reference_teacher_views(original, images, mask_spec, mask_seed):
         positive = vit.forward(original, masked.images).logits
         negative = vit.forward(original, images).logits
     return positive, negative
+
+
+def _reference_batches(indices, batch_size, rng):
+    shuffled = indices[rng.permutation(len(indices))]
+    for start in range(0, len(shuffled), batch_size):
+        yield shuffled[start:start + batch_size]
+
+
+def reference_train_cross_entropy(params, dataset, indices, epochs, config, rng,
+                                  direction=-1.0):
+    """The cross-entropy SGD loop every cross-entropy phase had its own
+    call of before the phase loop took a loss closure."""
+    velocity = {}
+    for _ in range(epochs):
+        for batch in _reference_batches(indices, config.batch_size, rng):
+            with Tape() as tape:
+                logits = vit.forward(params, dataset.images[batch]).logits
+                loss = T.cross_entropy(logits, dataset.labels[batch])
+            backward(loss, tape)
+            unlearning._sgd_step(params, velocity, config.learning_rate, config.momentum,
+                                 config.weight_decay, direction)
+
+
+def reference_forget_phase(theta, original, split, config, rng):
+    """`unlearn`'s hand-written phase-1 loop: the teacher views outside
+    the tape, the contrastive loss on it."""
+    velocity = {}
+    step = 0
+    for epoch in range(config.forget_epochs):
+        for batch in _reference_batches(split.forget, config.batch_size, rng):
+            images = split.train.images[batch]
+            mask_seed = int(
+                np.random.SeedSequence((config.seed, epoch, step)).generate_state(1, np.uint64)[0]
+            )
+            positive, negative = unlearning.teacher_views(original, images, config.mask_spec,
+                                                          mask_seed)
+            with Tape() as tape:
+                anchor = vit.forward(theta, images).logits
+                loss = unlearning.contrastive_loss(
+                    unlearning.TripletLogits(anchor, positive, negative), config.temperature)
+            backward(loss, tape)
+            unlearning._sgd_step(theta, velocity, config.learning_rate, config.momentum,
+                                 config.weight_decay)
+            step += 1
+
+
+def reference_train_model(dataset, config, indices=None):
+    """`train_model` (or, given the retain indices, `retrain`) on the
+    reference loop."""
+    params = vit.init_params(config.model, config.seed)
+    if indices is None:
+        indices = np.arange(len(dataset), dtype=np.int64)
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    reference_train_cross_entropy(params, dataset, indices, config.epochs, config, rng)
+    return params
+
+
+def reference_from_original(method, original, split, config):
+    """`unlearn`, `fine_tune`, `gradient_ascent` or `random_labels` (by
+    name) on the reference loops."""
+    theta = original.copy()
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    train = split.train
+    if method == "unlearn":
+        reference_forget_phase(theta, original, split, config, rng)
+        reference_train_cross_entropy(theta, train, split.retain, config.retain_epochs,
+                                      config, rng)
+    elif method == "fine_tune":
+        reference_train_cross_entropy(theta, train, split.retain, config.retain_epochs,
+                                      config, rng)
+    elif method == "gradient_ascent":
+        reference_train_cross_entropy(theta, train, split.forget, config.forget_epochs,
+                                      config, rng, direction=+1.0)
+    else:
+        labels = unlearning.relabel_forget(train.labels, split.forget, train.class_count,
+                                           config.seed)
+        relabeled = LabeledDataset(images=train.images, labels=labels,
+                                   class_count=train.class_count)
+        reference_train_cross_entropy(theta, relabeled, np.arange(len(train), dtype=np.int64),
+                                      config.retain_epochs, config, rng)
+    return theta
 
 
 def count_forwards(monkeypatch):

@@ -83,6 +83,15 @@ class TestGenData:
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_non_utf8_config_file_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"seed=1\n\xff\xfe=3\n")
+        code = run("gen-data", "--out-dir", str(tmp_path), "--config", str(cfg),
+                   *sets(*TINY_KEYS))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}: config file is not UTF-8 text\n"
+
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         code = run("gen-data", "--out-dir", str(tmp_path),
                    *sets("seed=1", "bogus_key=1", *TINY_KEYS))
@@ -105,6 +114,15 @@ class TestTrain:
                    *sets("seed=5", "epochs=2", "lr=0.05", "batch=6", *MODEL_KEYS))
         assert code == 0
         assert open(theta_o, "rb").read() == open(again, "rb").read()
+
+    def test_manifest_records_phases(self, pipeline, tmp_path):
+        _, train_path, _, _ = pipeline
+        code = run("train", "--data", train_path, "--out", str(tmp_path / "t.ltvt"),
+                   *sets("seed=5", "epochs=2", "lr=0.05", "batch=6", *MODEL_KEYS))
+        assert code == 0
+        manifest = [json.loads(line) for line in open(tmp_path / "manifests.jsonl")][-1]
+        assert manifest["phases"]["train"]["steps"] == 4  # 12 images, batch 6, 2 epochs
+        assert manifest["phases"]["train"]["seconds"] > 0.0
 
     def test_config_file_with_flag_override(self, pipeline, tmp_path):
         _, train_path, _, _ = pipeline
@@ -235,8 +253,48 @@ class TestUnlearn:
         manifest = [json.loads(line) for line in open(tmp_path / "manifests.jsonl")][-1]
         assert manifest["command"] == "unlearn"
         assert manifest["method"] == "lethevit"
-        assert manifest["phases"]["phase1_seconds"] > 0.0
-        assert manifest["phases"]["phase2_seconds"] > 0.0
+        assert list(manifest["phases"]) == ["forget", "retain"]
+        assert manifest["phases"]["forget"]["steps"] == 1  # 3 forget images, batch 4
+        assert manifest["phases"]["forget"]["seconds"] > 0.0
+        assert manifest["phases"]["retain"]["seconds"] > 0.0
+
+    @pytest.mark.parametrize("pair,field", [
+        ("lr=nan", "UnlearnConfig.learning_rate"),
+        ("lr=inf", "UnlearnConfig.learning_rate"),
+        ("momentum=inf", "UnlearnConfig.momentum"),
+        ("weight_decay=nan", "UnlearnConfig.weight_decay"),
+        ("tau=nan", "UnlearnConfig.temperature"),
+        ("gaussian_std=nan", "MaskSpec.gaussian_std"),
+    ])
+    def test_non_finite_hyperparameter_exits_2_naming_it(self, pipeline, tmp_path, capsys,
+                                                          pair, field):
+        _, train_path, test_path, theta_o = pipeline
+        code = run("unlearn", "--method", "lethevit", "--data", train_path,
+                   "--test", test_path, "--original", theta_o,
+                   "--out", str(tmp_path / "u.ltvt"),
+                   *sets("seed=5", "lr=0.05", "batch=6", "forget_ratio=0.25", pair))
+        assert code == 2
+        value = pair.split("=")[1]
+        assert capsys.readouterr().err == f"error: {field} must be finite, got {value}\n"
+        assert not (tmp_path / "u.ltvt").exists()
+
+    @pytest.mark.parametrize("method,phase", [
+        ("retrain", "train"), ("ft", "fine_tune"), ("ga", "gradient_ascent"),
+        ("rl", "random_labels"),
+    ])
+    def test_every_method_records_phases(self, pipeline, tmp_path, method, phase):
+        _, train_path, test_path, theta_o = pipeline
+        original = [] if method == "retrain" else ["--original", theta_o]
+        code = run("unlearn", "--method", method, "--data", train_path, "--test", test_path,
+                   *original, "--out", str(tmp_path / "u.ltvt"),
+                   *sets("seed=5", "epochs=1", "lr=0.02", "batch=4", "ef=1", "er=1",
+                         "forget_ratio=0.25", "ratio=0.25", *MODEL_KEYS))
+        assert code == 0
+        manifest = [json.loads(line) for line in open(tmp_path / "manifests.jsonl")][-1]
+        assert list(manifest["phases"]) == [phase]
+        assert set(manifest["phases"][phase]) == {"seconds", "steps"}
+        assert manifest["phases"][phase]["steps"] >= 1
+        assert manifest["phases"][phase]["seconds"] > 0.0
 
     def test_retrain_method_needs_no_original(self, pipeline, tmp_path):
         _, train_path, test_path, _ = pipeline

@@ -35,12 +35,12 @@ def test_training_steps_fault_in_no_new_pages():
         pytest.skip("libc has no mallopt")
     faults: list[int] = []
 
-    def count(step: int, batch: np.ndarray) -> None:
+    def count(phase: str, step: int, batch: np.ndarray) -> None:
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
 
     # 600 images in batches of 32: 19 steps; steps 0-2 warm up
     train_model(generate_toy_dataset(3, 200, 20, seed=5), recipe(seed=5, epochs=1),
-                on_batch=count)
+                on_step=count)
     per_step = (faults[13] - faults[3]) / 10
     assert per_step <= 100, f"{per_step:.0f} minor faults per warm step"
 

@@ -207,6 +207,14 @@ class TestCrossEntropy:
         labels = np.array([0, 2, 1, 1])
         assert_gradients_match(lambda t: cross_entropy(t[0], labels), [logits])
 
+    @pytest.mark.parametrize("logits,labels", [
+        (np.zeros((5, 3)), np.array([0])),  # one label for five rows
+        (np.zeros(3), np.array([0])),  # 1-D logits
+    ], ids=["label-count", "1d-logits"])
+    def test_per_sample_rejects_bad_shapes(self, logits, labels):
+        with pytest.raises(DimensionError):
+            per_sample_cross_entropy(logits, labels)
+
     def test_per_sample_matches_mean(self):
         logits = RNG.normal(size=(5, 4))
         labels = np.array([0, 1, 2, 3, 0])

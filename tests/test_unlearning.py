@@ -32,7 +32,12 @@ from lethevit.unlearning import (
 )
 from lethevit.vit import ViTConfig, forward, init_params, params_checksum
 
-from helpers import count_forwards, reference_teacher_views
+from helpers import (
+    count_forwards,
+    reference_from_original,
+    reference_teacher_views,
+    reference_train_model,
+)
 
 RNG = np.random.default_rng(99)
 
@@ -150,14 +155,21 @@ class TestUnlearnPipeline:
             unlearn(theta_o, bad_split, cfg)
 
     def test_phase_telemetry_recorded(self, tiny_world):
+        """`on_step` sees every forget step, then every retain step, each
+        phase numbered from 0, with that phase's batches."""
         train, test, split, config, theta_o = tiny_world
-        cfg = UnlearnConfig(forget_epochs=1, retain_epochs=1, learning_rate=0.05,
+        cfg = UnlearnConfig(forget_epochs=2, retain_epochs=1, learning_rate=0.05,
                             batch_size=4, mask_spec=MaskSpec(0.25), seed=3)
-        telemetry = {}
-        unlearn(theta_o, split, cfg, telemetry=telemetry)
-        assert telemetry["phase1_seconds"] > 0.0
-        assert telemetry["phase2_seconds"] > 0.0
-        assert telemetry["forget_steps"] >= 1
+        calls = []
+        unlearn(theta_o, split, cfg,
+                on_step=lambda phase, step, batch: calls.append((phase, step, batch.copy())))
+        forget_steps = 2 * -(-len(split.forget) // 4)
+        retain_steps = -(-len(split.retain) // 4)
+        assert [(phase, step) for phase, step, _ in calls] == (
+            [("forget", i) for i in range(forget_steps)]
+            + [("retain", i) for i in range(retain_steps)])
+        for phase, _, batch in calls:
+            assert np.isin(batch, getattr(split, phase)).all()
 
     @pytest.mark.parametrize("mask_type", [MaskType.ZERO, MaskType.GAUSSIAN])
     def test_equals_three_forward_teacher_bit_for_bit(self, tiny_world, monkeypatch,
@@ -227,11 +239,51 @@ class TestUnlearnPipeline:
             assert np.abs(applied - fd).max() / scale_ref < 1e-4, name
 
 
+def _assert_params_identical(got, want):
+    assert sorted(got.names()) == sorted(want.names())
+    for name in want.names():
+        assert got[name].values.dtype == np.float64
+        assert got[name].values.tobytes() == want[name].values.tobytes(), name
+
+
+class TestOnePhaseLoop:
+    """Every entry point runs through `_sgd_phase` and gives the float64
+    parameters of the per-method loops it replaced, byte for byte, with
+    momentum and weight decay on."""
+
+    CFG = UnlearnConfig(forget_epochs=2, retain_epochs=2, learning_rate=0.03, batch_size=4,
+                        mask_spec=MaskSpec(0.25, MaskType.GAUSSIAN, 0.7), seed=11,
+                        momentum=0.9, weight_decay=0.001)
+
+    def test_train_model_and_retrain_match_reference(self, tiny_world):
+        train, test, split, config, theta_o = tiny_world
+        quick = TrainConfig(model=TINY, epochs=3, learning_rate=0.02, batch_size=5, seed=77,
+                            momentum=0.9, weight_decay=0.001)
+        _assert_params_identical(train_model(train, quick), reference_train_model(train, quick))
+        _assert_params_identical(retrain(split, quick),
+                                 reference_train_model(train, quick, split.retain))
+
+    @pytest.mark.parametrize("method", ["unlearn", "fine_tune", "gradient_ascent",
+                                        "random_labels"])
+    def test_from_original_methods_match_reference(self, tiny_world, method):
+        train, test, split, config, theta_o = tiny_world
+        got = getattr(unlearning, method)(theta_o, split, self.CFG)
+        _assert_params_identical(got, reference_from_original(method, theta_o, split, self.CFG))
+
+    def test_empty_index_set_with_epochs_rejected(self, tiny_world):
+        train, test, split, config, theta_o = tiny_world
+        no_retain = DataSplit(train, np.arange(len(train)), np.array([], dtype=np.int64), test)
+        with pytest.raises(ConfigError, match="train phase"):
+            retrain(no_retain, config)
+        with pytest.raises(ConfigError, match="fine_tune phase"):
+            fine_tune(theta_o, no_retain, self.CFG)
+
+
 class TestRetrain:
     def test_loader_never_touches_forget(self, tiny_world):
         train, test, split, config, theta_o = tiny_world
         seen: list[np.ndarray] = []
-        retrain(split, config, on_batch=lambda step, batch: seen.append(batch.copy()))
+        retrain(split, config, on_step=lambda phase, step, batch: seen.append(batch.copy()))
         used = np.unique(np.concatenate(seen))
         assert np.intersect1d(used, split.forget).size == 0
         np.testing.assert_array_equal(used, np.sort(split.retain))
@@ -366,6 +418,6 @@ class TestRandomLabels:
         train, test, split, config, theta_o = tiny_world
         cfg = UnlearnConfig(forget_epochs=0, retain_epochs=1, learning_rate=0.01,
                             batch_size=6, mask_spec=MaskSpec(0.25), seed=6)
-        theta_u = random_labels(theta_o, split, cfg, seed=6)
+        theta_u = random_labels(theta_o, split, cfg)
         assert params_checksum(theta_u) != params_checksum(theta_o)
         assert params_checksum(theta_o) == params_checksum(theta_o.copy())
