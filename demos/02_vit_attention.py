@@ -1,4 +1,4 @@
-"""A tiny Vision Transformer forward pass and its attention maps.
+"""A tiny Vision Transformer forward pass and its class-token attention.
 
 Run: python demos/02_vit_attention.py
 """
@@ -21,7 +21,7 @@ out = forward(params, data.images[:6], capture_attention=True)
 print("logits shape:", out.logits.shape)
 
 attn = out.last_attention.weights
-print("attention shape [B, H, T, T]:", attn.shape)
+print("class-token attention row [B, H, 1, T]:", attn.shape)
 print("rows sum to one:", np.allclose(attn.sum(axis=-1), 1.0, atol=1e-6))
 
 scores = class_token_attention(out.last_attention)

@@ -76,11 +76,13 @@ _KEY_SPECS: dict[str, tuple[type, object]] = {
 
 def _parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as f:
-        try:
+    try:
+        with open(path, encoding="utf-8") as f:
             lines = f.readlines()
-        except UnicodeDecodeError:
-            raise ConfigError(f"{path}: config file is not UTF-8 text") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: config file is not UTF-8 text") from None
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config file: {exc.strerror or exc}") from None
     for line_no, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -19,11 +19,12 @@ output for NaN/Inf, not its intermediates; a non-finite intermediate
 still surfaces there, except where the softmax maps a -inf score to an
 exact zero weight. Each fused op runs the same numpy expressions, in
 the same order, as the composition of fine-grained ops it replaces,
-so both produce identical bytes. One training step of the depth-2
-model records 21 ops: per block `layer_norm`, `attention`,
-`add`, `layer_norm`, `mlp`, `add`, plus the patch embedding, two
-`take_token`s after the final attention, the final `layer_norm`, the
-head and the loss.
+so both produce identical bytes; `attention(class_only=True)` agrees
+with row 0 of the all-token op to rounding level. One training step of
+the depth-2 model records 20 ops: per block `layer_norm`, `attention`,
+`add`, `layer_norm`, `mlp`, `add`, plus the patch embedding, one
+`take_token` after the final (class-only) attention, the final
+`layer_norm`, the head and the loss.
 
 Every step allocates its tape's arrays and frees them all in
 `backward`. `keep_heap` sets the C heap policy that suits that pattern;
@@ -653,13 +654,17 @@ def attention(
     wv: Tensor, bv: Tensor,
     wo: Tensor, bo: Tensor,
     heads: int,
+    class_only: bool = False,
 ) -> tuple[Tensor, np.ndarray]:
     """Multi-head self-attention over [batch, tokens, dim] as one op.
 
     Projects Q, K and V, splits `heads` heads, applies softmax to the
     1/sqrt(head_dim)-scaled scores, merges the heads' context and
-    projects it with `wo`/`bo`. Returns the output and the read-only
-    post-softmax weights, [batch, heads, tokens, tokens].
+    projects it with `wo`/`bo`. Returns the output, [batch, tokens, dim],
+    and the read-only post-softmax weights, [batch, heads, tokens,
+    tokens]. With `class_only` only token 0 queries (CaiT's class
+    attention): K and V still come from every token, the output is
+    [batch, dim] and the weights [batch, heads, 1, tokens].
     """
     if x.ndim != 3:
         raise DimensionError(f"attention expects [batch, tokens, dim], got {x.shape}")
@@ -674,27 +679,28 @@ def attention(
             )
     hd = d // heads
     factor = float(1.0 / np.sqrt(hd))
-    xv = x.values
+    nq = 1 if class_only else t
+    xv, xq = x.values, x.values[:, :nq]
 
-    def split(a: np.ndarray) -> np.ndarray:  # [B, T, D] -> [B, H, T, hd]
-        return a.reshape(b, t, heads, hd).transpose(0, 2, 1, 3)
+    def split(a: np.ndarray) -> np.ndarray:  # [B, n, D] -> [B, H, n, hd]
+        return a.reshape(b, a.shape[1], heads, hd).transpose(0, 2, 1, 3)
 
-    def merge(a: np.ndarray) -> np.ndarray:  # [B, H, T, hd] -> [B, T, D]
-        return a.transpose(0, 2, 1, 3).reshape(b, t, d)
+    def merge(a: np.ndarray) -> np.ndarray:  # [B, H, n, hd] -> [B, n, D]
+        return a.transpose(0, 2, 1, 3).reshape(b, a.shape[2], d)
 
-    qh = split(xv @ wq.values + bq.values)
+    qh = split(xq @ wq.values + bq.values)
     kh = split(xv @ wk.values + bk.values)
     vh = split(xv @ wv.values + bv.values)
     kt = kh.transpose(0, 1, 3, 2)
     probs = _softmax((qh @ kt) * factor)
     probs.setflags(write=False)
-    merged = merge(probs @ vh)
+    merged = merge(probs @ vh).reshape((b, d) if class_only else (b, t, d))
     out = merged @ wo.values + bo.values
     need_x = x.requires_grad
 
     def bwd(g: np.ndarray):
         g_merged, g_wo, g_bo = _affine_backward(merged, wo.values, g)
-        g_ctx = g_merged.reshape(b, t, heads, hd).transpose(0, 2, 1, 3)
+        g_ctx = split(g_merged.reshape(b, nq, d))
         g_probs = g_ctx @ np.swapaxes(vh, -1, -2)
         g_vh = np.swapaxes(probs, -1, -2) @ g_ctx
         g_scores = _softmax_backward(g_probs, probs) * factor
@@ -703,9 +709,11 @@ def attention(
         gx_v, g_wv, g_bv = _affine_backward(xv, wv.values, merge(g_vh), need_x)
         gx_k, g_wk, g_bk = _affine_backward(
             xv, wk.values, merge(g_kt.transpose(0, 1, 3, 2)), need_x)
-        gx_q, g_wq, g_bq = _affine_backward(xv, wq.values, merge(g_qh), need_x)
-        # the order in which the tape summed the three branches
-        gx = (gx_v + gx_k) + gx_q if need_x else None
+        gx_q, g_wq, g_bq = _affine_backward(xq, wq.values, merge(g_qh), need_x)
+        gx = None
+        if need_x:  # for all-token queries, the order the tape summed the branches in
+            gx = gx_v + gx_k
+            gx[:, :nq] += gx_q
         return gx, g_wq, g_bq, g_wk, g_bk, g_wv, g_bv, g_wo, g_bo
 
     return _result((x, wq, bq, wk, bk, wv, bv, wo, bo), out, bwd), probs

@@ -7,12 +7,13 @@ norm -> MLP -> residual), learned positional embeddings, and can expose
 the final block's post-softmax attention weights for masking.
 
 The head reads only the class token, and past the final block's
-attention every op works per token. So right after that attention the
-forward keeps only the class token's row of the residual stream and of
-the attention output, and the final residuals, MLP and layer norms run
-on [batch, dim] (the class-attention stage of CaiT, Touvron et al.,
-2021). The attention itself still sees every token, so the captured
-weights stay [batch, heads, tokens, tokens].
+attention queries every op works per token. So the final block's
+attention computes the class token's query alone (its keys and values
+still come from every token) and returns [batch, dim], the forward
+keeps only the class token's row of the residual stream, and the final
+residuals, MLP and layer norms run on [batch, dim] (the class-attention
+stage of CaiT, Touvron et al., 2021). The captured weights are the
+class token's row, [batch, heads, 1, tokens].
 """
 
 from __future__ import annotations
@@ -106,13 +107,15 @@ class ViTConfig:
 
 @dataclass
 class AttentionMap:
-    """Post-softmax attention weights of one block: [batch, heads, T, T]."""
+    """Post-softmax attention weights of one block: [batch, heads, Q, T],
+    the first Q <= T query rows; the forward captures the class token's, Q = 1."""
 
     weights: np.ndarray
 
     def __post_init__(self):
-        if self.weights.ndim != 4 or self.weights.shape[-1] != self.weights.shape[-2]:
-            raise DimensionError(f"attention map must be [B, H, T, T], got {self.weights.shape}")
+        if self.weights.ndim != 4 or self.weights.shape[-2] > self.weights.shape[-1]:
+            raise DimensionError(
+                f"attention map must be [B, H, Q, T] with Q <= T, got {self.weights.shape}")
         row_sums = self.weights.sum(axis=-1)
         if not np.allclose(row_sums, 1.0, atol=1e-6):
             raise DimensionError("attention rows do not sum to 1")
@@ -256,9 +259,10 @@ def forward(params: ViTParams, images: np.ndarray, capture_attention: bool = Fal
             params[p + "attn.wv"], params[p + "attn.bv"],
             params[p + "attn.wo"], params[p + "attn.bo"],
             cfg.heads,
+            class_only=i == cfg.depth - 1,
         )
         if i == cfg.depth - 1:  # from here on only the class token (module docstring)
-            tokens, attended = take_token(tokens, 0), take_token(attended, 0)
+            tokens = take_token(tokens, 0)
         tokens = add(tokens, attended)
 
         normed2 = layer_norm(tokens, params[p + "ln2.gain"], params[p + "ln2.bias"])

@@ -100,6 +100,8 @@ class TestCriterion1GradientOracle:
         # and the full-model check keep their inputs
         fused = np.random.default_rng(1002)
         key_bias = Tensor(fused.normal(size=4))
+        class_only = np.random.default_rng(1003)
+        class_key_bias = Tensor(class_only.normal(size=4))
         checks = {
             "matmul_2d": (lambda t: T.sum_all(T.matmul(t[0], t[1])),
                           [rng.normal(size=(3, 4)), rng.normal(size=(4, 2))]),
@@ -156,6 +158,13 @@ class TestCriterion1GradientOracle:
                           + [fused.normal(size=s)
                              for s in ((4, 4), 4, (4, 4), (4, 4), 4, (4, 4), 4)]
                           + [fused.normal(size=(4, 3))]),
+            "attention_class_only": (lambda t: T.sum_all(T.matmul(T.attention(
+                                         t[0], t[1], t[2], t[3], class_key_bias, t[4], t[5],
+                                         t[6], t[7], heads=2, class_only=True)[0], t[8])),
+                                     [class_only.normal(size=(2, 5, 4))]
+                                     + [class_only.normal(size=s)
+                                        for s in ((4, 4), 4, (4, 4), (4, 4), 4, (4, 4), 4)]
+                                     + [class_only.normal(size=(4, 3))]),
             "mlp": (lambda t: T.sum_all(T.matmul(T.mlp(t[0], t[1], t[2], t[3], t[4]), t[5])),
                     [fused.normal(size=(2, 3, 4)), fused.normal(size=(4, 6)),
                      fused.normal(size=6), fused.normal(size=(6, 4)), fused.normal(size=4),

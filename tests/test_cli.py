@@ -92,6 +92,14 @@ class TestGenData:
         err = capsys.readouterr().err
         assert err == f"error: {cfg}: config file is not UTF-8 text\n"
 
+    def test_missing_config_file_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = tmp_path / "nonexistent.cfg"
+        code = run("gen-data", "--out-dir", str(tmp_path), "--config", str(cfg),
+                   *sets(*TINY_KEYS))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}: cannot read config file: No such file or directory\n"
+
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         code = run("gen-data", "--out-dir", str(tmp_path),
                    *sets("seed=1", "bogus_key=1", *TINY_KEYS))

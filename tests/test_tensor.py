@@ -396,10 +396,10 @@ class TestRemainingOpGradients:
         assert_gradients_match(lambda t: sum_all(linear(t[0], t[1], t[2])), [x, w, b])
 
 
-def _attention_inputs(b=2, t=5, d=4):
-    arrays = [RNG.normal(size=(b, t, d))]
+def _attention_inputs(b=2, t=5, d=4, rng=RNG):
+    arrays = [rng.normal(size=(b, t, d))]
     for _ in range(4):
-        arrays += [RNG.normal(size=(d, d)), RNG.normal(size=d) * 0.1]
+        arrays += [rng.normal(size=(d, d)), rng.normal(size=d) * 0.1]
     return arrays
 
 
@@ -480,6 +480,29 @@ class TestFusedOps:
         with pytest.raises(ValueError):
             probs[0, 0, 0, 0] = 1.0
 
+    def test_class_only_is_row_zero_of_all_token(self):
+        """Class-token-only queries give row 0 of the all-token op: the
+        output, the weights and every input gradient, up to the rounding
+        of the one-row products' other summation order."""
+        rng = np.random.default_rng(1003)
+        arrays = _attention_inputs(b=3, t=6, d=8, rng=rng)
+        probe = rng.normal(size=(3, 8))
+        out, probs = attention(*[Tensor(a) for a in arrays], heads=2)
+        cls_out, cls_probs = attention(*[Tensor(a) for a in arrays], heads=2, class_only=True)
+        grads = autodiff_gradients(
+            lambda t: sum_all(_probe_dot(take_token(attention(*t, heads=2)[0], 0), probe)),
+            arrays)
+        cls_grads = autodiff_gradients(
+            lambda t: sum_all(_probe_dot(attention(*t, heads=2, class_only=True)[0], probe)),
+            arrays)
+        assert cls_out.shape == (3, 8) and cls_probs.shape == (3, 2, 1, 6)
+        largest = max(float(np.abs(g).max()) for g in grads)
+        for new, old, scale in [(cls_out.values, out.values[:, 0], np.abs(out.values).max()),
+                                (cls_probs, probs[:, :, :1], probs.max())] + [
+                                   (g_cls, g, largest) for g_cls, g in zip(cls_grads, grads)]:
+            assert new.shape == old.shape
+            assert np.abs(new - old).max() <= 1e-12 * scale
+
     def test_one_record_each(self):
         tensors = [Tensor(a, requires_grad=True) for a in _attention_inputs()]
         with Tape() as tape:
@@ -511,6 +534,8 @@ class TestFusedOps:
         arrays[3] = arrays[3] * 1e200  # wk: the scores overflow to +-inf
         with pytest.raises(NonFiniteError):
             attention(*[Tensor(a) for a in arrays], heads=2)
+        with pytest.raises(NonFiniteError):
+            attention(*[Tensor(a) for a in arrays], heads=2, class_only=True)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_mlp_overflow_raises_at_fused_output(self):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lethevit.errors import ConfigError, DimensionError
+from lethevit.masking import class_token_attention, select_top_k
 from lethevit.tensor import Tape, Tensor, backward, cross_entropy, stop_recording, sum_all
 from lethevit.vit import (
     ViTConfig,
@@ -85,7 +86,7 @@ class TestForward:
         out = forward(params, np.random.default_rng(1).normal(size=(3, 1, 8, 8)),
                       capture_attention=True)
         weights = out.last_attention.weights
-        assert weights.shape == (3, TINY.heads, TINY.tokens, TINY.tokens)
+        assert weights.shape == (3, TINY.heads, 1, TINY.tokens)
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
         assert (weights >= 0.0).all()
 
@@ -198,9 +199,16 @@ def _tracked_step(run, params, images, labels):
     return out, records, probe
 
 
+def _assert_close(new, old):
+    """`new` within 1e-12 of the largest magnitude in `old`."""
+    assert new.shape == old.shape
+    assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()
+
+
 class TestClassTokenTail:
-    """Past the final attention the forward runs on the class token only;
-    it equals the all-token composition it replaced."""
+    """The final attention queries from the class token only and the
+    forward runs on it alone from there; it agrees with the all-token
+    composition it replaced up to the rounding of a reordered sum."""
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
     @pytest.mark.parametrize("batch", [1, 2, 7, 32, 256])
@@ -217,15 +225,15 @@ class TestClassTokenTail:
         want, _, want_params = _tracked_step(reference_forward, params, images, labels)
         assert got.logits.requires_grad and not untracked[0].logits.requires_grad
         for new, old in (untracked, (got, want)):
-            np.testing.assert_array_equal(new.last_attention.weights,
-                                          old.last_attention.weights)
-            if batch == 1:
-                # a one-row tail goes through numpy's vector-matrix (gemv)
-                # path, which sums each dot product in another order
-                assert (np.abs(new.logits.values - old.logits.values).max()
-                        <= 1e-12 * np.abs(old.logits.values).max())
-            else:
-                np.testing.assert_array_equal(new.logits.values, old.logits.values)
+            # a one-row query and a one-row tail reach BLAS through other
+            # kernels (stacked [1, hd] products, gemv), which sum each dot
+            # product in another order
+            _assert_close(new.last_attention.weights, old.last_attention.weights[:, :, :1])
+            _assert_close(new.logits.values, old.logits.values)
+            for ratio in (0.1, 0.25):
+                np.testing.assert_array_equal(
+                    select_top_k(class_token_attention(new.last_attention), ratio),
+                    select_top_k(class_token_attention(old.last_attention), ratio))
         largest = max(float(np.abs(t.grad).max()) for _, t in want_params.items())
         for name, t in got_params.items():
             assert np.abs(t.grad - want_params[name].grad).max() <= 1e-12 * largest, name
@@ -235,14 +243,15 @@ class TestClassTokenTail:
         b, d = 9, params.config.dim
         images = np.random.default_rng(5).normal(size=(b, 1, 20, 20))
         _, records, params = _tracked_step(forward, params, images, np.zeros(b, dtype=int))
-        assert len(records) == 21
+        assert len(records) == 20
 
         def reading(name):
             return next(i for i, rec in enumerate(records)
                         if any(t is params[name] for t in rec.inputs))
 
-        # take_token ×2, add, ln2, mlp, add, ln_final, then the head and the loss
-        tail = records[reading("block1.attn.wq") + 1:]
+        # the class-only attention, take_token, add, ln2, mlp, add, ln_final,
+        # then the head and the loss
+        tail = records[reading("block1.attn.wq"):]
         assert len(tail) == 9
         assert all(rec.output.shape == (b, d) for rec in tail[:7])
         for name in ("block1.ln2.gain", "block1.mlp.w1", "ln_final.gain", "head.weight"):
