@@ -313,8 +313,13 @@ def cmd_evaluate(args) -> int:
     for item in args.checkpoint:
         if "=" not in item:
             raise ConfigError(f"--checkpoint expects name=path, got {item!r}")
-        name, path = item.split("=", 1)
-        named[name.strip()] = path.strip()
+        name, path = (part.strip() for part in item.split("=", 1))
+        if "," in name or name.splitlines() != [name]:  # the name is one CSV field
+            raise ConfigError(f"--checkpoint name {name!r} must be non-empty, without ',' "
+                              "or a line break")
+        if name in named:
+            raise ConfigError(f"--checkpoint name {name!r} is given twice")
+        named[name] = path
     if "retrain" not in named:
         raise ConfigError("evaluate requires a checkpoint named 'retrain' as the reference")
 

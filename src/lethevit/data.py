@@ -9,6 +9,9 @@ the data distribution, so models trained on it stay robust to small
 occlusions. A model can classify from the grating alone, but can only
 tell one training sample from another by its marks, which is exactly
 the separation the attention-guided masking exploits.
+
+Datasets persist as LTDS, a layout on the one container of
+`lethevit.checkpoint` (see `load_dataset`), which checks the file.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import Reader, write_container
 from .errors import ConfigError, ContractError, DimensionError, FormatError
 
 MAGIC = b"LTDS"
-VERSION = 1
 
 # toy image composition
 GRATING_CYCLES = 1.0
@@ -162,63 +165,40 @@ def generate_toy_dataset(
     return LabeledDataset(images=images, labels=labels, class_count=class_count)
 
 
+# the LTDS header's u32 fields from byte 8 and their bounds; labels are u16
+HEADER_FIELDS = (("n", 1, 2**32 - 1), ("class_count", 2, 2**16),
+                 ("image_size", 1, 2**32 - 1), ("channels", 1, 2**32 - 1))
+
+
 def save_dataset(dataset: LabeledDataset, path: str) -> None:
-    """Write the LTDS binary format (see `load_dataset` for the layout)."""
+    """Write the LTDS layout (see `load_dataset`)."""
     n, channels, size, _ = dataset.images.shape
+    header = struct.pack("<IIII", n, dataset.class_count, size, channels)
     pixels = np.ascontiguousarray(dataset.images, dtype="<f4").tobytes()
     labels = np.ascontiguousarray(dataset.labels, dtype="<u2").tobytes()
-    payload = pixels + labels
-    checksum = int(np.frombuffer(payload, dtype=np.uint8).sum(dtype=np.uint64))
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<IIII", n, dataset.class_count, size, channels))
-        f.write(payload)
-        f.write(struct.pack("<Q", checksum))
+    write_container(path, MAGIC, header, [(b"", pixels), (b"", labels)])
 
 
 def load_dataset(path: str) -> LabeledDataset:
-    """Read an LTDS file:
-
-    magic "LTDS", version u32, then n / class_count / image_size /
-    channels (u32 each), float32 pixels, u16 labels, u64 checksum over
-    the pixel+label payload bytes. Round-trips are bit-exact at float32
-    precision.
-    """
-    with open(path, "rb") as f:
-        data = f.read()
-    if len(data) < 4 or data[:4] != MAGIC:
-        raise FormatError(f"bad magic bytes {data[:4]!r}, expected {MAGIC!r}", 0)
-    if len(data) < 8:
-        raise FormatError("truncated file while reading version", len(data))
-    version = struct.unpack_from("<I", data, 4)[0]
-    if version != VERSION:
-        raise FormatError(f"unsupported format version {version}, expected {VERSION}", 4)
-    if len(data) < 24:
-        raise FormatError("truncated file while reading header", len(data))
-    n, class_count, size, channels = struct.unpack_from("<IIII", data, 8)
-    pixel_bytes = 4 * n * channels * size * size
-    label_bytes = 2 * n
-    body_end = 24 + pixel_bytes + label_bytes
-    if len(data) < body_end + 8:
-        raise FormatError("truncated file while reading payload", len(data))
-    if len(data) > body_end + 8:
-        raise FormatError("trailing bytes after checksum", body_end + 8)
-    payload = data[24:body_end]
-    stored = struct.unpack_from("<Q", data, body_end)[0]
-    computed = int(np.frombuffer(payload, dtype=np.uint8).sum(dtype=np.uint64))
-    if stored != computed:
-        raise FormatError(f"checksum mismatch: stored {stored}, computed {computed}", body_end)
-    images = (
-        np.frombuffer(payload[:pixel_bytes], dtype="<f4")
-        .reshape(n, channels, size, size)
-        .astype(np.float64)
-    )
-    labels = np.frombuffer(payload[pixel_bytes:], dtype="<u2").astype(np.int64)
+    """Read an LTDS file: the container of `lethevit.checkpoint` with
+    magic "LTDS", a header of n / class_count / image_size / channels
+    (`HEADER_FIELDS`) and two payloads, float32 pixels then u16 labels.
+    Round-trips are bit-exact at float32 precision."""
+    reader = Reader(path, MAGIC)
+    header = reader.unpack("<IIII", "header")
+    for i, ((field, low, high), value) in enumerate(zip(HEADER_FIELDS, header)):
+        if not low <= value <= high:
+            raise FormatError(f"header field {field} = {value} is outside [{low}, {high}]",
+                              8 + 4 * i)
+    n, class_count, size, channels = header
+    pixels = reader.payload(4 * n * channels * size * size, "pixels")
+    labels_offset = reader.offset
+    labels = np.frombuffer(reader.payload(2 * n, "labels"), dtype="<u2").astype(np.int64)
+    reader.close()
     bad = np.flatnonzero(labels >= class_count)
     if bad.size:
-        raise FormatError(
-            f"label {int(labels[bad[0]])} outside [0, {class_count})",
-            24 + pixel_bytes + 2 * int(bad[0]),
-        )
-    return LabeledDataset(images=images, labels=labels, class_count=class_count)
+        raise FormatError(f"label {int(labels[bad[0]])} outside [0, {class_count})",
+                          labels_offset + 2 * int(bad[0]))
+    images = np.frombuffer(pixels, dtype="<f4").reshape(n, channels, size, size)
+    return LabeledDataset(images=images.astype(np.float64), labels=labels,
+                          class_count=class_count)

@@ -277,11 +277,8 @@ def forward(params: ViTParams, images: np.ndarray, capture_attention: bool = Fal
 
 def params_checksum(params: ViTParams) -> int:
     """Byte-sum fingerprint of all parameter values (mutation guard)."""
-    total = np.uint64(0)
-    for name in sorted(params.tensors):
-        buf = np.ascontiguousarray(params.tensors[name].values).tobytes()
-        total += np.frombuffer(buf, dtype=np.uint8).sum(dtype=np.uint64)
-    return int(total)
+    return checkpoint.payload_checksum(np.ascontiguousarray(t.values)
+                                       for t in params.tensors.values())
 
 
 def save_params(params: ViTParams, path: str) -> None:

@@ -114,10 +114,37 @@ def write_raw_checkpoint(path, entries):
     of (name, dims, payload bytes), so dims and names need not be sane."""
     raw = b"LTVT" + struct.pack("<I", 1) + struct.pack("<I", len(entries))
     for name, dims, payload in entries:
-        raw += struct.pack("<H", len(name)) + name.encode() + struct.pack("<B", len(dims))
+        raw += struct.pack("<H", len(name.encode())) + name.encode()
+        raw += struct.pack("<B", len(dims))
         raw += b"".join(struct.pack("<I", d) for d in dims) + payload
-    raw += struct.pack("<Q", checkpoint.payload_checksum([p for _, _, p in entries]))
+    raw += struct.pack("<Q", sum(b"".join(p for _, _, p in entries)) % 2**64)
     path.write_bytes(raw)
+
+
+def test_save_arrays_matches_hand_built_bytes(tmp_path):
+    """save_arrays writes exactly the bytes write_raw_checkpoint builds by
+    hand: entries sorted by name, float32 payloads, every rank."""
+    rng = np.random.default_rng(6)
+    arrays = {"z.w": rng.normal(size=(2, 3, 2)), "b": rng.normal(size=4),
+              "é": np.float64(-0.75), "a.bias": np.zeros((1, 1))}
+    saved = tmp_path / "saved.ltvt"
+    checkpoint.save_arrays(str(saved), arrays)
+    by_hand = tmp_path / "by_hand.ltvt"
+    write_raw_checkpoint(by_hand, [
+        (name, np.shape(arrays[name]) or (1,),
+         np.asarray(arrays[name], dtype="<f4").tobytes()) for name in sorted(arrays)])
+    assert saved.read_bytes() == by_hand.read_bytes()
+
+
+def test_rank_above_numpy_limit_rejected_at_rank_byte(tmp_path):
+    """A zero dim lets a rank numpy cannot build pass the truncation check:
+    it is a FormatError at the rank byte, not a ValueError."""
+    path = tmp_path / "rank.ltvt"
+    write_raw_checkpoint(path, [("w", (0,) * 70, b"")])
+    with pytest.raises(FormatError) as exc:
+        checkpoint.load_arrays(str(path))
+    assert "rank 70 of 'w'" in str(exc.value)
+    assert exc.value.offset == 12 + 2 + 1
 
 
 HOSTILE_DIMS = {

@@ -13,7 +13,7 @@ from lethevit.data import load_dataset
 from lethevit.tensor import keep_heap
 
 from test_checkpoint import HOSTILE_DIMS, write_raw_checkpoint
-from test_data import write_label
+from test_data import raw_dataset, write_label
 
 TINY_KEYS = [
     "classes=2", "per_class=6", "test_per_class=4", "image_size=8", "channels=1",
@@ -183,6 +183,20 @@ class TestCorruptInputs:
                    *sets("seed=5", "epochs=1", "lr=0.05", "batch=6", *MODEL_KEYS))
         assert code == 1
         assert f"label {ds.class_count}" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("header, field", [((4, 1, 8, 1), "class_count"),
+                                               ((4, 2, 0, 1), "image_size"),
+                                               ((4, 2, 8, 0), "channels")])
+    def test_bad_dataset_header_exits_1(self, tmp_path, capsys, header, field):
+        n, _, size, channels = header
+        bad = tmp_path / "header.ltds"
+        bad.write_bytes(raw_dataset(header, np.zeros(n * channels * size * size), np.zeros(n)))
+        code = run("train", "--data", str(bad), "--out", str(tmp_path / "t.ltvt"),
+                   *sets("seed=5", "epochs=1", "lr=0.05", "batch=6", *MODEL_KEYS))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"header field {field}" in err and "Traceback" not in err
 
 
 def _head_bias_missing(arrays):
@@ -364,6 +378,26 @@ class TestEvaluate:
                    "--out", str(out_dir / "no.csv"), *sets("seed=5", "forget_ratio=0.25"))
         assert code == 2
         assert "retrain" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("names, bad", [
+        (["ft", "ft"], "'ft' is given twice"),
+        (["", "ft"], "name '' must be non-empty"),
+        (["a,b"], "name 'a,b' must be non-empty"),
+        (["a\nb"], "name 'a\\nb' must be non-empty"),
+    ], ids=["duplicate", "empty", "comma", "line-break"])
+    def test_bad_checkpoint_name_exits_2_naming_it(self, checkpoints, capsys, names, bad):
+        """Each name is one CSV field and one row: a repeated, empty or
+        multi-field name is a usage error before any checkpoint loads."""
+        out_dir, train_path, test_path, retrain_path, ft_path = checkpoints
+        named = [arg for name in names for arg in ("--checkpoint", f"{name}={ft_path}")]
+        out = out_dir / "bad_name.csv"
+        code = run("evaluate", "--data", train_path, "--test", test_path,
+                   "--checkpoint", f"retrain={retrain_path}", *named,
+                   "--out", str(out), *sets("seed=5", "forget_ratio=0.25"))
+        assert code == 2
+        assert bad in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweepMask:

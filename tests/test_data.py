@@ -29,6 +29,14 @@ def write_label(path, ds, index, label):
     path.write_bytes(bytes(raw))
 
 
+def raw_dataset(header, pixels, labels):
+    """LTDS bytes built by hand with a valid checksum: `header` is
+    (n, class_count, image_size, channels) and need not be sane."""
+    payload = np.asarray(pixels, dtype="<f4").tobytes() + np.asarray(labels, dtype="<u2").tobytes()
+    return (b"LTDS" + struct.pack("<I", 1) + struct.pack("<4I", *header) + payload
+            + struct.pack("<Q", sum(payload) % 2**64))
+
+
 def small_dataset(seed=0, per_class=10, size=16):
     return generate_toy_dataset(3, per_class, size, seed=seed)
 
@@ -206,3 +214,52 @@ class TestPersistence:
             load_dataset(str(path))
         assert "truncated" in str(exc.value)
         assert exc.value.offset == 100
+
+    def test_save_dataset_matches_hand_built_bytes(self, tmp_path):
+        ds = generate_toy_dataset(3, 2, 4, seed=1, channels=2)
+        path = tmp_path / "golden.ltds"
+        save_dataset(ds, str(path))
+        assert path.read_bytes() == raw_dataset((6, 3, 4, 2), ds.images.ravel(), ds.labels)
+
+    @pytest.mark.parametrize("header, offset", [
+        ((0, 2, 1, 1), 8),
+        ((2, 1, 1, 1), 12),
+        ((2, 65537, 1, 1), 12),
+        ((2, 2**32 - 1, 1, 1), 12),
+        ((2, 2, 0, 1), 16),
+        ((2, 2, 1, 0), 20),
+    ], ids=["n-0", "one-class", "classes-above-u16", "classes-u32-max", "size-0", "channels-0"])
+    def test_bad_header_field_names_its_offset(self, tmp_path, header, offset):
+        """A checksum-valid file whose header field is out of bounds fails at
+        that field, with a payload sized to match the header."""
+        n, _, size, channels = header
+        path = tmp_path / "header.ltds"
+        path.write_bytes(raw_dataset(header, np.zeros(n * channels * size * size), np.zeros(n)))
+        with pytest.raises(FormatError) as exc:
+            load_dataset(str(path))
+        assert "header field" in str(exc.value)
+        assert exc.value.offset == offset
+
+    def test_largest_class_count_loads(self, tmp_path):
+        path = tmp_path / "wide.ltds"
+        path.write_bytes(raw_dataset((2, 65536, 1, 1), [0.5, -0.5], [0, 65535]))
+        assert load_dataset(str(path)).class_count == 65536
+
+    @pytest.mark.parametrize("length", [0, 3])
+    def test_file_shorter_than_magic_is_truncated(self, tmp_path, length):
+        path = tmp_path / "short.ltds"
+        path.write_bytes(b"LTDS"[:length])
+        with pytest.raises(FormatError) as exc:
+            load_dataset(str(path))
+        assert "truncated file while reading magic bytes" in str(exc.value)
+        assert exc.value.offset == length
+
+    def test_checksum_checked_before_trailing_bytes(self, tmp_path):
+        path = tmp_path / "both.ltds"
+        save_dataset(small_dataset(), str(path))
+        raw = bytearray(path.read_bytes() + b"\x00")
+        raw[30] ^= 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError) as exc:
+            load_dataset(str(path))
+        assert "checksum" in str(exc.value)
