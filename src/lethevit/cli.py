@@ -1,12 +1,19 @@
 """Command-line entry point orchestrating the full experiment protocol.
 
-Commands: gen-data, train, unlearn, evaluate, sweep-mask, report.
+Commands: gen-data, train, unlearn, evaluate, sweep-mask, report, each
+declared once in `_COMMANDS` (handler, help, arguments, config keys);
+`build_parser` loops over that table. `main` is the one run path: it
+starts the clock, resolves the config, calls the handler with `(args,
+cfg)`, hashes the inputs it names, appends the manifest, and maps errors
+to exit codes. A handler prints its own `wrote ...` line and returns
+`(output, input paths, extra manifest fields)`, or None to write no
+manifest (`report`).
 
 Configuration comes from flat key=value files; any key can be
 overridden on the command line with repeated `--set key=value` flags
-(flags win). Every run appends one JSON manifest line recording the resolved
-configuration, inputs, output checksums, wall time and environment
-(versions, BLAS, threads, heap policy) to `manifests.jsonl` beside its main output;
+(flags win). The manifest is one JSON line in `manifests.jsonl` beside
+the main output: the resolved configuration, input and output checksums,
+wall time and environment (versions, BLAS, threads, heap policy);
 `train` and `unlearn` add per-phase wall time and step counts.
 
 Exit codes: 0 success, 1 runtime failure (divergence, bad file), 2
@@ -21,7 +28,7 @@ import json
 import os
 import sys
 import time
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy
@@ -37,41 +44,28 @@ from .tensor import heap_policy, keep_heap
 _FROM_ORIGINAL = {"lethevit": "unlearn", "ft": "fine_tune", "ga": "gradient_ascent",
                   "rl": "random_labels"}
 METHODS = ("retrain", *_FROM_ORIGINAL)
-_TRAIN_KEYS = ["epochs", "patch_size", "depth", "heads", "dim", "mlp_ratio"]
-
 _SWEEP_HEADER = "ratio,mask_type,ta,mia"
 _EVAL_HEADER = "method,seed,fa,ra,ta,mia,dfa,dra,dta,dmia,ag"
+_REPORT_HEADER = "command,method,seed,duration_seconds,outputs"
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# key: (type, default); None default means the key is required
-_KEY_SPECS: dict[str, tuple[type, object]] = {
-    "seed": (int, None),
-    "epochs": (int, None),
-    "lr": (float, None),
-    "batch": (int, None),
-    "momentum": (float, 0.0),
-    "weight_decay": (float, 0.0),
-    "ef": (int, 2),
-    "er": (int, 8),
-    "tau": (float, 0.5),
-    "ratio": (float, 0.05),
-    "mask_type": (str, "zero"),
-    "gaussian_std": (float, 1.0),
-    "forget_ratio": (float, 0.1),
-    "split_seed": (int, -1),  # -1: fall back to seed
-    "classes": (int, 3),
-    "per_class": (int, 200),
-    "test_per_class": (int, 50),
-    "image_size": (int, 32),
-    "channels": (int, 1),
-    "patch_size": (int, 4),
-    "depth": (int, 2),
-    "heads": (int, 2),
-    "dim": (int, 32),
-    "mlp_ratio": (int, 2),
-    "ratios": (str, "0,0.05,0.1,0.2,0.3"),
-    "types": (str, "zero,gaussian"),
-}
+# config keys in the groups the commands take them: key -> (type, default),
+# where a None default means the key is required
+_SEED = {"seed": (int, None)}
+_SGD_KEYS = {**_SEED, "lr": (float, None), "batch": (int, None), "momentum": (float, 0.0),
+             "weight_decay": (float, 0.0)}
+_MODEL_KEYS = {"epochs": (int, None), "patch_size": (int, 4), "depth": (int, 2),
+               "heads": (int, 2), "dim": (int, 32), "mlp_ratio": (int, 2)}
+_SPLIT_KEYS = {**_SEED, "forget_ratio": (float, 0.1),
+               "split_seed": (int, -1)}  # -1: fall back to seed
+_MASK_STD = {"gaussian_std": (float, 1.0)}
+_UNLEARN_KEYS = {**_SGD_KEYS, "ef": (int, 2), "er": (int, 8), "tau": (float, 0.5),
+                 "ratio": (float, 0.05), "mask_type": (str, "zero"), **_MASK_STD, **_SPLIT_KEYS}
+_GEN_DATA_KEYS = {**_SEED, "classes": (int, 3), "per_class": (int, 200),
+                  "test_per_class": (int, 50), "image_size": (int, 32), "channels": (int, 1)}
+_SWEEP_KEYS = {**_SPLIT_KEYS, **_MASK_STD, "ratios": (str, "0,0.05,0.1,0.2,0.3"),
+               "types": (str, "zero,gaussian")}
+_KEY_SPECS = {**_GEN_DATA_KEYS, **_UNLEARN_KEYS, **_MODEL_KEYS, **_SWEEP_KEYS}
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -94,12 +88,12 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _resolve_config(args, needed: list[str]) -> dict:
+def _resolve_config(args, needed: dict) -> dict:
     """defaults <- config file <- --set overrides; validates and types."""
     raw: dict[str, str] = {}
-    if getattr(args, "config", None):
+    if args.config:
         raw.update(_parse_config_file(args.config))
-    for item in getattr(args, "set", None) or []:
+    for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
@@ -110,8 +104,7 @@ def _resolve_config(args, needed: list[str]) -> dict:
             raise ConfigError(f"unknown config key: {key}")
 
     resolved: dict = {}
-    for key in needed:
-        kind, default = _KEY_SPECS[key]
+    for key, (kind, default) in needed.items():
         if key in raw:
             try:
                 resolved[key] = kind(raw[key])
@@ -129,8 +122,11 @@ def _resolve_config(args, needed: list[str]) -> dict:
             resolved[key] = default
     if resolved.get("seed", 0) < 0:  # the PCG64 generators take no negative seed
         raise ConfigError(f"seed must be >= 0, got {resolved['seed']}")
-    if "split_seed" in resolved and resolved["split_seed"] < 0:
-        resolved["split_seed"] = resolved.get("seed", 0)
+    if resolved.get("split_seed", -1) < -1:
+        raise ConfigError(f"split_seed must be >= 0, or -1 for seed, "
+                          f"got {resolved['split_seed']}")
+    if resolved.get("split_seed") == -1:
+        resolved["split_seed"] = resolved["seed"]
     return resolved
 
 
@@ -143,13 +139,13 @@ def _sha256(path: str) -> str:
 
 
 def _write_manifest(out_path: str, command: str, config: dict, started: float,
-                    inputs: Optional[dict] = None, extra: Optional[dict] = None) -> None:
+                    inputs: list[str], extra: dict) -> None:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "command": command,
         "config": config,
         "seed": config.get("seed"),
-        "inputs": inputs or {},
+        "inputs": {path: _sha256(path) for path in inputs},
         "outputs": {out_path: _sha256(out_path)},
         "duration_seconds": time.perf_counter() - started,
         # checkpoint bytes depend on the BLAS thread count (README, determinism)
@@ -158,9 +154,8 @@ def _write_manifest(out_path: str, command: str, config: dict, started: float,
                 "blas": {"name": blas.get("name"), "version": blas.get("version")},
                 "threads": {var: os.environ.get(var) for var in _THREAD_VARS},
                 "heap": heap_policy()},
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
     directory = os.path.dirname(os.path.abspath(out_path))
     with open(os.path.join(directory, "manifests.jsonl"), "a") as f:
         f.write(json.dumps(manifest, sort_keys=True) + "\n")
@@ -191,8 +186,13 @@ def _train_config(cfg: dict, dataset: data_mod.LabeledDataset) -> unlearning.Tra
 
 def _load_split(cfg: dict, train_path: str, test_path: str) -> data_mod.DataSplit:
     train = data_mod.load_dataset(train_path)
-    test = data_mod.load_dataset(test_path)
-    return data_mod.split_random_forget(train, test, cfg["forget_ratio"], cfg["split_seed"])
+    split = data_mod.split_random_forget(train, data_mod.load_dataset(test_path),
+                                         cfg["forget_ratio"], cfg["split_seed"])
+    if len(split.forget) in (0, len(train)):
+        raise ConfigError(f"forget_ratio {cfg['forget_ratio']} selects {len(split.forget)} of "
+                          f"{len(train)} training images; the forget and retain sets must "
+                          "both be non-empty")
+    return split
 
 
 def _mask_spec(cfg: dict) -> MaskSpec:
@@ -236,10 +236,18 @@ def _phase_clock(phases: dict):
     return on_step
 
 
-def cmd_gen_data(args) -> int:
-    started = time.perf_counter()
-    cfg = _resolve_config(args, ["seed", "classes", "per_class", "test_per_class",
-                                 "image_size", "channels"])
+def _write_csv(path: Optional[str], header: str, rows) -> None:
+    """Write the header and rows as CSV lines to `path`, or to stdout without one."""
+    text = "\n".join([header, *rows]) + "\n"
+    if not path:
+        sys.stdout.write(text)
+        return
+    with open(path, "w") as f:
+        f.write(text)
+    print(f"wrote {path}")
+
+
+def cmd_gen_data(args, cfg: dict):
     os.makedirs(args.out_dir, exist_ok=True)
     train = data_mod.generate_toy_dataset(
         cfg["classes"], cfg["per_class"], cfg["image_size"], cfg["seed"], cfg["channels"]
@@ -252,63 +260,41 @@ def cmd_gen_data(args) -> int:
     test_path = os.path.join(args.out_dir, "test.ltds")
     data_mod.save_dataset(train, train_path)
     data_mod.save_dataset(test, test_path)
-    _write_manifest(train_path, "gen-data", cfg, started,
-                    extra={"outputs_extra": {test_path: _sha256(test_path)}})
     print(f"wrote {train_path} ({len(train)} samples) and {test_path} ({len(test)} samples)")
-    return 0
+    return train_path, [], {"outputs_extra": {test_path: _sha256(test_path)}}
 
 
-def cmd_train(args) -> int:
-    started = time.perf_counter()
-    cfg = _resolve_config(args, ["seed", "lr", "batch", "momentum", "weight_decay",
-                                 *_TRAIN_KEYS])
+def cmd_train(args, cfg: dict):
     dataset = data_mod.load_dataset(args.data)
-    config = _train_config(cfg, dataset)
     phases: dict = {}
-    params = unlearning.train_model(dataset, config, on_step=_phase_clock(phases))
+    params = unlearning.train_model(dataset, _train_config(cfg, dataset),
+                                    on_step=_phase_clock(phases))
     vit.save_params(params, args.out)
-    _write_manifest(args.out, "train", cfg, started, inputs={args.data: _sha256(args.data)},
-                    extra={"phases": phases})
     print(f"wrote {args.out}")
-    return 0
+    return args.out, [args.data], {"phases": phases}
 
 
-def cmd_unlearn(args) -> int:
-    started = time.perf_counter()
-    needed = ["seed", "lr", "batch", "momentum", "weight_decay",
-              "ef", "er", "tau", "ratio", "mask_type", "gaussian_std",
-              "forget_ratio", "split_seed"]
-    if args.method == "retrain":
-        needed += _TRAIN_KEYS
-    cfg = _resolve_config(args, needed)
+def cmd_unlearn(args, cfg: dict):
     split = _load_split(cfg, args.data, args.test)
-    inputs = {args.data: _sha256(args.data), args.test: _sha256(args.test)}
+    inputs = [args.data, args.test]
     phases: dict = {}
-
     if args.method == "retrain":
-        config = _train_config(cfg, split.train)
-        result = unlearning.retrain(split, config, on_step=_phase_clock(phases))
+        result = unlearning.retrain(split, _train_config(cfg, split.train),
+                                    on_step=_phase_clock(phases))
     else:
         if not args.original:
             raise ConfigError(f"method {args.method} requires --original CHECKPOINT")
         original = vit.load_params(args.original)
-        inputs[args.original] = _sha256(args.original)
-        config = _unlearn_config(cfg)
+        inputs.append(args.original)
         method = getattr(unlearning, _FROM_ORIGINAL[args.method])
-        result = method(original, split, config, on_step=_phase_clock(phases))
-
+        result = method(original, split, _unlearn_config(cfg), on_step=_phase_clock(phases))
     vit.save_params(result, args.out)
-    _write_manifest(args.out, "unlearn", cfg, started, inputs=inputs,
-                    extra={"method": args.method, "phases": phases})
     print(f"wrote {args.out}")
-    return 0
+    return args.out, inputs, {"method": args.method, "phases": phases}
 
 
-def cmd_evaluate(args) -> int:
-    started = time.perf_counter()
-    cfg = _resolve_config(args, ["seed", "forget_ratio", "split_seed"])
+def cmd_evaluate(args, cfg: dict):
     split = _load_split(cfg, args.data, args.test)
-
     named: dict[str, str] = {}
     for item in args.checkpoint:
         if "=" not in item:
@@ -323,35 +309,20 @@ def cmd_evaluate(args) -> int:
     if "retrain" not in named:
         raise ConfigError("evaluate requires a checkpoint named 'retrain' as the reference")
 
-    order = ["retrain"] + [name for name in named if name != "retrain"]
-    reports = {}
-    for name in order:
-        params = vit.load_params(named[name])
-        reports[name] = evaluation.evaluate_model(params, split, method=name, seed=cfg["seed"])
-
-    reference = reports["retrain"]
-    lines = [_EVAL_HEADER]
-    for name in order:
-        rep = reports[name]
-        gap = evaluation.average_gap(rep, reference)
-        lines.append(
+    rows, reports = [], {}
+    for name in ["retrain"] + [name for name in named if name != "retrain"]:
+        rep = reports[name] = evaluation.evaluate_model(vit.load_params(named[name]), split,
+                                                        method=name, seed=cfg["seed"])
+        gap = evaluation.average_gap(rep, reports["retrain"])  # the retrain row comes first
+        rows.append(
             f"{name},{cfg['seed']},{rep.fa:.2f},{rep.ra:.2f},{rep.ta:.2f},{rep.mia:.2f},"
             f"{gap.d_fa:.2f},{gap.d_ra:.2f},{gap.d_ta:.2f},{gap.d_mia:.2f},{gap.ag:.2f}"
         )
-    with open(args.out, "w") as f:
-        f.write("\n".join(lines) + "\n")
-    inputs = {path: _sha256(path) for path in named.values()}
-    inputs[args.data] = _sha256(args.data)
-    inputs[args.test] = _sha256(args.test)
-    _write_manifest(args.out, "evaluate", cfg, started, inputs=inputs)
-    print(f"wrote {args.out}")
-    return 0
+    _write_csv(args.out, _EVAL_HEADER, rows)
+    return args.out, [*named.values(), args.data, args.test], {}
 
 
-def cmd_sweep_mask(args) -> int:
-    started = time.perf_counter()
-    cfg = _resolve_config(args, ["seed", "forget_ratio", "split_seed", "gaussian_std",
-                                 "ratios", "types"])
+def cmd_sweep_mask(args, cfg: dict):
     split = _load_split(cfg, args.data, args.test)
     params = vit.load_params(args.checkpoint)
     try:
@@ -359,27 +330,24 @@ def cmd_sweep_mask(args) -> int:
         types = [MaskType(t.strip()) for t in cfg["types"].split(",") if t.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad ratios/types value: {exc}")
+    for key, values in (("ratios", ratios), ("types", types)):
+        if not values:
+            raise ConfigError(f"config key {key} lists no value, got {cfg[key]!r}")
 
     rows = evaluation.masking_sweep(
         params, split.forget_set(), split.retain_set(), split.test,
         ratios, types, gaussian_std=cfg["gaussian_std"], seed=cfg["seed"],
     )
-    lines = [_SWEEP_HEADER]
-    for row in rows:
-        lines.append(f"{row.ratio:g},{row.mask_type},{row.ta:.2f},{row.mia:.2f}")
-    with open(args.out, "w") as f:
-        f.write("\n".join(lines) + "\n")
-    _write_manifest(args.out, "sweep-mask", cfg, started,
-                    inputs={args.checkpoint: _sha256(args.checkpoint)})
-    print(f"wrote {args.out}")
-    return 0
+    _write_csv(args.out, _SWEEP_HEADER,
+               (f"{row.ratio:g},{row.mask_type},{row.ta:.2f},{row.mia:.2f}" for row in rows))
+    return args.out, [args.checkpoint, args.data, args.test], {}
 
 
-def cmd_report(args) -> int:
+def cmd_report(args, cfg: None) -> None:
     path = args.manifests
     if os.path.isdir(path):
         path = os.path.join(path, "manifests.jsonl")
-    lines = ["command,method,seed,duration_seconds,outputs"]
+    rows = []
     with open(path, "rb") as f:
         offset = 0
         for line_no, raw in enumerate(f, 1):
@@ -391,7 +359,7 @@ def cmd_report(args) -> int:
                 raise FormatError(f"{path}:{line_no}: manifest line is not a JSON object", offset)
             try:
                 outputs = ";".join(sorted(entry.get("outputs", {})))
-                lines.append(
+                rows.append(
                     f"{entry.get('command')},{entry.get('method', '')},{entry.get('seed')},"
                     f"{entry.get('duration_seconds', 0.0):.2f},{outputs}"
                 )
@@ -399,14 +367,55 @@ def cmd_report(args) -> int:
                 raise FormatError(f"{path}:{line_no}: manifest line has a malformed "
                                   "'outputs' or 'duration_seconds'", offset) from None
             offset += len(raw)
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    _write_csv(args.out, _REPORT_HEADER, rows)
+
+
+class _Command(NamedTuple):
+    handler: Callable  # (args, cfg) -> (output, input paths, extra manifest fields) or None
+    help: str
+    arguments: list  # (flag, add_argument keywords)
+    keys: dict | Callable | None  # config keys, or args -> keys; None: no config
+
+
+_DATA = ("--data", {"required": True, "help": "training dataset (.ltds)"})
+_TEST = ("--test", {"required": True, "help": "test dataset (.ltds)"})
+_CHECKPOINT_OUT = ("--out", {"required": True, "help": "output checkpoint (.ltvt)"})
+_CSV_OUT = ("--out", {"required": True, "help": "output CSV"})
+
+_COMMANDS = {
+    "gen-data": _Command(
+        cmd_gen_data, "generate the toy train/test datasets",
+        [("--out-dir", {"required": True})],
+        _GEN_DATA_KEYS),
+    "train": _Command(
+        cmd_train, "train the original model on the full training set",
+        [_DATA, _CHECKPOINT_OUT], {**_SGD_KEYS, **_MODEL_KEYS}),
+    "unlearn": _Command(
+        cmd_unlearn, "run an unlearning method",
+        [("--method", {"required": True, "choices": METHODS}), _DATA, _TEST,
+         ("--original", {"help": "original model checkpoint (all methods except retrain)"}),
+         _CHECKPOINT_OUT],
+        lambda args: {**_UNLEARN_KEYS, **(_MODEL_KEYS if args.method == "retrain" else {})}),
+    "evaluate": _Command(
+        cmd_evaluate, "emit the FA/RA/TA/MIA/AG report CSV",
+        [_DATA, _TEST,
+         ("--checkpoint", {"action": "append", "required": True, "metavar": "NAME=PATH",
+                           "help": "model to evaluate (repeatable; one must be named "
+                                   "'retrain')"}),
+         _CSV_OUT],
+        _SPLIT_KEYS),
+    "sweep-mask": _Command(
+        cmd_sweep_mask, "TA/MIA table over masking ratios and types",
+        [_DATA, _TEST,
+         ("--checkpoint", {"required": True, "help": "attention-source model (retrained)"}),
+         _CSV_OUT],
+        _SWEEP_KEYS),
+    "report": _Command(
+        cmd_report, "summarize run manifests as CSV",
+        [("--manifests", {"required": True, "help": "manifests.jsonl file or its directory"}),
+         ("--out", {"help": "output CSV (default: stdout)"})],
+        None),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -415,69 +424,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="attention-guided contrastive unlearning workbench",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override one config key (repeatable; wins over the file)")
-
-    p = sub.add_parser("gen-data", help="generate the toy train/test datasets")
-    common(p)
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("train", help="train the original model on the full training set")
-    common(p)
-    p.add_argument("--data", required=True, help="training dataset (.ltds)")
-    p.add_argument("--out", required=True, help="output checkpoint (.ltvt)")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("unlearn", help="run an unlearning method")
-    common(p)
-    p.add_argument("--method", required=True, choices=METHODS)
-    p.add_argument("--data", required=True)
-    p.add_argument("--test", required=True)
-    p.add_argument("--original", help="original model checkpoint (all methods except retrain)")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_unlearn)
-
-    p = sub.add_parser("evaluate", help="emit the FA/RA/TA/MIA/AG report CSV")
-    common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--test", required=True)
-    p.add_argument("--checkpoint", action="append", required=True, metavar="NAME=PATH",
-                   help="model to evaluate (repeatable; one must be named 'retrain')")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("sweep-mask", help="TA/MIA table over masking ratios and types")
-    common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--test", required=True)
-    p.add_argument("--checkpoint", required=True, help="attention-source model (retrained)")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sweep_mask)
-
-    p = sub.add_parser("report", help="summarize run manifests as CSV")
-    p.add_argument("--manifests", required=True, help="manifests.jsonl file or its directory")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_report)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if command.keys is not None:
+            p.add_argument("--config", help="flat key=value config file")
+            p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                           help="override one config key (repeatable; wins over the file)")
+        for flag, options in command.arguments:
+            p.add_argument(flag, **options)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     keep_heap()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
+    started = time.perf_counter()
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        keys = command.keys(args) if callable(command.keys) else command.keys
+        cfg = None if keys is None else _resolve_config(args, keys)
+        written = command.handler(args, cfg)
+        if written is not None:
+            output, inputs, extra = written
+            _write_manifest(output, args.command, cfg, started, inputs, extra)
+        return 0
     except (LetheError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

@@ -170,9 +170,21 @@ HEADER_FIELDS = (("n", 1, 2**32 - 1), ("class_count", 2, 2**16),
                  ("image_size", 1, 2**32 - 1), ("channels", 1, 2**32 - 1))
 
 
+def _header_fault(header: tuple) -> tuple[str, int] | None:
+    """The first header field outside its bounds, as (message, byte offset)."""
+    for i, ((field, low, high), value) in enumerate(zip(HEADER_FIELDS, header)):
+        if not low <= value <= high:
+            return f"header field {field} = {value} is outside [{low}, {high}]", 8 + 4 * i
+    return None
+
+
 def save_dataset(dataset: LabeledDataset, path: str) -> None:
-    """Write the LTDS layout (see `load_dataset`)."""
+    """Write the LTDS layout (see `load_dataset`); a header `load_dataset`
+    would refuse raises `ConfigError` before the file is opened."""
     n, channels, size, _ = dataset.images.shape
+    fault = _header_fault((n, dataset.class_count, size, channels))
+    if fault:
+        raise ConfigError(f"cannot save {path}: {fault[0]}")
     header = struct.pack("<IIII", n, dataset.class_count, size, channels)
     pixels = np.ascontiguousarray(dataset.images, dtype="<f4").tobytes()
     labels = np.ascontiguousarray(dataset.labels, dtype="<u2").tobytes()
@@ -186,10 +198,9 @@ def load_dataset(path: str) -> LabeledDataset:
     Round-trips are bit-exact at float32 precision."""
     reader = Reader(path, MAGIC)
     header = reader.unpack("<IIII", "header")
-    for i, ((field, low, high), value) in enumerate(zip(HEADER_FIELDS, header)):
-        if not low <= value <= high:
-            raise FormatError(f"header field {field} = {value} is outside [{low}, {high}]",
-                              8 + 4 * i)
+    fault = _header_fault(header)
+    if fault:
+        raise FormatError(*fault)
     n, class_count, size, channels = header
     pixels = reader.payload(4 * n * channels * size * size, "pixels")
     labels_offset = reader.offset

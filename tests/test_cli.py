@@ -1,14 +1,16 @@
 """End-to-end CLI tests on a miniature pipeline: exit codes, manifests,
 CSV contracts, and byte-identical reruns."""
 
+import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from lethevit.checkpoint import load_arrays, save_arrays
-from lethevit.cli import main
+from lethevit.cli import build_parser, main
 from lethevit.data import load_dataset
 from lethevit.tensor import keep_heap
 
@@ -318,6 +320,14 @@ class TestUnlearn:
         assert manifest["phases"][phase]["steps"] >= 1
         assert manifest["phases"][phase]["seconds"] > 0.0
 
+    def test_retrain_without_epochs_exits_2_naming_it(self, pipeline, tmp_path, capsys):
+        _, train_path, test_path, _ = pipeline
+        code = run("unlearn", "--method", "retrain", "--data", train_path,
+                   "--test", test_path, "--out", str(tmp_path / "r.ltvt"),
+                   *sets("seed=5", "lr=0.05", "batch=6", "forget_ratio=0.25", *MODEL_KEYS))
+        assert code == 2
+        assert capsys.readouterr().err == "error: missing config key: epochs\n"
+
     def test_retrain_method_needs_no_original(self, pipeline, tmp_path):
         _, train_path, test_path, _ = pipeline
         out = tmp_path / "retrain.ltvt"
@@ -400,7 +410,48 @@ class TestEvaluate:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "unlearn"])
+@pytest.mark.parametrize("forget_ratio, count", [("0.01", 0), ("0.9999999999999", 12)],
+                         ids=["empty-forget", "empty-retain"])
+def test_empty_forget_or_retain_set_exits_2(checkpoints, tmp_path, capsys, command,
+                                            forget_ratio, count):
+    """floor(forget_ratio * n) of 0 or n leaves nothing to forget or to
+    retain: a usage error naming the ratio, before any work."""
+    _, train_path, test_path, retrain_path, _ = checkpoints
+    out = tmp_path / "out"
+    data = ["--data", train_path, "--test", test_path, "--out", str(out)]
+    argv = {"evaluate": ["evaluate", *data, "--checkpoint", f"retrain={retrain_path}"],
+            "unlearn": ["unlearn", "--method", "ft", *data, "--original", retrain_path,
+                        *sets("lr=0.05", "batch=6")]}[command]
+    assert run(*argv, *sets("seed=5", f"forget_ratio={forget_ratio}")) == 2
+    assert capsys.readouterr().err == (
+        f"error: forget_ratio {forget_ratio} selects {count} of 12 training images; "
+        "the forget and retain sets must both be non-empty\n")
+    assert not out.exists()
+
+
+def test_split_seed_below_minus_one_exits_2(pipeline, tmp_path, capsys):
+    """Only -1 means "use seed"; another negative split seed is an error."""
+    _, train_path, test_path, theta_o = pipeline
+    code = run("sweep-mask", "--data", train_path, "--test", test_path,
+               "--checkpoint", theta_o, "--out", str(tmp_path / "s.csv"),
+               *sets("seed=5", "forget_ratio=0.25", "split_seed=-5"))
+    assert code == 2
+    assert capsys.readouterr().err == "error: split_seed must be >= 0, or -1 for seed, got -5\n"
+
+
 class TestSweepMask:
+    @pytest.mark.parametrize("key", ["ratios", "types"])
+    def test_empty_grid_exits_2_naming_key(self, pipeline, tmp_path, capsys, key):
+        _, train_path, test_path, theta_o = pipeline
+        out = tmp_path / "sweep.csv"
+        code = run("sweep-mask", "--data", train_path, "--test", test_path,
+                   "--checkpoint", theta_o, "--out", str(out),
+                   *sets("seed=5", "forget_ratio=0.25", f"{key}=,"))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: config key {key} lists no value, got ','\n"
+        assert not out.exists()
+
     def test_csv_header_and_rows(self, pipeline, tmp_path):
         _, train_path, test_path, theta_o = pipeline
         out = tmp_path / "sweep.csv"
@@ -453,6 +504,74 @@ def test_every_manifest_records_environment(pipeline, checkpoints, tmp_path):
         assert set(env["blas"]) == {"name", "version"}
         assert set(env["threads"]) == {
             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+
+
+def test_every_manifest_records_its_inputs(pipeline, checkpoints, tmp_path):
+    """`inputs` holds the sha256 of exactly the files a command read."""
+    _, train_path, test_path, theta_o = pipeline
+    _, _, _, retrain_path, ft_path = checkpoints
+    data = ["--data", train_path, "--test", test_path]
+    split = sets("seed=5", "forget_ratio=0.25")
+    assert run("gen-data", "--out-dir", str(tmp_path), *sets("seed=5", *TINY_KEYS)) == 0
+    assert run("train", "--data", train_path, "--out", str(tmp_path / "t.ltvt"),
+               *sets("seed=5", "epochs=1", "lr=0.05", "batch=6", *MODEL_KEYS)) == 0
+    assert run("unlearn", "--method", "retrain", *data, "--out", str(tmp_path / "r.ltvt"),
+               *split, *sets("epochs=1", "lr=0.05", "batch=6", *MODEL_KEYS)) == 0
+    assert run("unlearn", "--method", "ga", *data, "--original", theta_o,
+               "--out", str(tmp_path / "u.ltvt"), *split, *sets("lr=0.05", "batch=6")) == 0
+    assert run("evaluate", *data, "--checkpoint", f"retrain={retrain_path}",
+               "--checkpoint", f"ft={ft_path}", "--out", str(tmp_path / "e.csv"), *split) == 0
+    assert run("sweep-mask", *data, "--checkpoint", retrain_path,
+               "--out", str(tmp_path / "s.csv"), *split, *sets("ratios=0.25")) == 0
+    entries = [json.loads(line) for line in open(tmp_path / "manifests.jsonl")]
+    assert [set(e["inputs"]) for e in entries] == [
+        set(), {train_path}, {train_path, test_path}, {train_path, test_path, theta_o},
+        {train_path, test_path, retrain_path, ft_path}, {train_path, test_path, retrain_path}]
+    for entry in entries:
+        for path, digest in entry["inputs"].items():
+            assert digest == hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+
+# each subcommand's required arguments as (flag, value) pairs
+REQUIRED = {
+    "gen-data": [("--out-dir", "d")],
+    "train": [("--data", "a"), ("--out", "b")],
+    "unlearn": [("--method", "ga"), ("--data", "a"), ("--test", "b"), ("--out", "c")],
+    "evaluate": [("--data", "a"), ("--test", "b"), ("--checkpoint", "retrain=r"),
+                 ("--out", "c")],
+    "sweep-mask": [("--data", "a"), ("--test", "b"), ("--checkpoint", "r"), ("--out", "c")],
+    "report": [("--manifests", "m")],
+}
+OPTIONAL = {"unlearn": {"--original"}, "report": {"--out"}}
+
+
+@pytest.mark.parametrize("command", REQUIRED)
+def test_parser_flags_per_subcommand(command, capsys):
+    """Each subcommand takes exactly its flags: leaving out any required one
+    is a usage error (exit 2), and only `report` takes no --config/--set."""
+    parser = build_parser()
+    required = REQUIRED[command]
+    for left_out in range(len(required)):
+        argv = [part for i, pair in enumerate(required) if i != left_out for part in pair]
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([command, *argv])
+        assert exc.value.code == 2
+        assert required[left_out][0] in capsys.readouterr().err
+    argv = [command, *(part for pair in required for part in pair)]
+    config = ["--config", "c.cfg", "--set", "seed=1"]
+    takes_config = command != "report"
+    if takes_config:
+        args = parser.parse_args([*argv, *config])
+        assert (args.config, args.set) == ("c.cfg", ["seed=1"])
+    else:
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([*argv, *config])
+        assert exc.value.code == 2
+    with pytest.raises(SystemExit):
+        parser.parse_args([command, "--help"])
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+    assert flags == ({flag for flag, _ in required} | OPTIONAL.get(command, set())
+                     | ({"--config", "--set"} if takes_config else set()))
 
 
 class TestReport:

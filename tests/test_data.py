@@ -240,6 +240,18 @@ class TestPersistence:
         assert "header field" in str(exc.value)
         assert exc.value.offset == offset
 
+    @pytest.mark.parametrize("class_count, labels", [(70000, [0, 65537]), (1, [0, 0])],
+                             ids=["classes-above-u16", "one-class"])
+    def test_save_refuses_a_header_load_refuses(self, tmp_path, class_count, labels):
+        """The writer checks the same `HEADER_FIELDS` bounds as the reader, so
+        a label cannot wrap in the u16 cast and no unloadable file is left."""
+        ds = LabeledDataset(np.zeros((2, 1, 2, 2)), np.array(labels), class_count)
+        path = tmp_path / "refused.ltds"
+        with pytest.raises(ConfigError) as exc:
+            save_dataset(ds, str(path))
+        assert f"header field class_count = {class_count} is outside [2, 65536]" in str(exc.value)
+        assert not path.exists()
+
     def test_largest_class_count_loads(self, tmp_path):
         path = tmp_path / "wide.ltds"
         path.write_bytes(raw_dataset((2, 65536, 1, 1), [0.5, -0.5], [0, 65535]))
