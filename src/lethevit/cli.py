@@ -195,6 +195,20 @@ def _load_split(cfg: dict, train_path: str, test_path: str) -> data_mod.DataSpli
     return split
 
 
+def _load_checkpoint(path: str, dataset: data_mod.LabeledDataset) -> vit.ViTParams:
+    """Load a model checkpoint; one whose input or output shape does not
+    fit `dataset` is a usage error naming the path and the field."""
+    params = vit.load_params(path)
+    _, channels, size, _ = dataset.images.shape
+    for field, data_value in (("image_size", size), ("channels", channels),
+                              ("num_classes", dataset.class_count)):
+        model_value = getattr(params.config, field)
+        if model_value != data_value:
+            raise ConfigError(f"checkpoint {path} has {field} {model_value}, but the training "
+                              f"set has {data_value}")
+    return params
+
+
 def _mask_spec(cfg: dict) -> MaskSpec:
     try:
         mask_type = MaskType(cfg["mask_type"])
@@ -284,7 +298,7 @@ def cmd_unlearn(args, cfg: dict):
     else:
         if not args.original:
             raise ConfigError(f"method {args.method} requires --original CHECKPOINT")
-        original = vit.load_params(args.original)
+        original = _load_checkpoint(args.original, split.train)
         inputs.append(args.original)
         method = getattr(unlearning, _FROM_ORIGINAL[args.method])
         result = method(original, split, _unlearn_config(cfg), on_step=_phase_clock(phases))
@@ -309,11 +323,13 @@ def cmd_evaluate(args, cfg: dict):
     if "retrain" not in named:
         raise ConfigError("evaluate requires a checkpoint named 'retrain' as the reference")
 
+    models = {name: _load_checkpoint(named[name], split.train)  # the retrain row comes first
+              for name in ["retrain"] + [name for name in named if name != "retrain"]}
     rows, reports = [], {}
-    for name in ["retrain"] + [name for name in named if name != "retrain"]:
-        rep = reports[name] = evaluation.evaluate_model(vit.load_params(named[name]), split,
-                                                        method=name, seed=cfg["seed"])
-        gap = evaluation.average_gap(rep, reports["retrain"])  # the retrain row comes first
+    for name, params in models.items():
+        rep = reports[name] = evaluation.evaluate_model(params, split, method=name,
+                                                        seed=cfg["seed"])
+        gap = evaluation.average_gap(rep, reports["retrain"])
         rows.append(
             f"{name},{cfg['seed']},{rep.fa:.2f},{rep.ra:.2f},{rep.ta:.2f},{rep.mia:.2f},"
             f"{gap.d_fa:.2f},{gap.d_ra:.2f},{gap.d_ta:.2f},{gap.d_mia:.2f},{gap.ag:.2f}"
@@ -324,7 +340,7 @@ def cmd_evaluate(args, cfg: dict):
 
 def cmd_sweep_mask(args, cfg: dict):
     split = _load_split(cfg, args.data, args.test)
-    params = vit.load_params(args.checkpoint)
+    params = _load_checkpoint(args.checkpoint, split.train)
     try:
         ratios = [float(r) for r in cfg["ratios"].split(",") if r.strip()]
         types = [MaskType(t.strip()) for t in cfg["types"].split(",") if t.strip()]

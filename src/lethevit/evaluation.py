@@ -22,10 +22,10 @@ import numpy as np
 
 from .data import LabeledDataset
 from .errors import ContractError
-from .masking import MaskSpec, MaskType, class_token_attention, mask_from_scores
+from .masking import MaskSpec, MaskType, logits_and_scores, mask_from_scores
 from .masking import build_masked_view  # noqa: F401  unused; perfbench/layertrace.py wraps it
 from .tensor import per_sample_cross_entropy, stop_recording
-from .vit import ForwardOutput, ViTParams, forward
+from .vit import ViTParams, forward
 
 _EVAL_BATCH = 256
 
@@ -59,17 +59,11 @@ class GapReport:
     ag: float
 
 
-def _forward_chunks(params: ViTParams, images: np.ndarray,
-                    capture_attention: bool = False) -> list[ForwardOutput]:
-    """Forward in evaluation mode (no gradient recording), chunked."""
-    with stop_recording():
-        return [forward(params, images[start:start + _EVAL_BATCH], capture_attention)
-                for start in range(0, len(images), _EVAL_BATCH)]
-
-
 def batched_logits(params: ViTParams, images: np.ndarray) -> np.ndarray:
-    """Logits of `images` in evaluation mode, chunked."""
-    return np.concatenate([out.logits.values for out in _forward_chunks(params, images)], axis=0)
+    """Logits of `images` in evaluation mode (no gradient recording), chunked."""
+    with stop_recording():
+        return np.concatenate([forward(params, images[start:start + _EVAL_BATCH]).logits.values
+                               for start in range(0, len(images), _EVAL_BATCH)], axis=0)
 
 
 def _accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -173,13 +167,6 @@ class SweepRow:
     mia: float
 
 
-def _logits_and_scores(params: ViTParams, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unmasked logits and class-token attention scores from one forward."""
-    outputs = _forward_chunks(params, images, capture_attention=True)
-    return (np.concatenate([out.logits.values for out in outputs], axis=0),
-            np.concatenate([class_token_attention(out.last_attention) for out in outputs], axis=0))
-
-
 def masking_sweep(
     params: ViTParams,
     forget: LabeledDataset,
@@ -200,8 +187,8 @@ def masking_sweep(
     once and the threshold is fitted once.
     """
     member_losses = per_sample_losses(params, retain)
-    test_logits, test_scores = _logits_and_scores(params, test.images)
-    _, forget_scores = _logits_and_scores(params, forget.images)
+    test_logits, test_scores = logits_and_scores(params, test.images, _EVAL_BATCH)
+    _, forget_scores = logits_and_scores(params, forget.images, _EVAL_BATCH)
     threshold = fit_loss_threshold(member_losses,
                                    per_sample_cross_entropy(test_logits, test.labels))
     patch_size = params.config.patch_size

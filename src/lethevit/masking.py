@@ -71,6 +71,20 @@ def class_token_attention(attn: AttentionMap) -> np.ndarray:
     return attn.weights[:, :, 0, 1:].mean(axis=1)
 
 
+def logits_and_scores(params: ViTParams, images: np.ndarray,
+                      chunk: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unmasked logits [B, classes] and class-token attention scores
+    [B, N] of `images`, from one capture forward per `chunk` rows with
+    gradient recording suppressed."""
+    logits, scores = [], []
+    with stop_recording():
+        for start in range(0, len(images), chunk):
+            out = forward(params, images[start:start + chunk], capture_attention=True)
+            logits.append(out.logits.values)
+            scores.append(class_token_attention(out.last_attention))
+    return np.concatenate(logits, axis=0), np.concatenate(scores, axis=0)
+
+
 def select_top_k(scores: np.ndarray, ratio: float) -> np.ndarray:
     """Indices of the k = floor(ratio*N) largest scores per row.
 
@@ -105,24 +119,28 @@ def apply_mask(
         raise DimensionError(f"images must be [B, C, S, S], got {images.shape}")
     indices = np.asarray(indices, dtype=np.int64)
     b, c, s, _ = images.shape
+    if indices.ndim != 2 or len(indices) != b:
+        raise DimensionError(f"mask indices must be [{b}, k], got {indices.shape}")
     grid = s // patch_size
     n = grid * grid
     if indices.size and (indices.min() < 0 or indices.max() >= n):
         raise IndexError(f"patch index outside [0, {n}) in mask indices")
 
-    out = images.copy()
+    # pixel coordinates of every selected patch: rows [B, k, p, 1], cols [B, k, 1, p]
     p = patch_size
-    for i in range(b):
-        rng = None
-        if spec.mask_type is MaskType.GAUSSIAN:
-            rng = np.random.Generator(np.random.PCG64(seed + i))
-        for patch in indices[i]:
-            row, col = divmod(int(patch), grid)
-            r0, c0 = row * p, col * p
-            if spec.mask_type is MaskType.ZERO:
-                out[i, :, r0:r0 + p, c0:c0 + p] = 0.0
-            else:
-                out[i, :, r0:r0 + p, c0:c0 + p] = rng.normal(0.0, spec.gaussian_std, (c, p, p))
+    offsets = np.arange(p)
+    rows = (indices // grid * p)[:, :, None, None] + offsets[:, None]
+    cols = (indices % grid * p)[:, :, None, None] + offsets
+    out = images.copy()
+    pixels = out.transpose(0, 2, 3, 1)  # [B, S, S, C] view: a patch pixel holds all channels
+    if spec.mask_type is MaskType.ZERO:
+        pixels[np.arange(b)[:, None, None, None], rows, cols] = 0.0
+    else:
+        for i in range(b):
+            # one (k, c, p, p) draw is the stream of k successive (c, p, p) draws
+            noise = np.random.Generator(np.random.PCG64(seed + i)).normal(
+                0.0, spec.gaussian_std, (indices.shape[1], c, p, p))
+            pixels[i, rows[i], cols[i]] = noise.transpose(0, 2, 3, 1)
     return MaskedBatch(images=out, masked_indices=indices)
 
 

@@ -7,7 +7,11 @@ Every method is a sequence of plain SGD phases run by one loop,
   forget: for each forget batch, mask the images using the frozen
   original model's attention, then pull the current model's logits
   toward the original model's logits for the masked images and away
-  from its logits for the unmasked ones (`teacher_views`).
+  from its logits for the unmasked ones. The unmasked logits and the
+  attention depend on the image alone, so `frozen_teacher` computes
+  them once per forget image, in one capture pass before the first
+  step; a step then runs one forward of the original (the masked
+  images) and one tracked forward of the model being unlearned.
 
   retain: ordinary cross-entropy training on the retain set.
 
@@ -27,7 +31,7 @@ import numpy as np
 
 from .data import DataSplit, LabeledDataset
 from .errors import ConfigError, ContractError, DivergenceError, NonFiniteError, require_finite
-from .masking import MaskSpec, class_token_attention, mask_from_scores
+from .masking import MaskSpec, logits_and_scores, mask_from_scores
 from .masking import build_masked_view  # noqa: F401  unused; perfbench/layertrace.py wraps it
 from .tensor import (
     Tape,
@@ -101,16 +105,30 @@ class UnlearnConfig:
             raise ConfigError("learning_rate, temperature and batch_size must be positive")
 
 
-def teacher_views(original: ViTParams, images: np.ndarray, mask_spec: MaskSpec,
-                  mask_seed: int) -> tuple[Tensor, Tensor]:
-    """The frozen original's (positive, negative) logits in two forwards:
-    the unmasked one gives the attention that picks the masked patches
-    and the negative logits, the masked one the positive logits."""
-    with stop_recording():
-        plain = forward(original, images, capture_attention=True)
-        scores = class_token_attention(plain.last_attention)
-        masked = mask_from_scores(images, scores, mask_spec, original.config.patch_size, mask_seed)
-        return forward(original, masked.images).logits, plain.logits
+TeacherViews = Callable[[np.ndarray, int], tuple[Tensor, Tensor]]  # (batch, mask_seed)
+
+
+def frozen_teacher(original: ViTParams, images: np.ndarray, indices: np.ndarray,
+                   mask_spec: MaskSpec, chunk: int) -> TeacherViews:
+    """The frozen original as the teacher of `images[indices]` (distinct
+    indices). Its unmasked logits (the negatives) and the class-token
+    attention that picks the masked patches depend on the image alone,
+    so one capture pass of at most `chunk` rows per forward computes
+    them once. The returned `views(batch, mask_seed)` masks
+    `images[batch]` by those scores and runs the one forward that gives
+    the positive logits; it returns (positive, negative)."""
+    negatives, scores = logits_and_scores(original, images[indices], chunk)
+    row_of = np.zeros(len(images), dtype=np.int64)  # image index -> cached row
+    row_of[indices] = np.arange(len(indices))
+
+    def views(batch: np.ndarray, mask_seed: int) -> tuple[Tensor, Tensor]:
+        rows = row_of[batch]
+        masked = mask_from_scores(images[batch], scores[rows], mask_spec,
+                                  original.config.patch_size, mask_seed)
+        with stop_recording():
+            return forward(original, masked.images).logits, Tensor(negatives[rows])
+
+    return views
 
 
 def contrastive_loss(triplet: TripletLogits, temperature: float) -> Tensor:
@@ -244,13 +262,16 @@ def unlearn(original: ViTParams, split: DataSplit, config: UnlearnConfig, *,
     batches of both phases; each mask is seeded from (seed, epoch, step).
     """
     def run(theta: ViTParams, rng: np.random.Generator) -> None:
+        if config.forget_epochs and len(split.forget):  # only when a forget step will run
+            teacher = frozen_teacher(original, split.train.images, split.forget,
+                                     config.mask_spec, config.batch_size)
+
         def forget_loss(batch: np.ndarray, epoch: int, step: int) -> Tensor:
-            images = split.train.images[batch]
             mask_seed = int(
                 np.random.SeedSequence((config.seed, epoch, step)).generate_state(1, np.uint64)[0]
             )
-            positive, negative = teacher_views(original, images, config.mask_spec, mask_seed)
-            anchor = forward(theta, images).logits
+            positive, negative = teacher(batch, mask_seed)
+            anchor = forward(theta, split.train.images[batch]).logits
             return contrastive_loss(TripletLogits(anchor, positive, negative), config.temperature)
 
         _sgd_phase(theta, split.forget, config.forget_epochs, config, rng, "forget",
@@ -314,15 +335,18 @@ def triplet_cosine_stats(
     batch_size: int = 64,
 ) -> tuple[float, float]:
     """Batch-mean cosine of current-model logits to the original model's
-    masked (positive) and unmasked (negative) logits over `indices`."""
+    masked (positive) and unmasked (negative) logits over the distinct
+    `indices`, in batches of `batch_size` (each masked with `mask_seed`)."""
+    if len(indices) == 0:
+        raise ContractError("triplet cosine statistics need a nonempty index set")
+    teacher = frozen_teacher(original, dataset.images, indices, mask_spec, batch_size)
     sims_p: list[np.ndarray] = []
     sims_n: list[np.ndarray] = []
     with stop_recording():
         for start in range(0, len(indices), batch_size):
             batch = indices[start:start + batch_size]
-            images = dataset.images[batch]
-            positive, negative = teacher_views(original, images, mask_spec, mask_seed)
-            anchor = forward(current, images).logits
+            positive, negative = teacher(batch, mask_seed)
+            anchor = forward(current, dataset.images[batch]).logits
             sims_p.append(row_cosine(anchor, positive).values)
             sims_n.append(row_cosine(anchor, negative).values)
     return float(np.concatenate(sims_p).mean()), float(np.concatenate(sims_n).mean())

@@ -2,8 +2,8 @@
 the fine-grained reference compositions of the fused model ops, the
 `x.var` layer norm, the all-token ViT forward, the recompute-everything
 reference compositions of the evaluation, masking sweep and teacher
-paths, the per-method training loops the one SGD phase loop replaced,
-and a forward-call counter."""
+paths, the per-patch masking loop, the per-method training loops the
+one SGD phase loop replaced, and a forward-call counter."""
 
 import numpy as np
 
@@ -183,6 +183,25 @@ def reference_evaluate_model(params, split, method="", seed=0):
                                     method=method, seed=seed)
 
 
+def reference_apply_mask(images, indices, spec, patch_size, seed=0):
+    """`apply_mask` as the per-patch loop it replaced: one assignment and,
+    for a Gaussian mask, one `(c, p, p)` draw per selected patch."""
+    out = np.array(images, dtype=np.float64)
+    c, s = out.shape[1], out.shape[2]
+    grid = s // patch_size
+    p = patch_size
+    for i in range(len(out)):
+        rng = np.random.Generator(np.random.PCG64(seed + i))
+        for patch in indices[i]:
+            row, col = divmod(int(patch), grid)
+            r0, c0 = row * p, col * p
+            if spec.mask_type is masking.MaskType.ZERO:
+                out[i, :, r0:r0 + p, c0:c0 + p] = 0.0
+            else:
+                out[i, :, r0:r0 + p, c0:c0 + p] = rng.normal(0.0, spec.gaussian_std, (c, p, p))
+    return out
+
+
 def reference_build_masked_view(model, images, spec, seed=0):
     """Attention-guided masking as one unchunked capture forward."""
     with T.stop_recording():
@@ -211,14 +230,29 @@ def reference_masking_sweep(params, forget, retain, test, ratios, types,
 
 
 def reference_teacher_views(original, images, mask_spec, mask_seed):
-    """`teacher_views` as the 3-forward teacher it replaced: the masking
-    forward, then separate masked (positive) and unmasked (negative)
-    forwards."""
+    """The frozen teacher as the per-step 3-forward composition that
+    `frozen_teacher`'s capture-once cache replaced: the masking forward,
+    then separate masked (positive) and unmasked (negative) forwards,
+    all of one batch."""
     masked = reference_build_masked_view(original, images, mask_spec, seed=mask_seed)
     with T.stop_recording():
         positive = vit.forward(original, masked.images).logits
         negative = vit.forward(original, images).logits
     return positive, negative
+
+
+def reference_triplet_cosine_stats(current, original, dataset, indices, mask_spec,
+                                   mask_seed=0, batch_size=64):
+    """`triplet_cosine_stats` on the per-batch 3-forward teacher."""
+    sims_p, sims_n = [], []
+    for start in range(0, len(indices), batch_size):
+        images = dataset.images[indices[start:start + batch_size]]
+        positive, negative = reference_teacher_views(original, images, mask_spec, mask_seed)
+        with T.stop_recording():
+            anchor = vit.forward(current, images).logits
+        sims_p.append(T.row_cosine(anchor, positive).values)
+        sims_n.append(T.row_cosine(anchor, negative).values)
+    return float(np.concatenate(sims_p).mean()), float(np.concatenate(sims_n).mean())
 
 
 def _reference_batches(indices, batch_size, rng):
@@ -243,8 +277,8 @@ def reference_train_cross_entropy(params, dataset, indices, epochs, config, rng,
 
 
 def reference_forget_phase(theta, original, split, config, rng):
-    """`unlearn`'s hand-written phase-1 loop: the teacher views outside
-    the tape, the contrastive loss on it."""
+    """`unlearn`'s hand-written phase-1 loop: the per-step 3-forward
+    teacher outside the tape, the contrastive loss on it."""
     velocity = {}
     step = 0
     for epoch in range(config.forget_epochs):
@@ -253,8 +287,8 @@ def reference_forget_phase(theta, original, split, config, rng):
             mask_seed = int(
                 np.random.SeedSequence((config.seed, epoch, step)).generate_state(1, np.uint64)[0]
             )
-            positive, negative = unlearning.teacher_views(original, images, config.mask_spec,
-                                                          mask_seed)
+            positive, negative = reference_teacher_views(original, images, config.mask_spec,
+                                                         mask_seed)
             with Tape() as tape:
                 anchor = vit.forward(theta, images).logits
                 loss = unlearning.contrastive_loss(
@@ -302,16 +336,19 @@ def reference_from_original(method, original, split, config):
     return theta
 
 
-def count_forwards(monkeypatch):
+def count_forwards(monkeypatch, captured=None):
     """Route `forward` in every module that calls it through a counter;
     returns the list that receives (images, capture_attention, tracked)
-    per call."""
+    per call. A `captured` list receives the images of each capture
+    forward."""
     calls = []
     real = vit.forward
 
     def counted(params, images, capture_attention=False):
         out = real(params, images, capture_attention)
         calls.append((len(images), capture_attention, out.logits.requires_grad))
+        if capture_attention and captured is not None:
+            captured.append(np.array(images))
         return out
 
     for module in (evaluation, masking, unlearning):

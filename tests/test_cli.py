@@ -430,6 +430,69 @@ def test_empty_forget_or_retain_set_exits_2(checkpoints, tmp_path, capsys, comma
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def misfits(pipeline, tmp_path_factory):
+    """Datasets the pipeline's 2-class, 8-px, 1-channel model does not fit,
+    and a 3-class model that the pipeline's data does not fit."""
+    root = tmp_path_factory.mktemp("misfit")
+    data = {}
+    for name, keys in (("classes", ["classes=3"]), ("size", ["image_size=12"]),
+                       ("channels", ["channels=3"])):
+        assert run("gen-data", "--out-dir", str(root / name),
+                   *sets("seed=5", *TINY_KEYS, *keys)) == 0
+        data[name] = (str(root / name / "train.ltds"), str(root / name / "test.ltds"))
+    three_class = str(root / "three_class.ltvt")
+    assert run("train", "--data", data["classes"][0], "--out", three_class,
+               *sets("seed=5", "epochs=1", "lr=0.05", "batch=6", *MODEL_KEYS)) == 0
+    return data, three_class
+
+
+@pytest.mark.parametrize("case", ["unlearn-lethevit", "unlearn-ft", "evaluate-classes",
+                                  "evaluate-channels", "sweep-mask"])
+def test_checkpoint_not_fitting_dataset_exits_2(pipeline, misfits, tmp_path, capsys, case):
+    """A checkpoint whose image size, channel count or class count differs
+    from the training set's is a usage error naming the path, the field
+    and both values, before any training or forward (no output)."""
+    _, train_path, test_path, theta_o = pipeline
+    data, three_class = misfits
+    out = tmp_path / "out"
+    lr = sets("lr=0.05", "batch=6", "er=0")
+    argv, dataset, path, field, model_value, data_value = {
+        "unlearn-lethevit": (["unlearn", "--method", "lethevit", "--original", theta_o, *lr],
+                             data["classes"], theta_o, "num_classes", 2, 3),
+        "unlearn-ft": (["unlearn", "--method", "ft", "--original", theta_o, *lr],
+                       data["classes"], theta_o, "num_classes", 2, 3),
+        "evaluate-classes": (["evaluate", "--checkpoint", f"retrain={three_class}"],
+                             (train_path, test_path), three_class, "num_classes", 3, 2),
+        "evaluate-channels": (["evaluate", "--checkpoint", f"retrain={theta_o}"],
+                              data["channels"], theta_o, "channels", 1, 3),
+        "sweep-mask": (["sweep-mask", "--checkpoint", theta_o],
+                       data["size"], theta_o, "image_size", 8, 12),
+    }[case]
+    code = run(*argv, "--data", dataset[0], "--test", dataset[1], "--out", str(out),
+               *sets("seed=5", "forget_ratio=0.25"))
+    assert code == 2
+    assert capsys.readouterr().err == (f"error: checkpoint {path} has {field} {model_value}, "
+                                       f"but the training set has {data_value}\n")
+    assert not out.exists()
+
+
+def test_evaluate_checks_every_checkpoint_before_any_forward(pipeline, checkpoints, misfits,
+                                                              tmp_path, capsys, monkeypatch):
+    _, train_path, test_path, theta_o = pipeline
+    _, _, _, retrain_path, _ = checkpoints
+    _, three_class = misfits
+    evaluated = []
+    monkeypatch.setattr("lethevit.evaluation.evaluate_model",
+                        lambda *args, **kwargs: evaluated.append(args))
+    code = run("evaluate", "--data", train_path, "--test", test_path,
+               "--checkpoint", f"retrain={retrain_path}", "--checkpoint", f"big={three_class}",
+               "--out", str(tmp_path / "r.csv"), *sets("seed=5", "forget_ratio=0.25"))
+    assert code == 2
+    assert three_class in capsys.readouterr().err
+    assert evaluated == []
+
+
 def test_split_seed_below_minus_one_exits_2(pipeline, tmp_path, capsys):
     """Only -1 means "use seed"; another negative split seed is an error."""
     _, train_path, test_path, theta_o = pipeline

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lethevit.errors import ConfigError
+from lethevit.errors import ConfigError, DimensionError
 from lethevit.masking import (
     MaskSpec,
     MaskType,
@@ -18,6 +18,8 @@ from lethevit.masking import (
     select_top_k,
 )
 from lethevit.vit import AttentionMap, ViTConfig, forward, init_params
+
+from helpers import reference_apply_mask
 
 RNG = np.random.default_rng(77)
 
@@ -149,6 +151,27 @@ class TestApplyMask:
         spec = MaskSpec(0.25, MaskType.GAUSSIAN, gaussian_std=1.0)
         out = apply_mask(images, np.array([[0]]), spec, patch_size=4, seed=0)
         assert np.abs(out.images[0, 0, :4, :4]).max() < 50.0  # draws ~N(0,1), not 100+noise
+
+    @pytest.mark.parametrize("mask_type", [MaskType.ZERO, MaskType.GAUSSIAN])
+    @pytest.mark.parametrize("batch,channels", [(7, 1), (32, 3), (150, 1)])
+    def test_equals_per_patch_loop(self, mask_type, batch, channels):
+        """One assignment per sample (one for a whole zero-masked batch)
+        writes the bytes of the per-patch loop; a Gaussian mask's single
+        `(k, c, p, p)` draw is the stream of k `(c, p, p)` draws."""
+        rng = np.random.default_rng(batch * 10 + channels)
+        images = rng.normal(size=(batch, channels, 20, 20))
+        for ratio in (0.0, 0.1, 0.3, 1.0):
+            spec = MaskSpec(ratio, mask_type, gaussian_std=0.7)
+            indices = select_top_k(rng.random((batch, 25)), ratio)
+            got = apply_mask(images, indices, spec, patch_size=4, seed=17)
+            want = reference_apply_mask(images, indices, spec, patch_size=4, seed=17)
+            assert got.images.tobytes() == want.tobytes(), ratio
+
+    def test_index_rows_must_match_the_batch(self):
+        with pytest.raises(DimensionError):
+            apply_mask(self.IMAGES, np.array([[0], [1]]), MaskSpec(0.25), patch_size=4)
+        with pytest.raises(DimensionError):
+            apply_mask(self.IMAGES, np.array([0, 1, 2]), MaskSpec(0.25), patch_size=4)
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(IndexError):
