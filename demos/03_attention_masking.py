@@ -8,6 +8,7 @@ from lethevit import (
     MaskSpec, MaskType, TrainConfig, ViTConfig, build_masked_view,
     generate_toy_dataset, train_model,
 )
+from lethevit.masking import patch_count
 
 config = ViTConfig(image_size=20, patch_size=4, channels=1, depth=1,
                    heads=2, dim=16, mlp_ratio=2, num_classes=3)
@@ -20,7 +21,7 @@ spec = MaskSpec(ratio=0.2, mask_type=MaskType.ZERO)
 batch = data.images[:3]
 masked = build_masked_view(model, batch, spec)
 grid = config.image_size // config.patch_size
-k = spec.patch_count(config.num_patches)
+k = patch_count(spec.ratio, config.num_patches)
 print(f"masking ratio {spec.ratio} -> k = {k} of {config.num_patches} patches\n")
 
 p = config.patch_size

@@ -22,11 +22,9 @@ from .data import (
 from .evaluation import (
     GapReport,
     MetricsReport,
-    accuracy,
     average_gap,
     evaluate_model,
     masking_sweep,
-    mia_success_rate,
 )
 from .masking import MaskSpec, MaskType, MaskedBatch, build_masked_view
 from .tensor import Tape, Tensor, backward
@@ -61,7 +59,6 @@ __all__ = [
     "UnlearnConfig",
     "ViTConfig",
     "ViTParams",
-    "accuracy",
     "average_gap",
     "backward",
     "build_masked_view",
@@ -75,7 +72,6 @@ __all__ = [
     "load_dataset",
     "load_params",
     "masking_sweep",
-    "mia_success_rate",
     "random_labels",
     "retrain",
     "save_dataset",

@@ -184,10 +184,24 @@ def _train_config(cfg: dict, dataset: data_mod.LabeledDataset) -> unlearning.Tra
     )
 
 
+def _require_fit(kind: str, path: str, values, train: data_mod.LabeledDataset) -> None:
+    """A model or test set whose (image_size, channels, num_classes) `values`
+    differ from the training set's is a usage error naming the path, the
+    field and both values."""
+    _, channels, size, _ = train.images.shape
+    for field, value, train_value in zip(("image_size", "channels", "num_classes"), values,
+                                         (size, channels, train.class_count)):
+        if value != train_value:
+            raise ConfigError(f"{kind} {path} has {field} {value}, but the training "
+                              f"set has {train_value}")
+
+
 def _load_split(cfg: dict, train_path: str, test_path: str) -> data_mod.DataSplit:
     train = data_mod.load_dataset(train_path)
-    split = data_mod.split_random_forget(train, data_mod.load_dataset(test_path),
-                                         cfg["forget_ratio"], cfg["split_seed"])
+    test = data_mod.load_dataset(test_path)
+    _, channels, size, _ = test.images.shape
+    _require_fit("test set", test_path, (size, channels, test.class_count), train)
+    split = data_mod.split_random_forget(train, test, cfg["forget_ratio"], cfg["split_seed"])
     if len(split.forget) in (0, len(train)):
         raise ConfigError(f"forget_ratio {cfg['forget_ratio']} selects {len(split.forget)} of "
                           f"{len(train)} training images; the forget and retain sets must "
@@ -195,17 +209,10 @@ def _load_split(cfg: dict, train_path: str, test_path: str) -> data_mod.DataSpli
     return split
 
 
-def _load_checkpoint(path: str, dataset: data_mod.LabeledDataset) -> vit.ViTParams:
-    """Load a model checkpoint; one whose input or output shape does not
-    fit `dataset` is a usage error naming the path and the field."""
+def _load_checkpoint(path: str, train: data_mod.LabeledDataset) -> vit.ViTParams:
     params = vit.load_params(path)
-    _, channels, size, _ = dataset.images.shape
-    for field, data_value in (("image_size", size), ("channels", channels),
-                              ("num_classes", dataset.class_count)):
-        model_value = getattr(params.config, field)
-        if model_value != data_value:
-            raise ConfigError(f"checkpoint {path} has {field} {model_value}, but the training "
-                              f"set has {data_value}")
+    model = params.config
+    _require_fit("checkpoint", path, (model.image_size, model.channels, model.num_classes), train)
     return params
 
 

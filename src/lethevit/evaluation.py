@@ -8,9 +8,10 @@ test set (non-members), a single threshold maximizing balanced
 member/non-member accuracy is fitted on those two sets, and the attack
 score is the fraction of forget samples whose loss falls below it.
 
-Each forward runs once: `evaluate_model` takes accuracy and losses from
-one forward per set, and `masking_sweep` scores attention once per set
-and fits the attack threshold once.
+A model is scored through two entry points, each running a forward once:
+`evaluate_model` takes the FA/RA/TA accuracies and the attack's losses
+from one forward per set, and `masking_sweep` scores attention once per
+set and fits the attack threshold once.
 """
 
 from __future__ import annotations
@@ -71,15 +72,6 @@ def _accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     return 100.0 * float((predictions == labels).mean())
 
 
-def accuracy(params: ViTParams, dataset: LabeledDataset) -> float:
-    """Top-1 accuracy as a percentage; argmax ties pick the lowest class."""
-    return _accuracy(batched_logits(params, dataset.images), dataset.labels)
-
-
-def per_sample_losses(params: ViTParams, dataset: LabeledDataset) -> np.ndarray:
-    return per_sample_cross_entropy(batched_logits(params, dataset.images), dataset.labels)
-
-
 def fit_loss_threshold(member_losses: np.ndarray, nonmember_losses: np.ndarray) -> float:
     """Threshold maximizing balanced accuracy of `loss < t` => member.
 
@@ -123,20 +115,6 @@ def _mia_at(forget_losses: np.ndarray, threshold: float) -> float:
     if len(forget_losses) == 0:
         raise ContractError("MIA requires a nonempty forget set")
     return 100.0 * float((forget_losses < threshold).mean())
-
-
-def mia_success_rate(
-    params: ViTParams,
-    forget: LabeledDataset,
-    retain: LabeledDataset,
-    test: LabeledDataset,
-) -> float:
-    """Loss-threshold attack: members = retain set, non-members = test set."""
-    return mia_from_losses(
-        per_sample_losses(params, forget),
-        per_sample_losses(params, retain),
-        per_sample_losses(params, test),
-    )
 
 
 def evaluate_model(params: ViTParams, split, method: str = "", seed: int = 0) -> MetricsReport:
@@ -186,7 +164,7 @@ def masking_sweep(
     the threshold depend on the ratio or the type, so each set is scored
     once and the threshold is fitted once.
     """
-    member_losses = per_sample_losses(params, retain)
+    member_losses = per_sample_cross_entropy(batched_logits(params, retain.images), retain.labels)
     test_logits, test_scores = logits_and_scores(params, test.images, _EVAL_BATCH)
     _, forget_scores = logits_and_scores(params, forget.images, _EVAL_BATCH)
     threshold = fit_loss_threshold(member_losses,

@@ -44,9 +44,6 @@ class MaskSpec:
         if self.gaussian_std <= 0.0:
             raise ConfigError(f"gaussian_std must be positive, got {self.gaussian_std}")
 
-    def patch_count(self, num_patches: int) -> int:
-        return patch_count(self.ratio, num_patches)
-
 
 @dataclass
 class MaskedBatch:

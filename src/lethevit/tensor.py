@@ -4,7 +4,10 @@ The engine is deliberately small: a `Tensor` wraps an immutable float64
 numpy array, a `Tape` records differentiable operations in execution
 order, and `backward` replays the tape once in reverse. Operations run
 outside any active tape compute plain values and track no gradients,
-which is how frozen-model forwards are expressed.
+which is how frozen-model forwards are expressed. A process has one
+active tape: `with Tape()` makes a tape active and gives the outer one
+back on exit, and `stop_recording` clears it for its block. Ops are not
+to be recorded from two threads at once.
 
 Shapes are explicit everywhere; the only broadcasting is trailing-shape
 bias addition in `add` and the affine ops. Every operation validates
@@ -33,8 +36,8 @@ the program calls it once at start-up, never at import.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -125,66 +128,51 @@ class Tape:
 
     _records: list[_OpRecord] = field(default_factory=list)
     consumed: bool = False
+    _open = False  # inside its `with` block; a class attribute, not a field
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        global _active
+        if self._open:
+            raise ContractError("tape context entered while already open")
+        self._open, self._outer, _active = True, _active, self
         return self
 
     def __exit__(self, *exc) -> None:
-        stack = _tape_stack()
-        if not stack or stack[-1] is not self:
+        global _active
+        if _active is not self:
             raise ContractError("tape context exited out of order")
-        stack.pop()
+        self._open, _active = False, self._outer
 
     def __len__(self) -> int:
         return len(self._records)
 
-    def _record(self, inputs: tuple[Tensor, ...], output: Tensor, backward_fn) -> None:
-        if self.consumed:
-            raise ContractError("tape already consumed by a backward pass")
-        self._records.append(_OpRecord(inputs, output, backward_fn))
+
+# the tape ops record on: the innermost open `with Tape()`, or None
+_active: Optional[Tape] = None
 
 
-_LOCAL = threading.local()
-
-
-def _tape_stack() -> list[Tape]:
-    stack = getattr(_LOCAL, "tapes", None)
-    if stack is None:
-        stack = []
-        _LOCAL.tapes = stack
-    return stack
-
-
-def _active_tape() -> Optional[Tape]:
-    stack = _tape_stack()
-    return stack[-1] if stack else None
-
-
-class stop_recording:
-    """Context manager that hides any active tape from enclosed ops.
+@contextlib.contextmanager
+def stop_recording():
+    """Hide any active tape from enclosed ops.
 
     Forward passes of frozen models run inside this so they never
     record gradients, even when called mid-training.
     """
-
-    def __enter__(self):
-        self._saved = _tape_stack()[:]
-        _tape_stack().clear()
-        return self
-
-    def __exit__(self, *exc):
-        stack = _tape_stack()
-        stack.clear()
-        stack.extend(self._saved)
+    global _active
+    saved, _active = _active, None
+    try:
+        yield
+    finally:
+        _active = saved
 
 
 def _result(inputs: tuple[Tensor, ...], out_values: np.ndarray, backward_fn) -> Tensor:
-    tape = _active_tape()
-    tracked = tape is not None and any(t.requires_grad for t in inputs)
+    tracked = _active is not None and any(t.requires_grad for t in inputs)
     out = Tensor(out_values, requires_grad=tracked, _leaf=False)
     if tracked:
-        tape._record(inputs, out, backward_fn)
+        if _active.consumed:
+            raise ContractError("tape already consumed by a backward pass")
+        _active._records.append(_OpRecord(inputs, out, backward_fn))
     return out
 
 

@@ -61,16 +61,16 @@ class ViTConfig:
     num_classes: int = 3
 
     def __post_init__(self):
+        for name in ("image_size", "patch_size", "channels", "depth", "heads", "dim",
+                     "mlp_ratio", "num_classes"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if self.image_size % self.patch_size != 0:
             raise ConfigError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"
             )
         if self.dim % self.heads != 0:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
-        for name in ("image_size", "patch_size", "channels", "depth", "heads", "dim",
-                     "mlp_ratio", "num_classes"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
 
     @property
     def num_patches(self) -> int:
@@ -229,8 +229,6 @@ def patchify(images: np.ndarray, config: ViTConfig) -> np.ndarray:
             f"image shape {images.shape[1:]} does not match config "
             f"({config.channels}, {config.image_size}, {config.image_size})"
         )
-    if s % config.patch_size != 0:
-        raise ConfigError(f"image size {s} not divisible by patch size {config.patch_size}")
     p = config.patch_size
     g = s // p
     patches = images.reshape(b, c, g, p, g, p)

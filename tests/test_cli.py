@@ -117,6 +117,15 @@ class TestTrain:
         assert code == 2
         assert "epochs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["patch_size", "heads"])
+    def test_zero_divisor_key_exits_2_naming_it(self, pipeline, tmp_path, capsys, key):
+        """A zero patch_size or heads is a usage error, not a division by zero."""
+        _, train_path, _, _ = pipeline
+        code = run("train", "--data", train_path, "--out", str(tmp_path / "x.ltvt"),
+                   *sets("seed=5", "epochs=1", "lr=0.05", "batch=6", *MODEL_KEYS, f"{key}=0"))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {key} must be >= 1\n"
+
     def test_deterministic_checkpoint_bytes(self, pipeline, tmp_path):
         _, train_path, _, theta_o = pipeline
         again = tmp_path / "again.ltvt"
@@ -474,6 +483,39 @@ def test_checkpoint_not_fitting_dataset_exits_2(pipeline, misfits, tmp_path, cap
     assert code == 2
     assert capsys.readouterr().err == (f"error: checkpoint {path} has {field} {model_value}, "
                                        f"but the training set has {data_value}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case, misfit, field, test_value, train_value", [
+    ("evaluate", "classes", "num_classes", 3, 2),
+    ("evaluate", "size", "image_size", 12, 8),
+    ("sweep-mask", "size", "image_size", 12, 8),
+    ("unlearn-ft", "classes", "num_classes", 3, 2),
+    ("unlearn-lethevit", "size", "image_size", 12, 8),
+    ("unlearn-retrain", "channels", "channels", 3, 1),
+])
+def test_test_set_not_fitting_training_set_exits_2(pipeline, misfits, tmp_path, capsys, case,
+                                                   misfit, field, test_value, train_value):
+    """A --test set whose image size, channel count or class count differs
+    from the training set's is a usage error naming the path, the field
+    and both values, before any training or forward (no output)."""
+    _, train_path, _, theta_o = pipeline
+    test_path = misfits[0][misfit][1]
+    out = tmp_path / "out"
+    sgd = sets("lr=0.05", "batch=6", "er=1")
+    argv = {
+        "evaluate": ["evaluate", "--checkpoint", f"retrain={theta_o}"],
+        "sweep-mask": ["sweep-mask", "--checkpoint", theta_o],
+        "unlearn-ft": ["unlearn", "--method", "ft", "--original", theta_o, *sgd],
+        "unlearn-lethevit": ["unlearn", "--method", "lethevit", "--original", theta_o, *sgd],
+        "unlearn-retrain": ["unlearn", "--method", "retrain", *sgd,
+                            *sets("epochs=1", *MODEL_KEYS)],
+    }[case]
+    code = run(*argv, "--data", train_path, "--test", test_path, "--out", str(out),
+               *sets("seed=5", "forget_ratio=0.25"))
+    assert code == 2
+    assert capsys.readouterr().err == (f"error: test set {test_path} has {field} {test_value}, "
+                                       f"but the training set has {train_value}\n")
     assert not out.exists()
 
 

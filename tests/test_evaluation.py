@@ -15,14 +15,11 @@ from lethevit.data import LabeledDataset, generate_toy_dataset, split_random_for
 from lethevit.errors import ContractError
 from lethevit.evaluation import (
     MetricsReport,
-    accuracy,
     average_gap,
     evaluate_model,
     fit_loss_threshold,
     masking_sweep,
     mia_from_losses,
-    mia_success_rate,
-    per_sample_losses,
 )
 from lethevit.masking import MaskType
 from lethevit.unlearning import TrainConfig, train_model
@@ -58,6 +55,12 @@ def dataset_with_labels(labels):
     labels = np.asarray(labels, dtype=np.int64)
     images = np.random.default_rng(0).normal(size=(len(labels), 1, 8, 8))
     return LabeledDataset(images, labels, class_count=3)
+
+
+def accuracy(params, dataset):
+    """Top-1 accuracy of one set, as `evaluate_model` computes it per set."""
+    return evaluation._accuracy(evaluation.batched_logits(params, dataset.images),
+                                dataset.labels)
 
 
 class TestAccuracy:
@@ -251,11 +254,10 @@ class TestMaskingSweep:
         forget, retain = split.forget_set(), split.retain_set()
         rows = masking_sweep(params, forget, retain, test, [0.0],
                              [MaskType.ZERO, MaskType.GAUSSIAN], seed=4)
-        plain_ta = accuracy(params, test)
-        plain_mia = mia_success_rate(params, forget, retain, test)
+        plain = evaluate_model(params, split)
         for row in rows:
-            assert row.ta == plain_ta
-            assert row.mia == plain_mia
+            assert row.ta == plain.ta
+            assert row.mia == plain.mia
 
     def test_row_count_and_order(self, world):
         params, split, test = world

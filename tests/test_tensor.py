@@ -284,6 +284,48 @@ class TestBackward:
         backward(loss, tape)
         assert x.grad is not None
 
+    def test_nested_tape_records_only_inner_then_outer_again(self):
+        x = Tensor([[1.0]], requires_grad=True)
+        with Tape() as outer:
+            matmul(x, x)
+            with Tape() as inner:
+                inner_out = matmul(x, x)
+                sum_all(inner_out)
+            after = matmul(x, x)
+        assert len(inner) == 2
+        assert len(outer) == 2  # one matmul before the inner tape, one after
+        assert inner_out.requires_grad and after.requires_grad
+        assert not matmul(x, x).requires_grad  # no tape left open
+
+    def test_stop_recording_restores_tape_when_body_raises(self):
+        x = Tensor([[1.0]], requires_grad=True)
+        with Tape() as tape:
+            with pytest.raises(RuntimeError):
+                with stop_recording():
+                    raise RuntimeError("body failed")
+            matmul(x, x)
+        assert len(tape) == 1
+
+    def test_out_of_order_exit_raises(self):
+        outer, inner = Tape(), Tape()
+        outer.__enter__()
+        inner.__enter__()
+        with pytest.raises(ContractError):
+            outer.__exit__(None, None, None)
+        inner.__exit__(None, None, None)
+        outer.__exit__(None, None, None)
+        assert not matmul(Tensor([[1.0]], requires_grad=True),
+                          Tensor([[1.0]])).requires_grad
+
+    def test_entering_an_open_tape_raises(self):
+        x = Tensor([[1.0]], requires_grad=True)
+        with Tape() as tape:
+            with pytest.raises(ContractError):
+                tape.__enter__()
+            matmul(x, x)
+        assert len(tape) == 1
+        assert not matmul(x, x).requires_grad
+
 
 class TestRemainingOpGradients:
     """Finite-difference oracle for each op not covered above."""

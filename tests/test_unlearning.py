@@ -12,9 +12,19 @@ from lethevit.errors import (
     DivergenceError,
     NonFiniteError,
 )
-from lethevit.evaluation import per_sample_losses
+from lethevit.evaluation import batched_logits
 from lethevit.masking import MaskSpec, MaskType, build_masked_view
-from lethevit.tensor import Tape, Tensor, add, backward, mean_all, scale, softplus, stop_recording
+from lethevit.tensor import (
+    Tape,
+    Tensor,
+    add,
+    backward,
+    mean_all,
+    per_sample_cross_entropy,
+    scale,
+    softplus,
+    stop_recording,
+)
 from lethevit import unlearning
 from lethevit.unlearning import (
     TrainConfig,
@@ -55,6 +65,12 @@ def tiny_world():
                          batch_size=12, seed=500, momentum=0.9)
     theta_o = train_model(train, config)
     return train, test, split, config, theta_o
+
+
+def mean_loss(params, dataset):
+    """Mean per-sample cross-entropy of `params` on `dataset`."""
+    return per_sample_cross_entropy(batched_logits(params, dataset.images),
+                                    dataset.labels).mean()
 
 
 def _triplet(anchor_rows, positive_rows, negative_rows, tracked=True):
@@ -353,10 +369,10 @@ class TestFineTune:
     def test_retain_loss_non_increasing_over_first_epoch(self, tiny_world):
         train, test, split, config, theta_o = tiny_world
         retain = train.subset(split.retain)
-        before = per_sample_losses(theta_o, retain).mean()
+        before = mean_loss(theta_o, retain)
         cfg = UnlearnConfig(forget_epochs=0, retain_epochs=1, learning_rate=0.005,
                             batch_size=8, mask_spec=MaskSpec(0.25), seed=5)
-        after = per_sample_losses(fine_tune(theta_o, split, cfg), retain).mean()
+        after = mean_loss(fine_tune(theta_o, split, cfg), retain)
         assert after <= before
 
 
@@ -379,10 +395,10 @@ class TestGradientAscent:
     def test_forget_loss_increases_after_small_step(self, tiny_world):
         train, test, split, config, theta_o = tiny_world
         forget = train.subset(split.forget)
-        before = per_sample_losses(theta_o, forget).mean()
+        before = mean_loss(theta_o, forget)
         cfg = UnlearnConfig(forget_epochs=1, retain_epochs=0, learning_rate=0.01,
                             batch_size=len(split.forget), mask_spec=MaskSpec(0.25), seed=2)
-        after = per_sample_losses(gradient_ascent(theta_o, split, cfg), forget).mean()
+        after = mean_loss(gradient_ascent(theta_o, split, cfg), forget)
         assert after > before
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
