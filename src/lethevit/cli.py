@@ -13,7 +13,7 @@ Configuration comes from flat key=value files; any key can be
 overridden on the command line with repeated `--set key=value` flags
 (flags win). The manifest is one JSON line in `manifests.jsonl` beside
 the main output: the resolved configuration, input and output checksums,
-wall time and environment (versions, BLAS, threads, heap policy);
+wall time and environment (versions, BLAS, threads, heap, pool size);
 `train` and `unlearn` add per-phase wall time and step counts.
 
 Exit codes: 0 success, 1 runtime failure (divergence, bad file), 2
@@ -36,7 +36,7 @@ import scipy
 from . import data as data_mod
 from . import evaluation, unlearning, vit
 from .errors import ConfigError, FormatError, LetheError
-from .masking import MaskSpec, MaskType
+from .masking import MaskSpec, MaskType, pool_size
 from .tensor import heap_policy, keep_heap
 
 # methods that start from --original -> `unlearning` function name, looked
@@ -153,7 +153,7 @@ def _write_manifest(out_path: str, command: str, config: dict, started: float,
                 "scipy": scipy.__version__,
                 "blas": {"name": blas.get("name"), "version": blas.get("version")},
                 "threads": {var: os.environ.get(var) for var in _THREAD_VARS},
-                "heap": heap_policy()},
+                "heap": heap_policy(), "pool_workers": pool_size()},
         **extra,
     }
     directory = os.path.dirname(os.path.abspath(out_path))

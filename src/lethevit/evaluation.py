@@ -11,7 +11,8 @@ score is the fraction of forget samples whose loss falls below it.
 A model is scored through two entry points, each running a forward once:
 `evaluate_model` takes the FA/RA/TA accuracies and the attack's losses
 from one forward per set, and `masking_sweep` scores attention once per
-set and fits the attack threshold once.
+set and fits the attack threshold once. Every forward runs in 64-row
+chunks on `masking.forward_chunks`'s thread pool.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ import numpy as np
 
 from .data import LabeledDataset
 from .errors import ContractError
-from .masking import MaskSpec, MaskType, logits_and_scores, mask_from_scores
+from .masking import MaskSpec, MaskType, forward_chunks, mask_from_scores
 from .masking import build_masked_view  # noqa: F401  unused; perfbench/layertrace.py wraps it
-from .tensor import per_sample_cross_entropy, stop_recording
-from .vit import ViTParams, forward
+from .tensor import per_sample_cross_entropy
+from .vit import ViTParams, forward  # noqa: F401  forward unused; perfbench/layertrace.py wraps it
 
-_EVAL_BATCH = 256
+_EVAL_BATCH = 64  # a multiple of 4 dividing 256: rows keep their batch-256 bytes
 
 
 @dataclass
@@ -62,9 +63,7 @@ class GapReport:
 
 def batched_logits(params: ViTParams, images: np.ndarray) -> np.ndarray:
     """Logits of `images` in evaluation mode (no gradient recording), chunked."""
-    with stop_recording():
-        return np.concatenate([forward(params, images[start:start + _EVAL_BATCH]).logits.values
-                               for start in range(0, len(images), _EVAL_BATCH)], axis=0)
+    return forward_chunks(params, [images], _EVAL_BATCH)[0][0]
 
 
 def _accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -121,7 +120,7 @@ def evaluate_model(params: ViTParams, split, method: str = "", seed: int = 0) ->
     """Full FA / RA / TA / MIA report for one model on one split; one
     forward per set gives both its accuracy and its per-sample losses."""
     sets = (split.forget_set(), split.retain_set(), split.test)
-    logits = [batched_logits(params, dataset.images) for dataset in sets]
+    logits = [z for [z] in forward_chunks(params, [d.images for d in sets], _EVAL_BATCH)]
     fa, ra, ta = (_accuracy(z, dataset.labels) for z, dataset in zip(logits, sets))
     losses = [per_sample_cross_entropy(z, dataset.labels) for z, dataset in zip(logits, sets)]
     return MetricsReport(fa=fa, ra=ra, ta=ta, mia=mia_from_losses(*losses),
@@ -165,8 +164,8 @@ def masking_sweep(
     once and the threshold is fitted once.
     """
     member_losses = per_sample_cross_entropy(batched_logits(params, retain.images), retain.labels)
-    test_logits, test_scores = logits_and_scores(params, test.images, _EVAL_BATCH)
-    _, forget_scores = logits_and_scores(params, forget.images, _EVAL_BATCH)
+    [test_logits, test_scores], [_, forget_scores] = forward_chunks(
+        params, [test.images, forget.images], _EVAL_BATCH, capture_attention=True)
     threshold = fit_loss_threshold(member_losses,
                                    per_sample_cross_entropy(test_logits, test.labels))
     patch_size = params.config.patch_size
@@ -175,11 +174,11 @@ def masking_sweep(
         for mask_type in types:
             spec = MaskSpec(ratio=ratio, mask_type=mask_type, gaussian_std=gaussian_std)
             masked_test = mask_from_scores(test.images, test_scores, spec, patch_size, seed)
-            ta = _accuracy(batched_logits(params, masked_test.images), test.labels)
             masked_forget = mask_from_scores(forget.images, forget_scores, spec, patch_size, seed)
-            forget_losses = per_sample_cross_entropy(
-                batched_logits(params, masked_forget.images), forget.labels
-            )
+            [test_z], [forget_z] = forward_chunks(
+                params, [masked_test.images, masked_forget.images], _EVAL_BATCH)
+            ta = _accuracy(test_z, test.labels)
+            forget_losses = per_sample_cross_entropy(forget_z, forget.labels)
             rows.append(SweepRow(ratio=ratio, mask_type=mask_type.value, ta=ta,
                                  mia=_mia_at(forget_losses, threshold)))
     return rows

@@ -4,12 +4,19 @@ The frozen original model scores every patch by the attention its class
 token pays to it (mean over heads, final block), the top fraction of
 patches is selected, and the corresponding image pixels are replaced by
 zeros or Gaussian noise.
+`forward_chunks` runs every untracked, chunked forward of the package
+on a thread pool (numpy's kernels release the GIL), with each chunk's
+serial arithmetic and the results in chunk order: the same bytes.
 """
 
 from __future__ import annotations
 
 import enum
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
+from typing import Sequence
 
 import numpy as np
 
@@ -68,18 +75,31 @@ def class_token_attention(attn: AttentionMap) -> np.ndarray:
     return attn.weights[:, :, 0, 1:].mean(axis=1)
 
 
-def logits_and_scores(params: ViTParams, images: np.ndarray,
-                      chunk: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unmasked logits [B, classes] and class-token attention scores
-    [B, N] of `images`, from one capture forward per `chunk` rows with
-    gradient recording suppressed."""
-    logits, scores = [], []
-    with stop_recording():
-        for start in range(0, len(images), chunk):
-            out = forward(params, images[start:start + chunk], capture_attention=True)
-            logits.append(out.logits.values)
-            scores.append(class_token_attention(out.last_attention))
-    return np.concatenate(logits, axis=0), np.concatenate(scores, axis=0)
+def pool_size() -> int:
+    """The CPUs this process may run on: the most workers a chunk map uses."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def forward_chunks(params: ViTParams, sets: Sequence[np.ndarray], chunk: int,
+                   capture_attention: bool = False) -> list[list[np.ndarray]]:
+    """Per array in `sets`, its logits [B, classes] and, when capturing,
+    its class-token attention scores [B, N], from one untracked forward
+    per `chunk` rows. The chunks run on min(`pool_size()`, chunks)
+    threads while the caller blocks with no tape active; an error in a
+    chunk is raised as the serial loop would have raised it."""
+    jobs = [(images, start) for images in sets for start in range(0, len(images), chunk)]
+
+    def run(job: tuple[np.ndarray, int]) -> list[np.ndarray]:
+        images, start = job
+        out = forward(params, images[start:start + chunk], capture_attention=capture_attention)
+        return [out.logits.values] + ([class_token_attention(out.last_attention)]
+                                      if capture_attention else [])
+
+    with stop_recording(), ThreadPoolExecutor(max(1, min(pool_size(), len(jobs)))) as pool:
+        results = iter(list(pool.map(run, jobs)))  # chunk order; joined before the tape returns
+    return [[np.concatenate(parts, axis=0) for parts in zip(*islice(results, -(-len(s) // chunk)))]
+            for s in sets]
 
 
 def select_top_k(scores: np.ndarray, ratio: float) -> np.ndarray:

@@ -6,8 +6,8 @@ order, and `backward` replays the tape once in reverse. Operations run
 outside any active tape compute plain values and track no gradients,
 which is how frozen-model forwards are expressed. A process has one
 active tape: `with Tape()` makes a tape active and gives the outer one
-back on exit, and `stop_recording` clears it for its block. Ops are not
-to be recorded from two threads at once.
+back on exit, and `stop_recording` clears it for its block. Ops may run
+on several threads only while no tape is active.
 
 Shapes are explicit everywhere; the only broadcasting is trailing-shape
 bias addition in `add` and the affine ops. Every operation validates
@@ -224,8 +224,9 @@ def backward(loss: Tensor, tape: Tape) -> None:
 # glibc mallopt(3) parameter numbers and the values keep_heap sets.
 # Every array the engine makes is under 3.5 MB; 32 MiB is glibc's
 # largest mmap threshold on 64-bit hosts, so all of them come from the
-# heap.
-_HEAP_SETTINGS = {"M_MMAP_THRESHOLD": (-3, 32 << 20), "M_TRIM_THRESHOLD": (-1, 256 << 20)}
+# heap. One arena lets pool workers reuse the main heap's freed pages.
+_HEAP_SETTINGS = {"M_MMAP_THRESHOLD": (-3, 32 << 20), "M_TRIM_THRESHOLD": (-1, 256 << 20),
+                  "M_ARENA_MAX": (-8, 1)}
 
 _heap_applied: Optional[dict[str, int]] = None
 
@@ -237,8 +238,8 @@ def keep_heap() -> Optional[dict[str, int]]:
     frees them all at once. Under glibc's default policy the freed top
     of the heap goes back to the OS and large arrays get fresh `mmap`s,
     so every step faults in megabytes of new pages. Raising the mmap and
-    trim thresholds lets numpy reuse warm heap pages instead. No value
-    changes, only where it lives.
+    trim thresholds and keeping one arena for all threads lets numpy
+    reuse warm heap pages instead. No value changes, only where it lives.
 
     Returns the applied settings, or None where libc has no `mallopt`
     (macOS, musl, Windows) or rejects a value; then nothing is applied.

@@ -31,7 +31,7 @@ import numpy as np
 
 from .data import DataSplit, LabeledDataset
 from .errors import ConfigError, ContractError, DivergenceError, NonFiniteError, require_finite
-from .masking import MaskSpec, logits_and_scores, mask_from_scores
+from .masking import MaskSpec, forward_chunks, mask_from_scores
 from .masking import build_masked_view  # noqa: F401  unused; perfbench/layertrace.py wraps it
 from .tensor import (
     Tape,
@@ -117,7 +117,7 @@ def frozen_teacher(original: ViTParams, images: np.ndarray, indices: np.ndarray,
     them once. The returned `views(batch, mask_seed)` masks
     `images[batch]` by those scores and runs the one forward that gives
     the positive logits; it returns (positive, negative)."""
-    negatives, scores = logits_and_scores(original, images[indices], chunk)
+    [[negatives, scores]] = forward_chunks(original, [images[indices]], chunk, True)
     row_of = np.zeros(len(images), dtype=np.int64)  # image index -> cached row
     row_of[indices] = np.arange(len(indices))
 

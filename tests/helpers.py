@@ -3,7 +3,8 @@ the fine-grained reference compositions of the fused model ops, the
 `x.var` layer norm, the all-token ViT forward, the recompute-everything
 reference compositions of the evaluation, masking sweep and teacher
 paths, the per-patch masking loop, the per-method training loops the
-one SGD phase loop replaced, and a forward-call counter."""
+one SGD phase loop replaced, and a forward-call counter with a sorter
+for the chunks it logs from a thread pool."""
 
 import numpy as np
 
@@ -354,3 +355,11 @@ def count_forwards(monkeypatch, captured=None):
     for module in (evaluation, masking, unlearning):
         monkeypatch.setattr(module, "forward", counted)
     return calls
+
+
+def in_set_order(chunks, images):
+    """Image chunks a pool logged in completion order, sorted by where
+    each starts in `images`."""
+    def start(chunk):
+        return int(np.flatnonzero((images == chunk[0]).all(axis=(1, 2, 3)))[0])
+    return sorted(chunks, key=start)

@@ -12,6 +12,7 @@ import pytest
 from lethevit.checkpoint import load_arrays, save_arrays
 from lethevit.cli import build_parser, main
 from lethevit.data import load_dataset
+from lethevit.masking import pool_size
 from lethevit.tensor import keep_heap
 
 from test_checkpoint import HOSTILE_DIMS, write_raw_checkpoint
@@ -584,7 +585,7 @@ class TestSweepMask:
 def test_every_manifest_records_environment(pipeline, checkpoints, tmp_path):
     """Checkpoint bytes depend on the BLAS thread count, so every
     command's manifest records versions, BLAS and thread settings, and
-    the heap policy the command ran under."""
+    the heap policy and forward-pool size the command ran under."""
     _, train_path, test_path, theta_o = pipeline
     _, _, _, retrain_path, _ = checkpoints
     data = ["--data", train_path, "--test", test_path]
@@ -603,9 +604,11 @@ def test_every_manifest_records_environment(pipeline, checkpoints, tmp_path):
         "gen-data", "train", "unlearn", "evaluate", "sweep-mask"]
     for entry in entries:
         env = entry["env"]
-        assert set(env) == {"python", "numpy", "scipy", "blas", "threads", "heap"}
+        assert set(env) == {"python", "numpy", "scipy", "blas", "threads", "heap",
+                            "pool_workers"}
         assert env["numpy"] == np.__version__
         assert env["heap"] == keep_heap()  # the settings, or None off glibc
+        assert env["pool_workers"] == pool_size() >= 1
         assert set(env["blas"]) == {"name", "version"}
         assert set(env["threads"]) == {
             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}

@@ -27,6 +27,7 @@ from lethevit.vit import ViTConfig, init_params
 
 from helpers import (
     count_forwards,
+    in_set_order,
     reference_evaluate_model,
     reference_fit_loss_threshold,
     reference_masking_sweep,
@@ -269,8 +270,8 @@ class TestMaskingSweep:
 
 @pytest.fixture(scope="module")
 def trained_world():
-    """A briefly trained model and a split whose retain set spans two
-    256-image evaluation chunks."""
+    """A briefly trained model and a split whose retain set spans five
+    64-image evaluation chunks, the last one partial."""
     train = generate_toy_dataset(3, 100, 8, seed=310)
     test = generate_toy_dataset(3, 10, 8, seed=311)
     split = split_random_forget(train, test, 0.1, seed=310)
@@ -280,7 +281,7 @@ def trained_world():
 
 
 def _chunks(dataset):
-    return -(-len(dataset) // 256)
+    return -(-len(dataset) // 64)
 
 
 class TestComputeOnce:
@@ -307,7 +308,7 @@ class TestComputeOnce:
         calls = count_forwards(monkeypatch)
         evaluate_model(params, split)
         sets = (split.forget_set(), split.retain_set(), split.test)
-        assert _chunks(split.retain_set()) == 2
+        assert _chunks(split.retain_set()) == 5
         assert len(calls) == sum(_chunks(s) for s in sets)
         assert sum(n for n, _, _ in calls) == sum(len(s) for s in sets)
         assert not any(capture or tracked for _, capture, tracked in calls)
@@ -315,11 +316,13 @@ class TestComputeOnce:
     def test_masking_sweep_scores_each_set_once(self, trained_world, monkeypatch):
         params, split = trained_world
         forget, retain, test = split.forget_set(), split.retain_set(), split.test
-        calls = count_forwards(monkeypatch)
+        captured = []
+        calls = count_forwards(monkeypatch, captured)
         masking_sweep(params, forget, retain, test, self.RATIOS, self.TYPES)
         pairs = len(self.RATIOS) * len(self.TYPES)
-        captures = [n for n, capture, _ in calls if capture]
-        assert captures == [len(test), len(forget)]
+        scored = np.concatenate([test.images, forget.images])
+        assert len(captured) == _chunks(test) + _chunks(forget)
+        np.testing.assert_array_equal(np.concatenate(in_set_order(captured, scored)), scored)
         assert len(calls) == (_chunks(retain) + _chunks(test) + _chunks(forget)
                               + pairs * (_chunks(test) + _chunks(forget)))
         assert not any(tracked for _, _, tracked in calls)

@@ -60,6 +60,14 @@ print(json.dumps({"heap": heap, "sha256": digest.hexdigest()}))
 """
 
 
+def test_policy_keeps_one_arena():
+    """Pool workers allocate from the main heap, not arenas of their own."""
+    heap = keep_heap()
+    if heap is None:
+        pytest.skip("libc has no mallopt")
+    assert heap["M_ARENA_MAX"] == 1
+
+
 def test_parameters_do_not_depend_on_heap_policy():
     """Determinism contract: at a fixed BLAS thread count the float64
     parameters are the same with and without the policy, and importing

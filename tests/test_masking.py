@@ -1,22 +1,28 @@
 """Masking tests: class-token attention scores, top-k selection against
-a sort-based oracle, pixel replacement semantics, and the composed
-masked view against an independent brute-force recomputation."""
+a sort-based oracle, pixel replacement semantics, the composed masked
+view against an independent brute-force recomputation, and the thread
+pool that runs chunked forwards."""
+
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lethevit.errors import ConfigError, DimensionError
+from lethevit import tensor
+from lethevit.errors import ConfigError, DimensionError, NonFiniteError
 from lethevit.masking import (
     MaskSpec,
     MaskType,
     apply_mask,
     build_masked_view,
     class_token_attention,
+    forward_chunks,
     patch_count,
     select_top_k,
 )
+from lethevit.tensor import Tape, stop_recording
 from lethevit.vit import AttentionMap, ViTConfig, forward, init_params
 
 from helpers import reference_apply_mask
@@ -222,3 +228,51 @@ class TestBuildMaskedView:
         b = build_masked_view(params, images, MaskSpec(0.25))
         np.testing.assert_array_equal(a.images, b.images)
         np.testing.assert_array_equal(a.masked_indices, b.masked_indices)
+
+
+class TestForwardChunks:
+    """Chunks run on a pool: serial-loop results and errors, no tape
+    records, and no thread left behind."""
+
+    def _serial(self, params, images, chunk, capture):
+        logits, scores = [], []
+        with stop_recording():
+            for start in range(0, len(images), chunk):
+                out = forward(params, images[start:start + chunk], capture_attention=capture)
+                logits.append(out.logits.values)
+                if capture:
+                    scores.append(class_token_attention(out.last_attention))
+        return [np.concatenate(logits)] + ([np.concatenate(scores)] if capture else [])
+
+    @pytest.mark.parametrize("capture", [False, True])
+    def test_equals_serial_loop_per_set(self, capture):
+        params = init_params(TINY, seed=8)
+        sets = [RNG.normal(size=(n, 1, 8, 8)) for n in (10, 3, 8)]
+        got = forward_chunks(params, sets, 4, capture_attention=capture)
+        assert len(got) == len(sets)
+        for arrays, images in zip(got, sets):
+            for a, b in zip(arrays, self._serial(params, images, 4, capture), strict=True):
+                assert a.tobytes() == b.tobytes()
+
+    def test_open_tape_records_nothing_and_stays_active(self):
+        params = init_params(TINY, seed=8)
+        with Tape() as tape:
+            forward_chunks(params, [RNG.normal(size=(12, 1, 8, 8))], 4, capture_attention=True)
+            assert len(tape) == 0
+            assert tensor._active is tape
+            forward(params, RNG.normal(size=(2, 1, 8, 8)))
+            assert len(tape) > 0
+
+    def test_error_in_a_middle_chunk_is_the_serial_error(self):
+        params = init_params(TINY, seed=8)
+        images = RNG.normal(size=(12, 1, 8, 8))
+        images[5, 0, 1, 2] = np.nan  # chunk 2 of 3
+        with pytest.raises(NonFiniteError) as serial:
+            self._serial(params, images, 4, False)
+        threads = threading.active_count()
+        with pytest.raises(NonFiniteError) as pooled:
+            forward_chunks(params, [images], 4)
+        assert str(pooled.value) == str(serial.value)
+        assert threading.active_count() == threads
+        forward_chunks(params, [images[:4], images[8:]], 4)
+        assert threading.active_count() == threads
