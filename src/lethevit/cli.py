@@ -35,7 +35,7 @@ import scipy
 
 from . import data as data_mod
 from . import evaluation, unlearning, vit
-from .errors import ConfigError, FormatError, LetheError
+from .errors import ConfigError, FormatError, LetheError, require_seed
 from .masking import MaskSpec, MaskType, pool_size
 from .tensor import heap_policy, keep_heap
 
@@ -110,18 +110,11 @@ def _resolve_config(args, needed: dict) -> dict:
                 resolved[key] = kind(raw[key])
             except ValueError:
                 raise ConfigError(f"config key {key} expects {kind.__name__}, got {raw[key]!r}")
-        elif key == "seed" and os.environ.get("LETHE_SEED"):
-            env_seed = os.environ["LETHE_SEED"]
-            try:
-                resolved[key] = int(env_seed)
-            except ValueError:
-                raise ConfigError(f"LETHE_SEED expects int, got {env_seed!r}") from None
         elif default is None:
             raise ConfigError(f"missing config key: {key}")
         else:
             resolved[key] = default
-    if resolved.get("seed", 0) < 0:  # the PCG64 generators take no negative seed
-        raise ConfigError(f"seed must be >= 0, got {resolved['seed']}")
+    require_seed(resolved.get("seed", 0))
     if resolved.get("split_seed", -1) < -1:
         raise ConfigError(f"split_seed must be >= 0, or -1 for seed, "
                           f"got {resolved['split_seed']}")
@@ -376,7 +369,7 @@ def cmd_report(args, cfg: None) -> None:
         for line_no, raw in enumerate(f, 1):
             try:
                 entry = json.loads(raw)  # ValueError: not JSON, or not UTF-8
-            except ValueError:
+            except (ValueError, RecursionError):  # RecursionError: nested too deeply
                 entry = None
             if not isinstance(entry, dict):
                 raise FormatError(f"{path}:{line_no}: manifest line is not a JSON object", offset)
@@ -386,7 +379,7 @@ def cmd_report(args, cfg: None) -> None:
                     f"{entry.get('command')},{entry.get('method', '')},{entry.get('seed')},"
                     f"{entry.get('duration_seconds', 0.0):.2f},{outputs}"
                 )
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):  # OverflowError: int beyond float
                 raise FormatError(f"{path}:{line_no}: manifest line has a malformed "
                                   "'outputs' or 'duration_seconds'", offset) from None
             offset += len(raw)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import Reader, write_container
-from .errors import ConfigError, ContractError, DimensionError, FormatError
+from .errors import ConfigError, ContractError, DimensionError, FormatError, require_seed
 
 MAGIC = b"LTDS"
 
@@ -54,6 +54,8 @@ class LabeledDataset:
             )
         if len(self.images) < 1:
             raise ContractError("dataset must contain at least one sample")
+        if self.labels.dtype.kind not in "iu":
+            raise ConfigError(f"labels must be integers, got dtype {self.labels.dtype}")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.class_count):
             raise ConfigError(f"labels outside [0, {self.class_count})")
 
@@ -63,6 +65,19 @@ class LabeledDataset:
     def subset(self, indices: np.ndarray) -> "LabeledDataset":
         indices = np.asarray(indices, dtype=np.int64)
         return LabeledDataset(self.images[indices], self.labels[indices], self.class_count)
+
+
+def _indices(name: str, values, n: int) -> np.ndarray:
+    """`values` as int64 indices into a set of `n` images; anything that is
+    not a 1-D array of integers in [0, n) is a ConfigError naming `name`."""
+    raw = np.asarray(values)
+    if raw.ndim != 1 or (raw.size and raw.dtype.kind not in "iu"):
+        raise ConfigError(f"{name} indices must be a 1-D integer array, "
+                          f"got dtype {raw.dtype} and shape {raw.shape}")
+    if raw.size and (raw.min() < 0 or raw.max() >= n):
+        bad = raw[(raw < 0) | (raw >= n)][0]
+        raise ConfigError(f"{name} index {bad} outside [0, {n})")
+    return raw.astype(np.int64)
 
 
 @dataclass
@@ -75,9 +90,9 @@ class DataSplit:
     test: LabeledDataset
 
     def __post_init__(self):
-        forget = np.asarray(self.forget, dtype=np.int64)
-        retain = np.asarray(self.retain, dtype=np.int64)
         n = len(self.train)
+        forget = _indices("forget", self.forget, n)
+        retain = _indices("retain", self.retain, n)
         combined = np.concatenate([forget, retain])
         if len(np.intersect1d(forget, retain)) != 0:
             raise ConfigError("forget and retain sets overlap")
@@ -99,6 +114,7 @@ def split_random_forget(
     """Draw floor(ratio * n) forget indices uniformly without replacement."""
     if not 0.0 < ratio < 1.0:
         raise ConfigError(f"forget ratio must be in (0, 1), got {ratio}")
+    require_seed(seed)
     n = len(train)
     k = int(np.floor(ratio * n + 1e-9))
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -131,8 +147,10 @@ def generate_toy_dataset(
     """
     if class_count < 2:
         raise ConfigError(f"need at least 2 classes, got {class_count}")
-    if samples_per_class < 1 or image_size < MARK_SIZE:
-        raise ConfigError("samples_per_class must be >= 1 and image_size >= mark size")
+    if samples_per_class < 1 or image_size <= MARK_SIZE:  # the mark draws need hi > lo
+        raise ConfigError(f"samples_per_class must be >= 1 and image_size > {MARK_SIZE} "
+                          "(the mark size)")
+    require_seed(seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     n = class_count * samples_per_class
     images = np.empty((n, channels, image_size, image_size), dtype=np.float64)

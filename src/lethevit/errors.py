@@ -26,6 +26,13 @@ def require_finite(config) -> None:
             raise ConfigError(f"{type(config).__name__}.{f.name} must be finite, got {value}")
 
 
+def require_seed(seed: int, name: str = "seed") -> None:
+    """Raise ConfigError naming `name` when `seed` is negative: numpy's
+    PCG64 generators take no negative seed."""
+    if seed < 0:
+        raise ConfigError(f"{name} must be >= 0, got {seed}")
+
+
 class DimensionError(LetheError):
     """Tensor shapes incompatible with the requested operation."""
 

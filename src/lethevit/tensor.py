@@ -685,7 +685,6 @@ def attention(
     probs.setflags(write=False)
     merged = merge(probs @ vh).reshape((b, d) if class_only else (b, t, d))
     out = merged @ wo.values + bo.values
-    need_x = x.requires_grad
 
     def bwd(g: np.ndarray):
         g_merged, g_wo, g_bo = _affine_backward(merged, wo.values, g)
@@ -695,14 +694,11 @@ def attention(
         g_scores = _softmax_backward(g_probs, probs) * factor
         g_qh = g_scores @ np.swapaxes(kt, -1, -2)
         g_kt = np.swapaxes(qh, -1, -2) @ g_scores
-        gx_v, g_wv, g_bv = _affine_backward(xv, wv.values, merge(g_vh), need_x)
-        gx_k, g_wk, g_bk = _affine_backward(
-            xv, wk.values, merge(g_kt.transpose(0, 1, 3, 2)), need_x)
-        gx_q, g_wq, g_bq = _affine_backward(xq, wq.values, merge(g_qh), need_x)
-        gx = None
-        if need_x:  # for all-token queries, the order the tape summed the branches in
-            gx = gx_v + gx_k
-            gx[:, :nq] += gx_q
+        gx_v, g_wv, g_bv = _affine_backward(xv, wv.values, merge(g_vh))
+        gx_k, g_wk, g_bk = _affine_backward(xv, wk.values, merge(g_kt.transpose(0, 1, 3, 2)))
+        gx_q, g_wq, g_bq = _affine_backward(xq, wq.values, merge(g_qh))
+        gx = gx_v + gx_k  # for all-token queries, the order the tape summed the branches in
+        gx[:, :nq] += gx_q
         return gx, g_wq, g_bq, g_wk, g_bk, g_wv, g_bv, g_wo, g_bo
 
     return _result((x, wq, bq, wk, bk, wv, bv, wo, bo), out, bwd), probs
@@ -716,12 +712,11 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     pre = xv @ w1.values + b1.values
     hidden, cdf = _gelu(pre)
     out = hidden @ w2.values + b2.values
-    need_x = x.requires_grad
 
     def bwd(g: np.ndarray):
         g_hidden, g_w2, g_b2 = _affine_backward(hidden, w2.values, g)
         g_pre = _gelu_backward(g_hidden, pre, cdf)
-        gx, g_w1, g_b1 = _affine_backward(xv, w1.values, g_pre, need_x)
+        gx, g_w1, g_b1 = _affine_backward(xv, w1.values, g_pre)
         return gx, g_w1, g_b1, g_w2, g_b2
 
     return _result((x, w1, b1, w2, b2), out, bwd)

@@ -1,16 +1,20 @@
 """End-to-end CLI tests on a miniature pipeline: exit codes, manifests,
 CSV contracts, and byte-identical reruns."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lethevit.checkpoint import load_arrays, save_arrays
-from lethevit.cli import build_parser, main
+from lethevit.cli import _KEY_SPECS, build_parser, main
 from lethevit.data import load_dataset
 from lethevit.masking import pool_size
 from lethevit.tensor import keep_heap
@@ -63,25 +67,16 @@ class TestGenData:
         assert train_path in entries[0]["outputs"]
         assert entries[0]["duration_seconds"] >= 0.0
 
-    def test_missing_seed_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("LETHE_SEED", raising=False)
+    def test_missing_seed_exits_2(self, tmp_path, capsys):
         code = run("gen-data", "--out-dir", str(tmp_path), *sets(*TINY_KEYS))
         assert code == 2
         assert "seed" in capsys.readouterr().err
 
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LETHE_SEED", "9")
-        code = run("gen-data", "--out-dir", str(tmp_path), *sets(*TINY_KEYS))
-        assert code == 0
-
-    @pytest.mark.parametrize("env_seed,flags,message", [
-        ("abc", [], "LETHE_SEED expects int, got 'abc'"),
-        ("-5", [], "seed must be >= 0, got -5"),
-        ("", ["seed=-1"], "seed must be >= 0, got -1"),
-    ], ids=["env-not-int", "env-negative", "flag-negative"])
-    def test_bad_seed_exits_2_naming_it(self, tmp_path, capsys, monkeypatch,
-                                        env_seed, flags, message):
-        monkeypatch.setenv("LETHE_SEED", env_seed)
+    @pytest.mark.parametrize("flags,message", [
+        (["seed=abc"], "config key seed expects int, got 'abc'"),
+        (["seed=-5"], "seed must be >= 0, got -5"),
+    ], ids=["flag-not-int", "flag-negative"])
+    def test_bad_seed_exits_2_naming_it(self, tmp_path, capsys, flags, message):
         code = run("gen-data", "--out-dir", str(tmp_path), *sets(*flags, *TINY_KEYS))
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -693,8 +688,9 @@ class TestReport:
 
     @pytest.mark.parametrize("bad_line", [
         b"{not json", b"[1, 2]", b'"text"', b"\xff\xfe", b'{"duration_seconds": "slow"}',
-        b'{"outputs": 3}',
-    ], ids=["not-json", "array", "string", "bad-utf8", "text-duration", "number-outputs"])
+        b'{"outputs": 3}', b'{"duration_seconds": 1' + b"0" * 400 + b"}", b"[" * 100_000,
+    ], ids=["not-json", "array", "string", "bad-utf8", "text-duration", "number-outputs",
+            "duration-beyond-float", "nested-too-deeply"])
     def test_malformed_line_exits_1_naming_it(self, tmp_path, capsys, bad_line):
         good = b'{"command": "train", "seed": 1, "duration_seconds": 0.5, "outputs": {}}\n'
         path = tmp_path / "manifests.jsonl"
@@ -714,3 +710,63 @@ class TestWriteDiscipline:
         assert run("gen-data", "--out-dir", str(out_dir), *sets("seed=3", *TINY_KEYS)) == 0
         produced = {p.name for p in tmp_path.iterdir()}
         assert produced == {"only_here"}
+
+
+# a --config file: random bytes, or lines of known keys with random values
+CONFIG_LINE = st.builds("{}={}".format, st.sampled_from(sorted(_KEY_SPECS)), st.text(max_size=12))
+CONFIG_FILE = st.binary(max_size=200) | st.lists(CONFIG_LINE, max_size=8).map(
+    lambda lines: "\n".join(lines).encode())
+
+# a manifests.jsonl line: random bytes, or a JSON object with any values
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=3),
+    max_leaves=6)
+MANIFEST_KEY = st.sampled_from(["command", "method", "seed", "duration_seconds", "outputs"])
+MANIFEST_LINE = st.binary(max_size=60).map(lambda b: b.replace(b"\n", b"")) | st.dictionaries(
+    MANIFEST_KEY | st.text(max_size=8), JSON_VALUE, max_size=5).map(
+    lambda entry: json.dumps(entry).encode())
+
+
+def run_quietly(*argv):
+    """`main(argv)`'s exit code and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run(*argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestFuzzedInputs:
+    """Random input never ends in a traceback: the CLI exits 1 or 2 with
+    an `error:` line."""
+
+    @given(content=CONFIG_FILE)
+    @settings(max_examples=200, deadline=None)
+    def test_random_config_file_exits_1_or_2(self, fuzz_dir, content):
+        cfg = fuzz_dir / "fuzzed.cfg"
+        cfg.write_bytes(content)
+        missing = str(fuzz_dir / "missing.ltds")  # a config that resolves fails here, exit 1
+        code, err = run_quietly("unlearn", "--method", "retrain", "--data", missing,
+                                "--test", missing, "--out", str(fuzz_dir / "x.ltvt"),
+                                "--config", str(cfg))
+        assert code in (1, 2)
+        assert err.startswith("error: ")
+
+    @given(lines=st.lists(MANIFEST_LINE, min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_random_manifest_lines_report_or_exit_1(self, fuzz_dir, lines):
+        path = fuzz_dir / "manifests.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        code, err = run_quietly("report", "--manifests", str(path),
+                                "--out", str(fuzz_dir / "report.csv"))
+        if code == 0:
+            assert err == ""
+        else:
+            assert code == 1
+            assert err.startswith(f"error: {path}:")

@@ -1,7 +1,11 @@
 """The one container reader behind checkpoints and datasets, driven by
 damaged copies of a small model checkpoint and a small dataset: every
 proper prefix is a truncation at its own length, and every single-byte
-change loads or raises a LetheError, never another exception."""
+change, and every set of changes to the bytes outside the payloads,
+loads or raises a LetheError, never another exception."""
+
+import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +57,44 @@ def test_any_single_byte_change_loads_or_raises_lethe_error(files, kind, data, f
     raw, path = files[kind]
     damaged = bytearray(raw)
     damaged[data.draw(st.integers(0, len(raw) - 1), label="at")] ^= flip
+    path.write_bytes(bytes(damaged))
+    try:
+        LOADERS[kind](str(path))
+    except LetheError:
+        pass
+
+
+def header_offsets(kind, raw):
+    """The offsets of every byte outside the payloads: magic, version, the
+    format header, each checkpoint entry's descriptor and the checksum."""
+    if kind == "ltds":
+        return [*range(24), *range(len(raw) - 8, len(raw))]
+    offsets = list(range(12))
+    at = 12
+    for _ in range(struct.unpack_from("<I", raw, 8)[0]):
+        name_len, = struct.unpack_from("<H", raw, at)
+        rank = raw[at + 2 + name_len]
+        dims = struct.unpack_from(f"<{rank}I", raw, at + 3 + name_len)
+        descriptor = 3 + name_len + 4 * rank
+        offsets += range(at, at + descriptor)
+        at += descriptor + 4 * math.prod(dims)
+    assert at == len(raw) - 8
+    return offsets + list(range(at, len(raw)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_any_header_bytes_changed_load_or_raise_lethe_error(files, kind, data):
+    """Two to eight bytes outside the payloads overwritten at once, so
+    lengths, counts and dims disagree with each other in every way."""
+    raw, path = files[kind]
+    offsets = header_offsets(kind, raw)
+    writes = data.draw(st.lists(st.tuples(st.sampled_from(offsets), st.integers(0, 255)),
+                                min_size=2, max_size=8), label="writes")
+    damaged = bytearray(raw)
+    for at, value in writes:
+        damaged[at] = value
     path.write_bytes(bytes(damaged))
     try:
         LOADERS[kind](str(path))

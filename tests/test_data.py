@@ -1,6 +1,7 @@
 """Dataset tests: generator structure and determinism, split partition
 properties, and the LTDS persistence format."""
 
+import re
 import struct
 
 import numpy as np
@@ -99,6 +100,13 @@ class TestToyGenerator:
         with pytest.raises(ConfigError):
             generate_toy_dataset(1, 10, 16, seed=0)
 
+    def test_image_no_larger_than_a_mark_rejected(self):
+        """At image_size 3 a mark has no position to be drawn from, and
+        numpy's "low >= high" ValueError is not a LetheError."""
+        with pytest.raises(ConfigError, match="image_size > 3"):
+            generate_toy_dataset(2, 1, 3, seed=0)
+        assert generate_toy_dataset(2, 1, 4, seed=0).images.shape == (2, 1, 4, 4)
+
 
 class TestSplit:
     def test_floor_arithmetic(self):
@@ -129,6 +137,22 @@ class TestSplit:
         train, test = small_dataset(), small_dataset(seed=9)
         with pytest.raises(ConfigError):
             DataSplit(train, np.array([0]), np.arange(2, len(train)), test)
+
+    def test_float_labels_rejected(self):
+        with pytest.raises(ConfigError, match="labels must be integers, got dtype float64"):
+            LabeledDataset(np.zeros((2, 1, 4, 4)), np.array([0.5, 1.0]), class_count=2)
+
+    @pytest.mark.parametrize("forget, message", [
+        ([5], "forget index 5 outside [0, 3)"),
+        ([-1], "forget index -1 outside [0, 3)"),
+        ([0.5, 1.0], "forget indices must be a 1-D integer array, got dtype float64"),
+    ], ids=["past-the-end", "negative", "float"])
+    def test_bad_forget_indices_rejected_naming_the_array(self, forget, message):
+        """Unchecked, an index past the end fails later, in `forget_set`, a
+        negative one stands for another image, and floats are truncated."""
+        train = LabeledDataset(np.zeros((3, 1, 4, 4)), np.array([0, 1, 0]), class_count=2)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            DataSplit(train, np.array(forget), np.array([0, 1]), train)
 
     @given(st.integers(2, 200), st.floats(0.01, 0.99), st.integers(0, 2**63 - 1))
     @settings(max_examples=1000, deadline=None)

@@ -337,6 +337,18 @@ class TestOnePhaseLoop:
             fine_tune(theta_o, no_retain, self.CFG)
 
 
+@pytest.mark.parametrize("call", [
+    lambda ds: train_model(ds, TrainConfig(model=TINY, epochs=1, seed=-1)),
+    lambda ds: UnlearnConfig(seed=-1),
+    lambda ds: split_random_forget(ds, ds, 0.25, seed=-1),
+    lambda ds: generate_toy_dataset(3, 2, 8, seed=-1),
+], ids=["train_model", "UnlearnConfig", "split_random_forget", "generate_toy_dataset"])
+def test_negative_seed_is_a_config_error(call):
+    """numpy's PCG64 raises its own ValueError for a negative seed."""
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        call(generate_toy_dataset(3, 4, 8, seed=0))
+
+
 class TestRetrain:
     def test_loader_never_touches_forget(self, tiny_world):
         train, test, split, config, theta_o = tiny_world
