@@ -250,6 +250,15 @@ def _phase_clock(phases: dict):
     return on_step
 
 
+def _csv_field(value) -> str:
+    """`value` as one CSV field: quoted, with each `"` doubled, only when
+    it holds a `,`, a `"` or a line break; otherwise its text unchanged."""
+    text = f"{value}"
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _write_csv(path: Optional[str], header: str, rows) -> None:
     """Write the header and rows as CSV lines to `path`, or to stdout without one."""
     text = "\n".join([header, *rows]) + "\n"
@@ -375,10 +384,10 @@ def cmd_report(args, cfg: None) -> None:
                 raise FormatError(f"{path}:{line_no}: manifest line is not a JSON object", offset)
             try:
                 outputs = ";".join(sorted(entry.get("outputs", {})))
-                rows.append(
-                    f"{entry.get('command')},{entry.get('method', '')},{entry.get('seed')},"
-                    f"{entry.get('duration_seconds', 0.0):.2f},{outputs}"
-                )
+                duration = f"{entry.get('duration_seconds', 0.0):.2f}"
+                rows.append(",".join(map(_csv_field, (
+                    entry.get("command"), entry.get("method", ""), entry.get("seed"),
+                    duration, outputs))))
             except (TypeError, ValueError, OverflowError):  # OverflowError: int beyond float
                 raise FormatError(f"{path}:{line_no}: manifest line has a malformed "
                                   "'outputs' or 'duration_seconds'", offset) from None

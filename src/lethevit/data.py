@@ -150,10 +150,18 @@ def generate_toy_dataset(
     if samples_per_class < 1 or image_size <= MARK_SIZE:  # the mark draws need hi > lo
         raise ConfigError(f"samples_per_class must be >= 1 and image_size > {MARK_SIZE} "
                           "(the mark size)")
+    if channels < 1:
+        raise ConfigError(f"channels must be >= 1, got {channels}")
     require_seed(seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     n = class_count * samples_per_class
-    images = np.empty((n, channels, image_size, image_size), dtype=np.float64)
+    try:
+        images = np.empty((n, channels, image_size, image_size), dtype=np.float64)
+    except (MemoryError, ValueError):  # ValueError: numpy's "array is too big"
+        raise ConfigError(
+            f"class_count {class_count} x samples_per_class {samples_per_class} x channels "
+            f"{channels} x image_size {image_size}^2 float64 images need "
+            f"{n * channels * image_size ** 2 * 8} bytes, which cannot be allocated") from None
     labels = np.empty(n, dtype=np.int64)
     patterns = [_class_pattern(c, class_count, image_size) for c in range(class_count)]
     lo = MARK_SIZE // 2

@@ -12,7 +12,9 @@ A model is scored through two entry points, each running a forward once:
 `evaluate_model` takes the FA/RA/TA accuracies and the attack's losses
 from one forward per set, and `masking_sweep` scores attention once per
 set and fits the attack threshold once. Every forward runs in 64-row
-chunks on `masking.forward_chunks`'s thread pool.
+chunks on `masking.forward_chunks`'s thread pool. The sweep's masked
+sets of every setting go through one such call, whose workers mask
+each chunk; a setting that masks no patch runs no forward at all.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .data import LabeledDataset
 from .errors import ContractError
-from .masking import MaskSpec, MaskType, forward_chunks, mask_from_scores
+from .masking import MaskedSet, MaskSpec, MaskType, forward_chunks, patch_count
 from .masking import build_masked_view  # noqa: F401  unused; perfbench/layertrace.py wraps it
 from .tensor import per_sample_cross_entropy
 from .vit import ViTParams, forward  # noqa: F401  forward unused; perfbench/layertrace.py wraps it
@@ -161,24 +163,34 @@ def masking_sweep(
     the attack's input losses; the attack threshold itself is fitted on
     the unmasked retain and test sets. Neither the attention scores nor
     the threshold depend on the ratio or the type, so each set is scored
-    once and the threshold is fitted once.
+    once and the threshold is fitted once. Every `MaskSpec` is built, and
+    so validated, before the first forward. A setting that masks no
+    patch (floor(ratio * N) = 0) reuses the unmasked logits of the
+    scoring pass; every other setting's masked test and forget sets run
+    in one `forward_chunks` call, which masks them chunk by chunk.
     """
+    specs = [MaskSpec(ratio=ratio, mask_type=mask_type, gaussian_std=gaussian_std)
+             for ratio in ratios for mask_type in types]
     member_losses = per_sample_cross_entropy(batched_logits(params, retain.images), retain.labels)
-    [test_logits, test_scores], [_, forget_scores] = forward_chunks(
+    [test_logits, test_scores], [forget_logits, forget_scores] = forward_chunks(
         params, [test.images, forget.images], _EVAL_BATCH, capture_attention=True)
     threshold = fit_loss_threshold(member_losses,
                                    per_sample_cross_entropy(test_logits, test.labels))
-    patch_size = params.config.patch_size
+    needs_forward = [patch_count(spec.ratio, test_scores.shape[1]) > 0 for spec in specs]
+    masked = iter(forward_chunks(
+        params, [MaskedSet(images, scores, spec, seed)
+                 for spec, forwards in zip(specs, needs_forward) if forwards
+                 for images, scores in ((test.images, test_scores),
+                                        (forget.images, forget_scores))],
+        _EVAL_BATCH))
     rows = []
-    for ratio in ratios:
-        for mask_type in types:
-            spec = MaskSpec(ratio=ratio, mask_type=mask_type, gaussian_std=gaussian_std)
-            masked_test = mask_from_scores(test.images, test_scores, spec, patch_size, seed)
-            masked_forget = mask_from_scores(forget.images, forget_scores, spec, patch_size, seed)
-            [test_z], [forget_z] = forward_chunks(
-                params, [masked_test.images, masked_forget.images], _EVAL_BATCH)
-            ta = _accuracy(test_z, test.labels)
-            forget_losses = per_sample_cross_entropy(forget_z, forget.labels)
-            rows.append(SweepRow(ratio=ratio, mask_type=mask_type.value, ta=ta,
-                                 mia=_mia_at(forget_losses, threshold)))
+    for spec, forwards in zip(specs, needs_forward):
+        if forwards:
+            [test_z], [forget_z] = next(masked), next(masked)
+        else:  # masking no patch copies the images, so their logits are the scoring pass's
+            test_z, forget_z = test_logits, forget_logits
+        forget_losses = per_sample_cross_entropy(forget_z, forget.labels)
+        rows.append(SweepRow(ratio=spec.ratio, mask_type=spec.mask_type.value,
+                             ta=_accuracy(test_z, test.labels),
+                             mia=_mia_at(forget_losses, threshold)))
     return rows

@@ -6,7 +6,10 @@ patches is selected, and the corresponding image pixels are replaced by
 zeros or Gaussian noise.
 `forward_chunks` runs every untracked, chunked forward of the package
 on a thread pool (numpy's kernels release the GIL), with each chunk's
-serial arithmetic and the results in chunk order: the same bytes.
+serial arithmetic and the results in chunk order: the same bytes. A set
+may be a `MaskedSet`, which the workers mask chunk by chunk just before
+the forward, so a masked set never exists whole and its masking runs on
+the pool too.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -81,25 +84,47 @@ def pool_size() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def forward_chunks(params: ViTParams, sets: Sequence[np.ndarray], chunk: int,
-                   capture_attention: bool = False) -> list[list[np.ndarray]]:
-    """Per array in `sets`, its logits [B, classes] and, when capturing,
-    its class-token attention scores [B, N], from one untracked forward
-    per `chunk` rows. The chunks run on min(`pool_size()`, chunks)
-    threads while the caller blocks with no tape active; an error in a
-    chunk is raised as the serial loop would have raised it."""
-    jobs = [(images, start) for images in sets for start in range(0, len(images), chunk)]
+class MaskedSet(NamedTuple):
+    """`images` masked by `mask_from_scores(images, scores, spec,
+    patch_size, seed)`, as a set `forward_chunks` masks chunk by chunk."""
 
-    def run(job: tuple[np.ndarray, int]) -> list[np.ndarray]:
-        images, start = job
-        out = forward(params, images[start:start + chunk], capture_attention=capture_attention)
+    images: np.ndarray
+    scores: np.ndarray  # [B, N] class-token attention of `images`
+    spec: MaskSpec
+    seed: int = 0
+
+
+def forward_chunks(params: ViTParams, sets: Sequence[np.ndarray | MaskedSet], chunk: int,
+                   capture_attention: bool = False) -> list[list[np.ndarray]]:
+    """Per set in `sets`, its logits [B, classes] and, when capturing,
+    its class-token attention scores [B, N], from one untracked forward
+    per `chunk` rows. A `MaskedSet` is masked by the workers, each chunk
+    just before its forward, the chunk from row `start` seeded
+    `seed + start`; as `apply_mask` seeds row i with `seed + i`, these
+    are the rows of masking the whole set at once, but only the chunks
+    in flight exist masked. The chunks run on min(`pool_size()`, chunks) threads while
+    the caller blocks with no tape active; an error in a chunk is raised
+    as the serial loop would have raised it."""
+    rows = [len(s.images if isinstance(s, MaskedSet) else s) for s in sets]
+    jobs = [(s, start) for s, n in zip(sets, rows) for start in range(0, n, chunk)]
+    patch_size = params.config.patch_size
+
+    def run(job: tuple[np.ndarray | MaskedSet, int]) -> list[np.ndarray]:
+        s, start = job
+        stop = start + chunk
+        if isinstance(s, MaskedSet):
+            images = mask_from_scores(s.images[start:stop], s.scores[start:stop], s.spec,
+                                      patch_size, s.seed + start).images
+        else:
+            images = s[start:stop]
+        out = forward(params, images, capture_attention=capture_attention)
         return [out.logits.values] + ([class_token_attention(out.last_attention)]
                                       if capture_attention else [])
 
     with stop_recording(), ThreadPoolExecutor(max(1, min(pool_size(), len(jobs)))) as pool:
         results = iter(list(pool.map(run, jobs)))  # chunk order; joined before the tape returns
-    return [[np.concatenate(parts, axis=0) for parts in zip(*islice(results, -(-len(s) // chunk)))]
-            for s in sets]
+    return [[np.concatenate(parts, axis=0) for parts in zip(*islice(results, -(-n // chunk)))]
+            for n in rows]
 
 
 def select_top_k(scores: np.ndarray, ratio: float) -> np.ndarray:

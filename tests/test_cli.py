@@ -2,6 +2,7 @@
 CSV contracts, and byte-identical reruns."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -97,6 +98,17 @@ class TestGenData:
         assert code == 2
         err = capsys.readouterr().err
         assert err == f"error: {cfg}: cannot read config file: No such file or directory\n"
+
+    @pytest.mark.parametrize("key,value,nbytes", [
+        ("channels", 100_000_000, 3 * 200 * 100_000_000 * 32 ** 2 * 8),  # beyond 2^48 bytes
+        ("image_size", 100_000_000, 3 * 200 * 100_000_000 ** 2 * 8),  # beyond 2^63 bytes
+    ], ids=["beyond-2^48-bytes", "beyond-2^63-bytes"])
+    def test_unallocatable_shape_exits_2_naming_it(self, tmp_path, capsys, key, value, nbytes):
+        code = run("gen-data", "--out-dir", str(tmp_path), *sets("seed=6", f"{key}={value}"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"{key} {value}" in err and f"need {nbytes} bytes" in err
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         code = run("gen-data", "--out-dir", str(tmp_path),
@@ -686,6 +698,20 @@ class TestReport:
         assert out.startswith("command,method,seed,duration_seconds,outputs")
         assert "gen-data" in out
 
+    def test_fields_holding_separators_are_quoted(self, tmp_path):
+        path = tmp_path / "manifests.jsonl"
+        path.write_text('{"command": "a,b\\nc", "seed": 1}\n'
+                        '{"command": "train", "method": "say \\"hi\\"", "seed": 2,'
+                        ' "duration_seconds": 0.5, "outputs": {"x.ltvt": "0"}}\n')
+        out = tmp_path / "report.csv"
+        assert run("report", "--manifests", str(tmp_path), "--out", str(out)) == 0
+        assert out.read_bytes().split(b"\n", 1)[1] == (
+            b'"a,b\nc",,1,0.00,\ntrain,"say ""hi""",2,0.50,x.ltvt\n')
+        with open(out, newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[1:] == [["a,b\nc", "", "1", "0.00", ""],
+                            ["train", 'say "hi"', "2", "0.50", "x.ltvt"]]
+
     @pytest.mark.parametrize("bad_line", [
         b"{not json", b"[1, 2]", b'"text"', b"\xff\xfe", b'{"duration_seconds": "slow"}',
         b'{"outputs": 3}', b'{"duration_seconds": 1' + b"0" * 400 + b"}", b"[" * 100_000,
@@ -767,6 +793,10 @@ class TestFuzzedInputs:
                                 "--out", str(fuzz_dir / "report.csv"))
         if code == 0:
             assert err == ""
+            with open(fuzz_dir / "report.csv", newline="") as f:
+                rows = list(csv.reader(f))
+            assert len(rows) == len(lines) + 1
+            assert all(len(row) == 5 for row in rows)
         else:
             assert code == 1
             assert err.startswith(f"error: {path}:")

@@ -107,6 +107,12 @@ class TestToyGenerator:
             generate_toy_dataset(2, 1, 3, seed=0)
         assert generate_toy_dataset(2, 1, 4, seed=0).images.shape == (2, 1, 4, 4)
 
+    @pytest.mark.parametrize("channels", [0, -1])
+    def test_no_channel_rejected(self, channels):
+        """-1 used to end in numpy's "negative dimensions" ValueError."""
+        with pytest.raises(ConfigError, match=f"channels must be >= 1, got {channels}"):
+            generate_toy_dataset(2, 1, 4, seed=0, channels=channels)
+
 
 class TestSplit:
     def test_floor_arithmetic(self):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from lethevit import evaluation
 from lethevit.data import LabeledDataset, generate_toy_dataset, split_random_forget
-from lethevit.errors import ContractError
+from lethevit.errors import ConfigError, ContractError
 from lethevit.evaluation import (
     MetricsReport,
     average_gap,
@@ -21,7 +21,7 @@ from lethevit.evaluation import (
     masking_sweep,
     mia_from_losses,
 )
-from lethevit.masking import MaskType
+from lethevit.masking import MaskType, patch_count
 from lethevit.unlearning import TrainConfig, train_model
 from lethevit.vit import ViTConfig, init_params
 
@@ -319,13 +319,24 @@ class TestComputeOnce:
         captured = []
         calls = count_forwards(monkeypatch, captured)
         masking_sweep(params, forget, retain, test, self.RATIOS, self.TYPES)
-        pairs = len(self.RATIOS) * len(self.TYPES)
+        patches = (TINY.image_size // TINY.patch_size) ** 2
+        masked_pairs = sum(patch_count(r, patches) > 0 for r in self.RATIOS) * len(self.TYPES)
         scored = np.concatenate([test.images, forget.images])
         assert len(captured) == _chunks(test) + _chunks(forget)
         np.testing.assert_array_equal(np.concatenate(in_set_order(captured, scored)), scored)
+        # ratio 0 masks no patch and reuses the unmasked logits: no forward of its own
         assert len(calls) == (_chunks(retain) + _chunks(test) + _chunks(forget)
-                              + pairs * (_chunks(test) + _chunks(forget)))
+                              + masked_pairs * (_chunks(test) + _chunks(forget))) == 15
         assert not any(tracked for _, _, tracked in calls)
+
+    def test_masking_sweep_validates_the_grid_before_any_forward(self, trained_world,
+                                                                 monkeypatch):
+        params, split = trained_world
+        calls = count_forwards(monkeypatch)
+        with pytest.raises(ConfigError, match="1.5"):
+            masking_sweep(params, split.forget_set(), split.retain_set(), split.test,
+                          [0.25, 1.5], self.TYPES)
+        assert calls == []
 
     def test_masking_sweep_fits_the_threshold_once(self, trained_world, monkeypatch):
         """The attack threshold depends on neither the ratio nor the type."""

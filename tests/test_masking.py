@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 from lethevit import tensor
 from lethevit.errors import ConfigError, DimensionError, NonFiniteError
 from lethevit.masking import (
+    MaskedSet,
     MaskSpec,
     MaskType,
     apply_mask,
     build_masked_view,
     class_token_attention,
     forward_chunks,
+    mask_from_scores,
     patch_count,
     select_top_k,
 )
@@ -254,10 +256,33 @@ class TestForwardChunks:
             for a, b in zip(arrays, self._serial(params, images, 4, capture), strict=True):
                 assert a.tobytes() == b.tobytes()
 
+    @staticmethod
+    def _masked(images, mask_type, scores=None):
+        """A masked set of `images` at ratio 0.5 (2 of TINY's 4 patches), seed 9."""
+        scores = RNG.random((len(images), 4)) if scores is None else scores
+        return MaskedSet(images, scores, MaskSpec(0.5, mask_type, gaussian_std=0.7), 9)
+
+    @staticmethod
+    def _masked_whole(masked):
+        return mask_from_scores(masked.images, masked.scores, masked.spec,
+                                TINY.patch_size, masked.seed).images
+
+    @pytest.mark.parametrize("mask_type", list(MaskType))
+    def test_masked_sets_equal_masking_whole_then_serial_loop(self, mask_type):
+        params = init_params(TINY, seed=8)
+        sets = [self._masked(RNG.normal(size=(n, 1, 8, 8)), mask_type) for n in (10, 3)]
+        got = forward_chunks(params, sets, 4)
+        assert len(got) == len(sets)
+        for [logits], masked in zip(got, sets):
+            [serial] = self._serial(params, self._masked_whole(masked), 4, False)
+            assert logits.tobytes() == serial.tobytes()
+
     def test_open_tape_records_nothing_and_stays_active(self):
         params = init_params(TINY, seed=8)
         with Tape() as tape:
-            forward_chunks(params, [RNG.normal(size=(12, 1, 8, 8))], 4, capture_attention=True)
+            forward_chunks(params, [RNG.normal(size=(12, 1, 8, 8)),
+                                    self._masked(RNG.normal(size=(12, 1, 8, 8)), MaskType.ZERO)],
+                           4, capture_attention=True)
             assert len(tape) == 0
             assert tensor._active is tape
             forward(params, RNG.normal(size=(2, 1, 8, 8)))
@@ -275,4 +300,18 @@ class TestForwardChunks:
         assert str(pooled.value) == str(serial.value)
         assert threading.active_count() == threads
         forward_chunks(params, [images[:4], images[8:]], 4)
+        assert threading.active_count() == threads
+
+    def test_error_in_a_middle_masked_chunk_is_the_serial_error(self):
+        params = init_params(TINY, seed=8)
+        images = RNG.normal(size=(12, 1, 8, 8))
+        images[5, 0, 1, 2] = np.nan  # chunk 2 of 3, in patch 0
+        # patch 0 scores lowest, so the mask keeps the NaN
+        masked = self._masked(images, MaskType.GAUSSIAN, np.tile(np.arange(4.0), (12, 1)))
+        with pytest.raises(NonFiniteError) as serial:
+            self._serial(params, self._masked_whole(masked), 4, False)
+        threads = threading.active_count()
+        with pytest.raises(NonFiniteError) as pooled:
+            forward_chunks(params, [masked], 4)
+        assert str(pooled.value) == str(serial.value)
         assert threading.active_count() == threads
