@@ -13,7 +13,8 @@ Configuration comes from flat key=value files; any key can be
 overridden on the command line with repeated `--set key=value` flags
 (flags win). The manifest is one JSON line in `manifests.jsonl` beside
 the main output: the resolved configuration, input and output checksums,
-wall time and environment (versions, BLAS, threads, heap, pool size);
+wall time and environment (versions, BLAS and its thread count and
+kernel, thread variables, heap, pool size);
 `train` and `unlearn` add per-phase wall time and step counts.
 
 Exit codes: 0 success, 1 runtime failure (divergence, bad file), 2
@@ -37,7 +38,7 @@ from . import data as data_mod
 from . import evaluation, unlearning, vit
 from .errors import ConfigError, FormatError, LetheError, require_seed
 from .masking import MaskSpec, MaskType, pool_size
-from .tensor import heap_policy, keep_heap
+from .tensor import blas_threads, heap_policy, keep_heap, pin_blas_threads
 
 # methods that start from --original -> `unlearning` function name, looked
 # up at call time so that wrappers installed on the module see the call
@@ -134,6 +135,7 @@ def _sha256(path: str) -> str:
 def _write_manifest(out_path: str, command: str, config: dict, started: float,
                     inputs: list[str], extra: dict) -> None:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    runtime = blas_threads() or {"threads": None, "core": None}
     manifest = {
         "command": command,
         "config": config,
@@ -144,7 +146,7 @@ def _write_manifest(out_path: str, command: str, config: dict, started: float,
         # checkpoint bytes depend on the BLAS thread count (README, determinism)
         "env": {"python": sys.version.split()[0], "numpy": np.__version__,
                 "scipy": scipy.__version__,
-                "blas": {"name": blas.get("name"), "version": blas.get("version")},
+                "blas": {"name": blas.get("name"), "version": blas.get("version"), **runtime},
                 "threads": {var: os.environ.get(var) for var in _THREAD_VARS},
                 "heap": heap_policy(), "pool_workers": pool_size()},
         **extra,
@@ -462,6 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     keep_heap()
+    pin_blas_threads()
     args = build_parser().parse_args(argv)
     command = _COMMANDS[args.command]
     started = time.perf_counter()

@@ -6,8 +6,11 @@ order, and `backward` replays the tape once in reverse. Operations run
 outside any active tape compute plain values and track no gradients,
 which is how frozen-model forwards are expressed. A process has one
 active tape: `with Tape()` makes a tape active and gives the outer one
-back on exit, and `stop_recording` clears it for its block. Ops may run
-on several threads only while no tape is active.
+back on exit, and `stop_recording` clears it for its block. An op
+records only when an input requires a gradient, so ops on
+gradient-free tensors never record and may run on other threads beside
+an open tape; other ops may run on several threads only while no tape
+is active.
 
 Shapes are explicit everywhere; the only broadcasting is trailing-shape
 bias addition in `add` and the affine ops. Every operation validates
@@ -30,8 +33,10 @@ the depth-2 model records 20 ops: per block `layer_norm`, `attention`,
 `layer_norm`, the head and the loss.
 
 Every step allocates its tape's arrays and frees them all in
-`backward`. `keep_heap` sets the C heap policy that suits that pattern;
-the program calls it once at start-up, never at import.
+`backward`. `keep_heap` sets the C heap policy that suits that pattern,
+and `pin_blas_threads` runs OpenBLAS on one thread, so the bytes do not
+depend on the thread count; the program calls both once at start-up,
+never at import.
 """
 
 from __future__ import annotations
@@ -262,6 +267,54 @@ def keep_heap() -> Optional[dict[str, int]]:
 def heap_policy() -> Optional[dict[str, int]]:
     """The settings `keep_heap` applied in this process, None if none."""
     return None if _heap_applied is None else dict(_heap_applied)
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+# ---------------------------------------------------------------------------
+
+def _openblas() -> Optional[ctypes.CDLL]:
+    """The OpenBLAS numpy runs on, with the thread symbols of the
+    scipy-openblas build numpy's wheels bundle, or None without them.
+    The lookup goes through numpy's own extension, so it finds the copy
+    numpy loaded, wherever it lives."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        lib.scipy_openblas_set_num_threads64_.argtypes = (ctypes.c_int,)
+        lib.scipy_openblas_set_num_threads64_.restype = None
+        lib.scipy_openblas_get_num_threads64_.argtypes = ()
+        lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+        lib.scipy_openblas_get_corename64_.argtypes = ()
+        lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+    except (AttributeError, OSError):
+        return None
+    return lib
+
+
+def pin_blas_threads() -> Optional[dict]:
+    """Run numpy's OpenBLAS on one thread, whatever `OPENBLAS_NUM_THREADS`
+    says. Checkpoint bytes depend on the BLAS thread count: a
+    weight-gradient product over a partial batch is split differently
+    between two threads. One thread per process also leaves the second
+    core to the package's own worker threads.
+
+    Returns `blas_threads()`, or None where the OpenBLAS symbols are
+    missing; then nothing is applied. Importing the package does not
+    call it: the CLI's `main` and the test suite do."""
+    lib = _openblas()
+    if lib is not None:
+        lib.scipy_openblas_set_num_threads64_(1)
+    return blas_threads()
+
+
+def blas_threads() -> Optional[dict]:
+    """`{"threads": count, "core": kernel name}` of numpy's OpenBLAS now,
+    or None where its symbols are missing."""
+    lib = _openblas()
+    if lib is None:
+        return None
+    return {"threads": lib.scipy_openblas_get_num_threads64_(),
+            "core": lib.scipy_openblas_get_corename64_().decode()}
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ Every method is a sequence of plain SGD phases run by one loop,
   from its logits for the unmasked ones. The unmasked logits and the
   attention depend on the image alone, so `frozen_teacher` computes
   them once per forget image, in one capture pass before the first
-  step; a step then runs one forward of the original (the masked
-  images) and one tracked forward of the model being unlearned.
+  step. The masked forward of the original (the positives) depends on
+  the batch, the mask seed and the frozen weights only, so a worker
+  thread runs every step's while the main thread runs the tracked
+  forwards of the model being unlearned.
 
   retain: ordinary cross-entropy training on the retain set.
 
@@ -24,6 +26,7 @@ training with randomized forget labels. Every entry point takes
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -121,17 +124,24 @@ def frozen_teacher(original: ViTParams, images: np.ndarray, indices: np.ndarray,
     `images[batch]` by those scores and runs the one forward that gives
     the positive logits; it returns (positive, negative). `unlearn`
     passes `batch_size` as `chunk`, not evaluation's 64: at 64 rows the
-    `forget` benchmark's peak RSS rose by about 3 MB at the same speed."""
-    [[negatives, scores]] = forward_chunks(original, [images[indices]], chunk, True)
+    `forget` benchmark's peak RSS rose by about 3 MB at the same speed.
+
+    The teacher runs on a gradient-free copy of the original. An op
+    records only when an input requires a gradient, so `views` never
+    touches a tape, not even one another thread has open: it may run on
+    a worker thread beside a tracked step. It must not call
+    `stop_recording` or `forward_chunks` there, which swap the one
+    active-tape slot of the process."""
+    frozen = ViTParams(original.config, {name: Tensor(t.values) for name, t in original.items()})
+    [[negatives, scores]] = forward_chunks(frozen, [images[indices]], chunk, True)
     row_of = np.zeros(len(images), dtype=np.int64)  # image index -> cached row
     row_of[indices] = np.arange(len(indices))
 
     def views(batch: np.ndarray, mask_seed: int) -> tuple[Tensor, Tensor]:
         rows = row_of[batch]
         masked = mask_from_scores(images[batch], scores[rows], mask_spec,
-                                  original.config.patch_size, mask_seed)
-        with stop_recording():
-            return forward(original, masked.images).logits, Tensor(negatives[rows])
+                                  frozen.config.patch_size, mask_seed)
+        return forward(frozen, masked.images).logits, Tensor(negatives[rows])
 
     return views
 
@@ -177,56 +187,67 @@ StepSink = Callable[[str, int, np.ndarray], None]  # (phase, step, batch)
 StepLoss = Callable[[np.ndarray, int, int], Tensor]  # (batch, epoch, step) -> loss
 
 
+def _batches(indices: np.ndarray, epochs: int, batch_size: int, rng: np.random.Generator,
+             phase: str) -> list[tuple[int, np.ndarray]]:
+    """A phase's steps as (epoch, batch) pairs: `epochs` passes over
+    `indices`, each reshuffled by `rng`. Every permutation is drawn
+    before the phase's first step, in the order the steps take them."""
+    if epochs > 0 and len(indices) == 0:
+        raise ConfigError(f"the {phase} phase has {epochs} epochs over an empty index set")
+    batches = []
+    for epoch in range(epochs):
+        shuffled = indices[rng.permutation(len(indices))]
+        batches += [(epoch, shuffled[start:start + batch_size])
+                    for start in range(0, len(shuffled), batch_size)]
+    return batches
+
+
 def _sgd_phase(
     params: ViTParams,
-    indices: np.ndarray,
-    epochs: int,
+    batches: list[tuple[int, np.ndarray]],
     config: TrainConfig | UnlearnConfig,
-    rng: np.random.Generator,
     phase: str,
     step_loss: StepLoss,
     *,
     direction: float = -1.0,
     on_step: Optional[StepSink] = None,
 ) -> None:
-    """The one SGD loop, mutating `params`: `epochs` passes over `indices`
-    reshuffled by `rng`, each step's loss built by `step_loss(batch,
-    epoch, step)` on the active tape. Step count and momentum restart per
-    phase; `on_step(phase, step, batch)` runs after each step."""
-    if epochs > 0 and len(indices) == 0:
-        raise ConfigError(f"the {phase} phase has {epochs} epochs over an empty index set")
+    """The one SGD loop, mutating `params`: one step per `(epoch, batch)`
+    of `batches` (see `_batches`), each step's loss built by
+    `step_loss(batch, epoch, step)` on the active tape. Step count and
+    momentum restart per phase; `on_step(phase, step, batch)` runs after
+    each step."""
     velocity: dict[str, np.ndarray] = {}
-    step = 0
-    for epoch in range(epochs):
-        shuffled = indices[rng.permutation(len(indices))]
-        for start in range(0, len(shuffled), config.batch_size):
-            batch = shuffled[start:start + config.batch_size]
-            try:
-                with Tape() as tape:
-                    loss = step_loss(batch, epoch, step)
-                backward(loss, tape)
-            except NonFiniteError as exc:
-                raise DivergenceError(phase, step, str(exc)) from exc
-            _sgd_step(params, velocity, config.learning_rate, config.momentum,
-                      config.weight_decay, direction)
-            if on_step is not None:
-                on_step(phase, step, batch)
-            step += 1
+    for step, (epoch, batch) in enumerate(batches):
+        try:
+            with Tape() as tape:
+                loss = step_loss(batch, epoch, step)
+            backward(loss, tape)
+        except NonFiniteError as exc:
+            raise DivergenceError(phase, step, str(exc)) from exc
+        _sgd_step(params, velocity, config.learning_rate, config.momentum,
+                  config.weight_decay, direction)
+        if on_step is not None:
+            on_step(phase, step, batch)
 
 
-def _cross_entropy(params: ViTParams, dataset: LabeledDataset) -> StepLoss:
-    """The step loss of every cross-entropy phase."""
+def _cross_entropy_phase(params: ViTParams, dataset: LabeledDataset, indices: np.ndarray,
+                         epochs: int, config: TrainConfig | UnlearnConfig,
+                         rng: np.random.Generator, phase: str, on_step: Optional[StepSink],
+                         direction: float = -1.0) -> None:
+    """A cross-entropy SGD phase over `dataset[indices]`: training and
+    every phase but `unlearn`'s forget phase."""
     def step_loss(batch: np.ndarray, epoch: int, step: int) -> Tensor:
         return cross_entropy(forward(params, dataset.images[batch]).logits, dataset.labels[batch])
-    return step_loss
+    _sgd_phase(params, _batches(indices, epochs, config.batch_size, rng, phase), config, phase,
+               step_loss, direction=direction, on_step=on_step)
 
 
 def _from_scratch(dataset: LabeledDataset, config: TrainConfig, indices: np.ndarray,
                   on_step: Optional[StepSink]) -> ViTParams:
     params = init_params(config.model, config.seed)
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    _sgd_phase(params, indices, config.epochs, config, rng, "train",
-               _cross_entropy(params, dataset), on_step=on_step)
+    _cross_entropy_phase(params, dataset, indices, config.epochs, config, rng, "train", on_step)
     return params
 
 
@@ -264,24 +285,32 @@ def unlearn(original: ViTParams, split: DataSplit, config: UnlearnConfig, *,
     then `retain_epochs` of cross-entropy SGD over the retain set
     (`retain`). One generator, seeded with `config.seed`, orders the
     batches of both phases; each mask is seeded from (seed, epoch, step).
+    Every forget batch is known before the first step, so one worker
+    thread computes the teacher's views of all of them, in step order,
+    while the steps run.
     """
     def run(theta: ViTParams, rng: np.random.Generator) -> None:
-        if config.forget_epochs and len(split.forget):  # only when a forget step will run
-            teacher = frozen_teacher(original, split.train.images, split.forget,
-                                     config.mask_spec, config.batch_size)
+        forget = _batches(split.forget, config.forget_epochs, config.batch_size, rng, "forget")
+        pool = ThreadPoolExecutor(1)
+        try:
+            if forget:
+                teacher = frozen_teacher(original, split.train.images, split.forget,
+                                         config.mask_spec, config.batch_size)
+                futures = [pool.submit(teacher, batch, int(np.random.SeedSequence(
+                    (config.seed, epoch, step)).generate_state(1, np.uint64)[0]))
+                    for step, (epoch, batch) in enumerate(forget)]
 
-        def forget_loss(batch: np.ndarray, epoch: int, step: int) -> Tensor:
-            mask_seed = int(
-                np.random.SeedSequence((config.seed, epoch, step)).generate_state(1, np.uint64)[0]
-            )
-            positive, negative = teacher(batch, mask_seed)
-            anchor = forward(theta, split.train.images[batch]).logits
-            return contrastive_loss(TripletLogits(anchor, positive, negative), config.temperature)
+            def forget_loss(batch: np.ndarray, epoch: int, step: int) -> Tensor:
+                positive, negative = futures[step].result()
+                anchor = forward(theta, split.train.images[batch]).logits
+                return contrastive_loss(TripletLogits(anchor, positive, negative),
+                                        config.temperature)
 
-        _sgd_phase(theta, split.forget, config.forget_epochs, config, rng, "forget",
-                   forget_loss, on_step=on_step)
-        _sgd_phase(theta, split.retain, config.retain_epochs, config, rng, "retain",
-                   _cross_entropy(theta, split.train), on_step=on_step)
+            _sgd_phase(theta, forget, config, "forget", forget_loss, on_step=on_step)
+        finally:
+            pool.shutdown(cancel_futures=True)
+        _cross_entropy_phase(theta, split.train, split.retain, config.retain_epochs, config, rng,
+                             "retain", on_step)
 
     return _from_original(original, config, run)
 
@@ -289,17 +318,17 @@ def unlearn(original: ViTParams, split: DataSplit, config: UnlearnConfig, *,
 def fine_tune(original: ViTParams, split: DataSplit, config: UnlearnConfig, *,
               on_step: Optional[StepSink] = None) -> ViTParams:
     """Continue cross-entropy training on the retain set only."""
-    return _from_original(original, config, lambda theta, rng: _sgd_phase(
-        theta, split.retain, config.retain_epochs, config, rng, "fine_tune",
-        _cross_entropy(theta, split.train), on_step=on_step))
+    return _from_original(original, config, lambda theta, rng: _cross_entropy_phase(
+        theta, split.train, split.retain, config.retain_epochs, config, rng, "fine_tune",
+        on_step))
 
 
 def gradient_ascent(original: ViTParams, split: DataSplit, config: UnlearnConfig, *,
                     on_step: Optional[StepSink] = None) -> ViTParams:
     """Ascend the cross-entropy loss on the forget set."""
-    return _from_original(original, config, lambda theta, rng: _sgd_phase(
-        theta, split.forget, config.forget_epochs, config, rng, "gradient_ascent",
-        _cross_entropy(theta, split.train), direction=+1.0, on_step=on_step))
+    return _from_original(original, config, lambda theta, rng: _cross_entropy_phase(
+        theta, split.train, split.forget, config.forget_epochs, config, rng, "gradient_ascent",
+        on_step, direction=+1.0))
 
 
 def relabel_forget(
@@ -324,9 +353,9 @@ def random_labels(original: ViTParams, split: DataSplit, config: UnlearnConfig, 
         labels=relabel_forget(train.labels, split.forget, train.class_count, config.seed),
         class_count=train.class_count,
     )
-    return _from_original(original, config, lambda theta, rng: _sgd_phase(
-        theta, np.arange(len(train), dtype=np.int64), config.retain_epochs, config, rng,
-        "random_labels", _cross_entropy(theta, relabeled), on_step=on_step))
+    return _from_original(original, config, lambda theta, rng: _cross_entropy_phase(
+        theta, relabeled, np.arange(len(train), dtype=np.int64), config.retain_epochs, config,
+        rng, "random_labels", on_step))
 
 
 def triplet_cosine_stats(

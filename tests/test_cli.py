@@ -18,7 +18,7 @@ from lethevit.checkpoint import load_arrays, save_arrays
 from lethevit.cli import _KEY_SPECS, build_parser, main
 from lethevit.data import load_dataset
 from lethevit.masking import pool_size
-from lethevit.tensor import keep_heap
+from lethevit.tensor import blas_threads, keep_heap
 
 from test_checkpoint import HOSTILE_DIMS, write_raw_checkpoint
 from test_data import raw_dataset, write_label
@@ -591,8 +591,9 @@ class TestSweepMask:
 
 def test_every_manifest_records_environment(pipeline, checkpoints, tmp_path):
     """Checkpoint bytes depend on the BLAS thread count, so every
-    command's manifest records versions, BLAS and thread settings, and
-    the heap policy and forward-pool size the command ran under."""
+    command's manifest records versions, BLAS and thread settings, the
+    OpenBLAS thread count and kernel after `main`'s pin, and the heap
+    policy and forward-pool size the command ran under."""
     _, train_path, test_path, theta_o = pipeline
     _, _, _, retrain_path, _ = checkpoints
     data = ["--data", train_path, "--test", test_path]
@@ -616,7 +617,10 @@ def test_every_manifest_records_environment(pipeline, checkpoints, tmp_path):
         assert env["numpy"] == np.__version__
         assert env["heap"] == keep_heap()  # the settings, or None off glibc
         assert env["pool_workers"] == pool_size() >= 1
-        assert set(env["blas"]) == {"name", "version"}
+        assert set(env["blas"]) == {"name", "version", "threads", "core"}
+        pinned = blas_threads() or {"threads": None, "core": None}
+        assert {key: env["blas"][key] for key in pinned} == pinned
+        assert env["blas"]["threads"] in (1, None)  # `main` pins one thread
         assert set(env["threads"]) == {
             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
 

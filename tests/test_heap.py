@@ -1,5 +1,7 @@
-"""The heap policy `keep_heap` sets: it ends the per-step page faults of
-training and changes no computed value."""
+"""The process settings the CLI applies at start-up. The heap policy
+`keep_heap` sets ends the per-step page faults of training and changes
+no computed value; `pin_blas_threads` makes the parameters independent
+of the BLAS thread variables."""
 
 import json
 import os
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 from lethevit.data import generate_toy_dataset
-from lethevit.tensor import keep_heap
+from lethevit.tensor import blas_threads, keep_heap
 from lethevit.unlearning import TrainConfig, train_model
 from lethevit.vit import ViTConfig
 
@@ -83,3 +85,37 @@ def test_parameters_do_not_depend_on_heap_policy():
         runs.append(json.loads(out.stdout.strip().splitlines()[-1]))
     assert [run["heap"] for run in runs] == [keep_heap(), None, keep_heap()]
     assert runs[0]["sha256"] == runs[1]["sha256"] == runs[2]["sha256"]
+
+
+_BLAS_CHILD = """
+import hashlib, json
+from lethevit import tensor
+from lethevit.data import generate_toy_dataset
+from test_heap import recipe
+from lethevit.unlearning import train_model
+pinned = tensor.pin_blas_threads()
+params = train_model(generate_toy_dataset(3, 200, 20, seed=5), recipe(seed=5, epochs=1))
+digest = hashlib.sha256()
+for name in sorted(params.names()):
+    digest.update(name.encode() + params[name].values.tobytes())
+print(json.dumps({"blas": pinned, "sha256": digest.hexdigest()}))
+"""
+
+
+def test_parameters_do_not_depend_on_blas_thread_variable():
+    """Determinism contract: processes started with one and with two
+    OpenBLAS threads both run on one after the pin, so an epoch over 600
+    images, whose last batch of 24 rows two threads would split
+    differently, gives the same float64 parameters."""
+    if blas_threads() is None:
+        pytest.skip("numpy's BLAS has no OpenBLAS thread symbols")
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [SRC, os.path.dirname(os.path.abspath(__file__)), env.get("PYTHONPATH", "")])
+        out = subprocess.run([sys.executable, "-c", _BLAS_CHILD], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        runs.append(json.loads(out.stdout.strip().splitlines()[-1]))
+    assert [run["blas"]["threads"] for run in runs] == [1, 1]
+    assert runs[0]["sha256"] == runs[1]["sha256"]

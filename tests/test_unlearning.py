@@ -1,6 +1,10 @@
 """Unlearning tests: contrastive loss analytics, pipeline contracts,
 the one-step finite-difference oracle, and baseline behaviors."""
 
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -192,13 +196,15 @@ class TestUnlearnPipeline:
     def test_equals_three_forward_teacher_bit_for_bit(self, tiny_world, mask_type):
         """With every forget batch a multiple of 16 rows, a cached teacher
         row equals the row of the per-step 3-forward teacher, so the
-        parameters and the cosine statistics are the same bytes."""
+        parameters (with momentum, the teacher on its worker thread) and
+        the cosine statistics are the same bytes."""
         train, test, split, config, theta_o = tiny_world
         aligned_train = generate_toy_dataset(3, 16, 8, seed=510)
         aligned = split_random_forget(aligned_train, test, 32 / 48, seed=510)
         assert len(aligned.forget) == 32
         cfg = UnlearnConfig(forget_epochs=2, retain_epochs=1, learning_rate=0.05,
-                            batch_size=16, mask_spec=MaskSpec(0.25, mask_type), seed=6)
+                            batch_size=16, mask_spec=MaskSpec(0.25, mask_type), seed=6,
+                            momentum=0.9, weight_decay=0.001)
         got = unlearn(theta_o, aligned, cfg)
         _assert_params_identical(got, reference_from_original("unlearn", theta_o, aligned, cfg))
         for batch_size in (16, 64):
@@ -291,6 +297,89 @@ def _assert_params_identical(got, want):
     for name in want.names():
         assert got[name].values.dtype == np.float64
         assert got[name].values.tobytes() == want[name].values.tobytes(), name
+
+
+class TestTeacherWorker:
+    """`unlearn` runs every forget step's teacher views on one worker
+    thread while the main thread runs the tracked steps."""
+
+    CFG = UnlearnConfig(forget_epochs=5, retain_epochs=0, learning_rate=0.05, batch_size=4,
+                        mask_spec=MaskSpec(0.25, MaskType.GAUSSIAN, 0.7), seed=3)
+
+    def test_worker_leaves_an_open_tape_clean(self, tiny_world):
+        """A teacher forward on a worker adds no record to the tape the
+        main thread has open, and gives the bytes of a call on the main
+        thread."""
+        train, test, split, config, theta_o = tiny_world
+        teacher = unlearning.frozen_teacher(theta_o, train.images, split.forget,
+                                            self.CFG.mask_spec, self.CFG.batch_size)
+        batch = split.forget[:4]
+        theta = theta_o.copy()
+        with Tape() as alone:
+            forward(theta, train.images[batch])
+        with ThreadPoolExecutor(1) as pool, Tape() as tape:
+            job = pool.submit(teacher, batch, 7)
+            forward(theta, train.images[batch])
+            positive, negative = job.result()
+        assert len(tape) == len(alone)
+        assert not positive.requires_grad and not negative.requires_grad
+        want = teacher(batch, 7)
+        assert positive.values.tobytes() == want[0].values.tobytes()
+        assert negative.values.tobytes() == want[1].values.tobytes()
+
+    @staticmethod
+    def _slow_teacher(monkeypatch, fail_at=None):
+        """Route `unlearn`'s teacher through views that log each job's
+        batch, take at least 10 ms, and raise `NonFiniteError` at job
+        `fail_at`. One worker runs the jobs in step order, so job k is
+        step k."""
+        real = unlearning.frozen_teacher
+        jobs = []
+
+        def teacher(*args):
+            views = real(*args)
+
+            def slow(batch, mask_seed):
+                jobs.append(batch)
+                time.sleep(0.01)
+                if len(jobs) - 1 == fail_at:
+                    raise NonFiniteError("tensor contains NaN or Inf values")
+                return views(batch, mask_seed)
+
+            return slow
+
+        monkeypatch.setattr(unlearning, "frozen_teacher", teacher)
+        return jobs
+
+    def _scheduled_steps(self, split):
+        return self.CFG.forget_epochs * -(-len(split.forget) // self.CFG.batch_size)
+
+    def test_teacher_error_is_a_divergence_at_its_step(self, tiny_world, monkeypatch):
+        train, test, split, config, theta_o = tiny_world
+        jobs = self._slow_teacher(monkeypatch, fail_at=2)
+        threads = threading.active_count()
+        with pytest.raises(DivergenceError) as exc:
+            unlearn(theta_o, split, self.CFG)
+        assert (exc.value.phase, exc.value.step) == ("forget", 2)
+        assert isinstance(exc.value.__cause__, NonFiniteError)
+        assert threading.active_count() == threads
+        assert 3 <= len(jobs) < self._scheduled_steps(split)
+
+    def test_on_step_error_propagates_unchanged(self, tiny_world, monkeypatch):
+        train, test, split, config, theta_o = tiny_world
+        jobs = self._slow_teacher(monkeypatch)
+        stop = KeyError("stop")
+
+        def on_step(phase, step, batch):
+            if step == 1:
+                raise stop
+
+        threads = threading.active_count()
+        with pytest.raises(KeyError) as exc:
+            unlearn(theta_o, split, self.CFG, on_step=on_step)
+        assert exc.value is stop
+        assert threading.active_count() == threads
+        assert 2 <= len(jobs) < self._scheduled_steps(split)
 
 
 class TestOnePhaseLoop:
