@@ -104,8 +104,12 @@ def forward_chunks(params: ViTParams, sets: Sequence[np.ndarray | MaskedSet], ch
     are the rows of masking the whole set at once, but only the chunks
     in flight exist masked. The chunks run on min(`pool_size()`, chunks) threads while
     the caller blocks with no tape active; an error in a chunk is raised
-    as the serial loop would have raised it."""
+    as the serial loop would have raised it. An empty set is a
+    `DimensionError`, as `forward` of zero rows is, raised before any
+    chunk runs."""
     rows = [len(s.images if isinstance(s, MaskedSet) else s) for s in sets]
+    if 0 in rows:
+        raise DimensionError(f"set {rows.index(0)} of {len(rows)} has no images to forward")
     jobs = [(s, start) for s, n in zip(sets, rows) for start in range(0, n, chunk)]
     patch_size = params.config.patch_size
 

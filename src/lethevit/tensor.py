@@ -26,11 +26,17 @@ still surfaces there, except where the softmax maps a -inf score to an
 exact zero weight. Each fused op runs the same numpy expressions, in
 the same order, as the composition of fine-grained ops it replaces,
 so both produce identical bytes; `attention(class_only=True)` agrees
-with row 0 of the all-token op to rounding level. One training step of
-the depth-2 model records 20 ops: per block `layer_norm`, `attention`,
-`add`, `layer_norm`, `mlp`, `add`, plus the patch embedding, one
-`take_token` after the final (class-only) attention, the final
-`layer_norm`, the head and the loss.
+with row 0 of the all-token op to rounding level. The kernels run each
+elementwise chain in place (`out=`, `+=`, `*=`) in arrays the same call
+allocated, keeping every expression's operands and their association,
+so the bytes are those of the out-of-place forms. A kernel never writes
+into an input array, an upstream gradient (`add` hands the same one to
+both inputs) or an array that a backward closure or the caller keeps
+(`xhat`, `pre`, `cdf`, the attention weights, an op's output). One
+training step of the depth-2 model records 20 ops: per block
+`layer_norm`, `attention`, `add`, `layer_norm`, `mlp`, `add`, plus the
+patch embedding, one `take_token` after the final (class-only)
+attention, the final `layer_norm`, the head and the loss.
 
 Every step allocates its tape's arrays and frees them all in
 `backward`. `keep_heap` sets the C heap policy that suits that pattern,
@@ -83,7 +89,7 @@ class Tensor:
             arr = np.array(values, dtype=DTYPE)  # private copy of user data
         else:
             arr = np.asarray(values, dtype=DTYPE)  # op results are already fresh
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteError("tensor contains NaN or Inf values")
         if arr.flags.writeable:
             arr.setflags(write=False)
@@ -214,7 +220,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
         g = grads.get(key)
         if g is None:
             g = np.zeros(t.shape, dtype=DTYPE)
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NonFiniteError("gradient contains NaN or Inf values")
         t.grad = g if t.grad is None else t.grad + g
 
@@ -322,25 +328,45 @@ def blas_threads() -> Optional[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+# Each kernel runs its chain in one array it allocated (or `out`, which
+# the caller owns and gives up) and writes into none of its arguments.
+
+
+def _softmax(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """e / e.sum(-1) for e = exp(x - x.max(-1)); `out` may be `x` itself."""
+    e = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _softmax_backward(g: np.ndarray, y: np.ndarray) -> np.ndarray:
-    dot = (g * y).sum(axis=-1, keepdims=True)
-    return (g - dot) * y
+    """(g - (g * y).sum(-1)) * y."""
+    gy = g * y
+    np.subtract(g, gy.sum(axis=-1, keepdims=True), out=gy)
+    gy *= y
+    return gy
 
 
 def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    """(x * cdf, cdf) for cdf = 0.5 * (1 + erf(x / sqrt 2))."""
+    cdf = x * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     return x * cdf, cdf
 
 
 def _gelu_backward(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-    return g * (cdf + x * pdf)
+    """g * (cdf + x * pdf) for pdf = exp(-0.5 * x * x) / sqrt(2 pi)."""
+    t = -0.5 * x
+    t *= x
+    np.exp(t, out=t)
+    t *= _INV_SQRT_2PI
+    t *= x
+    t += cdf
+    t *= g
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -471,23 +497,26 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         raise DimensionError(
             f"layer_norm gain/bias must have shape ({n},), got {gain.shape} and {bias.shape}"
         )
-    # centre once; the variance is np.var's own arithmetic on `xc`
-    xc = x.values - x.values.mean(axis=-1, keepdims=True)
-    var = (xc * xc).sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = xc * inv
-    out = xhat * gain.values + bias.values
+    # centre once; the variance is np.var's own arithmetic on the centred rows
+    xhat = x.values - x.values.mean(axis=-1, keepdims=True)
+    sq = xhat * xhat
+    inv = 1.0 / np.sqrt(sq.sum(axis=-1, keepdims=True) / n + _LN_EPS)
+    xhat *= inv
+    out = np.multiply(xhat, gain.values, out=sq)  # xhat * gain + bias
+    out += bias.values
     lead = tuple(range(x.ndim - 1))
 
     def bwd(g: np.ndarray):
-        dgain = (g * xhat).sum(axis=lead)
+        # dx = inv * (dxhat - dxhat.mean(-1) - xhat * (dxhat * xhat).mean(-1))
+        t = g * xhat
+        dgain = t.sum(axis=lead)
         dbias = g.sum(axis=lead)
-        dxhat = g * gain.values
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
+        dx = g * gain.values  # dxhat
+        np.multiply(dx, xhat, out=t)
+        m = t.mean(axis=-1, keepdims=True)
+        dx -= dx.mean(axis=-1, keepdims=True)
+        dx -= np.multiply(xhat, m, out=t)
+        dx *= inv
         return dx, dgain, dbias
 
     return _result((x, gain, bias), out, bwd)
@@ -663,6 +692,13 @@ def _check_affine(name: str, in_shape: tuple[int, ...], weight: Tensor, bias: Te
         )
 
 
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w + b, the bias added in the product's own array."""
+    out = x @ w
+    out += b
+    return out
+
+
 def _affine_backward(x: np.ndarray, w: np.ndarray, g: np.ndarray, need_x: bool = True):
     """Gradients of x @ w + b for upstream `g`: (gx or None, gw, gb).
 
@@ -680,7 +716,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map x @ weight + bias over the last axis of a rank >= 2 input."""
     _check_affine("linear", x.shape, weight, bias)
     xv, wv = x.values, weight.values
-    out = xv @ wv + bias.values
+    out = _affine(xv, wv, bias.values)
     need_x = x.requires_grad
 
     def bwd(g: np.ndarray):
@@ -730,27 +766,31 @@ def attention(
     def merge(a: np.ndarray) -> np.ndarray:  # [B, H, n, hd] -> [B, n, D]
         return a.transpose(0, 2, 1, 3).reshape(b, a.shape[2], d)
 
-    qh = split(xq @ wq.values + bq.values)
-    kh = split(xv @ wk.values + bk.values)
-    vh = split(xv @ wv.values + bv.values)
+    qh = split(_affine(xq, wq.values, bq.values))
+    kh = split(_affine(xv, wk.values, bk.values))
+    vh = split(_affine(xv, wv.values, bv.values))
     kt = kh.transpose(0, 1, 3, 2)
-    probs = _softmax((qh @ kt) * factor)
+    scores = qh @ kt
+    scores *= factor
+    probs = _softmax(scores, out=scores)
     probs.setflags(write=False)
     merged = merge(probs @ vh).reshape((b, d) if class_only else (b, t, d))
-    out = merged @ wo.values + bo.values
+    out = _affine(merged, wo.values, bo.values)
 
     def bwd(g: np.ndarray):
         g_merged, g_wo, g_bo = _affine_backward(merged, wo.values, g)
         g_ctx = split(g_merged.reshape(b, nq, d))
         g_probs = g_ctx @ np.swapaxes(vh, -1, -2)
         g_vh = np.swapaxes(probs, -1, -2) @ g_ctx
-        g_scores = _softmax_backward(g_probs, probs) * factor
+        g_scores = _softmax_backward(g_probs, probs)
+        g_scores *= factor
         g_qh = g_scores @ np.swapaxes(kt, -1, -2)
         g_kt = np.swapaxes(qh, -1, -2) @ g_scores
         gx_v, g_wv, g_bv = _affine_backward(xv, wv.values, merge(g_vh))
         gx_k, g_wk, g_bk = _affine_backward(xv, wk.values, merge(g_kt.transpose(0, 1, 3, 2)))
         gx_q, g_wq, g_bq = _affine_backward(xq, wq.values, merge(g_qh))
-        gx = gx_v + gx_k  # for all-token queries, the order the tape summed the branches in
+        gx = gx_v  # gx_v + gx_k: for all-token queries, the order the tape summed the branches in
+        gx += gx_k
         gx[:, :nq] += gx_q
         return gx, g_wq, g_bq, g_wk, g_bk, g_wv, g_bv, g_wo, g_bo
 
@@ -762,9 +802,9 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     _check_affine("mlp", x.shape, w1, b1)
     _check_affine("mlp", x.shape[:-1] + w1.shape[1:], w2, b2)
     xv = x.values
-    pre = xv @ w1.values + b1.values
+    pre = _affine(xv, w1.values, b1.values)
     hidden, cdf = _gelu(pre)
-    out = hidden @ w2.values + b2.values
+    out = _affine(hidden, w2.values, b2.values)
 
     def bwd(g: np.ndarray):
         g_hidden, g_w2, g_b2 = _affine_backward(hidden, w2.values, g)

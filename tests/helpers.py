@@ -1,4 +1,5 @@
 """Shared test utilities: the central finite-difference gradient oracle,
+the out-of-place expressions of the shared softmax and GELU kernels,
 the fine-grained reference compositions of the fused model ops, the
 `x.var` layer norm, the all-token ViT forward, the recompute-everything
 reference compositions of the evaluation, masking sweep and teacher
@@ -7,6 +8,7 @@ one SGD phase loop replaced, and a forward-call counter with a sorter
 for the chunks it logs from a thread pool."""
 
 import numpy as np
+from scipy.special import erf
 
 from lethevit import evaluation, masking, unlearning, vit
 from lethevit.data import LabeledDataset
@@ -58,6 +60,31 @@ def assert_gradients_match(build, arrays, rel_tol=1e-4, step=FD_STEP):
     for i, (g_ad, g_fd) in enumerate(zip(ad, fd)):
         err = max_relative_error(g_ad, g_fd)
         assert err < rel_tol, f"input {i}: relative error {err:.3e} >= {rel_tol}"
+
+
+def reference_softmax(x):
+    """`tensor._softmax` as the out-of-place expressions it replaced."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def reference_softmax_backward(g, y):
+    """`tensor._softmax_backward` as the out-of-place expressions it replaced."""
+    dot = (g * y).sum(axis=-1, keepdims=True)
+    return (g - dot) * y
+
+
+def reference_gelu(x):
+    """`tensor._gelu` as the out-of-place expressions it replaced."""
+    cdf = 0.5 * (1.0 + erf(x * T._INV_SQRT2))
+    return x * cdf, cdf
+
+
+def reference_gelu_backward(g, x, cdf):
+    """`tensor._gelu_backward` as the out-of-place expressions it replaced."""
+    pdf = np.exp(-0.5 * x * x) * T._INV_SQRT_2PI
+    return g * (cdf + x * pdf)
 
 
 def reference_linear(x, weight, bias):

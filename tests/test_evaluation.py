@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from lethevit import evaluation
 from lethevit.data import LabeledDataset, generate_toy_dataset, split_random_forget
-from lethevit.errors import ConfigError, ContractError
+from lethevit.errors import ConfigError, ContractError, DimensionError
 from lethevit.evaluation import (
     MetricsReport,
     average_gap,
@@ -62,6 +62,11 @@ def accuracy(params, dataset):
     """Top-1 accuracy of one set, as `evaluate_model` computes it per set."""
     return evaluation._accuracy(evaluation.batched_logits(params, dataset.images),
                                 dataset.labels)
+
+
+def test_batched_logits_of_an_empty_set_is_a_dimension_error():
+    with pytest.raises(DimensionError, match="set 0 of 1 has no images"):
+        evaluation.batched_logits(init_params(TINY, seed=0), np.zeros((0, 1, 8, 8)))
 
 
 class TestAccuracy:

@@ -30,7 +30,7 @@ def recipe(seed: int, epochs: int) -> TrainConfig:
 
 def test_training_steps_fault_in_no_new_pages():
     """Under the policy a warm training step reuses the heap pages the
-    previous step freed; under glibc's default it faults in about 4,300
+    previous step freed; under glibc's default it faults in about 2,400
     new pages per step."""
     resource = pytest.importorskip("resource")
     if keep_heap() is None:

@@ -315,3 +315,16 @@ class TestForwardChunks:
             forward_chunks(params, [masked], 4)
         assert str(pooled.value) == str(serial.value)
         assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_empty_set_is_a_dimension_error_before_any_forward(self, monkeypatch, masked):
+        params = init_params(TINY, seed=8)
+        images = RNG.normal(size=(6, 1, 8, 8))
+        empty = self._masked(images[:0], MaskType.ZERO, np.zeros((0, 4))) if masked else images[:0]
+        calls = []
+        monkeypatch.setattr("lethevit.masking.forward", lambda *args: calls.append(args))
+        with pytest.raises(DimensionError, match="set 1 of 2 has no images"):
+            forward_chunks(params, [images, empty], 4, capture_attention=True)
+        assert calls == []
+        with pytest.raises(DimensionError):  # the error `forward` of zero rows raises
+            forward(params, images[:0])

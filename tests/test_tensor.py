@@ -14,6 +14,7 @@ from lethevit.errors import (
     LabelError,
     NonFiniteError,
 )
+from lethevit import tensor as T
 from lethevit.tensor import (
     Tape,
     Tensor,
@@ -46,9 +47,13 @@ from helpers import (
     assert_gradients_match,
     autodiff_gradients,
     reference_attention,
+    reference_gelu,
+    reference_gelu_backward,
     reference_layer_norm,
     reference_linear,
     reference_mlp,
+    reference_softmax,
+    reference_softmax_backward,
 )
 
 RNG = np.random.default_rng(20240811)
@@ -585,6 +590,88 @@ class TestFusedOps:
         # the hidden pre-activation overflows to +-inf inside the op
         with pytest.raises(NonFiniteError):
             mlp(Tensor(x * 1e200), Tensor(w1 * 1e200), Tensor(b1), Tensor(w2), Tensor(b2))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def assert_same_bytes(a: np.ndarray, b: np.ndarray) -> None:
+    np.testing.assert_array_equal(a, b)
+    assert a.tobytes() == b.tobytes()  # also tells -0.0 from 0.0
+
+
+class TestKernels:
+    """The shared softmax and GELU kernels give the bytes of the
+    out-of-place expressions they replaced (`tests/helpers.py`) and
+    write into none of their (read-only) arguments."""
+
+    @pytest.mark.parametrize("shape,view", [
+        ((5, 7), None), ((3, 6, 9), None), ((2, 3, 5, 26), None),
+        ((3, 9, 6), lambda a: a.swapaxes(1, 2)),
+    ], ids=["rank2", "rank3", "rank4", "rank3_strided"])
+    def test_match_out_of_place_expressions(self, shape, view):
+        rng = np.random.default_rng(len(shape))
+        x = 3.0 * rng.normal(size=shape)  # many |x| > 1: erf's other branch
+        # in every other row, scores 700-760 below the row's largest:
+        # exp gives normal, subnormal and zero weights there
+        x[..., ::2, 1::2] = -700.0 - 60.0 * rng.random(x[..., ::2, 1::2].shape)
+        g = rng.normal(size=shape)
+        if view is not None:
+            x, g = view(x), view(g)
+        x, g = _read_only(x), _read_only(g)
+
+        y = _read_only(T._softmax(x))
+        assert_same_bytes(y, reference_softmax(x))
+        assert (y == 0).any() and ((y > 0) & (y < np.finfo(np.float64).tiny)).any()
+        scores = np.array(x)
+        assert_same_bytes(T._softmax(scores, out=scores), y)
+        assert_same_bytes(T._softmax_backward(g, y), reference_softmax_backward(g, y))
+
+        hidden, cdf = T._gelu(x)
+        ref_hidden, ref_cdf = reference_gelu(x)
+        assert (np.abs(x) > 1).any() and (np.abs(x) < 1).any()
+        assert_same_bytes(hidden, ref_hidden)
+        assert_same_bytes(cdf, ref_cdf)
+        cdf = _read_only(cdf)
+        assert_same_bytes(T._gelu_backward(g, x, cdf), reference_gelu_backward(g, x, cdf))
+
+
+class TestOwnership:
+    """The backward of a fused op, or of an op that hands its upstream
+    gradient straight to a shared kernel, writes into neither that
+    gradient nor what its closure keeps: run twice on a read-only gradient, it
+    raises nothing, returns the same gradients both times and leaves the
+    op's output and attention weights as they were."""
+
+    @pytest.mark.parametrize("op,inputs", [
+        (linear, lambda: [RNG.normal(size=(2, 3, 4)), RNG.normal(size=(4, 5)),
+                          RNG.normal(size=5)]),
+        (layer_norm, lambda: [RNG.normal(size=(4, 26, 32)), RNG.normal(size=32),
+                              RNG.normal(size=32)]),
+        (lambda *t: attention(*t, heads=2), _attention_inputs),
+        (lambda *t: attention(*t, heads=2, class_only=True), _attention_inputs),
+        (mlp, _mlp_inputs),
+        (softmax_rows, lambda: [RNG.normal(size=(2, 3, 5))]),
+        (gelu, lambda: [RNG.normal(size=(2, 3, 5))]),
+    ], ids=["linear", "layer_norm", "attention", "attention_class_only", "mlp", "softmax_rows",
+            "gelu"])
+    def test_backward_twice_on_a_read_only_gradient(self, op, inputs):
+        tensors = [Tensor(a, requires_grad=True) for a in inputs()]
+        with Tape() as tape:
+            result = op(*tensors)
+        kept = list(result) if isinstance(result, tuple) else [result]
+        kept = [a.values if isinstance(a, Tensor) else a for a in kept]  # output, weights
+        before = [a.copy() for a in kept]
+        [record] = tape._records
+        g = _read_only(RNG.normal(size=kept[0].shape))
+        first, second = record.backward(g), record.backward(g)
+        assert len(first) == len(tensors)
+        for a, b in zip(first, second, strict=True):
+            assert_same_bytes(a, b)
+        for a, b in zip(kept, before, strict=True):
+            assert_same_bytes(a, b)
 
 
 def _probe_dot(out: Tensor, probe: np.ndarray) -> Tensor:
