@@ -384,13 +384,14 @@ def cmd_report(args, cfg: None) -> None:
                 entry = None
             if not isinstance(entry, dict):
                 raise FormatError(f"{path}:{line_no}: manifest line is not a JSON object", offset)
+            outputs, duration = entry.get("outputs", {}), entry.get("duration_seconds", 0.0)
             try:
-                outputs = ";".join(sorted(entry.get("outputs", {})))
-                duration = f"{entry.get('duration_seconds', 0.0):.2f}"
+                if not isinstance(outputs, dict) or type(duration) not in (int, float):
+                    raise TypeError  # bool is neither: `true` is no duration
                 rows.append(",".join(map(_csv_field, (
                     entry.get("command"), entry.get("method", ""), entry.get("seed"),
-                    duration, outputs))))
-            except (TypeError, ValueError, OverflowError):  # OverflowError: int beyond float
+                    f"{duration:.2f}", ";".join(sorted(outputs))))))
+            except (TypeError, OverflowError):  # OverflowError: int beyond float
                 raise FormatError(f"{path}:{line_no}: manifest line has a malformed "
                                   "'outputs' or 'duration_seconds'", offset) from None
             offset += len(raw)

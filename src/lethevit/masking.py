@@ -6,7 +6,9 @@ patches is selected, and the corresponding image pixels are replaced by
 zeros or Gaussian noise.
 `forward_chunks` runs every untracked, chunked forward of the package
 on a thread pool (numpy's kernels release the GIL), with each chunk's
-serial arithmetic and the results in chunk order: the same bytes. A set
+serial arithmetic and the results in chunk order: the same bytes. The
+forwards run on a gradient-free copy of the model (`ViTParams.frozen()`),
+so they never record, even beside a tape open on another thread. A set
 may be a `MaskedSet`, which the workers mask chunk by chunk just before
 the forward, so a masked set never exists whole and its masking runs on
 the pool too.
@@ -24,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, DimensionError, require_finite
-from .tensor import DTYPE, stop_recording
+from .tensor import DTYPE
 from .vit import AttentionMap, ViTParams, forward
 
 
@@ -102,15 +104,17 @@ def forward_chunks(params: ViTParams, sets: Sequence[np.ndarray | MaskedSet], ch
     just before its forward, the chunk from row `start` seeded
     `seed + start`; as `apply_mask` seeds row i with `seed + i`, these
     are the rows of masking the whole set at once, but only the chunks
-    in flight exist masked. The chunks run on min(`pool_size()`, chunks) threads while
-    the caller blocks with no tape active; an error in a chunk is raised
-    as the serial loop would have raised it. An empty set is a
-    `DimensionError`, as `forward` of zero rows is, raised before any
-    chunk runs."""
+    in flight exist masked. The chunks run on min(`pool_size()`,
+    chunks) threads and on one gradient-free copy of `params`, so none
+    records on a tape, not even one the caller or another thread has
+    open; an error in a chunk is raised as the serial loop would have
+    raised it. An empty set is a `DimensionError`, as `forward` of zero
+    rows is, raised before any chunk runs."""
     rows = [len(s.images if isinstance(s, MaskedSet) else s) for s in sets]
     if 0 in rows:
         raise DimensionError(f"set {rows.index(0)} of {len(rows)} has no images to forward")
     jobs = [(s, start) for s, n in zip(sets, rows) for start in range(0, n, chunk)]
+    frozen = params.frozen()
     patch_size = params.config.patch_size
 
     def run(job: tuple[np.ndarray | MaskedSet, int]) -> list[np.ndarray]:
@@ -121,12 +125,12 @@ def forward_chunks(params: ViTParams, sets: Sequence[np.ndarray | MaskedSet], ch
                                       patch_size, s.seed + start).images
         else:
             images = s[start:stop]
-        out = forward(params, images, capture_attention=capture_attention)
+        out = forward(frozen, images, capture_attention=capture_attention)
         return [out.logits.values] + ([class_token_attention(out.last_attention)]
                                       if capture_attention else [])
 
-    with stop_recording(), ThreadPoolExecutor(max(1, min(pool_size(), len(jobs)))) as pool:
-        results = iter(list(pool.map(run, jobs)))  # chunk order; joined before the tape returns
+    with ThreadPoolExecutor(max(1, min(pool_size(), len(jobs)))) as pool:
+        results = iter(list(pool.map(run, jobs)))  # chunk order
     return [[np.concatenate(parts, axis=0) for parts in zip(*islice(results, -(-n // chunk)))]
             for n in rows]
 
@@ -204,10 +208,9 @@ def build_masked_view(
 ) -> MaskedBatch:
     """Mask `images` guided by `model`'s own final-block attention.
 
-    `model` is the frozen reference model; its forward pass runs with
-    gradient recording suppressed.
+    `model` is the frozen reference model; its forward runs on a
+    gradient-free copy, so it records on no tape.
     """
-    with stop_recording():
-        out = forward(model, images, capture_attention=True)
+    out = forward(model.frozen(), images, capture_attention=True)
     scores = class_token_attention(out.last_attention)
     return mask_from_scores(images, scores, spec, model.config.patch_size, seed=seed)

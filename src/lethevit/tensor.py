@@ -3,14 +3,12 @@
 The engine is deliberately small: a `Tensor` wraps an immutable float64
 numpy array, a `Tape` records differentiable operations in execution
 order, and `backward` replays the tape once in reverse. Operations run
-outside any active tape compute plain values and track no gradients,
-which is how frozen-model forwards are expressed. A process has one
-active tape: `with Tape()` makes a tape active and gives the outer one
-back on exit, and `stop_recording` clears it for its block. An op
-records only when an input requires a gradient, so ops on
-gradient-free tensors never record and may run on other threads beside
-an open tape; other ops may run on several threads only while no tape
-is active.
+outside any active tape compute plain values and track no gradients.
+The threading contract is one rule: gradient-free tensors never
+record, and one tape is open at a time. An op records only when an
+input requires a gradient, so a frozen model's forward (on
+`ViTParams.frozen()`) may run on any thread beside an open tape;
+entering a `Tape` while one is open raises `ContractError`.
 
 Shapes are explicit everywhere; the only broadcasting is trailing-shape
 bias addition in `add` and the affine ops. Every operation validates
@@ -47,7 +45,6 @@ never at import.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -132,49 +129,32 @@ class Tape:
     """Execution-ordered record of differentiable operations.
 
     Use as a context manager around the forward pass being
-    differentiated. Appending at execution time keeps the record
-    topologically ordered, so `backward` can walk it in reverse and
-    visit each operation exactly once. A tape is single-use.
+    differentiated; one tape is open at a time in the process.
+    Appending at execution time keeps the record topologically ordered,
+    so `backward` can walk it in reverse and visit each operation
+    exactly once. A tape is single-use.
     """
 
     _records: list[_OpRecord] = field(default_factory=list)
     consumed: bool = False
-    _open = False  # inside its `with` block; a class attribute, not a field
 
     def __enter__(self) -> "Tape":
         global _active
-        if self._open:
-            raise ContractError("tape context entered while already open")
-        self._open, self._outer, _active = True, _active, self
+        if _active is not None:
+            raise ContractError("tape context entered while a tape is open")
+        _active = self
         return self
 
     def __exit__(self, *exc) -> None:
         global _active
-        if _active is not self:
-            raise ContractError("tape context exited out of order")
-        self._open, _active = False, self._outer
+        _active = None
 
     def __len__(self) -> int:
         return len(self._records)
 
 
-# the tape ops record on: the innermost open `with Tape()`, or None
+# the tape ops record on: the open `with Tape()`, or None
 _active: Optional[Tape] = None
-
-
-@contextlib.contextmanager
-def stop_recording():
-    """Hide any active tape from enclosed ops.
-
-    Forward passes of frozen models run inside this so they never
-    record gradients, even when called mid-training.
-    """
-    global _active
-    saved, _active = _active, None
-    try:
-        yield
-    finally:
-        _active = saved
 
 
 def _result(inputs: tuple[Tensor, ...], out_values: np.ndarray, backward_fn) -> Tensor:

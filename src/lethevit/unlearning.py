@@ -47,7 +47,6 @@ from .tensor import (
     row_cosine,
     scale,
     softplus,
-    stop_recording,
 )
 from .vit import ViTConfig, ViTParams, forward, init_params, params_checksum
 
@@ -126,13 +125,11 @@ def frozen_teacher(original: ViTParams, images: np.ndarray, indices: np.ndarray,
     passes `batch_size` as `chunk`, not evaluation's 64: at 64 rows the
     `forget` benchmark's peak RSS rose by about 3 MB at the same speed.
 
-    The teacher runs on a gradient-free copy of the original. An op
-    records only when an input requires a gradient, so `views` never
-    touches a tape, not even one another thread has open: it may run on
-    a worker thread beside a tracked step. It must not call
-    `stop_recording` or `forward_chunks` there, which swap the one
-    active-tape slot of the process."""
-    frozen = ViTParams(original.config, {name: Tensor(t.values) for name, t in original.items()})
+    The teacher runs on `original.frozen()`. An op records only when an
+    input requires a gradient, so `views` never touches a tape, not
+    even one another thread has open: it may run on a worker thread
+    beside a tracked step."""
+    frozen = original.frozen()
     [[negatives, scores]] = forward_chunks(frozen, [images[indices]], chunk, True)
     row_of = np.zeros(len(images), dtype=np.int64)  # image index -> cached row
     row_of[indices] = np.arange(len(indices))
@@ -375,11 +372,11 @@ def triplet_cosine_stats(
     teacher = frozen_teacher(original, dataset.images, indices, mask_spec, batch_size)
     sims_p: list[np.ndarray] = []
     sims_n: list[np.ndarray] = []
-    with stop_recording():
-        for start in range(0, len(indices), batch_size):
-            batch = indices[start:start + batch_size]
-            positive, negative = teacher(batch, mask_seed)
-            anchor = forward(current, dataset.images[batch]).logits
-            sims_p.append(row_cosine(anchor, positive).values)
-            sims_n.append(row_cosine(anchor, negative).values)
+    current = current.frozen()
+    for start in range(0, len(indices), batch_size):
+        batch = indices[start:start + batch_size]
+        positive, negative = teacher(batch, mask_seed)
+        anchor = forward(current, dataset.images[batch]).logits
+        sims_p.append(row_cosine(anchor, positive).values)
+        sims_n.append(row_cosine(anchor, negative).values)
     return float(np.concatenate(sims_p).mean()), float(np.concatenate(sims_n).mean())

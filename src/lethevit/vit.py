@@ -149,6 +149,10 @@ class ViTParams:
         }
         return ViTParams(self.config, fresh)
 
+    def frozen(self) -> "ViTParams":
+        """A gradient-free copy: no forward on it records on any tape."""
+        return ViTParams(self.config, {name: Tensor(t.values) for name, t in self.tensors.items()})
+
     def replace(self, name: str, values: np.ndarray) -> None:
         self.tensors[name] = Tensor(values, requires_grad=True)
 

@@ -181,9 +181,8 @@ def reference_fit_loss_threshold(member_losses, nonmember_losses):
 
 def _reference_logits(params, images):
     outputs = []
-    with T.stop_recording():
-        for start in range(0, len(images), 256):
-            outputs.append(vit.forward(params, images[start:start + 256]).logits.values)
+    for start in range(0, len(images), 256):
+        outputs.append(vit.forward(params, images[start:start + 256]).logits.values)
     return np.concatenate(outputs, axis=0)
 
 
@@ -232,8 +231,7 @@ def reference_apply_mask(images, indices, spec, patch_size, seed=0):
 
 def reference_build_masked_view(model, images, spec, seed=0):
     """Attention-guided masking as one unchunked capture forward."""
-    with T.stop_recording():
-        out = vit.forward(model, images, capture_attention=True)
+    out = vit.forward(model, images, capture_attention=True)
     indices = masking.select_top_k(masking.class_token_attention(out.last_attention), spec.ratio)
     return masking.apply_mask(images, indices, spec, model.config.patch_size, seed=seed)
 
@@ -263,9 +261,9 @@ def reference_teacher_views(original, images, mask_spec, mask_seed):
     then separate masked (positive) and unmasked (negative) forwards,
     all of one batch."""
     masked = reference_build_masked_view(original, images, mask_spec, seed=mask_seed)
-    with T.stop_recording():
-        positive = vit.forward(original, masked.images).logits
-        negative = vit.forward(original, images).logits
+    frozen = original.frozen()
+    positive = vit.forward(frozen, masked.images).logits
+    negative = vit.forward(frozen, images).logits
     return positive, negative
 
 
@@ -276,8 +274,7 @@ def reference_triplet_cosine_stats(current, original, dataset, indices, mask_spe
     for start in range(0, len(indices), batch_size):
         images = dataset.images[indices[start:start + batch_size]]
         positive, negative = reference_teacher_views(original, images, mask_spec, mask_seed)
-        with T.stop_recording():
-            anchor = vit.forward(current, images).logits
+        anchor = vit.forward(current, images).logits
         sims_p.append(T.row_cosine(anchor, positive).values)
         sims_n.append(T.row_cosine(anchor, negative).values)
     return float(np.concatenate(sims_p).mean()), float(np.concatenate(sims_n).mean())

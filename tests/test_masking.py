@@ -4,13 +4,14 @@ view against an independent brute-force recomputation, and the thread
 pool that runs chunked forwards."""
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lethevit import tensor
+from lethevit import masking, tensor
 from lethevit.errors import ConfigError, DimensionError, NonFiniteError
 from lethevit.masking import (
     MaskedSet,
@@ -24,7 +25,7 @@ from lethevit.masking import (
     patch_count,
     select_top_k,
 )
-from lethevit.tensor import Tape, stop_recording
+from lethevit.tensor import Tape, Tensor, linear
 from lethevit.vit import AttentionMap, ViTConfig, forward, init_params
 
 from helpers import reference_apply_mask
@@ -238,12 +239,11 @@ class TestForwardChunks:
 
     def _serial(self, params, images, chunk, capture):
         logits, scores = [], []
-        with stop_recording():
-            for start in range(0, len(images), chunk):
-                out = forward(params, images[start:start + chunk], capture_attention=capture)
-                logits.append(out.logits.values)
-                if capture:
-                    scores.append(class_token_attention(out.last_attention))
+        for start in range(0, len(images), chunk):
+            out = forward(params, images[start:start + chunk], capture_attention=capture)
+            logits.append(out.logits.values)
+            if capture:
+                scores.append(class_token_attention(out.last_attention))
         return [np.concatenate(logits)] + ([np.concatenate(scores)] if capture else [])
 
     @pytest.mark.parametrize("capture", [False, True])
@@ -287,6 +287,31 @@ class TestForwardChunks:
             assert tensor._active is tape
             forward(params, RNG.normal(size=(2, 1, 8, 8)))
             assert len(tape) > 0
+
+    def test_map_on_a_worker_leaves_the_main_threads_tape_recording(self, monkeypatch):
+        """While a worker thread is inside `forward_chunks`, an op on the
+        main thread still records on the tape the main thread has open."""
+        params = init_params(TINY, seed=8)
+        inside, release = threading.Event(), threading.Event()
+        real = masking.forward
+
+        def held(params, images, capture_attention=False):
+            inside.set()
+            release.wait(timeout=30)
+            return real(params, images, capture_attention)
+
+        monkeypatch.setattr(masking, "forward", held)
+        x, w, b = (Tensor(RNG.normal(size=s), requires_grad=True) for s in ((2, 3), (3, 4), (4,)))
+        with ThreadPoolExecutor(1) as pool, Tape() as tape:
+            job = pool.submit(forward_chunks, params, [RNG.normal(size=(4, 1, 8, 8))], 4)
+            try:
+                assert inside.wait(timeout=30)
+                out = linear(x, w, b)
+            finally:
+                release.set()
+            job.result()
+        assert out.requires_grad
+        assert len(tape) == 1
 
     def test_error_in_a_middle_chunk_is_the_serial_error(self):
         params = init_params(TINY, seed=8)

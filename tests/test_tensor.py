@@ -37,7 +37,6 @@ from lethevit.tensor import (
     scale,
     softmax_rows,
     softplus,
-    stop_recording,
     sum_all,
     take_token,
     transpose,
@@ -278,55 +277,17 @@ class TestBackward:
         y = matmul(x, x)
         assert not y.requires_grad
 
-    def test_stop_recording_hides_tape(self):
-        x = Tensor([[1.0]], requires_grad=True)
-        with Tape() as tape:
-            with stop_recording():
-                hidden = matmul(x, x)
-            loss = sum_all(matmul(x, x))
-        assert not hidden.requires_grad
-        assert len(tape) == 2  # matmul + sum only
-        backward(loss, tape)
-        assert x.grad is not None
-
-    def test_nested_tape_records_only_inner_then_outer_again(self):
-        x = Tensor([[1.0]], requires_grad=True)
-        with Tape() as outer:
-            matmul(x, x)
-            with Tape() as inner:
-                inner_out = matmul(x, x)
-                sum_all(inner_out)
-            after = matmul(x, x)
-        assert len(inner) == 2
-        assert len(outer) == 2  # one matmul before the inner tape, one after
-        assert inner_out.requires_grad and after.requires_grad
-        assert not matmul(x, x).requires_grad  # no tape left open
-
-    def test_stop_recording_restores_tape_when_body_raises(self):
-        x = Tensor([[1.0]], requires_grad=True)
-        with Tape() as tape:
-            with pytest.raises(RuntimeError):
-                with stop_recording():
-                    raise RuntimeError("body failed")
-            matmul(x, x)
-        assert len(tape) == 1
-
-    def test_out_of_order_exit_raises(self):
-        outer, inner = Tape(), Tape()
-        outer.__enter__()
-        inner.__enter__()
-        with pytest.raises(ContractError):
-            outer.__exit__(None, None, None)
-        inner.__exit__(None, None, None)
-        outer.__exit__(None, None, None)
-        assert not matmul(Tensor([[1.0]], requires_grad=True),
-                          Tensor([[1.0]])).requires_grad
-
     def test_entering_an_open_tape_raises(self):
+        """One tape is open at a time: entering it again, or entering a
+        second tape, raises and leaves the first active and recording."""
         x = Tensor([[1.0]], requires_grad=True)
         with Tape() as tape:
             with pytest.raises(ContractError):
                 tape.__enter__()
+            with pytest.raises(ContractError):
+                with Tape():
+                    pass
+            assert T._active is tape
             matmul(x, x)
         assert len(tape) == 1
         assert not matmul(x, x).requires_grad

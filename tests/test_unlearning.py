@@ -27,7 +27,6 @@ from lethevit.tensor import (
     per_sample_cross_entropy,
     scale,
     softplus,
-    stop_recording,
 )
 from lethevit import unlearning
 from lethevit.unlearning import (
@@ -261,16 +260,12 @@ class TestUnlearnPipeline:
 
         images = train.images[split.forget]
         masked = build_masked_view(theta_o, images, spec)
-        with stop_recording():
-            positive = forward(theta_o, masked.images).logits
-            negative = forward(theta_o, images).logits
+        positive = forward(theta_o, masked.images).logits
+        negative = forward(theta_o, images).logits
 
         def loss_at(probe_params):
-            with stop_recording():
-                anchor = forward(probe_params, images).logits
-                return contrastive_loss(
-                    TripletLogits(anchor, positive, negative), 0.7
-                ).item()
+            anchor = forward(probe_params, images).logits
+            return contrastive_loss(TripletLogits(anchor, positive, negative), 0.7).item()
 
         step = 1e-5
         probe = theta_o.copy()

@@ -7,7 +7,7 @@ import pytest
 
 from lethevit.errors import ConfigError, DimensionError
 from lethevit.masking import class_token_attention, select_top_k
-from lethevit.tensor import Tape, Tensor, backward, cross_entropy, stop_recording, sum_all
+from lethevit.tensor import Tape, Tensor, backward, cross_entropy, sum_all
 from lethevit.vit import (
     ViTConfig,
     forward,
@@ -155,6 +155,19 @@ class TestInitParams:
         clone.replace("head.bias", np.ones(TINY.num_classes))
         np.testing.assert_array_equal(params["head.bias"].values, 0.0)
 
+    def test_frozen_copy_keeps_the_bytes_and_records_nothing(self):
+        params = init_params(TINY, seed=0)
+        frozen = params.frozen()
+        assert frozen.config == params.config and frozen.names() == params.names()
+        for name, t in frozen.items():
+            assert t.values.tobytes() == params[name].values.tobytes(), name
+            assert not t.requires_grad, name
+        images = np.random.default_rng(3).normal(size=(2, 1, 8, 8))
+        with Tape() as tape:
+            out = forward(frozen, images)
+        assert len(tape) == 0 and not out.logits.requires_grad
+        assert out.logits.values.tobytes() == forward(params, images).logits.values.tobytes()
+
 
 class TestModelGradients:
     def test_full_model_matches_finite_differences(self):
@@ -218,9 +231,9 @@ class TestClassTokenTail:
         images = rng.normal(size=(batch, 1, 20, 20))
         labels = rng.integers(0, 3, size=batch)
 
-        with stop_recording():
-            untracked = (forward(params, images, capture_attention=True),
-                         reference_forward(params, images, capture_attention=True))
+        frozen = params.frozen()
+        untracked = (forward(frozen, images, capture_attention=True),
+                     reference_forward(frozen, images, capture_attention=True))
         got, _, got_params = _tracked_step(forward, params, images, labels)
         want, _, want_params = _tracked_step(reference_forward, params, images, labels)
         assert got.logits.requires_grad and not untracked[0].logits.requires_grad
