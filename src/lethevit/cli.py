@@ -385,15 +385,14 @@ def cmd_report(args, cfg: None) -> None:
             if not isinstance(entry, dict):
                 raise FormatError(f"{path}:{line_no}: manifest line is not a JSON object", offset)
             outputs, duration = entry.get("outputs", {}), entry.get("duration_seconds", 0.0)
-            try:
-                if not isinstance(outputs, dict) or type(duration) not in (int, float):
-                    raise TypeError  # bool is neither: `true` is no duration
-                rows.append(",".join(map(_csv_field, (
-                    entry.get("command"), entry.get("method", ""), entry.get("seed"),
-                    f"{duration:.2f}", ";".join(sorted(outputs))))))
-            except (TypeError, OverflowError):  # OverflowError: int beyond float
+            # a bool is no int here (`true` is no duration); NaN fails every comparison
+            if not (isinstance(outputs, dict) and type(duration) in (int, float)
+                    and 0 <= duration <= sys.float_info.max):
                 raise FormatError(f"{path}:{line_no}: manifest line has a malformed "
-                                  "'outputs' or 'duration_seconds'", offset) from None
+                                  "'outputs' or 'duration_seconds'", offset)
+            rows.append(",".join(map(_csv_field, (
+                entry.get("command"), entry.get("method", ""), entry.get("seed"),
+                f"{duration:.2f}", ";".join(sorted(outputs))))))
             offset += len(raw)
     _write_csv(args.out, _REPORT_HEADER, rows)
 

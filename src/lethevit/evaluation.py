@@ -5,8 +5,9 @@ retrained reference model.
 The attack is deliberately simple and fully deterministic: per-sample
 cross-entropy losses are computed for the retain set (members) and the
 test set (non-members), a single threshold maximizing balanced
-member/non-member accuracy is fitted on those two sets, and the attack
-score is the fraction of forget samples whose loss falls below it.
+member/non-member accuracy is fitted on those two sets
+(`fit_loss_threshold`), and the attack score is the fraction of forget
+samples whose loss falls below it (`mia_at`).
 
 A model is scored through two entry points, each running a forward once:
 `evaluate_model` takes the FA/RA/TA accuracies and the attack's losses
@@ -100,18 +101,9 @@ def fit_loss_threshold(member_losses: np.ndarray, nonmember_losses: np.ndarray) 
     return float(candidates[np.argmax(0.5 * (tpr + tnr))])  # argmax: first maximizer
 
 
-def mia_from_losses(
-    forget_losses: np.ndarray,
-    member_losses: np.ndarray,
-    nonmember_losses: np.ndarray,
-) -> float:
-    """Attack success as the percentage of forget losses below the
-    threshold fitted on member vs non-member losses."""
-    return _mia_at(forget_losses, fit_loss_threshold(member_losses, nonmember_losses))
-
-
-def _mia_at(forget_losses: np.ndarray, threshold: float) -> float:
-    """Percentage of forget losses below a fitted attack threshold."""
+def mia_at(forget_losses: np.ndarray, threshold: float) -> float:
+    """Attack success: the percentage of forget losses below a threshold
+    fitted by `fit_loss_threshold` on member vs non-member losses."""
     forget_losses = np.asarray(forget_losses, dtype=np.float64)
     if len(forget_losses) == 0:
         raise ContractError("MIA requires a nonempty forget set")
@@ -124,9 +116,10 @@ def evaluate_model(params: ViTParams, split, method: str = "", seed: int = 0) ->
     sets = (split.forget_set(), split.retain_set(), split.test)
     logits = [z for [z] in forward_chunks(params, [d.images for d in sets], _EVAL_BATCH)]
     fa, ra, ta = (_accuracy(z, dataset.labels) for z, dataset in zip(logits, sets))
-    losses = [per_sample_cross_entropy(z, dataset.labels) for z, dataset in zip(logits, sets)]
-    return MetricsReport(fa=fa, ra=ra, ta=ta, mia=mia_from_losses(*losses),
-                         method=method, seed=seed)
+    forget, member, nonmember = (per_sample_cross_entropy(z, dataset.labels)
+                                 for z, dataset in zip(logits, sets))
+    mia = mia_at(forget, fit_loss_threshold(member, nonmember))
+    return MetricsReport(fa=fa, ra=ra, ta=ta, mia=mia, method=method, seed=seed)
 
 
 def average_gap(method: MetricsReport, retrain: MetricsReport) -> GapReport:
@@ -192,5 +185,5 @@ def masking_sweep(
         forget_losses = per_sample_cross_entropy(forget_z, forget.labels)
         rows.append(SweepRow(ratio=spec.ratio, mask_type=spec.mask_type.value,
                              ta=_accuracy(test_z, test.labels),
-                             mia=_mia_at(forget_losses, threshold)))
+                             mia=mia_at(forget_losses, threshold)))
     return rows

@@ -163,18 +163,24 @@ def apply_mask(
 
     Gaussian replacement draws per sample from a generator seeded
     `seed + sample_index`, so samples can be processed independently.
+    Square images that `patch_size` tiles exactly and patch indices in
+    [0, N) are checked before any pixel is written (`DimensionError`).
     """
     images = np.asarray(images, dtype=DTYPE)
-    if images.ndim != 4:
+    if images.ndim != 4 or images.shape[2] != images.shape[3]:
         raise DimensionError(f"images must be [B, C, S, S], got {images.shape}")
     indices = np.asarray(indices, dtype=np.int64)
     b, c, s, _ = images.shape
     if indices.ndim != 2 or len(indices) != b:
         raise DimensionError(f"mask indices must be [{b}, k], got {indices.shape}")
+    if patch_size < 1 or s % patch_size:
+        raise DimensionError(f"patch size {patch_size} does not tile images of shape "
+                             f"{images.shape}")
     grid = s // patch_size
     n = grid * grid
     if indices.size and (indices.min() < 0 or indices.max() >= n):
-        raise IndexError(f"patch index outside [0, {n}) in mask indices")
+        raise DimensionError(f"patch index outside [0, {n}) in mask indices of shape "
+                             f"{indices.shape}")
 
     # pixel coordinates of every selected patch: rows [B, k, p, 1], cols [B, k, 1, p]
     p = patch_size

@@ -525,16 +525,6 @@ def softplus(x: Tensor) -> Tensor:
     return _result((x,), out, bwd)
 
 
-def sum_all(x: Tensor) -> Tensor:
-    out = x.values.sum()
-    shape = x.shape
-
-    def bwd(g: np.ndarray):
-        return (np.full(shape, float(g), dtype=DTYPE),)
-
-    return _result((x,), out, bwd)
-
-
 def mean_all(x: Tensor) -> Tensor:
     out = x.values.mean()
     shape, n = x.shape, x.size
@@ -603,26 +593,6 @@ def row_cosine(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _result((a, b), s, bwd)
-
-
-def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:
-    """Cosine similarity of two equal-length vectors, as a scalar tensor."""
-    if u.ndim != 1 or u.shape != v.shape:
-        raise DimensionError(f"cosine_similarity expects matching vectors, got {u.shape} and {v.shape}")
-    uv, vv = u.values, v.values
-    nu = float(np.linalg.norm(uv))
-    nv = float(np.linalg.norm(vv))
-    if nu < _NORM_FLOOR or nv < _NORM_FLOOR:
-        raise DegenerateVectorError("cosine similarity of a (near-)zero vector")
-    s = float(uv @ vv) / (nu * nv)
-
-    def bwd(g: np.ndarray):
-        g = float(g)
-        gu = g * (vv / (nu * nv) - s * uv / (nu * nu))
-        gv = g * (uv / (nu * nv) - s * vv / (nv * nv))
-        return gu, gv
-
-    return _result((u, v), np.asarray(s), bwd)
 
 
 def repeat_batch(x: Tensor, count: int) -> Tensor:

@@ -332,6 +332,8 @@ def relabel_forget(
     labels: np.ndarray, forget: np.ndarray, class_count: int, seed: int
 ) -> np.ndarray:
     """Replace forget labels with uniform draws over the other classes."""
+    if class_count < 2:
+        raise ConfigError(f"relabeling needs class_count >= 2, got {class_count}")
     rng = np.random.Generator(np.random.PCG64(seed))
     new_labels = labels.copy()
     draws = rng.integers(0, class_count - 1, size=len(forget))
@@ -354,29 +356,3 @@ def random_labels(original: ViTParams, split: DataSplit, config: UnlearnConfig, 
         theta, relabeled, np.arange(len(train), dtype=np.int64), config.retain_epochs, config,
         rng, "random_labels", on_step))
 
-
-def triplet_cosine_stats(
-    current: ViTParams,
-    original: ViTParams,
-    dataset: LabeledDataset,
-    indices: np.ndarray,
-    mask_spec: MaskSpec,
-    mask_seed: int = 0,
-    batch_size: int = 64,
-) -> tuple[float, float]:
-    """Batch-mean cosine of current-model logits to the original model's
-    masked (positive) and unmasked (negative) logits over the distinct
-    `indices`, in batches of `batch_size` (each masked with `mask_seed`)."""
-    if len(indices) == 0:
-        raise ContractError("triplet cosine statistics need a nonempty index set")
-    teacher = frozen_teacher(original, dataset.images, indices, mask_spec, batch_size)
-    sims_p: list[np.ndarray] = []
-    sims_n: list[np.ndarray] = []
-    current = current.frozen()
-    for start in range(0, len(indices), batch_size):
-        batch = indices[start:start + batch_size]
-        positive, negative = teacher(batch, mask_seed)
-        anchor = forward(current, dataset.images[batch]).logits
-        sims_p.append(row_cosine(anchor, positive).values)
-        sims_n.append(row_cosine(anchor, negative).values)
-    return float(np.concatenate(sims_p).mean()), float(np.concatenate(sims_n).mean())

@@ -1,11 +1,12 @@
-"""Shared test utilities: the central finite-difference gradient oracle,
-the out-of-place expressions of the shared softmax and GELU kernels,
-the fine-grained reference compositions of the fused model ops, the
-`x.var` layer norm, the all-token ViT forward, the recompute-everything
-reference compositions of the evaluation, masking sweep and teacher
-paths, the per-patch masking loop, the per-method training loops the
-one SGD phase loop replaced, and a forward-call counter with a sorter
-for the chunks it logs from a thread pool."""
+"""Shared test utilities: the central finite-difference gradient oracle
+and its `sum_all` reduction, the out-of-place expressions of the shared
+softmax and GELU kernels, the fine-grained reference compositions of
+the fused model ops, the `x.var` layer norm, the all-token ViT forward,
+the recompute-everything reference compositions of the evaluation,
+masking sweep and teacher paths, the per-patch masking loop, the
+per-method training loops the one SGD phase loop replaced, and a
+forward-call counter with a sorter for the chunks it logs from a thread
+pool."""
 
 import numpy as np
 from scipy.special import erf
@@ -51,6 +52,17 @@ def autodiff_gradients(build, arrays):
 def max_relative_error(computed, reference):
     scale = max(float(np.abs(reference).max()), 1e-8)
     return float(np.abs(computed - reference).max()) / scale
+
+
+def sum_all(x):
+    """Sum of every element as a scalar Tensor: the reduction the
+    gradient checks put on a non-scalar op's output."""
+    shape = x.shape
+
+    def bwd(g):
+        return (np.full(shape, float(g), dtype=T.DTYPE),)
+
+    return T._result((x,), x.values.sum(), bwd)
 
 
 def assert_gradients_match(build, arrays, rel_tol=1e-4, step=FD_STEP):
@@ -269,7 +281,10 @@ def reference_teacher_views(original, images, mask_spec, mask_seed):
 
 def reference_triplet_cosine_stats(current, original, dataset, indices, mask_spec,
                                    mask_seed=0, batch_size=64):
-    """`triplet_cosine_stats` on the per-batch 3-forward teacher."""
+    """Batch-mean cosine of `current`'s logits to the original model's
+    masked (positive) and unmasked (negative) logits over `indices`, in
+    batches of `batch_size` (each masked with `mask_seed`), on the
+    per-batch 3-forward teacher."""
     sims_p, sims_n = [], []
     for start in range(0, len(indices), batch_size):
         images = dataset.images[indices[start:start + batch_size]]

@@ -28,13 +28,13 @@ from lethevit import (
 )
 from lethevit import tensor as T
 from lethevit.cli import main as cli_main
-from lethevit.evaluation import mia_from_losses
+from lethevit.evaluation import fit_loss_threshold, mia_at
 from lethevit.masking import apply_mask, patch_count, select_top_k
 from lethevit.tensor import Tape, backward
-from lethevit.unlearning import TripletLogits, contrastive_loss, triplet_cosine_stats
+from lethevit.unlearning import TripletLogits, contrastive_loss
 from lethevit.vit import forward, init_params
 
-from helpers import assert_gradients_match
+from helpers import assert_gradients_match, reference_triplet_cosine_stats, sum_all
 from test_evaluation import oracle_mia
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "reference_gaps.csv")
@@ -77,11 +77,11 @@ def protocol_runs():
                                batch_size=32, mask_spec=MASK, seed=seed)
         theta_ga = gradient_ascent(theta_o, split, ga_cfg)
 
-        sp0, sn0 = triplet_cosine_stats(theta_o, theta_o, train, split.forget, MASK)
+        sp0, sn0 = reference_triplet_cosine_stats(theta_o, theta_o, train, split.forget, MASK)
         one_epoch = UnlearnConfig(forget_epochs=1, retain_epochs=0, learning_rate=0.05,
                                   batch_size=32, temperature=0.5, mask_spec=MASK, seed=seed)
         theta_1 = unlearn(theta_o, split, one_epoch)
-        sp1, sn1 = triplet_cosine_stats(theta_1, theta_o, train, split.forget, MASK)
+        sp1, sn1 = reference_triplet_cosine_stats(theta_1, theta_o, train, split.forget, MASK)
 
         runs.append(dict(
             seed=seed, split=split, test=test, theta_r=theta_r,
@@ -103,69 +103,69 @@ class TestCriterion1GradientOracle:
         class_only = np.random.default_rng(1003)
         class_key_bias = Tensor(class_only.normal(size=4))
         checks = {
-            "matmul_2d": (lambda t: T.sum_all(T.matmul(t[0], t[1])),
+            "matmul_2d": (lambda t: sum_all(T.matmul(t[0], t[1])),
                           [rng.normal(size=(3, 4)), rng.normal(size=(4, 2))]),
-            "matmul_batched": (lambda t: T.sum_all(T.matmul(t[0], t[1])),
+            "matmul_batched": (lambda t: sum_all(T.matmul(t[0], t[1])),
                                [rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 4, 3))]),
-            "matmul_weight": (lambda t: T.sum_all(T.matmul(t[0], t[1])),
+            "matmul_weight": (lambda t: sum_all(T.matmul(t[0], t[1])),
                               [rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 3))]),
-            "add": (lambda t: T.sum_all(T.add(t[0], t[1])),
+            "add": (lambda t: sum_all(T.add(t[0], t[1])),
                     [rng.normal(size=(3, 4)), rng.normal(size=(3, 4))]),
-            "add_bias": (lambda t: T.sum_all(T.add(t[0], t[1])),
+            "add_bias": (lambda t: sum_all(T.add(t[0], t[1])),
                          [rng.normal(size=(2, 3, 4)), rng.normal(size=4)]),
-            "scale": (lambda t: T.sum_all(T.scale(t[0], -2.5)), [rng.normal(size=(3, 3))]),
-            "transpose": (lambda t: T.sum_all(T.matmul(T.transpose(t[0], (1, 0, 2)), t[1])),
+            "scale": (lambda t: sum_all(T.scale(t[0], -2.5)), [rng.normal(size=(3, 3))]),
+            "transpose": (lambda t: sum_all(T.matmul(T.transpose(t[0], (1, 0, 2)), t[1])),
                           [rng.normal(size=(2, 3, 4)), rng.normal(size=(3, 4, 2))]),
-            "reshape": (lambda t: T.sum_all(T.matmul(T.reshape(t[0], (4, 3)), t[1])),
+            "reshape": (lambda t: sum_all(T.matmul(T.reshape(t[0], (4, 3)), t[1])),
                         [rng.normal(size=(2, 6)), rng.normal(size=(3, 2))]),
-            "concat": (lambda t: T.sum_all(T.matmul(T.concat([t[0], t[1]], 1), t[2])),
+            "concat": (lambda t: sum_all(T.matmul(T.concat([t[0], t[1]], 1), t[2])),
                        [rng.normal(size=(2, 2)), rng.normal(size=(2, 3)),
                         rng.normal(size=(5, 2))]),
-            "softmax_rows": (lambda t: T.sum_all(T.matmul(T.softmax_rows(t[0]),
-                                                          T.transpose(t[1], (1, 0)))),
+            "softmax_rows": (lambda t: sum_all(T.matmul(T.softmax_rows(t[0]),
+                                                        T.transpose(t[1], (1, 0)))),
                              [rng.normal(size=(3, 5)), rng.normal(size=(3, 5))]),
-            "layer_norm": (lambda t: T.sum_all(T.matmul(
+            "layer_norm": (lambda t: sum_all(T.matmul(
                                T.layer_norm(t[0], t[1], t[2]), T.transpose(t[3], (1, 0)))),
                            [rng.normal(size=(2, 5)), rng.normal(size=5) + 1.0,
                             rng.normal(size=5), rng.normal(size=(2, 5))]),
-            "gelu": (lambda t: T.sum_all(T.gelu(t[0])), [rng.normal(size=(3, 4)) * 2]),
-            "softplus": (lambda t: T.sum_all(T.softplus(t[0])), [rng.normal(size=(3, 4)) * 3]),
+            "gelu": (lambda t: sum_all(T.gelu(t[0])), [rng.normal(size=(3, 4)) * 2]),
+            "softplus": (lambda t: sum_all(T.softplus(t[0])), [rng.normal(size=(3, 4)) * 3]),
             "mean_all": (lambda t: T.mean_all(t[0]), [rng.normal(size=(4, 3))]),
-            "sum_all": (lambda t: T.sum_all(t[0]), [rng.normal(size=(2, 5))]),
+            "sum_all": (lambda t: sum_all(t[0]), [rng.normal(size=(2, 5))]),
             "cross_entropy": (lambda t: T.cross_entropy(t[0], np.array([0, 2, 1])),
                               [rng.normal(size=(3, 3))]),
             "row_cosine": (lambda t: T.mean_all(T.row_cosine(t[0], t[1])),
                            [rng.normal(size=(3, 4)), rng.normal(size=(3, 4))]),
-            "cosine_similarity": (lambda t: T.cosine_similarity(t[0], t[1]),
-                                  [rng.normal(size=5), rng.normal(size=5)]),
-            "repeat_batch": (lambda t: T.sum_all(T.matmul(
+            "row_cosine_one_row": (lambda t: T.mean_all(T.row_cosine(t[0], t[1])),
+                                   [rng.normal(size=(1, 5)), rng.normal(size=(1, 5))]),
+            "repeat_batch": (lambda t: sum_all(T.matmul(
                                  T.repeat_batch(t[0], 3), T.transpose(t[1], (0, 2, 1)))),
                              [rng.normal(size=(1, 4)), rng.normal(size=(3, 1, 4))]),
-            "take_token": (lambda t: T.sum_all(T.matmul(T.take_token(t[0], 1), t[1])),
+            "take_token": (lambda t: sum_all(T.matmul(T.take_token(t[0], 1), t[1])),
                            [rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 2))]),
-            "linear": (lambda t: T.sum_all(T.linear(t[0], t[1], t[2])),
+            "linear": (lambda t: sum_all(T.linear(t[0], t[1], t[2])),
                        [rng.normal(size=(2, 3)), rng.normal(size=(3, 4)),
                         rng.normal(size=4)]),
-            "linear_rank3": (lambda t: T.sum_all(T.matmul(T.linear(t[0], t[1], t[2]), t[3])),
+            "linear_rank3": (lambda t: sum_all(T.matmul(T.linear(t[0], t[1], t[2]), t[3])),
                              [fused.normal(size=(2, 3, 4)), fused.normal(size=(4, 5)),
                               fused.normal(size=5), fused.normal(size=(5, 2))]),
             # the key bias is held fixed: its exact gradient is zero (it
             # shifts a whole score row), which differences cannot resolve
-            "attention": (lambda t: T.sum_all(T.matmul(T.attention(
+            "attention": (lambda t: sum_all(T.matmul(T.attention(
                               t[0], t[1], t[2], t[3], key_bias, t[4], t[5], t[6], t[7],
                               heads=2)[0], t[8])),
                           [fused.normal(size=(2, 5, 4))]
                           + [fused.normal(size=s)
                              for s in ((4, 4), 4, (4, 4), (4, 4), 4, (4, 4), 4)]
                           + [fused.normal(size=(4, 3))]),
-            "attention_class_only": (lambda t: T.sum_all(T.matmul(T.attention(
+            "attention_class_only": (lambda t: sum_all(T.matmul(T.attention(
                                          t[0], t[1], t[2], t[3], class_key_bias, t[4], t[5],
                                          t[6], t[7], heads=2, class_only=True)[0], t[8])),
                                      [class_only.normal(size=(2, 5, 4))]
                                      + [class_only.normal(size=s)
                                         for s in ((4, 4), 4, (4, 4), (4, 4), 4, (4, 4), 4)]
                                      + [class_only.normal(size=(4, 3))]),
-            "mlp": (lambda t: T.sum_all(T.matmul(T.mlp(t[0], t[1], t[2], t[3], t[4]), t[5])),
+            "mlp": (lambda t: sum_all(T.matmul(T.mlp(t[0], t[1], t[2], t[3], t[4]), t[5])),
                     [fused.normal(size=(2, 3, 4)), fused.normal(size=(4, 6)),
                      fused.normal(size=6), fused.normal(size=(6, 4)), fused.normal(size=4),
                      fused.normal(size=(4, 2))]),
@@ -287,7 +287,7 @@ class TestCriterion5MiaOracle:
             member = np.round(rng.exponential(1.0, n_m), digits)
             nonmember = np.round(rng.exponential(2.0, n_n), digits)
             forget = np.round(rng.exponential(1.5, n_f), digits)
-            got = mia_from_losses(forget, member, nonmember)
+            got = mia_at(forget, fit_loss_threshold(member, nonmember))
             want = oracle_mia(forget, member, nonmember)
             assert got == pytest.approx(want, abs=1e-12), f"trial {trial}"
         _criterion(5, "MIA oracle", True, "500 brute-force trials, sets up to 32 samples")

@@ -720,9 +720,12 @@ class TestReport:
         b"{not json", b"[1, 2]", b'"text"', b"\xff\xfe", b'{"duration_seconds": "slow"}',
         b'{"outputs": 3}', b'{"duration_seconds": 1' + b"0" * 400 + b"}", b"[" * 100_000,
         b'{"outputs": "m.ltvt"}', b'{"outputs": ["m.ltvt"]}', b'{"duration_seconds": true}',
+        b'{"duration_seconds": NaN}', b'{"duration_seconds": Infinity}',
+        b'{"duration_seconds": -Infinity}', b'{"duration_seconds": -5}',
     ], ids=["not-json", "array", "string", "bad-utf8", "text-duration", "number-outputs",
             "duration-beyond-float", "nested-too-deeply", "string-outputs", "array-outputs",
-            "boolean-duration"])
+            "boolean-duration", "nan-duration", "infinite-duration",
+            "negative-infinite-duration", "negative-duration"])
     def test_malformed_line_exits_1_naming_it(self, tmp_path, capsys, bad_line):
         good = b'{"command": "train", "seed": 1, "duration_seconds": 0.5, "outputs": {}}\n'
         path = tmp_path / "manifests.jsonl"

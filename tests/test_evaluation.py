@@ -19,7 +19,7 @@ from lethevit.evaluation import (
     evaluate_model,
     fit_loss_threshold,
     masking_sweep,
-    mia_from_losses,
+    mia_at,
 )
 from lethevit.masking import MaskType, patch_count
 from lethevit.unlearning import TrainConfig, train_model
@@ -130,26 +130,25 @@ class TestMiaThreshold:
         member = np.array([0.1, 0.2])
         nonmember = np.array([0.9, 1.0])
         assert fit_loss_threshold(member, nonmember) == pytest.approx(0.55)
-        mia = mia_from_losses(np.array([0.15, 0.95]), member, nonmember)
+        mia = mia_at(np.array([0.15, 0.95]), fit_loss_threshold(member, nonmember))
         assert mia == 50.0
 
     def test_forget_far_below_everything(self):
         member = np.array([1.0, 1.1, 1.2])
         nonmember = np.array([2.0, 2.1])
-        assert mia_from_losses(np.array([0.01, 0.02]), member, nonmember) == 100.0
+        assert mia_at(np.array([0.01, 0.02]), fit_loss_threshold(member, nonmember)) == 100.0
 
     def test_forget_far_above_everything(self):
         member = np.array([1.0, 1.1, 1.2])
         nonmember = np.array([2.0, 2.1])
-        assert mia_from_losses(np.array([5.0, 6.0]), member, nonmember) == 0.0
+        assert mia_at(np.array([5.0, 6.0]), fit_loss_threshold(member, nonmember)) == 0.0
 
     def test_degenerate_identical_losses(self):
         member = np.array([0.5, 0.5])
         nonmember = np.array([0.5, 0.5, 0.5])
         assert fit_loss_threshold(member, nonmember) == 0.5
-        assert mia_from_losses(np.array([0.4, 0.5, 0.6]), member, nonmember) == pytest.approx(
-            100.0 / 3.0
-        )
+        assert mia_at(np.array([0.4, 0.5, 0.6]), fit_loss_threshold(member, nonmember)) == (
+            pytest.approx(100.0 / 3.0))
 
     def test_matches_brute_force_oracle_500_trials(self):
         for trial in range(500):
@@ -159,7 +158,7 @@ class TestMiaThreshold:
             member = np.round(rng.exponential(1.0, n_m), sharpness)
             nonmember = np.round(rng.exponential(2.0, n_n), sharpness)
             forget = np.round(rng.exponential(1.5, n_f), sharpness)
-            got = mia_from_losses(forget, member, nonmember)
+            got = mia_at(forget, fit_loss_threshold(member, nonmember))
             want = oracle_mia(forget, member, nonmember)
             assert got == pytest.approx(want, abs=1e-12), f"trial {trial}"
 
@@ -186,7 +185,7 @@ class TestMiaThreshold:
 
     def test_empty_sets_rejected(self):
         with pytest.raises(ContractError):
-            mia_from_losses(np.array([]), np.array([1.0]), np.array([2.0]))
+            mia_at(np.array([]), fit_loss_threshold(np.array([1.0]), np.array([2.0])))
         with pytest.raises(ContractError):
             fit_loss_threshold(np.array([]), np.array([1.0]))
 

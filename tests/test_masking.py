@@ -3,6 +3,7 @@ a sort-based oracle, pixel replacement semantics, the composed masked
 view against an independent brute-force recomputation, and the thread
 pool that runs chunked forwards."""
 
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -183,8 +184,19 @@ class TestApplyMask:
             apply_mask(self.IMAGES, np.array([0, 1, 2]), MaskSpec(0.25), patch_size=4)
 
     def test_out_of_range_index_rejected(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(DimensionError, match=r"\(3, 1\)"):
             apply_mask(self.IMAGES, np.array([[4], [0], [0]]), MaskSpec(0.25), patch_size=4)
+        with pytest.raises(DimensionError, match=r"\[0, 4\)"):
+            apply_mask(self.IMAGES, np.array([[-1], [0], [0]]), MaskSpec(0.25), patch_size=4)
+
+    @pytest.mark.parametrize("shape,patch_size", [
+        ((3, 1, 8, 8), 0), ((3, 1, 8, 8), -4), ((3, 1, 10, 10), 4), ((3, 1, 8, 12), 4),
+    ], ids=["zero-patch", "negative-patch", "patch-leaves-pixels-uncovered", "non-square"])
+    def test_images_the_patches_do_not_tile_rejected(self, shape, patch_size):
+        """At patch size 4 a 10x10 image would be masked on a 2x2 grid
+        that never covers its last two rows and columns."""
+        with pytest.raises(DimensionError, match=re.escape(str(shape))):
+            apply_mask(np.ones(shape), np.array([[0], [1], [3]]), MaskSpec(0.25), patch_size)
 
     def test_bad_ratio_rejected(self):
         with pytest.raises(ConfigError):

@@ -22,7 +22,6 @@ from lethevit.tensor import (
     attention,
     backward,
     concat,
-    cosine_similarity,
     cross_entropy,
     gelu,
     layer_norm,
@@ -37,7 +36,6 @@ from lethevit.tensor import (
     scale,
     softmax_rows,
     softplus,
-    sum_all,
     take_token,
     transpose,
 )
@@ -53,6 +51,7 @@ from helpers import (
     reference_mlp,
     reference_softmax,
     reference_softmax_backward,
+    sum_all,
 )
 
 RNG = np.random.default_rng(20240811)
@@ -151,31 +150,33 @@ class TestSoftmaxRows:
 
 
 class TestCosineSimilarity:
+    """`row_cosine` on one row: the cosine of two vectors."""
+
     def test_identical_vectors(self):
-        v = Tensor([1.0, 2.0, -3.0])
-        assert cosine_similarity(v, v).item() == pytest.approx(1.0, abs=1e-12)
+        v = Tensor([[1.0, 2.0, -3.0]])
+        assert row_cosine(v, v).values[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_antipodal(self):
-        u = Tensor([1.0, 2.0])
-        v = Tensor([-1.0, -2.0])
-        assert cosine_similarity(u, v).item() == pytest.approx(-1.0, abs=1e-12)
+        u = Tensor([[1.0, 2.0]])
+        v = Tensor([[-1.0, -2.0]])
+        assert row_cosine(u, v).values[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_orthogonal(self):
-        assert cosine_similarity(Tensor([1.0, 0.0]), Tensor([0.0, 1.0])).item() == 0.0
+        assert row_cosine(Tensor([[1.0, 0.0]]), Tensor([[0.0, 1.0]])).values[0] == 0.0
 
     def test_zero_norm_rejected(self):
         with pytest.raises(DegenerateVectorError):
-            cosine_similarity(Tensor([0.0, 0.0]), Tensor([1.0, 0.0]))
+            row_cosine(Tensor([[0.0, 0.0]]), Tensor([[1.0, 0.0]]))
 
     def test_gradients(self):
-        u, v = RNG.normal(size=4), RNG.normal(size=4)
-        assert_gradients_match(lambda t: cosine_similarity(t[0], t[1]), [u, v])
+        u, v = RNG.normal(size=(1, 4)), RNG.normal(size=(1, 4))
+        assert_gradients_match(lambda t: mean_all(row_cosine(t[0], t[1])), [u, v])
 
     def test_row_cosine_gradients(self):
         a, b = RNG.normal(size=(3, 4)), RNG.normal(size=(3, 4))
         assert_gradients_match(lambda t: mean_all(row_cosine(t[0], t[1])), [a, b])
 
-    @given(hnp.arrays(np.float64, st.integers(1, 8).map(lambda n: (n,)),
+    @given(hnp.arrays(np.float64, st.integers(1, 8).map(lambda n: (1, n)),
                       elements=st.floats(-100, 100)),
            st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -183,7 +184,7 @@ class TestCosineSimilarity:
         v = np.random.default_rng(seed).normal(size=u.shape)
         if np.linalg.norm(u) < 1e-6 or np.linalg.norm(v) < 1e-6:
             return
-        s = cosine_similarity(Tensor(u), Tensor(v)).item()
+        s = row_cosine(Tensor(u), Tensor(v)).values[0]
         assert -1.0 - 1e-9 <= s <= 1.0 + 1e-9
 
 

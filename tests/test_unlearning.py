@@ -40,7 +40,6 @@ from lethevit.unlearning import (
     relabel_forget,
     retrain,
     train_model,
-    triplet_cosine_stats,
     unlearn,
 )
 from lethevit.vit import ViTConfig, forward, init_params, params_checksum
@@ -50,7 +49,6 @@ from helpers import (
     in_set_order,
     reference_from_original,
     reference_train_model,
-    reference_triplet_cosine_stats,
 )
 
 RNG = np.random.default_rng(99)
@@ -195,8 +193,8 @@ class TestUnlearnPipeline:
     def test_equals_three_forward_teacher_bit_for_bit(self, tiny_world, mask_type):
         """With every forget batch a multiple of 16 rows, a cached teacher
         row equals the row of the per-step 3-forward teacher, so the
-        parameters (with momentum, the teacher on its worker thread) and
-        the cosine statistics are the same bytes."""
+        parameters (with momentum, the teacher on its worker thread) are
+        the same bytes."""
         train, test, split, config, theta_o = tiny_world
         aligned_train = generate_toy_dataset(3, 16, 8, seed=510)
         aligned = split_random_forget(aligned_train, test, 32 / 48, seed=510)
@@ -206,9 +204,6 @@ class TestUnlearnPipeline:
                             momentum=0.9, weight_decay=0.001)
         got = unlearn(theta_o, aligned, cfg)
         _assert_params_identical(got, reference_from_original("unlearn", theta_o, aligned, cfg))
-        for batch_size in (16, 64):
-            args = (got, theta_o, aligned_train, aligned.forget, cfg.mask_spec, 5, batch_size)
-            assert triplet_cosine_stats(*args) == reference_triplet_cosine_stats(*args)
 
     def test_teacher_scores_each_forget_image_once(self, tiny_world, monkeypatch):
         """Over 3 forget epochs the original's capture forwards cover each
@@ -231,12 +226,6 @@ class TestUnlearnPipeline:
         assert sum(rows for rows, _, tracked in calls if tracked) == 3 * n
         steps = 3 * -(-n // cfg.batch_size)
         assert len(calls) == len(captured) + 2 * steps
-
-    def test_cosine_stats_over_empty_indices_rejected(self, tiny_world):
-        train, test, split, config, theta_o = tiny_world
-        with pytest.raises(ContractError, match="nonempty"):
-            triplet_cosine_stats(theta_o, theta_o, train, np.array([], dtype=np.int64),
-                                 MaskSpec(0.25))
 
     def test_phase1_step_runs_original_twice(self, tiny_world, monkeypatch):
         train, test, split, config, theta_o = tiny_world
@@ -567,6 +556,19 @@ class TestRandomLabels:
         sigma = np.sqrt(n * p * (1 - p))
         for c in range(1, class_count):
             assert abs(counts[c] - expected) <= 3 * sigma
+
+    def test_single_class_rejected(self, tiny_world):
+        """With one class there is no other label to draw: a ConfigError
+        naming `class_count`, raised before any training step."""
+        train, test, split, config, theta_o = tiny_world
+        one_class = LabeledDataset(train.images, np.zeros(len(train), dtype=np.int64), 1)
+        with pytest.raises(ConfigError, match="class_count"):
+            relabel_forget(one_class.labels, split.forget, one_class.class_count, seed=0)
+        cfg = UnlearnConfig(forget_epochs=0, retain_epochs=1, learning_rate=0.01,
+                            batch_size=6, mask_spec=MaskSpec(0.25), seed=6)
+        with pytest.raises(ConfigError, match="class_count"):
+            random_labels(theta_o, DataSplit(one_class, split.forget, split.retain, test), cfg,
+                          on_step=lambda *_: pytest.fail("a step ran"))
 
     def test_trains_on_full_dataset(self, tiny_world):
         train, test, split, config, theta_o = tiny_world

@@ -7,7 +7,7 @@ import pytest
 
 from lethevit.errors import ConfigError, DimensionError
 from lethevit.masking import class_token_attention, select_top_k
-from lethevit.tensor import Tape, Tensor, backward, cross_entropy, sum_all
+from lethevit.tensor import Tape, Tensor, backward, cross_entropy
 from lethevit.vit import (
     ViTConfig,
     forward,
