@@ -20,11 +20,11 @@ data = generate_toy_dataset(3, 4, 20, seed=42)
 out = forward(params, data.images[:6], capture_attention=True)
 print("logits shape:", out.logits.shape)
 
-attn = out.last_attention.weights
+attn = out.last_attention  # the final block's read-only weights
 print("class-token attention row [B, H, 1, T]:", attn.shape)
 print("rows sum to one:", np.allclose(attn.sum(axis=-1), 1.0, atol=1e-6))
 
-scores = class_token_attention(out.last_attention)
+scores = class_token_attention(attn)
 print("\nclass-token attention over patches (sample 0, head-averaged):")
 grid = config.image_size // config.patch_size
 for row in scores[0].reshape(grid, grid):

@@ -45,10 +45,10 @@ ga_cfg = UnlearnConfig(forget_epochs=10, retain_epochs=0, learning_rate=0.3,
 theta_ga = gradient_ascent(theta_o, split, ga_cfg)
 
 print("\nmethod      FA      RA      TA      MIA     AG")
-reference = evaluate_model(theta_r, split, "retrain", 7)
+reference = evaluate_model(theta_r, split)
 for name, params in [("retrain", theta_r), ("original", theta_o),
                      ("lethevit", theta_u), ("ga", theta_ga)]:
-    report = evaluate_model(params, split, name, 7)
+    report = evaluate_model(params, split)
     gap = average_gap(report, reference)
     print(f"{name:10s} {report.fa:6.2f}  {report.ra:6.2f}  {report.ta:6.2f}  "
           f"{report.mia:6.2f}  {gap.ag:6.2f}")

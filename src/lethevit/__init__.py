@@ -26,11 +26,10 @@ from .evaluation import (
     evaluate_model,
     masking_sweep,
 )
-from .masking import MaskSpec, MaskType, MaskedBatch, build_masked_view
+from .masking import MaskSpec, MaskType, build_masked_view
 from .tensor import Tape, Tensor, backward
 from .unlearning import (
     TrainConfig,
-    TripletLogits,
     UnlearnConfig,
     contrastive_loss,
     fine_tune,
@@ -50,12 +49,10 @@ __all__ = [
     "LabeledDataset",
     "MaskSpec",
     "MaskType",
-    "MaskedBatch",
     "MetricsReport",
     "Tape",
     "Tensor",
     "TrainConfig",
-    "TripletLogits",
     "UnlearnConfig",
     "ViTConfig",
     "ViTParams",

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -325,9 +326,9 @@ def cmd_evaluate(args, cfg: dict):
         if "=" not in item:
             raise ConfigError(f"--checkpoint expects name=path, got {item!r}")
         name, path = (part.strip() for part in item.split("=", 1))
-        if "," in name or name.splitlines() != [name]:  # the name is one CSV field
-            raise ConfigError(f"--checkpoint name {name!r} must be non-empty, without ',' "
-                              "or a line break")
+        if "," in name or '"' in name or name.splitlines() != [name]:  # one CSV field
+            raise ConfigError(f"--checkpoint name {name!r} must be non-empty, without ',', "
+                              "'\"' or a line break")
         if name in named:
             raise ConfigError(f"--checkpoint name {name!r} is given twice")
         named[name] = path
@@ -338,8 +339,7 @@ def cmd_evaluate(args, cfg: dict):
               for name in ["retrain"] + [name for name in named if name != "retrain"]}
     rows, reports = [], {}
     for name, params in models.items():
-        rep = reports[name] = evaluation.evaluate_model(params, split, method=name,
-                                                        seed=cfg["seed"])
+        rep = reports[name] = evaluation.evaluate_model(params, split)
         gap = evaluation.average_gap(rep, reports["retrain"])
         rows.append(
             f"{name},{cfg['seed']},{rep.fa:.2f},{rep.ra:.2f},{rep.ta:.2f},{rep.mia:.2f},"
@@ -385,9 +385,10 @@ def cmd_report(args, cfg: None) -> None:
             if not isinstance(entry, dict):
                 raise FormatError(f"{path}:{line_no}: manifest line is not a JSON object", offset)
             outputs, duration = entry.get("outputs", {}), entry.get("duration_seconds", 0.0)
-            # a bool is no int here (`true` is no duration); NaN fails every comparison
+            # `true` is no int duration here; NaN fails every comparison, -0.0 the sign test
             if not (isinstance(outputs, dict) and type(duration) in (int, float)
-                    and 0 <= duration <= sys.float_info.max):
+                    and 0 <= duration <= sys.float_info.max
+                    and math.copysign(1.0, duration) > 0):
                 raise FormatError(f"{path}:{line_no}: manifest line has a malformed "
                                   "'outputs' or 'duration_seconds'", offset)
             rows.append(",".join(map(_csv_field, (

@@ -43,8 +43,6 @@ class MetricsReport:
     ra: float
     ta: float
     mia: float
-    method: str = ""
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("fa", "ra", "ta", "mia"):
@@ -110,7 +108,7 @@ def mia_at(forget_losses: np.ndarray, threshold: float) -> float:
     return 100.0 * float((forget_losses < threshold).mean())
 
 
-def evaluate_model(params: ViTParams, split, method: str = "", seed: int = 0) -> MetricsReport:
+def evaluate_model(params: ViTParams, split) -> MetricsReport:
     """Full FA / RA / TA / MIA report for one model on one split; one
     forward per set gives both its accuracy and its per-sample losses."""
     sets = (split.forget_set(), split.retain_set(), split.test)
@@ -119,7 +117,7 @@ def evaluate_model(params: ViTParams, split, method: str = "", seed: int = 0) ->
     forget, member, nonmember = (per_sample_cross_entropy(z, dataset.labels)
                                  for z, dataset in zip(logits, sets))
     mia = mia_at(forget, fit_loss_threshold(member, nonmember))
-    return MetricsReport(fa=fa, ra=ra, ta=ta, mia=mia, method=method, seed=seed)
+    return MetricsReport(fa=fa, ra=ra, ta=ta, mia=mia)
 
 
 def average_gap(method: MetricsReport, retrain: MetricsReport) -> GapReport:

@@ -3,7 +3,9 @@
 The frozen original model scores every patch by the attention its class
 token pays to it (mean over heads, final block), the top fraction of
 patches is selected, and the corresponding image pixels are replaced by
-zeros or Gaussian noise.
+zeros or Gaussian noise. `apply_mask`, `mask_from_scores` and
+`build_masked_view` return the masked [B, C, S, S] array; the masked
+indices are the caller's, or `select_top_k(scores, ratio)`.
 `forward_chunks` runs every untracked, chunked forward of the package
 on a thread pool (numpy's kernels release the GIL), with each chunk's
 serial arithmetic and the results in chunk order: the same bytes. The
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, require_finite
 from .tensor import DTYPE
-from .vit import AttentionMap, ViTParams, forward
+from .vit import ViTParams, forward
 
 
 class MaskType(enum.Enum):
@@ -57,27 +59,12 @@ class MaskSpec:
             raise ConfigError(f"gaussian_std must be positive, got {self.gaussian_std}")
 
 
-@dataclass
-class MaskedBatch:
-    """Masked images plus, per sample, the ascending patch indices masked."""
-
-    images: np.ndarray
-    masked_indices: np.ndarray  # [batch, k] int, each row sorted ascending
-
-    def __post_init__(self):
-        idx = self.masked_indices
-        if idx.ndim != 2:
-            raise DimensionError(f"masked_indices must be [batch, k], got {idx.shape}")
-        if idx.shape[1] > 1 and not (np.diff(idx, axis=1) > 0).all():
-            raise DimensionError("masked indices must be strictly ascending per sample")
-
-
-def class_token_attention(attn: AttentionMap) -> np.ndarray:
-    """Head-averaged attention from the class token to each patch: [B, N]."""
-    n = attn.weights.shape[-1] - 1
-    if n < 1:
+def class_token_attention(weights: np.ndarray) -> np.ndarray:
+    """Head-averaged attention from the class token to each patch: [B, N],
+    from the [B, H, 1, T] weights `forward` captures."""
+    if weights.shape[-1] < 2:
         raise ConfigError("attention map has no patch tokens")
-    return attn.weights[:, :, 0, 1:].mean(axis=1)
+    return weights[:, :, 0, 1:].mean(axis=1)
 
 
 def pool_size() -> int:
@@ -122,7 +109,7 @@ def forward_chunks(params: ViTParams, sets: Sequence[np.ndarray | MaskedSet], ch
         stop = start + chunk
         if isinstance(s, MaskedSet):
             images = mask_from_scores(s.images[start:stop], s.scores[start:stop], s.spec,
-                                      patch_size, s.seed + start).images
+                                      patch_size, s.seed + start)
         else:
             images = s[start:stop]
         out = forward(frozen, images, capture_attention=capture_attention)
@@ -158,11 +145,14 @@ def apply_mask(
     spec: MaskSpec,
     patch_size: int,
     seed: int = 0,
-) -> MaskedBatch:
-    """Replace the pixels of the selected patches; all others unchanged.
+) -> np.ndarray:
+    """A copy of `images` [B, C, S, S] with the pixels of the patches in
+    `indices` [B, k] replaced; all others unchanged.
 
     Gaussian replacement draws per sample from a generator seeded
-    `seed + sample_index`, so samples can be processed independently.
+    `seed + sample_index`, so samples can be processed independently;
+    a sample's draws fill its patches in the order of its row of
+    `indices`.
     Square images that `patch_size` tiles exactly and patch indices in
     [0, N) are checked before any pixel is written (`DimensionError`).
     """
@@ -197,11 +187,11 @@ def apply_mask(
             noise = np.random.Generator(np.random.PCG64(seed + i)).normal(
                 0.0, spec.gaussian_std, (indices.shape[1], c, p, p))
             pixels[i, rows[i], cols[i]] = noise.transpose(0, 2, 3, 1)
-    return MaskedBatch(images=out, masked_indices=indices)
+    return out
 
 
 def mask_from_scores(images: np.ndarray, scores: np.ndarray, spec: MaskSpec,
-                     patch_size: int, seed: int = 0) -> MaskedBatch:
+                     patch_size: int, seed: int = 0) -> np.ndarray:
     """Mask the top `spec.ratio` fraction of patches by `scores` [B, N]."""
     return apply_mask(images, select_top_k(scores, spec.ratio), spec, patch_size, seed=seed)
 
@@ -211,7 +201,7 @@ def build_masked_view(
     images: np.ndarray,
     spec: MaskSpec,
     seed: int = 0,
-) -> MaskedBatch:
+) -> np.ndarray:
     """Mask `images` guided by `model`'s own final-block attention.
 
     `model` is the frozen reference model; its forward runs on a

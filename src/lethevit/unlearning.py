@@ -5,15 +5,16 @@ Every method is a sequence of plain SGD phases run by one loop,
 `unlearn`, the core method, runs two phases from the original model:
 
   forget: for each forget batch, mask the images using the frozen
-  original model's attention, then pull the current model's logits
-  toward the original model's logits for the masked images and away
-  from its logits for the unmasked ones. The unmasked logits and the
-  attention depend on the image alone, so `frozen_teacher` computes
-  them once per forget image, in one capture pass before the first
-  step. The masked forward of the original (the positives) depends on
-  the batch, the mask seed and the frozen weights only, so a worker
-  thread runs every step's while the main thread runs the tracked
-  forwards of the model being unlearned.
+  original model's attention, then `contrastive_loss(anchor, positive,
+  negative, temperature)` pulls the current model's logits (the anchor)
+  toward the original model's logits for the masked images (positive)
+  and away from its logits for the unmasked ones (negative). The
+  unmasked logits and the attention depend on the image alone, so
+  `frozen_teacher` computes them once per forget image, in one capture
+  pass before the first step. The masked forward of the original (the
+  positives) depends on the batch, the mask seed and the frozen weights
+  only, so a worker thread runs every step's while the main thread runs
+  the tracked forwards of the model being unlearned.
 
   retain: ordinary cross-entropy training on the retain set.
 
@@ -49,25 +50,6 @@ from .tensor import (
     softplus,
 )
 from .vit import ViTConfig, ViTParams, forward, init_params, params_checksum
-
-
-@dataclass
-class TripletLogits:
-    """Anchor from the model being unlearned; positive and negative from
-    the frozen original (masked and unmasked input respectively)."""
-
-    anchor: Tensor
-    positive: Tensor
-    negative: Tensor
-
-    def __post_init__(self):
-        if self.positive.requires_grad or self.negative.requires_grad:
-            raise ContractError("positive/negative logits must be produced with gradients disabled")
-        if self.anchor.shape != self.positive.shape or self.anchor.shape != self.negative.shape:
-            raise ContractError(
-                f"triplet shapes disagree: {self.anchor.shape}, "
-                f"{self.positive.shape}, {self.negative.shape}"
-            )
 
 
 @dataclass(frozen=True)
@@ -138,22 +120,25 @@ def frozen_teacher(original: ViTParams, images: np.ndarray, indices: np.ndarray,
         rows = row_of[batch]
         masked = mask_from_scores(images[batch], scores[rows], mask_spec,
                                   frozen.config.patch_size, mask_seed)
-        return forward(frozen, masked.images).logits, Tensor(negatives[rows])
+        return forward(frozen, masked).logits, Tensor(negatives[rows])
 
     return views
 
 
-def contrastive_loss(triplet: TripletLogits, temperature: float) -> Tensor:
+def contrastive_loss(anchor: Tensor, positive: Tensor, negative: Tensor,
+                     temperature: float) -> Tensor:
     """Batch-mean of -log( e^{s_p/t} / (e^{s_p/t} + e^{s_n/t}) ).
 
     s_p / s_n are per-row cosine similarities of the anchor to the
-    positive / negative logits. Evaluated as softplus((s_n - s_p)/t),
-    which is the max-subtracted form of the two-term log-sum-exp.
+    positive / negative logits (module docstring). Evaluated as
+    softplus((s_n - s_p)/t), the max-subtracted two-term log-sum-exp.
     """
+    if positive.requires_grad or negative.requires_grad:
+        raise ContractError("positive/negative logits must be produced with gradients disabled")
     if temperature <= 0:
         raise ConfigError(f"temperature must be positive, got {temperature}")
-    s_p = row_cosine(triplet.anchor, triplet.positive)
-    s_n = row_cosine(triplet.anchor, triplet.negative)
+    s_p = row_cosine(anchor, positive)
+    s_n = row_cosine(anchor, negative)
     gap = add(s_n, scale(s_p, -1.0))
     return mean_all(softplus(scale(gap, 1.0 / temperature)))
 
@@ -300,8 +285,7 @@ def unlearn(original: ViTParams, split: DataSplit, config: UnlearnConfig, *,
             def forget_loss(batch: np.ndarray, epoch: int, step: int) -> Tensor:
                 positive, negative = futures[step].result()
                 anchor = forward(theta, split.train.images[batch]).logits
-                return contrastive_loss(TripletLogits(anchor, positive, negative),
-                                        config.temperature)
+                return contrastive_loss(anchor, positive, negative, config.temperature)
 
             _sgd_phase(theta, forget, config, "forget", forget_loss, on_step=on_step)
         finally:

@@ -12,8 +12,9 @@ attention computes the class token's query alone (its keys and values
 still come from every token) and returns [batch, dim], the forward
 keeps only the class token's row of the residual stream, and the final
 residuals, MLP and layer norms run on [batch, dim] (the class-attention
-stage of CaiT, Touvron et al., 2021). The captured weights are the
-class token's row, [batch, heads, 1, tokens].
+stage of CaiT, Touvron et al., 2021). The captured weights,
+`ForwardOutput.last_attention`, are the class token's row as the
+read-only array the attention backward keeps, [batch, heads, 1, tokens].
 """
 
 from __future__ import annotations
@@ -106,25 +107,9 @@ class ViTConfig:
 
 
 @dataclass
-class AttentionMap:
-    """Post-softmax attention weights of one block: [batch, heads, Q, T],
-    the first Q <= T query rows; the forward captures the class token's, Q = 1."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if self.weights.ndim != 4 or self.weights.shape[-2] > self.weights.shape[-1]:
-            raise DimensionError(
-                f"attention map must be [B, H, Q, T] with Q <= T, got {self.weights.shape}")
-        row_sums = self.weights.sum(axis=-1)
-        if not np.allclose(row_sums, 1.0, atol=1e-6):
-            raise DimensionError("attention rows do not sum to 1")
-
-
-@dataclass
 class ForwardOutput:
     logits: Tensor
-    last_attention: Optional[AttentionMap] = None
+    last_attention: Optional[np.ndarray] = None  # final block's read-only weights [B, H, 1, T]
 
 
 @dataclass
@@ -273,8 +258,7 @@ def forward(params: ViTParams, images: np.ndarray, capture_attention: bool = Fal
 
     final = layer_norm(tokens, params["ln_final.gain"], params["ln_final.bias"])
     logits = linear(final, params["head.weight"], params["head.bias"])
-    last_attention = AttentionMap(probs) if capture_attention else None
-    return ForwardOutput(logits=logits, last_attention=last_attention)
+    return ForwardOutput(logits=logits, last_attention=probs if capture_attention else None)
 
 
 def params_checksum(params: ViTParams) -> int:

@@ -166,7 +166,7 @@ def reference_forward(params, images, capture_attention=False):
                                                for n in ("w1", "b1", "w2", "b2"))))
     final = T.layer_norm(tokens, params["ln_final.gain"], params["ln_final.bias"])
     logits = T.linear(T.take_token(final, 0), params["head.weight"], params["head.bias"])
-    return vit.ForwardOutput(logits, vit.AttentionMap(captured) if capture_attention else None)
+    return vit.ForwardOutput(logits, captured if capture_attention else None)
 
 
 def reference_fit_loss_threshold(member_losses, nonmember_losses):
@@ -212,14 +212,13 @@ def _reference_mia(forget_losses, member_losses, nonmember_losses):
     return 100.0 * float((np.asarray(forget_losses) < threshold).mean())
 
 
-def reference_evaluate_model(params, split, method="", seed=0):
+def reference_evaluate_model(params, split):
     """`evaluate_model` as the composition it replaced: accuracy and
     per-sample losses each run their own forward over each set."""
     sets = (split.forget_set(), split.retain_set(), split.test)
     fa, ra, ta = (_reference_accuracy(params, s.images, s.labels) for s in sets)
     losses = [_reference_losses(params, s.images, s.labels) for s in sets]
-    return evaluation.MetricsReport(fa=fa, ra=ra, ta=ta, mia=_reference_mia(*losses),
-                                    method=method, seed=seed)
+    return evaluation.MetricsReport(fa=fa, ra=ra, ta=ta, mia=_reference_mia(*losses))
 
 
 def reference_apply_mask(images, indices, spec, patch_size, seed=0):
@@ -259,9 +258,9 @@ def reference_masking_sweep(params, forget, retain, test, ratios, types,
         for mask_type in types:
             spec = masking.MaskSpec(ratio=ratio, mask_type=mask_type, gaussian_std=gaussian_std)
             masked_test = reference_build_masked_view(params, test.images, spec, seed=seed)
-            ta = _reference_accuracy(params, masked_test.images, test.labels)
+            ta = _reference_accuracy(params, masked_test, test.labels)
             masked_forget = reference_build_masked_view(params, forget.images, spec, seed=seed)
-            forget_losses = _reference_losses(params, masked_forget.images, forget.labels)
+            forget_losses = _reference_losses(params, masked_forget, forget.labels)
             mia = _reference_mia(forget_losses, member_losses, nonmember_losses)
             rows.append(evaluation.SweepRow(ratio=ratio, mask_type=mask_type.value, ta=ta, mia=mia))
     return rows
@@ -274,7 +273,7 @@ def reference_teacher_views(original, images, mask_spec, mask_seed):
     all of one batch."""
     masked = reference_build_masked_view(original, images, mask_spec, seed=mask_seed)
     frozen = original.frozen()
-    positive = vit.forward(frozen, masked.images).logits
+    positive = vit.forward(frozen, masked).logits
     negative = vit.forward(frozen, images).logits
     return positive, negative
 
@@ -331,8 +330,8 @@ def reference_forget_phase(theta, original, split, config, rng):
                                                          mask_seed)
             with Tape() as tape:
                 anchor = vit.forward(theta, images).logits
-                loss = unlearning.contrastive_loss(
-                    unlearning.TripletLogits(anchor, positive, negative), config.temperature)
+                loss = unlearning.contrastive_loss(anchor, positive, negative,
+                                                   config.temperature)
             backward(loss, tape)
             unlearning._sgd_step(theta, velocity, config.learning_rate, config.momentum,
                                  config.weight_decay)

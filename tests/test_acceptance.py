@@ -31,7 +31,7 @@ from lethevit.cli import main as cli_main
 from lethevit.evaluation import fit_loss_threshold, mia_at
 from lethevit.masking import apply_mask, patch_count, select_top_k
 from lethevit.tensor import Tape, backward
-from lethevit.unlearning import TripletLogits, contrastive_loss
+from lethevit.unlearning import contrastive_loss
 from lethevit.vit import forward, init_params
 
 from helpers import assert_gradients_match, reference_triplet_cosine_stats, sum_all
@@ -85,9 +85,9 @@ def protocol_runs():
 
         runs.append(dict(
             seed=seed, split=split, test=test, theta_r=theta_r,
-            retrain=evaluate_model(theta_r, split, "retrain", seed),
-            lethevit=evaluate_model(theta_u, split, "lethevit", seed),
-            ga=evaluate_model(theta_ga, split, "ga", seed),
+            retrain=evaluate_model(theta_r, split),
+            lethevit=evaluate_model(theta_u, split),
+            ga=evaluate_model(theta_ga, split),
             sp0=sp0, sp1=sp1, sn0=sn0, sn1=sn1,
         ))
     return runs
@@ -197,13 +197,11 @@ class TestCriterion2LossAnalytics:
         rng = np.random.default_rng(2002)
         z = rng.normal(size=(5, 4))
         zp = rng.normal(size=(5, 4))
-        equal = contrastive_loss(
-            TripletLogits(Tensor(z), Tensor(zp), Tensor(zp)), 0.73)
+        equal = contrastive_loss(Tensor(z), Tensor(zp), Tensor(zp), 0.73)
         ok_ln2 = abs(equal.item() - np.log(2.0)) < 1e-12
 
         v = np.array([[0.5, -1.5, 2.0]])
-        opposed = contrastive_loss(
-            TripletLogits(Tensor(v), Tensor(v), Tensor(-v)), 1.0)
+        opposed = contrastive_loss(Tensor(v), Tensor(v), Tensor(-v), 1.0)
         ok_closed = abs(opposed.item() - np.log(1.0 + np.exp(-2.0))) < 1e-9
 
         signs_ok = True
@@ -271,8 +269,8 @@ class TestCriterion4MaskingExactness:
             for patch in indices[sample]:
                 r, c = divmod(int(patch), 3)
                 mask[:, r * 4:(r + 1) * 4, c * 4:(c + 1) * 4] = True
-            assert (masked.images[sample][mask] == 0.0).all()
-            assert np.array_equal(masked.images[sample][~mask], images[sample][~mask])
+            assert (masked[sample][mask] == 0.0).all()
+            assert np.array_equal(masked[sample][~mask], images[sample][~mask])
 
         _criterion(4, "masking exactness", True,
                    "1000 top-k oracle trials, exact pixel partitions, floor counts")

@@ -412,7 +412,9 @@ class TestEvaluate:
         (["", "ft"], "name '' must be non-empty"),
         (["a,b"], "name 'a,b' must be non-empty"),
         (["a\nb"], "name 'a\\nb' must be non-empty"),
-    ], ids=["duplicate", "empty", "comma", "line-break"])
+        (['"x'], """name '"x' must be non-empty, without ',', '"' or a line break"""),
+        (['a"b'], """name 'a"b' must be non-empty"""),
+    ], ids=["duplicate", "empty", "comma", "line-break", "leading-quote", "inner-quote"])
     def test_bad_checkpoint_name_exits_2_naming_it(self, checkpoints, capsys, names, bad):
         """Each name is one CSV field and one row: a repeated, empty or
         multi-field name is a usage error before any checkpoint loads."""
@@ -722,10 +724,11 @@ class TestReport:
         b'{"outputs": "m.ltvt"}', b'{"outputs": ["m.ltvt"]}', b'{"duration_seconds": true}',
         b'{"duration_seconds": NaN}', b'{"duration_seconds": Infinity}',
         b'{"duration_seconds": -Infinity}', b'{"duration_seconds": -5}',
+        b'{"duration_seconds": -0.0}',
     ], ids=["not-json", "array", "string", "bad-utf8", "text-duration", "number-outputs",
             "duration-beyond-float", "nested-too-deeply", "string-outputs", "array-outputs",
             "boolean-duration", "nan-duration", "infinite-duration",
-            "negative-infinite-duration", "negative-duration"])
+            "negative-infinite-duration", "negative-duration", "negative-zero-duration"])
     def test_malformed_line_exits_1_naming_it(self, tmp_path, capsys, bad_line):
         good = b'{"command": "train", "seed": 1, "duration_seconds": 0.5, "outputs": {}}\n'
         path = tmp_path / "manifests.jsonl"

@@ -1,9 +1,11 @@
 """The quick demos run end to end against the current API, and every
-demo imports only names that exist."""
+demo imports only names that exist and calls them with arguments their
+signatures accept."""
 
 import ast
 import glob
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -27,15 +29,17 @@ def test_demo_runs(name):
 @pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
 def test_demo_imports_resolve(path):
     """Parsed, not run, so the demos too slow for this suite still break
-    it when a name they import from lethevit is renamed or moved."""
+    it when a name they import from lethevit is renamed or moved, or when
+    a call `name(...)` of such a name no longer binds to its signature
+    (placeholder arguments; calls with `*` or `**` are skipped)."""
     with open(path, encoding="utf-8") as f:
         tree = ast.parse(f.read(), path)
-    imported = 0
+    imported, objects = 0, {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            modules, names = [alias.name for alias in node.names], []
+            modules, aliases = [alias.name for alias in node.names], []
         elif isinstance(node, ast.ImportFrom):
-            modules, names = [node.module], [alias.name for alias in node.names]
+            modules, aliases = [node.module], node.names
         else:
             continue
         for module_name in modules:
@@ -43,6 +47,22 @@ def test_demo_imports_resolve(path):
                 continue
             module = importlib.import_module(module_name)
             imported += 1
-            for name in names:
-                assert hasattr(module, name), f"{module_name} has no {name}"
+            for alias in aliases:
+                assert hasattr(module, alias.name), f"{module_name} has no {alias.name}"
+                objects[alias.asname or alias.name] = getattr(module, alias.name)
     assert imported, "the demo imports nothing from lethevit"
+
+    unbound = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in objects):
+            continue
+        if (any(isinstance(arg, ast.Starred) for arg in node.args)
+                or any(kw.arg is None for kw in node.keywords)):
+            continue
+        try:
+            inspect.signature(objects[node.func.id]).bind(
+                *node.args, **{kw.arg: kw.value for kw in node.keywords})
+        except TypeError as exc:
+            unbound.append(f"{os.path.basename(path)}:{node.lineno}: {node.func.id}: {exc}")
+    assert not unbound, "\n".join(unbound)

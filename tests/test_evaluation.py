@@ -192,8 +192,8 @@ class TestMiaThreshold:
 
 class TestAverageGap:
     @staticmethod
-    def report(fa=0.0, ra=0.0, ta=0.0, mia=0.0, method=""):
-        return MetricsReport(fa=fa, ra=ra, ta=ta, mia=mia, method=method)
+    def report(fa=0.0, ra=0.0, ta=0.0, mia=0.0):
+        return MetricsReport(fa=fa, ra=ra, ta=ta, mia=mia)
 
     def test_flagship_rows(self):
         retrain = self.report()
@@ -297,8 +297,7 @@ class TestComputeOnce:
 
     def test_evaluate_model_equals_reference(self, trained_world):
         params, split = trained_world
-        assert evaluate_model(params, split, "m", 3) == reference_evaluate_model(
-            params, split, "m", 3)
+        assert evaluate_model(params, split) == reference_evaluate_model(params, split)
 
     def test_masking_sweep_equals_reference(self, trained_world):
         params, split = trained_world

@@ -27,7 +27,7 @@ from lethevit.masking import (
     select_top_k,
 )
 from lethevit.tensor import Tape, Tensor, linear
-from lethevit.vit import AttentionMap, ViTConfig, forward, init_params
+from lethevit.vit import ViTConfig, forward, init_params, patchify
 
 from helpers import reference_apply_mask
 
@@ -38,12 +38,12 @@ TINY = ViTConfig(image_size=8, patch_size=4, channels=1, depth=1,
 
 
 def _attention_with_class_rows(rows):
-    """AttentionMap whose class-token rows are given; other rows uniform."""
+    """Attention weights whose class-token rows are given; other rows uniform."""
     rows = np.asarray(rows, dtype=float)  # [H, N+1]
     heads, tokens = rows.shape
     weights = np.full((1, heads, tokens, tokens), 1.0 / tokens)
     weights[0, :, 0, :] = rows
-    return AttentionMap(weights)
+    return weights
 
 
 class TestClassTokenAttention:
@@ -54,7 +54,7 @@ class TestClassTokenAttention:
 
     def test_uniform_attention(self):
         tokens = 5
-        attn = AttentionMap(np.full((2, 3, tokens, tokens), 1.0 / tokens))
+        attn = np.full((2, 3, tokens, tokens), 1.0 / tokens)
         scores = class_token_attention(attn)
         np.testing.assert_allclose(scores, 1.0 / tokens)
         assert scores.shape == (2, tokens - 1)
@@ -65,9 +65,8 @@ class TestClassTokenAttention:
         np.testing.assert_allclose(class_token_attention(attn), [row[1:]], atol=1e-12)
 
     def test_no_patches_rejected(self):
-        attn = AttentionMap(np.ones((1, 1, 1, 1)))
         with pytest.raises(ConfigError):
-            class_token_attention(attn)
+            class_token_attention(np.ones((1, 1, 1, 1)))
 
 
 class TestSelectTopK:
@@ -122,18 +121,18 @@ class TestApplyMask:
     def test_full_mask_zeroes_everything(self):
         indices = select_top_k(RNG.random((3, 4)), 1.0)
         out = apply_mask(self.IMAGES, indices, MaskSpec(1.0), patch_size=4)
-        assert (out.images == 0.0).all()
+        assert (out == 0.0).all()
 
     def test_empty_mask_is_identity(self):
         indices = np.zeros((3, 0), dtype=np.int64)
         out = apply_mask(self.IMAGES, indices, MaskSpec(0.0), patch_size=4)
-        np.testing.assert_array_equal(out.images, self.IMAGES)
+        np.testing.assert_array_equal(out, self.IMAGES)
 
     def test_zero_mask_idempotent(self):
         indices = np.array([[0, 3], [1, 2], [0, 1]])
         once = apply_mask(self.IMAGES, indices, MaskSpec(0.5), patch_size=4)
-        twice = apply_mask(once.images, indices, MaskSpec(0.5), patch_size=4)
-        np.testing.assert_array_equal(once.images, twice.images)
+        twice = apply_mask(once, indices, MaskSpec(0.5), patch_size=4)
+        np.testing.assert_array_equal(once, twice)
 
     def test_unmasked_pixels_bit_identical(self):
         indices = np.array([[1], [2], [0]])
@@ -144,8 +143,8 @@ class TestApplyMask:
             mask = np.zeros((1, 8, 8), dtype=bool)
             mask[:, row * 4:(row + 1) * 4, col * 4:(col + 1) * 4] = True
             # complement untouched, selected patch fully zero: an exact partition
-            np.testing.assert_array_equal(out.images[sample][~mask], self.IMAGES[sample][~mask])
-            assert (out.images[sample][mask] == 0.0).all()
+            np.testing.assert_array_equal(out[sample][~mask], self.IMAGES[sample][~mask])
+            assert (out[sample][mask] == 0.0).all()
 
     def test_gaussian_mask_deterministic_per_seed(self):
         indices = np.array([[0], [1], [3]])
@@ -153,14 +152,14 @@ class TestApplyMask:
         a = apply_mask(self.IMAGES, indices, spec, patch_size=4, seed=5)
         b = apply_mask(self.IMAGES, indices, spec, patch_size=4, seed=5)
         c = apply_mask(self.IMAGES, indices, spec, patch_size=4, seed=6)
-        np.testing.assert_array_equal(a.images, b.images)
-        assert not np.array_equal(a.images, c.images)
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_gaussian_replaces_rather_than_adds(self):
         images = np.full((1, 1, 8, 8), 100.0)
         spec = MaskSpec(0.25, MaskType.GAUSSIAN, gaussian_std=1.0)
         out = apply_mask(images, np.array([[0]]), spec, patch_size=4, seed=0)
-        assert np.abs(out.images[0, 0, :4, :4]).max() < 50.0  # draws ~N(0,1), not 100+noise
+        assert np.abs(out[0, 0, :4, :4]).max() < 50.0  # draws ~N(0,1), not 100+noise
 
     @pytest.mark.parametrize("mask_type", [MaskType.ZERO, MaskType.GAUSSIAN])
     @pytest.mark.parametrize("batch,channels", [(7, 1), (32, 3), (150, 1)])
@@ -175,7 +174,7 @@ class TestApplyMask:
             indices = select_top_k(rng.random((batch, 25)), ratio)
             got = apply_mask(images, indices, spec, patch_size=4, seed=17)
             want = reference_apply_mask(images, indices, spec, patch_size=4, seed=17)
-            assert got.images.tobytes() == want.tobytes(), ratio
+            assert got.tobytes() == want.tobytes(), ratio
 
     def test_index_rows_must_match_the_batch(self):
         with pytest.raises(DimensionError):
@@ -203,19 +202,25 @@ class TestApplyMask:
             MaskSpec(1.5)
 
 
+def _zeroed_patches(masked):
+    """Per sample, the ascending indices of the patches whose pixels are all zero."""
+    return [np.flatnonzero(row).tolist() for row in (patchify(masked, TINY) == 0.0).all(axis=2)]
+
+
 class TestBuildMaskedView:
     def test_index_count_matches_floor(self):
         params = init_params(TINY, seed=0)
         images = RNG.normal(size=(4, 1, 8, 8))
         masked = build_masked_view(params, images, MaskSpec(0.5))
-        assert masked.masked_indices.shape == (4, 2)
+        assert masked.shape == images.shape
+        assert [len(row) for row in _zeroed_patches(masked)] == [2] * 4
 
     def test_uniform_attention_selects_first_patches(self):
         params = init_params(TINY, seed=1)
         params.replace("block0.attn.wq", np.zeros((TINY.dim, TINY.dim)))
         params.replace("block0.attn.wk", np.zeros((TINY.dim, TINY.dim)))
         masked = build_masked_view(params, RNG.normal(size=(2, 1, 8, 8)), MaskSpec(0.5))
-        np.testing.assert_array_equal(masked.masked_indices, [[0, 1], [0, 1]])
+        assert _zeroed_patches(masked) == [[0, 1], [0, 1]]
 
     def test_matches_brute_force_score_recomputation(self):
         """Independent oracle: recompute head-averaged class-token scores
@@ -225,24 +230,24 @@ class TestBuildMaskedView:
         ratio = 0.75
         masked = build_masked_view(params, images, MaskSpec(ratio))
 
-        weights = forward(params, images, capture_attention=True).last_attention.weights
+        weights = forward(params, images, capture_attention=True).last_attention
         n = TINY.num_patches
         k = int(np.floor(ratio * n))
+        zeroed = _zeroed_patches(masked)
         for sample in range(5):
             scores = [
                 sum(weights[sample, h, 0, i + 1] for h in range(TINY.heads)) / TINY.heads
                 for i in range(n)
             ]
             order = sorted(range(n), key=lambda i: (-scores[i], i))
-            np.testing.assert_array_equal(masked.masked_indices[sample], sorted(order[:k]))
+            assert zeroed[sample] == sorted(order[:k])
 
     def test_zero_masking_deterministic_end_to_end(self):
         params = init_params(TINY, seed=3)
         images = RNG.normal(size=(3, 1, 8, 8))
         a = build_masked_view(params, images, MaskSpec(0.25))
         b = build_masked_view(params, images, MaskSpec(0.25))
-        np.testing.assert_array_equal(a.images, b.images)
-        np.testing.assert_array_equal(a.masked_indices, b.masked_indices)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestForwardChunks:
@@ -277,7 +282,7 @@ class TestForwardChunks:
     @staticmethod
     def _masked_whole(masked):
         return mask_from_scores(masked.images, masked.scores, masked.spec,
-                                TINY.patch_size, masked.seed).images
+                                TINY.patch_size, masked.seed)
 
     @pytest.mark.parametrize("mask_type", list(MaskType))
     def test_masked_sets_equal_masking_whole_then_serial_loop(self, mask_type):

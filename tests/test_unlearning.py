@@ -1,6 +1,7 @@
 """Unlearning tests: contrastive loss analytics, pipeline contracts,
 the one-step finite-difference oracle, and baseline behaviors."""
 
+import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -13,6 +14,7 @@ from lethevit.errors import (
     ConfigError,
     ContractError,
     DegenerateVectorError,
+    DimensionError,
     DivergenceError,
     NonFiniteError,
 )
@@ -31,7 +33,6 @@ from lethevit.tensor import (
 from lethevit import unlearning
 from lethevit.unlearning import (
     TrainConfig,
-    TripletLogits,
     UnlearnConfig,
     contrastive_loss,
     fine_tune,
@@ -76,34 +77,35 @@ def mean_loss(params, dataset):
 
 
 def _triplet(anchor_rows, positive_rows, negative_rows, tracked=True):
+    """(anchor, positive, negative) logits for `contrastive_loss`."""
     anchor = Tensor(anchor_rows, requires_grad=tracked)
-    return TripletLogits(anchor, Tensor(positive_rows), Tensor(negative_rows))
+    return anchor, Tensor(positive_rows), Tensor(negative_rows)
 
 
 class TestContrastiveLoss:
     def test_equal_similarities_give_ln2(self):
         z = RNG.normal(size=(6, 4))
         zp = RNG.normal(size=(6, 4))
-        loss = contrastive_loss(_triplet(z, zp, zp), temperature=0.37)
+        loss = contrastive_loss(*_triplet(z, zp, zp), temperature=0.37)
         assert loss.item() == pytest.approx(np.log(2.0), abs=1e-12)
-        loss2 = contrastive_loss(_triplet(z, zp, zp), temperature=3.0)
+        loss2 = contrastive_loss(*_triplet(z, zp, zp), temperature=3.0)
         assert loss2.item() == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_opposed_similarities_closed_form(self):
         v = np.array([[1.0, 2.0, -0.5]])
-        loss = contrastive_loss(_triplet(v, v, -v), temperature=1.0)
+        loss = contrastive_loss(*_triplet(v, v, -v), temperature=1.0)
         assert loss.item() == pytest.approx(np.log(1.0 + np.exp(-2.0)), abs=1e-9)
 
     def test_temperature_to_zero_limit(self):
         v = np.array([[0.3, -1.0]])
-        loss = contrastive_loss(_triplet(v, v, -v), temperature=1e-8)
+        loss = contrastive_loss(*_triplet(v, v, -v), temperature=1e-8)
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_loss_is_nonnegative(self):
         for _ in range(200):
             t = _triplet(RNG.normal(size=(3, 5)), RNG.normal(size=(3, 5)),
                          RNG.normal(size=(3, 5)))
-            assert contrastive_loss(t, float(RNG.uniform(0.05, 3.0))).item() >= 0.0
+            assert contrastive_loss(*t, float(RNG.uniform(0.05, 3.0))).item() >= 0.0
 
     def test_gradient_signs_at_random_points(self):
         """dL/ds_p < 0 and dL/ds_n > 0 for 1000 random (s_p, s_n, tau)."""
@@ -123,17 +125,24 @@ class TestContrastiveLoss:
         bad = np.zeros((2, 3))
         good = np.ones((2, 3))
         with pytest.raises(DegenerateVectorError):
-            contrastive_loss(_triplet(good, bad, good), 1.0)
+            contrastive_loss(*_triplet(good, bad, good), 1.0)
 
     def test_frozen_logits_must_not_track_gradients(self):
         z = RNG.normal(size=(2, 3))
-        with pytest.raises(ContractError):
-            TripletLogits(Tensor(z), Tensor(z, requires_grad=True), Tensor(z))
+        for tracked in ((True, False), (False, True)):
+            positive, negative = (Tensor(z, requires_grad=flag) for flag in tracked)
+            with pytest.raises(ContractError, match="gradients disabled"):
+                contrastive_loss(Tensor(z), positive, negative, 1.0)
+
+    def test_mismatched_shapes_name_both(self):
+        anchor, positive, negative = _triplet(np.ones((2, 3)), np.ones((2, 4)), np.ones((2, 4)))
+        with pytest.raises(DimensionError, match=re.escape("(2, 3) and (2, 4)")):
+            contrastive_loss(anchor, positive, negative, 1.0)
 
     def test_bad_temperature_rejected(self):
         t = _triplet(np.ones((1, 2)), np.ones((1, 2)), np.ones((1, 2)))
         with pytest.raises(ConfigError):
-            contrastive_loss(t, 0.0)
+            contrastive_loss(*t, 0.0)
 
 
 class TestUnlearnPipeline:
@@ -249,12 +258,12 @@ class TestUnlearnPipeline:
 
         images = train.images[split.forget]
         masked = build_masked_view(theta_o, images, spec)
-        positive = forward(theta_o, masked.images).logits
+        positive = forward(theta_o, masked).logits
         negative = forward(theta_o, images).logits
 
         def loss_at(probe_params):
             anchor = forward(probe_params, images).logits
-            return contrastive_loss(TripletLogits(anchor, positive, negative), 0.7).item()
+            return contrastive_loss(anchor, positive, negative, 0.7).item()
 
         step = 1e-5
         probe = theta_o.copy()

@@ -85,8 +85,9 @@ class TestForward:
         params = init_params(TINY, seed=1)
         out = forward(params, np.random.default_rng(1).normal(size=(3, 1, 8, 8)),
                       capture_attention=True)
-        weights = out.last_attention.weights
+        weights = out.last_attention
         assert weights.shape == (3, TINY.heads, 1, TINY.tokens)
+        assert not weights.flags.writeable  # the very array the attention backward keeps
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
         assert (weights >= 0.0).all()
 
@@ -96,7 +97,7 @@ class TestForward:
         params.replace("block0.attn.wk", np.zeros((TINY.dim, TINY.dim)))
         out = forward(params, np.random.default_rng(2).normal(size=(2, 1, 8, 8)),
                       capture_attention=True)
-        np.testing.assert_allclose(out.last_attention.weights, 1.0 / TINY.tokens, atol=1e-12)
+        np.testing.assert_allclose(out.last_attention, 1.0 / TINY.tokens, atol=1e-12)
 
     def test_batch_permutation_covariance(self):
         params = init_params(TINY, seed=3)
@@ -241,7 +242,7 @@ class TestClassTokenTail:
             # a one-row query and a one-row tail reach BLAS through other
             # kernels (stacked [1, hd] products, gemv), which sum each dot
             # product in another order
-            _assert_close(new.last_attention.weights, old.last_attention.weights[:, :, :1])
+            _assert_close(new.last_attention, old.last_attention[:, :, :1])
             _assert_close(new.logits.values, old.logits.values)
             for ratio in (0.1, 0.25):
                 np.testing.assert_array_equal(
