@@ -10,14 +10,17 @@ raises `FormatError` naming the byte offset.
 Checkpoint layout: the header is the entry count u32; each entry is
 name_len u16, UTF-8 name, rank u8 and rank u32 dims, then a float32
 C-order payload. Loading returns float64 arrays. Entries are sorted by
-name, so identical parameter sets serialize to identical bytes.
+name, so identical parameter sets serialize to identical bytes. Every
+output file, containers and CSVs alike, is written through `replacing`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
-from typing import Iterable, Mapping, Optional
+from typing import IO, Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -33,11 +36,31 @@ def payload_checksum(chunks: Iterable) -> int:
                for chunk in chunks) % 2**64
 
 
+@contextlib.contextmanager
+def replacing(path: str, mode: str = "wb") -> Iterator[IO]:
+    """A file open for writing in `mode` whose contents replace `path`
+    only when the block completes. It is a temporary file beside `path`,
+    `os.replace`d onto it at the end (atomic within one POSIX
+    filesystem), with the permissions a plain `open` gives. On any
+    exception, KeyboardInterrupt included, the temporary file is removed
+    and `path` keeps what it held."""
+    directory, name = os.path.split(path)
+    temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, mode) as f:
+            yield f
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(temporary)
+        raise
+
+
 def write_container(path: str, magic: bytes, header: bytes,
                     entries: list[tuple[bytes, bytes]]) -> None:
     """Write magic, version, `header`, each (descriptor, payload) pair of
     `entries`, then the checksum of the payloads."""
-    with open(path, "wb") as f:
+    with replacing(path) as f:
         f.write(magic + struct.pack("<I", VERSION) + header)
         for descriptor, payload in entries:
             f.write(descriptor + payload)

@@ -17,8 +17,11 @@ wall time and environment (versions, BLAS and its thread count and
 kernel, thread variables, heap, pool size);
 `train` and `unlearn` add per-phase wall time and step counts.
 
+Every output replaces its target only once it is complete
+(`checkpoint.replacing`).
+
 Exit codes: 0 success, 1 runtime failure (divergence, bad file), 2
-usage or configuration error.
+usage or configuration error, 130 interrupted (SIGINT).
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import scipy
 
 from . import data as data_mod
 from . import evaluation, unlearning, vit
+from .checkpoint import replacing
 from .errors import ConfigError, FormatError, LetheError, require_seed
 from .masking import MaskSpec, MaskType, pool_size
 from .tensor import blas_threads, heap_policy, keep_heap, pin_blas_threads
@@ -268,7 +272,7 @@ def _write_csv(path: Optional[str], header: str, rows) -> None:
     if not path:
         sys.stdout.write(text)
         return
-    with open(path, "w") as f:
+    with replacing(path, "w") as f:
         f.write(text)
     print(f"wrote {path}")
 
@@ -480,6 +484,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (LetheError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

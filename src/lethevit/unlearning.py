@@ -1,7 +1,7 @@
 """Contrastive unlearning pipeline and reference baselines.
 
 Every method is a sequence of plain SGD phases run by one loop,
-`_sgd_phase`; only the index set, the loss and the step direction vary.
+`_sgd_phase`; each phase descends its own loss over its own index set.
 `unlearn`, the core method, runs two phases from the original model:
 
   forget: for each forget batch, mask the images using the frozen
@@ -20,9 +20,9 @@ Every method is a sequence of plain SGD phases run by one loop,
 
 Baselines, one cross-entropy phase each: retraining from scratch on the
 retain set (the reference every other method is measured against),
-fine-tuning on the retain set, gradient ascent on the forget set, and
-training with randomized forget labels. Every entry point takes
-`on_step(phase, step, batch)`, called after each SGD step.
+fine-tuning on the retain set, gradient ascent on the forget set (its
+loss negated), and training with randomized forget labels. Every entry
+point takes `on_step(phase, step, batch)`, called after each SGD step.
 """
 
 from __future__ import annotations
@@ -143,14 +143,8 @@ def contrastive_loss(anchor: Tensor, positive: Tensor, negative: Tensor,
     return mean_all(softplus(scale(gap, 1.0 / temperature)))
 
 
-def _sgd_step(
-    params: ViTParams,
-    velocity: dict[str, np.ndarray],
-    learning_rate: float,
-    momentum: float,
-    weight_decay: float,
-    direction: float = -1.0,
-) -> None:
+def _sgd_step(params: ViTParams, velocity: dict[str, np.ndarray], learning_rate: float,
+              momentum: float, weight_decay: float) -> None:
     for name, t in params.items():
         if t.grad is None:
             continue
@@ -162,11 +156,11 @@ def _sgd_step(
             v = g if v is None else momentum * v + g
             velocity[name] = v
             g = v
-        params.replace(name, t.values + direction * learning_rate * g)
+        params.replace(name, t.values - learning_rate * g)
 
 
 StepSink = Callable[[str, int, np.ndarray], None]  # (phase, step, batch)
-StepLoss = Callable[[np.ndarray, int, int], Tensor]  # (batch, epoch, step) -> loss
+StepLoss = Callable[[np.ndarray, int], Tensor]  # (batch, step) -> loss
 
 
 def _batches(indices: np.ndarray, epochs: int, batch_size: int, rng: np.random.Generator,
@@ -191,38 +185,40 @@ def _sgd_phase(
     phase: str,
     step_loss: StepLoss,
     *,
-    direction: float = -1.0,
     on_step: Optional[StepSink] = None,
 ) -> None:
-    """The one SGD loop, mutating `params`: one step per `(epoch, batch)`
-    of `batches` (see `_batches`), each step's loss built by
-    `step_loss(batch, epoch, step)` on the active tape. Step count and
+    """The one SGD loop, mutating `params`: one descent step per batch of
+    `batches` (see `_batches`) on the loss `step_loss(batch, step)`
+    builds on the active tape, weight decay included. Step count and
     momentum restart per phase; `on_step(phase, step, batch)` runs after
     each step."""
     velocity: dict[str, np.ndarray] = {}
-    for step, (epoch, batch) in enumerate(batches):
+    for step, (_, batch) in enumerate(batches):
         try:
             with Tape() as tape:
-                loss = step_loss(batch, epoch, step)
+                loss = step_loss(batch, step)
             backward(loss, tape)
         except NonFiniteError as exc:
             raise DivergenceError(phase, step, str(exc)) from exc
-        _sgd_step(params, velocity, config.learning_rate, config.momentum,
-                  config.weight_decay, direction)
+        _sgd_step(params, velocity, config.learning_rate, config.momentum, config.weight_decay)
         if on_step is not None:
             on_step(phase, step, batch)
 
 
+def _cross_entropy_loss(params: ViTParams, dataset: LabeledDataset) -> StepLoss:
+    """The step loss: the cross-entropy of `params` on `dataset[batch]`."""
+    return lambda batch, step: cross_entropy(forward(params, dataset.images[batch]).logits,
+                                             dataset.labels[batch])
+
+
 def _cross_entropy_phase(params: ViTParams, dataset: LabeledDataset, indices: np.ndarray,
                          epochs: int, config: TrainConfig | UnlearnConfig,
-                         rng: np.random.Generator, phase: str, on_step: Optional[StepSink],
-                         direction: float = -1.0) -> None:
+                         rng: np.random.Generator, phase: str,
+                         on_step: Optional[StepSink]) -> None:
     """A cross-entropy SGD phase over `dataset[indices]`: training and
-    every phase but `unlearn`'s forget phase."""
-    def step_loss(batch: np.ndarray, epoch: int, step: int) -> Tensor:
-        return cross_entropy(forward(params, dataset.images[batch]).logits, dataset.labels[batch])
+    every phase but `unlearn`'s forget phase and gradient ascent."""
     _sgd_phase(params, _batches(indices, epochs, config.batch_size, rng, phase), config, phase,
-               step_loss, direction=direction, on_step=on_step)
+               _cross_entropy_loss(params, dataset), on_step=on_step)
 
 
 def _from_scratch(dataset: LabeledDataset, config: TrainConfig, indices: np.ndarray,
@@ -282,7 +278,7 @@ def unlearn(original: ViTParams, split: DataSplit, config: UnlearnConfig, *,
                     (config.seed, epoch, step)).generate_state(1, np.uint64)[0]))
                     for step, (epoch, batch) in enumerate(forget)]
 
-            def forget_loss(batch: np.ndarray, epoch: int, step: int) -> Tensor:
+            def forget_loss(batch: np.ndarray, step: int) -> Tensor:
                 positive, negative = futures[step].result()
                 anchor = forward(theta, split.train.images[batch]).logits
                 return contrastive_loss(anchor, positive, negative, config.temperature)
@@ -306,10 +302,15 @@ def fine_tune(original: ViTParams, split: DataSplit, config: UnlearnConfig, *,
 
 def gradient_ascent(original: ViTParams, split: DataSplit, config: UnlearnConfig, *,
                     on_step: Optional[StepSink] = None) -> ViTParams:
-    """Ascend the cross-entropy loss on the forget set."""
-    return _from_original(original, config, lambda theta, rng: _cross_entropy_phase(
-        theta, split.train, split.forget, config.forget_epochs, config, rng, "gradient_ascent",
-        on_step, direction=+1.0))
+    """Ascend the cross-entropy loss on the forget set by descending its
+    negation, so that weight decay shrinks the weights as in every phase."""
+    def run(theta: ViTParams, rng: np.random.Generator) -> None:
+        ce = _cross_entropy_loss(theta, split.train)
+        _sgd_phase(theta, _batches(split.forget, config.forget_epochs, config.batch_size, rng,
+                                   "gradient_ascent"), config, "gradient_ascent",
+                   lambda batch, step: scale(ce(batch, step), -1.0), on_step=on_step)
+
+    return _from_original(original, config, run)
 
 
 def relabel_forget(

@@ -19,6 +19,7 @@ read-only array the attention backward keeps, [batch, heads, 1, tokens].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -187,18 +188,26 @@ def init_params(config: ViTConfig, seed: int) -> ViTParams:
     Weight matrices, the class token and positional embeddings draw from
     a truncated normal (std 0.02, clipped at two standard deviations);
     biases and layer-norm offsets start at zero, layer-norm gains at one.
+    Parameters that cannot be allocated raise `ConfigError`.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     tensors: dict[str, Tensor] = {}
-    for name, shape in parameter_shapes(config).items():
-        leaf = name.split(".")[-1]
-        if leaf in ("bias", "bq", "bk", "bv", "bo", "b1", "b2"):
-            values = np.zeros(shape, dtype=DTYPE)
-        elif leaf == "gain":
-            values = np.ones(shape, dtype=DTYPE)
-        else:
-            values = _truncated_normal(rng, shape, INIT_STD)
-        tensors[name] = Tensor(values, requires_grad=True)
+    shapes = parameter_shapes(config)
+    try:
+        for name, shape in shapes.items():
+            leaf = name.split(".")[-1]
+            if leaf in ("bias", "bq", "bk", "bv", "bo", "b1", "b2"):
+                values = np.zeros(shape, dtype=DTYPE)
+            elif leaf == "gain":
+                values = np.ones(shape, dtype=DTYPE)
+            else:
+                values = _truncated_normal(rng, shape, INIT_STD)
+            tensors[name] = Tensor(values, requires_grad=True)
+    except (MemoryError, ValueError):  # ValueError: numpy's "array is too big"
+        raise ConfigError(
+            f"a model of dim {config.dim}, depth {config.depth} and mlp_ratio "
+            f"{config.mlp_ratio} has {8 * sum(math.prod(s) for s in shapes.values())} bytes "
+            "of float64 parameters, which cannot be allocated") from None
     return ViTParams(config, tensors)
 
 

@@ -301,18 +301,21 @@ def _reference_batches(indices, batch_size, rng):
 
 
 def reference_train_cross_entropy(params, dataset, indices, epochs, config, rng,
-                                  direction=-1.0):
+                                  negate=False):
     """The cross-entropy SGD loop every cross-entropy phase had its own
-    call of before the phase loop took a loss closure."""
+    call of before the phase loop took a loss closure; `negate` descends
+    the negated cross-entropy (gradient ascent)."""
     velocity = {}
     for _ in range(epochs):
         for batch in _reference_batches(indices, config.batch_size, rng):
             with Tape() as tape:
                 logits = vit.forward(params, dataset.images[batch]).logits
                 loss = T.cross_entropy(logits, dataset.labels[batch])
+                if negate:
+                    loss = T.scale(loss, -1.0)
             backward(loss, tape)
             unlearning._sgd_step(params, velocity, config.learning_rate, config.momentum,
-                                 config.weight_decay, direction)
+                                 config.weight_decay)
 
 
 def reference_forget_phase(theta, original, split, config, rng):
@@ -364,7 +367,7 @@ def reference_from_original(method, original, split, config):
                                       config, rng)
     elif method == "gradient_ascent":
         reference_train_cross_entropy(theta, train, split.forget, config.forget_epochs,
-                                      config, rng, direction=+1.0)
+                                      config, rng, negate=True)
     else:
         labels = unlearning.relabel_forget(train.labels, split.forget, train.class_count,
                                            config.seed)

@@ -6,8 +6,14 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import re
+import select
+import signal
+import subprocess
+import sys
+from argparse import Namespace
 
 import numpy as np
 import pytest
@@ -15,13 +21,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lethevit.checkpoint import load_arrays, save_arrays
-from lethevit.cli import _KEY_SPECS, build_parser, main
+from lethevit.cli import _COMMANDS, _KEY_SPECS, build_parser, main
 from lethevit.data import load_dataset
 from lethevit.masking import pool_size
 from lethevit.tensor import blas_threads, keep_heap
+from lethevit.vit import ViTConfig, parameter_shapes
 
 from test_checkpoint import HOSTILE_DIMS, write_raw_checkpoint
 from test_data import raw_dataset, write_label
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 TINY_KEYS = [
     "classes=2", "per_class=6", "test_per_class=4", "image_size=8", "channels=1",
@@ -740,6 +749,43 @@ class TestReport:
         assert f"{path}:2:" in err and f"byte offset {len(good)}" in err
 
 
+def _readme_config_rows():
+    """(keys, commands, defaults) of each row of README's config-key table."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
+        section = f.read().split("### Config keys", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        keys, commands, _, defaults = (cell.strip() for cell in line.strip("|").split("|"))
+        keys = re.findall(r"`(\w+)`", keys)
+        defaults = [re.sub(r" \(.*\)$", "", d).strip("`") for d in defaults.split(" / ")]
+        rows.append((keys, {c.strip() for c in commands.split(",")},
+                     defaults * len(keys) if len(defaults) == 1 else defaults))
+    return rows
+
+
+def test_readme_config_table_matches_commands():
+    """Each key of `_KEY_SPECS` is in one row of README's table, with the
+    commands whose key sets hold it and its default. `unlearn` counts
+    with both key sets: `retrain` names the keys only `unlearn --method
+    retrain` reads."""
+    key_sets = {name: command.keys for name, command in _COMMANDS.items()
+                if isinstance(command.keys, dict)}
+    key_sets["unlearn"] = _COMMANDS["unlearn"].keys(Namespace(method="ft"))
+    key_sets["retrain"] = {key: spec for key, spec in _COMMANDS["unlearn"].keys(
+        Namespace(method="retrain")).items() if key not in key_sets["unlearn"]}
+    rows = _readme_config_rows()
+    listed = [key for keys, _, _ in rows for key in keys]
+    assert sorted(listed) == sorted(_KEY_SPECS)
+    for keys, commands, defaults in rows:
+        assert len(defaults) == len(keys), keys
+        for key, default in zip(keys, defaults):
+            assert commands == {name for name, held in key_sets.items() if key in held}, key
+            want = _KEY_SPECS[key][1]
+            assert default == ("required" if want is None else str(want)), key
+
+
 class TestWriteDiscipline:
     def test_writes_stay_in_output_directory(self, tmp_path, monkeypatch):
         """All artifacts land under the declared output directory."""
@@ -748,6 +794,142 @@ class TestWriteDiscipline:
         assert run("gen-data", "--out-dir", str(out_dir), *sets("seed=3", *TINY_KEYS)) == 0
         produced = {p.name for p in tmp_path.iterdir()}
         assert produced == {"only_here"}
+
+
+# `lethevit.cli.main(argv[3:])` in a child process, under the `resource`
+# limit named argv[1] ("none" for no limit) at argv[2] bytes, with SIGXFSZ
+# ignored so that writing past RLIMIT_FSIZE fails with EFBIG; it prints
+# "training" as `train_model` starts
+_CHILD = """
+import resource, signal, sys
+if sys.argv[1] != "none":
+    limit = getattr(resource, sys.argv[1])
+    resource.setrlimit(limit, (int(sys.argv[2]), int(sys.argv[2])))
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+from lethevit import cli, unlearning
+train_model = unlearning.train_model
+
+def announced(*args, **kwargs):
+    print("training", flush=True)
+    return train_model(*args, **kwargs)
+
+unlearning.train_model = announced
+sys.exit(cli.main(sys.argv[3:]))
+"""
+
+
+def start_child(limit, size, *argv):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    return subprocess.Popen([sys.executable, "-c", _CHILD, limit, str(size), *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def run_child(limit, size, *argv):
+    """(exit code, stderr) of the CLI run in a child process under the limit."""
+    child = start_child(limit, size, *argv)
+    try:
+        _, err = child.communicate(timeout=120)
+    finally:
+        child.kill()
+        child.wait()
+    return child.returncode, err
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestOutputsReplaceTarget:
+    """An output that fails part-way, here past a 4,096-byte RLIMIT_FSIZE,
+    leaves its previous target byte for byte and no temporary file."""
+
+    LIMIT = ("RLIMIT_FSIZE", 4096)
+
+    def _assert_untouched(self, directory, before, target):
+        assert {p.name for p in directory.iterdir()} == set(before)
+        assert target.stat().st_size > self.LIMIT[1]
+        assert _sha256(target) == before[target.name]
+
+    def test_checkpoint(self, pipeline, tmp_path):
+        _, train_path, _, _ = pipeline
+        out = tmp_path / "m.ltvt"
+        keys = sets("epochs=1", "lr=0.05", "batch=6")  # the default architecture: > 4096 bytes
+        assert run("train", "--data", train_path, "--out", str(out), *sets("seed=1"), *keys) == 0
+        before = {p.name: _sha256(p) for p in tmp_path.iterdir()}
+        code, err = run_child(*self.LIMIT, "train", "--data", train_path, "--out", str(out),
+                              *sets("seed=2"), *keys)
+        assert (code, err) == (1, "error: [Errno 27] File too large\n")
+        self._assert_untouched(tmp_path, before, out)
+
+    def test_dataset(self, tmp_path):
+        keys = sets(*TINY_KEYS, "per_class=20")  # 40 images of 8x8: > 4096 bytes
+        assert run("gen-data", "--out-dir", str(tmp_path), *sets("seed=1"), *keys) == 0
+        before = {p.name: _sha256(p) for p in tmp_path.iterdir()}
+        code, err = run_child(*self.LIMIT, "gen-data", "--out-dir", str(tmp_path),
+                              *sets("seed=2"), *keys)
+        assert (code, err) == (1, "error: [Errno 27] File too large\n")
+        self._assert_untouched(tmp_path, before, tmp_path / "train.ltds")
+
+    def test_csv(self, tmp_path):
+        manifests = tmp_path / "manifests.jsonl"
+        line = '{{"command": "train", "seed": {}, "duration_seconds": 0.5, "outputs": {{}}}}\n'
+        manifests.write_text(line.format(1) * 300)
+        out = tmp_path / "out" / "report.csv"
+        out.parent.mkdir()
+        assert run("report", "--manifests", str(manifests), "--out", str(out)) == 0
+        manifests.write_text(line.format(2) * 300)
+        before = {p.name: _sha256(p) for p in out.parent.iterdir()}
+        code, err = run_child(*self.LIMIT, "report", "--manifests", str(manifests),
+                              "--out", str(out))
+        assert (code, err) == (1, "error: [Errno 27] File too large\n")
+        self._assert_untouched(out.parent, before, out)
+
+    def test_sigint_during_train_exits_130(self, pipeline, tmp_path):
+        _, train_path, _, _ = pipeline
+        child = start_child("none", 0, "train", "--data", train_path,
+                            "--out", str(tmp_path / "m.ltvt"),
+                            *sets("seed=1", "epochs=100000", "lr=0.05", "batch=6", *MODEL_KEYS))
+        try:
+            assert select.select([child.stdout], [], [], 60)[0], "training never started"
+            assert child.stdout.readline() == "training\n"
+            child.send_signal(signal.SIGINT)
+            _, err = child.communicate(timeout=60)
+        finally:
+            child.kill()
+            child.wait()
+        assert (child.returncode, err) == (130, "error: interrupted\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_output_gets_plain_open_permissions(self, tmp_path):
+        """0666 less the umask, as `open` gives, not `mkstemp`'s 0600."""
+        umask = os.umask(0o022)
+        os.umask(umask)
+        assert run("gen-data", "--out-dir", str(tmp_path), *sets("seed=1", *TINY_KEYS)) == 0
+        assert (tmp_path / "train.ltds").stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+class TestUnallocatableModel:
+    """A model whose parameters cannot be allocated, here under a 3 GB
+    RLIMIT_AS, is a usage error naming its size."""
+
+    @pytest.mark.parametrize("command,key", [
+        (["train"], "dim=60000"), (["unlearn", "--method", "retrain"], "mlp_ratio=100000000"),
+    ], ids=["train-dim", "retrain-mlp_ratio"])
+    def test_exits_2_naming_its_bytes(self, pipeline, tmp_path, command, key):
+        _, train_path, test_path, _ = pipeline
+        test = ["--test", test_path] if command[0] == "unlearn" else []
+        code, err = run_child("RLIMIT_AS", 3 * 10**9, *command, "--data", train_path, *test,
+                              "--out", str(tmp_path / "m.ltvt"),
+                              *sets("seed=1", "epochs=1", "lr=0.05", "batch=6", key))
+        name, value = key.split("=")
+        config = {**dict(image_size=8, patch_size=4, channels=1, depth=2, heads=2, dim=32,
+                         mlp_ratio=2, num_classes=2), name: int(value)}
+        size = 8 * sum(math.prod(shape) for shape in parameter_shapes(ViTConfig(**config)).values())
+        assert code == 2
+        assert err == (f"error: a model of dim {config['dim']}, depth 2 and mlp_ratio "
+                       f"{config['mlp_ratio']} has {size} bytes of float64 parameters, "
+                       "which cannot be allocated\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 # a --config file: random bytes, or lines of known keys with random values

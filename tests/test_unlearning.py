@@ -25,6 +25,7 @@ from lethevit.tensor import (
     Tensor,
     add,
     backward,
+    cross_entropy,
     mean_all,
     per_sample_cross_entropy,
     scale,
@@ -488,6 +489,26 @@ class TestGradientAscent:
             up = ga[name].values - base.values
             down = ft[name].values - base.values
             np.testing.assert_allclose(up, -down, rtol=1e-9, atol=1e-12)
+
+    def test_weight_decay_decays(self, tiny_world):
+        """One step over the whole forget set descends the negated
+        cross-entropy plus the decay: theta_1 = theta_0 - lr * (wd *
+        theta_0 - grad CE(theta_0)). Ascending the decayed loss would
+        grow the weights by 2 * lr * wd * theta_0 more."""
+        train, test, split, config, theta_o = tiny_world
+        lr, wd = 0.02, 0.5
+        ga = gradient_ascent(theta_o, split, UnlearnConfig(
+            forget_epochs=1, retain_epochs=0, learning_rate=lr, batch_size=len(split.forget),
+            mask_spec=MaskSpec(0.25), seed=13, weight_decay=wd))
+        probe = theta_o.copy()
+        with Tape() as tape:
+            loss = cross_entropy(forward(probe, train.images[split.forget]).logits,
+                                 train.labels[split.forget])
+        backward(loss, tape)
+        largest = max(np.abs(t.values).max() for _, t in theta_o.items())
+        for name, base in theta_o.items():
+            want = base.values - lr * (wd * base.values - probe[name].grad)
+            assert np.abs(ga[name].values - want).max() <= 1e-12 * largest, name
 
     def test_forget_loss_increases_after_small_step(self, tiny_world):
         train, test, split, config, theta_o = tiny_world
