@@ -148,7 +148,7 @@ def _write_manifest(out_path: str, command: str, config: dict, started: float,
         "inputs": {path: _sha256(path) for path in inputs},
         "outputs": {out_path: _sha256(out_path)},
         "duration_seconds": time.perf_counter() - started,
-        # checkpoint bytes depend on the BLAS thread count (README, determinism)
+        # what a rerun sets for the same bytes where the pin fails (README, determinism)
         "env": {"python": sys.version.split()[0], "numpy": np.__version__,
                 "scipy": scipy.__version__,
                 "blas": {"name": blas.get("name"), "version": blas.get("version"), **runtime},
@@ -156,9 +156,14 @@ def _write_manifest(out_path: str, command: str, config: dict, started: float,
                 "heap": heap_policy(), "pool_workers": pool_size()},
         **extra,
     }
-    directory = os.path.dirname(os.path.abspath(out_path))
-    with open(os.path.join(directory, "manifests.jsonl"), "a") as f:
-        f.write(json.dumps(manifest, sort_keys=True) + "\n")
+    path = os.path.join(os.path.dirname(os.path.abspath(out_path)), "manifests.jsonl")
+    try:
+        with open(path, "rb") as f:
+            previous = f.read()
+    except FileNotFoundError:
+        previous = b""
+    with replacing(path) as f:  # old lines plus the new one, or the old file untouched
+        f.write(previous + (json.dumps(manifest, sort_keys=True) + "\n").encode())
 
 
 def _train_config(cfg: dict, dataset: data_mod.LabeledDataset) -> unlearning.TrainConfig:

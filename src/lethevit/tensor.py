@@ -37,8 +37,9 @@ patch embedding, one `take_token` after the final (class-only)
 attention, the final `layer_norm`, the head and the loss.
 
 Every step allocates its tape's arrays and frees them all in
-`backward`. `keep_heap` sets the C heap policy that suits that pattern,
-and `pin_blas_threads` runs OpenBLAS on one thread, so the bytes do not
+`backward`, each record's as soon as its backward has run. `keep_heap`
+sets the C heap policy that suits that pattern, and
+`pin_blas_threads` runs OpenBLAS on one thread, so the bytes do not
 depend on the thread count; the program calls both once at start-up,
 never at import.
 """
@@ -75,24 +76,26 @@ class Tensor:
     """Dense n-dimensional float64 array with an optional gradient buffer.
 
     Values are frozen at construction (the numpy buffer is marked
-    read-only); only the `grad` attribute is ever written afterwards,
-    so tensors can be shared freely across threads.
+    read-only), so tensors can be shared freely across threads; only
+    `grad` is written afterwards, and a model parameter's `values`
+    when `ViTParams.assign` points it at the model's next vector.
     """
 
-    __slots__ = ("values", "requires_grad", "grad", "is_leaf")
+    __slots__ = ("values", "requires_grad", "grad", "grad_buffer", "is_leaf")
 
-    def __init__(self, values, requires_grad: bool = False, *, _leaf: bool = True):
-        if _leaf:
-            arr = np.array(values, dtype=DTYPE)  # private copy of user data
-        else:
-            arr = np.asarray(values, dtype=DTYPE)  # op results are already fresh
-        if not np.isfinite(arr).all():
+    def __init__(self, values, requires_grad: bool = False, *, _leaf: bool = True,
+                 _view: bool = False):
+        # a private copy of user data; op results are fresh, and a model
+        # parameter (`_view`) is a view of its model's checked read-only vector
+        arr = (np.array if _leaf and not _view else np.asarray)(values, dtype=DTYPE)
+        if not _view and not np.isfinite(arr).all():
             raise NonFiniteError("tensor contains NaN or Inf values")
         if arr.flags.writeable:
             arr.setflags(write=False)
         self.values = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
+        self.grad_buffer: Optional[np.ndarray] = None
         self.is_leaf = _leaf
 
     @property
@@ -172,17 +175,22 @@ def backward(loss: Tensor, tape: Tape) -> None:
 
     `loss` must be a scalar produced while `tape` was active. Gradients
     accumulate into `.grad` (a fresh buffer is created when `.grad` is
-    None); leaf tensors recorded on the tape but not on the path to the
-    loss receive an exact zero gradient. The tape is consumed.
+    None), except that a parameter's is copied into its view of its
+    model's `grad_buffer`, which gets one NaN/Inf scan; leaf tensors
+    recorded on the tape but not on the path to the loss receive an
+    exact zero gradient. The tape is consumed: each record is dropped,
+    and its arrays freed, as soon as its backward has run.
     """
     if loss.values.ndim != 0:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
     if tape.consumed:
         raise ContractError("tape already consumed by a backward pass")
 
+    tape.consumed = True
     grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=DTYPE)}
     leaves: dict[int, Tensor] = {}
-    for rec in reversed(tape._records):
+    while tape._records:
+        rec = tape._records.pop()  # each record's arrays go once it has run
         for t in rec.inputs:
             if t.requires_grad and t.is_leaf:
                 leaves[id(t)] = t
@@ -196,16 +204,20 @@ def backward(loss: Tensor, tape: Tape) -> None:
             acc = grads.get(id(t))
             grads[id(t)] = g_in if acc is None else acc + g_in
 
+    buffers: dict[int, np.ndarray] = {}
     for key, t in leaves.items():
-        g = grads.get(key)
+        g = grads.pop(key, None)
+        if t.grad_buffer is not None:
+            np.copyto(t.grad, 0.0 if g is None else g)
+            buffers[id(t.grad_buffer)] = t.grad_buffer
+            continue
         if g is None:
             g = np.zeros(t.shape, dtype=DTYPE)
         if not np.isfinite(g).all():
             raise NonFiniteError("gradient contains NaN or Inf values")
         t.grad = g if t.grad is None else t.grad + g
-
-    tape.consumed = True
-    tape._records.clear()
+    if not all(np.isfinite(buffer).all() for buffer in buffers.values()):
+        raise NonFiniteError("gradient contains NaN or Inf values")
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +238,11 @@ def keep_heap() -> Optional[dict[str, int]]:
     """Make the C heap keep the memory the engine frees.
 
     A training step allocates a tape's worth of arrays and `backward`
-    frees them all at once. Under glibc's default policy the freed top
-    of the heap goes back to the OS and large arrays get fresh `mmap`s,
-    so every step faults in megabytes of new pages. Raising the mmap and
-    trim thresholds and keeping one arena for all threads lets numpy
-    reuse warm heap pages instead. No value changes, only where it lives.
+    frees them all, record by record. Under glibc's default policy the
+    freed top of the heap goes back to the OS and large arrays get fresh
+    `mmap`s, so every step faults in megabytes of new pages. Raising the
+    mmap and trim thresholds and keeping one arena for all threads lets
+    numpy reuse warm heap pages instead. No value changes, only where it lives.
 
     Returns the applied settings, or None where libc has no `mallopt`
     (macOS, musl, Windows) or rejects a value; then nothing is applied.

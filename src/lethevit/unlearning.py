@@ -1,7 +1,8 @@
 """Contrastive unlearning pipeline and reference baselines.
 
 Every method is a sequence of plain SGD phases run by one loop,
-`_sgd_phase`; each phase descends its own loss over its own index set.
+`_sgd_phase`; each phase descends its own loss over its own index set,
+and each step is one update of the model's parameter vector (`ViTParams`).
 `unlearn`, the core method, runs two phases from the original model:
 
   forget: for each forget batch, mask the images using the frozen
@@ -143,20 +144,26 @@ def contrastive_loss(anchor: Tensor, positive: Tensor, negative: Tensor,
     return mean_all(softplus(scale(gap, 1.0 / temperature)))
 
 
-def _sgd_step(params: ViTParams, velocity: dict[str, np.ndarray], learning_rate: float,
-              momentum: float, weight_decay: float) -> None:
-    for name, t in params.items():
-        if t.grad is None:
-            continue
-        g = t.grad
-        if weight_decay:
-            g = g + weight_decay * t.values
-        if momentum:
-            v = velocity.get(name)
-            v = g if v is None else momentum * v + g
-            velocity[name] = v
-            g = v
-        params.replace(name, t.values - learning_rate * g)
+def _sgd_step(params: ViTParams, velocity: Optional[np.ndarray], learning_rate: float,
+              momentum: float, weight_decay: float) -> Optional[np.ndarray]:
+    """One update of the whole vector; returns the velocity. Each element
+    sees g = grad + wd * theta, v = m * v + g (v = g at a phase's first
+    step) and theta - lr * v, in place in arrays the update allocates."""
+    theta, g = params.vector, params.grad
+    new = np.empty_like(theta)
+    if weight_decay:
+        g = np.multiply(theta, weight_decay, out=new)
+        g += params.grad
+    if momentum:
+        if velocity is None:
+            velocity = g.copy()
+        else:
+            velocity *= momentum
+            velocity += g
+        g = velocity
+    np.multiply(g, learning_rate, out=new)
+    params.assign(np.subtract(theta, new, out=new))
+    return velocity
 
 
 StepSink = Callable[[str, int, np.ndarray], None]  # (phase, step, batch)
@@ -191,16 +198,18 @@ def _sgd_phase(
     `batches` (see `_batches`) on the loss `step_loss(batch, step)`
     builds on the active tape, weight decay included. Step count and
     momentum restart per phase; `on_step(phase, step, batch)` runs after
-    each step."""
-    velocity: dict[str, np.ndarray] = {}
+    each step. A non-finite gradient or update is a `DivergenceError`."""
+    params.attach_gradient()
+    velocity = None
     for step, (_, batch) in enumerate(batches):
         try:
             with Tape() as tape:
                 loss = step_loss(batch, step)
             backward(loss, tape)
+            velocity = _sgd_step(params, velocity, config.learning_rate, config.momentum,
+                                 config.weight_decay)
         except NonFiniteError as exc:
             raise DivergenceError(phase, step, str(exc)) from exc
-        _sgd_step(params, velocity, config.learning_rate, config.momentum, config.weight_decay)
         if on_step is not None:
             on_step(phase, step, batch)
 

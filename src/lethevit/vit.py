@@ -15,18 +15,21 @@ residuals, MLP and layer norms run on [batch, dim] (the class-attention
 stage of CaiT, Touvron et al., 2021). The captured weights,
 `ForwardOutput.last_attention`, are the class token's row as the
 read-only array the attention backward keeps, [batch, heads, 1, tokens].
+
+A model's parameters live in one read-only vector (`ViTParams`), and
+checkpoints store them as one named entry each.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
 
 from . import checkpoint
-from .errors import ConfigError, DimensionError, FormatError
+from .errors import ConfigError, DimensionError, FormatError, NonFiniteError
 from .tensor import (
     DTYPE,
     Tensor,
@@ -113,12 +116,18 @@ class ForwardOutput:
     last_attention: Optional[np.ndarray] = None  # final block's read-only weights [B, H, 1, T]
 
 
-@dataclass
 class ViTParams:
-    """Named parameter tensors for one model instance."""
+    """One model's parameters: `vector`, one read-only float64 array in
+    `parameter_shapes` order, and `tensors`, a leaf `Tensor` per name over
+    a view of its slice. An SGD step `assign`s a new vector, so `copy` and
+    `frozen` share it. `grad`, in the same layout, is the one gradient
+    buffer `attach_gradient` makes for training."""
 
-    config: ViTConfig
-    tensors: dict[str, Tensor] = field(default_factory=dict)
+    def __init__(self, config: ViTConfig, vector: np.ndarray, requires_grad: bool = True):
+        self.config, self.grad, self._layout, self.tensors = config, None, _layout(config), {}
+        self.assign(vector)
+        self.tensors = {name: Tensor(view, requires_grad, _view=True)
+                        for name, view in _views(self._layout, vector)}
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -130,17 +139,34 @@ class ViTParams:
         return iter(self.tensors.items())
 
     def copy(self) -> "ViTParams":
-        fresh = {
-            name: Tensor(t.values, requires_grad=True) for name, t in self.tensors.items()
-        }
-        return ViTParams(self.config, fresh)
+        return ViTParams(self.config, self.vector)
 
     def frozen(self) -> "ViTParams":
         """A gradient-free copy: no forward on it records on any tape."""
-        return ViTParams(self.config, {name: Tensor(t.values) for name, t in self.tensors.items()})
+        return ViTParams(self.config, self.vector, requires_grad=False)
 
-    def replace(self, name: str, values: np.ndarray) -> None:
-        self.tensors[name] = Tensor(values, requires_grad=True)
+    def assign(self, vector: np.ndarray) -> None:
+        """Own `vector` (read-only from now on) and point each leaf at its
+        slice; NaN or Inf is a `NonFiniteError`."""
+        size = self._layout[-1][1].stop
+        if vector.dtype != DTYPE or vector.shape != (size,):
+            raise DimensionError(f"a parameter vector must be float64 of shape ({size},), "
+                                 f"got {vector.dtype} {vector.shape}")
+        if not np.isfinite(vector).all():
+            raise NonFiniteError("parameters contain NaN or Inf values")
+        vector.setflags(write=False)
+        self.vector = vector
+        for t, (_, view) in zip(self.tensors.values(), _views(self._layout, vector)):
+            t.values = view
+
+    def attach_gradient(self) -> None:
+        """Make the gradient buffer `grad` (once). From then on `backward`
+        copies each parameter's gradient into the parameter's view of it;
+        `forward` reads every parameter, so each step rewrites all of it."""
+        if self.grad is None:
+            self.grad = np.zeros(self.vector.shape, dtype=DTYPE)
+            for t, (_, view) in zip(self.tensors.values(), _views(self._layout, self.grad)):
+                t.grad, t.grad_buffer = view, self.grad
 
 
 def parameter_shapes(config: ViTConfig) -> dict[str, tuple[int, ...]]:
@@ -173,6 +199,21 @@ def parameter_shapes(config: ViTConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+Layout = list[tuple[str, slice, tuple[int, ...]]]  # (name, slice of the vector, shape)
+
+
+def _layout(config: ViTConfig) -> Layout:
+    layout, stop = [], 0
+    for name, shape in parameter_shapes(config).items():
+        start, stop = stop, stop + math.prod(shape)
+        layout.append((name, slice(start, stop), shape))
+    return layout
+
+
+def _views(layout: Layout, flat: np.ndarray) -> list[tuple[str, np.ndarray]]:
+    return [(name, flat[where].reshape(shape)) for name, where, shape in layout]
+
+
 def _truncated_normal(rng: np.random.Generator, shape: tuple[int, ...], std: float) -> np.ndarray:
     out = rng.normal(0.0, std, size=shape)
     while True:
@@ -191,24 +232,24 @@ def init_params(config: ViTConfig, seed: int) -> ViTParams:
     Parameters that cannot be allocated raise `ConfigError`.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    tensors: dict[str, Tensor] = {}
-    shapes = parameter_shapes(config)
+    layout = _layout(config)
+    size = layout[-1][1].stop
     try:
-        for name, shape in shapes.items():
+        vector = np.empty(size, dtype=DTYPE)
+        for name, view in _views(layout, vector):
             leaf = name.split(".")[-1]
             if leaf in ("bias", "bq", "bk", "bv", "bo", "b1", "b2"):
-                values = np.zeros(shape, dtype=DTYPE)
+                view[...] = 0.0
             elif leaf == "gain":
-                values = np.ones(shape, dtype=DTYPE)
+                view[...] = 1.0
             else:
-                values = _truncated_normal(rng, shape, INIT_STD)
-            tensors[name] = Tensor(values, requires_grad=True)
+                view[...] = _truncated_normal(rng, view.shape, INIT_STD)
     except (MemoryError, ValueError):  # ValueError: numpy's "array is too big"
         raise ConfigError(
             f"a model of dim {config.dim}, depth {config.depth} and mlp_ratio "
-            f"{config.mlp_ratio} has {8 * sum(math.prod(s) for s in shapes.values())} bytes "
+            f"{config.mlp_ratio} has {8 * size} bytes "
             "of float64 parameters, which cannot be allocated") from None
-    return ViTParams(config, tensors)
+    return ViTParams(config, vector)
 
 
 def patchify(images: np.ndarray, config: ViTConfig) -> np.ndarray:
@@ -272,8 +313,7 @@ def forward(params: ViTParams, images: np.ndarray, capture_attention: bool = Fal
 
 def params_checksum(params: ViTParams) -> int:
     """Byte-sum fingerprint of all parameter values (mutation guard)."""
-    return checkpoint.payload_checksum(np.ascontiguousarray(t.values)
-                                       for t in params.tensors.values())
+    return checkpoint.payload_checksum([params.vector])
 
 
 def save_params(params: ViTParams, path: str) -> None:
@@ -293,7 +333,7 @@ def load_params(path: str) -> ViTParams:
     except (ConfigError, ValueError, OverflowError) as exc:  # int() of NaN / inf
         raise FormatError(f"checkpoint entry '{_CONFIG_KEY}' is invalid: {exc}",
                           offsets[_CONFIG_KEY]) from None
-    tensors: dict[str, Tensor] = {}
+    parts = []
     for name, shape in parameter_shapes(config).items():
         if name not in arrays:
             raise FormatError(f"checkpoint {path} is missing parameter '{name}'", 0)
@@ -301,8 +341,8 @@ def load_params(path: str) -> ViTParams:
         if values.shape != shape:
             raise FormatError(f"checkpoint parameter '{name}' has shape {values.shape}, "
                               f"expected {shape}", offsets[name])
-        tensors[name] = Tensor(values, requires_grad=True)
+        parts.append(values.ravel())
     if arrays:
         extra = sorted(arrays)
         raise FormatError(f"checkpoint {path} has unexpected entries: {extra}", offsets[extra[0]])
-    return ViTParams(config, tensors)
+    return ViTParams(config, np.concatenate(parts))

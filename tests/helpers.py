@@ -4,9 +4,10 @@ softmax and GELU kernels, the fine-grained reference compositions of
 the fused model ops, the `x.var` layer norm, the all-token ViT forward,
 the recompute-everything reference compositions of the evaluation,
 masking sweep and teacher paths, the per-patch masking loop, the
-per-method training loops the one SGD phase loop replaced, and a
-forward-call counter with a sorter for the chunks it logs from a thread
-pool."""
+per-method training loops the one SGD phase loop replaced, the
+per-parameter SGD step the one vector update replaced, a copy of a
+model with one parameter changed, and a forward-call counter with a
+sorter for the chunks it logs from a thread pool."""
 
 import numpy as np
 from scipy.special import erf
@@ -300,11 +301,40 @@ def _reference_batches(indices, batch_size, rng):
         yield shuffled[start:start + batch_size]
 
 
+def with_entry(params, name, values):
+    """A fresh model equal to `params` but for parameter `name`, which
+    holds `values`."""
+    assert np.shape(values) == params[name].shape, name
+    return vit.ViTParams(params.config, np.concatenate(
+        [np.ravel(values) if key == name else t.values.ravel() for key, t in params.items()]))
+
+
+def reference_sgd_step(params, velocity, learning_rate, momentum, weight_decay):
+    """`unlearning._sgd_step` as the per-parameter loop with a dict
+    velocity that the one vector update replaced. It returns the
+    stepped model, fresh leaves whose `.grad` is None, where the loop
+    replaced each parameter in place."""
+    for name, t in params.items():
+        if t.grad is None:
+            continue
+        g = t.grad
+        if weight_decay:
+            g = g + weight_decay * t.values
+        if momentum:
+            v = velocity.get(name)
+            v = g if v is None else momentum * v + g
+            velocity[name] = v
+            g = v
+        params = with_entry(params, name, t.values - learning_rate * g)
+    return params
+
+
 def reference_train_cross_entropy(params, dataset, indices, epochs, config, rng,
                                   negate=False):
     """The cross-entropy SGD loop every cross-entropy phase had its own
     call of before the phase loop took a loss closure; `negate` descends
-    the negated cross-entropy (gradient ascent)."""
+    the negated cross-entropy (gradient ascent). Returns the trained
+    model."""
     velocity = {}
     for _ in range(epochs):
         for batch in _reference_batches(indices, config.batch_size, rng):
@@ -314,13 +344,15 @@ def reference_train_cross_entropy(params, dataset, indices, epochs, config, rng,
                 if negate:
                     loss = T.scale(loss, -1.0)
             backward(loss, tape)
-            unlearning._sgd_step(params, velocity, config.learning_rate, config.momentum,
-                                 config.weight_decay)
+            params = reference_sgd_step(params, velocity, config.learning_rate,
+                                        config.momentum, config.weight_decay)
+    return params
 
 
 def reference_forget_phase(theta, original, split, config, rng):
     """`unlearn`'s hand-written phase-1 loop: the per-step 3-forward
-    teacher outside the tape, the contrastive loss on it."""
+    teacher outside the tape, the contrastive loss on it. Returns the
+    stepped model."""
     velocity = {}
     step = 0
     for epoch in range(config.forget_epochs):
@@ -336,9 +368,10 @@ def reference_forget_phase(theta, original, split, config, rng):
                 loss = unlearning.contrastive_loss(anchor, positive, negative,
                                                    config.temperature)
             backward(loss, tape)
-            unlearning._sgd_step(theta, velocity, config.learning_rate, config.momentum,
-                                 config.weight_decay)
+            theta = reference_sgd_step(theta, velocity, config.learning_rate, config.momentum,
+                                       config.weight_decay)
             step += 1
+    return theta
 
 
 def reference_train_model(dataset, config, indices=None):
@@ -348,8 +381,7 @@ def reference_train_model(dataset, config, indices=None):
     if indices is None:
         indices = np.arange(len(dataset), dtype=np.int64)
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    reference_train_cross_entropy(params, dataset, indices, config.epochs, config, rng)
-    return params
+    return reference_train_cross_entropy(params, dataset, indices, config.epochs, config, rng)
 
 
 def reference_from_original(method, original, split, config):
@@ -359,22 +391,23 @@ def reference_from_original(method, original, split, config):
     rng = np.random.Generator(np.random.PCG64(config.seed))
     train = split.train
     if method == "unlearn":
-        reference_forget_phase(theta, original, split, config, rng)
-        reference_train_cross_entropy(theta, train, split.retain, config.retain_epochs,
-                                      config, rng)
+        theta = reference_forget_phase(theta, original, split, config, rng)
+        theta = reference_train_cross_entropy(theta, train, split.retain, config.retain_epochs,
+                                              config, rng)
     elif method == "fine_tune":
-        reference_train_cross_entropy(theta, train, split.retain, config.retain_epochs,
-                                      config, rng)
+        theta = reference_train_cross_entropy(theta, train, split.retain, config.retain_epochs,
+                                              config, rng)
     elif method == "gradient_ascent":
-        reference_train_cross_entropy(theta, train, split.forget, config.forget_epochs,
-                                      config, rng, negate=True)
+        theta = reference_train_cross_entropy(theta, train, split.forget, config.forget_epochs,
+                                              config, rng, negate=True)
     else:
         labels = unlearning.relabel_forget(train.labels, split.forget, train.class_count,
                                            config.seed)
         relabeled = LabeledDataset(images=train.images, labels=labels,
                                    class_count=train.class_count)
-        reference_train_cross_entropy(theta, relabeled, np.arange(len(train), dtype=np.int64),
-                                      config.retain_epochs, config, rng)
+        theta = reference_train_cross_entropy(theta, relabeled,
+                                              np.arange(len(train), dtype=np.int64),
+                                              config.retain_epochs, config, rng)
     return theta
 
 

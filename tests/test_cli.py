@@ -884,6 +884,25 @@ class TestOutputsReplaceTarget:
         assert (code, err) == (1, "error: [Errno 27] File too large\n")
         self._assert_untouched(out.parent, before, out)
 
+    def test_manifest_append(self, pipeline, tmp_path):
+        """The checkpoint fits under the limit and is replaced; the manifest
+        line would carry `manifests.jsonl` past it, so the file keeps its
+        old bytes and `report` still reads every line."""
+        _, train_path, _, _ = pipeline
+        manifests = tmp_path / "manifests.jsonl"
+        line = '{{"command": "train", "seed": {}, "duration_seconds": 0.5, "outputs": {{}}}}\n'
+        manifests.write_text(line.format(1) * (3900 // len(line.format(1))))
+        before = _sha256(manifests)
+        out = tmp_path / "m.ltvt"
+        code, err = run_child(*self.LIMIT, "train", "--data", train_path, "--out", str(out),
+                              *sets("seed=2", "epochs=1", "lr=0.05", "batch=6", *MODEL_KEYS))
+        assert (code, err) == (1, "error: [Errno 27] File too large\n")
+        assert out.stat().st_size < self.LIMIT[1]  # the checkpoint fit and was replaced
+        assert {p.name for p in tmp_path.iterdir()} == {"manifests.jsonl", "m.ltvt"}
+        assert _sha256(manifests) == before
+        assert run("report", "--manifests", str(manifests),
+                   "--out", str(tmp_path / "report.csv")) == 0
+
     def test_sigint_during_train_exits_130(self, pipeline, tmp_path):
         _, train_path, _, _ = pipeline
         child = start_child("none", 0, "train", "--data", train_path,

@@ -31,6 +31,7 @@ from helpers import (
     reference_evaluate_model,
     reference_fit_loss_threshold,
     reference_masking_sweep,
+    with_entry,
 )
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "reference_gaps.csv")
@@ -45,11 +46,10 @@ def constant_predictor(favored_class):
     for name in params.names():
         leaf = name.split(".")[-1]
         if leaf not in ("gain",):
-            params.replace(name, np.zeros(params[name].shape))
+            params = with_entry(params, name, np.zeros(params[name].shape))
     bias = np.zeros(TINY.num_classes)
     bias[favored_class] = 1.0
-    params.replace("head.bias", bias)
-    return params
+    return with_entry(params, "head.bias", bias)
 
 
 def dataset_with_labels(labels):
@@ -83,9 +83,8 @@ class TestAccuracy:
         assert accuracy(model, dataset_with_labels([2, 2, 2, 0])) == 75.0
 
     def test_argmax_tie_breaks_low_class(self):
-        model = constant_predictor(0)
-        params = model
-        params.replace("head.bias", np.zeros(TINY.num_classes))  # all logits equal
+        params = with_entry(constant_predictor(0), "head.bias",
+                            np.zeros(TINY.num_classes))  # all logits equal
         assert accuracy(params, dataset_with_labels([0, 0])) == 100.0
         assert accuracy(params, dataset_with_labels([1, 1])) == 0.0
 

@@ -29,7 +29,7 @@ from lethevit.masking import (
 from lethevit.tensor import Tape, Tensor, linear
 from lethevit.vit import ViTConfig, forward, init_params, patchify
 
-from helpers import reference_apply_mask
+from helpers import reference_apply_mask, with_entry
 
 RNG = np.random.default_rng(77)
 
@@ -217,8 +217,8 @@ class TestBuildMaskedView:
 
     def test_uniform_attention_selects_first_patches(self):
         params = init_params(TINY, seed=1)
-        params.replace("block0.attn.wq", np.zeros((TINY.dim, TINY.dim)))
-        params.replace("block0.attn.wk", np.zeros((TINY.dim, TINY.dim)))
+        params = with_entry(params, "block0.attn.wq", np.zeros((TINY.dim, TINY.dim)))
+        params = with_entry(params, "block0.attn.wk", np.zeros((TINY.dim, TINY.dim)))
         masked = build_masked_view(params, RNG.normal(size=(2, 1, 8, 8)), MaskSpec(0.5))
         assert _zeroed_patches(masked) == [[0, 1], [0, 1]]
 

@@ -265,6 +265,22 @@ class TestBackward:
         with pytest.raises(ContractError):
             backward(loss, tape)
 
+    def test_records_are_freed_as_backward_walks(self):
+        """A record goes before the one recorded ahead of it runs, so its
+        arrays are freed early; the tape counts as consumed from the start."""
+        x = Tensor([[1.0, 2.0]], requires_grad=True)
+        left = []
+
+        def watched(t):
+            return T._result((t,), t.values.copy(), lambda g: (left.append(len(tape)) or g,))
+
+        with Tape() as tape:
+            loss = sum_all(scale(watched(x), 3.0))
+        assert len(tape) == 3
+        backward(loss, tape)
+        assert left == [0] and tape.consumed
+        np.testing.assert_array_equal(x.grad, [[3.0, 3.0]])
+
     def test_reused_tensor_accumulates(self):
         x = Tensor([[1.0, 2.0]], requires_grad=True)
         with Tape() as tape:

@@ -51,6 +51,7 @@ from helpers import (
     in_set_order,
     reference_from_original,
     reference_train_model,
+    with_entry,
 )
 
 RNG = np.random.default_rng(99)
@@ -267,7 +268,6 @@ class TestUnlearnPipeline:
             return contrastive_loss(anchor, positive, negative, 0.7).item()
 
         step = 1e-5
-        probe = theta_o.copy()
         for name in ("head.weight", "block0.attn.wq", "patch.bias"):
             base = theta_o[name].values
             fd = np.zeros_like(base)
@@ -275,12 +275,9 @@ class TestUnlearnPipeline:
                 plus, minus = base.copy(), base.copy()
                 plus[idx] += step
                 minus[idx] -= step
-                probe.replace(name, plus)
-                up = loss_at(probe)
-                probe.replace(name, minus)
-                down = loss_at(probe)
+                up = loss_at(with_entry(theta_o, name, plus))
+                down = loss_at(with_entry(theta_o, name, minus))
                 fd[idx] = (up - down) / (2 * step)
-            probe.replace(name, base)
             applied = (theta_o[name].values - theta_after[name].values) / lr
             scale_ref = max(np.abs(fd).max(), 1e-8)
             assert np.abs(applied - fd).max() / scale_ref < 1e-4, name
@@ -410,6 +407,60 @@ class TestOnePhaseLoop:
         largest = max(np.abs(want[name].values).max() for name in want.names())
         for name in want.names():
             assert np.abs(got[name].values - want[name].values).max() <= 1e-12 * largest, name
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    def test_flat_update_equals_per_parameter_loop(self, momentum, weight_decay):
+        """Five steps (20 images, batch 4) of the one vector update give the
+        bytes of the per-parameter loop with its dict velocity."""
+        train = generate_toy_dataset(2, 10, 8, seed=503)
+        config = TrainConfig(model=TINY, epochs=1, learning_rate=0.05, batch_size=4, seed=8,
+                             momentum=momentum, weight_decay=weight_decay)
+        steps = []
+        got = train_model(train, config, on_step=lambda *args: steps.append(args))
+        want = reference_train_model(train, config)
+        assert len(steps) == 5
+        assert (got.vector == want.vector).all()
+        _assert_params_identical(got, want)
+
+    def test_vector_is_shared_read_only_and_a_step_makes_a_new_one(self, tiny_world):
+        """`copy` and `frozen` share the read-only vector; a step on the copy
+        leaves the original's bytes; only a trained model has a gradient
+        buffer, and each parameter's gradient is its view of it."""
+        train, test, split, config, _ = tiny_world
+        original = init_params(TINY, seed=4)
+        before = original.vector.tobytes()
+        theta, frozen = original.copy(), original.frozen()
+        for params in (original, theta, frozen):
+            assert params.vector is original.vector and params.grad is None
+            for name, t in params.items():
+                assert not t.values.flags.writeable, name
+                assert np.shares_memory(t.values, original.vector), name
+        with pytest.raises(ValueError, match="read-only"):
+            original.vector[0] = 1.0
+        unlearning._sgd_phase(theta, [(0, split.retain[:4])], config, "train",
+                              unlearning._cross_entropy_loss(theta, train))
+        assert theta.vector is not original.vector and not theta.vector.flags.writeable
+        assert theta.vector.tobytes() != before and original.vector.tobytes() == before
+        for name, t in theta.items():
+            assert np.shares_memory(t.values, theta.vector), name
+            assert np.shares_memory(t.grad, theta.grad), name
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_update_names_phase_and_step(self):
+        """A final layer-norm gain of 1e6 gives finite head gradients that
+        a learning rate of 1e305 carries past the float64 range: the new
+        vector's scan ends the step as a divergence."""
+        params = with_entry(init_params(TINY, seed=0), "ln_final.gain", np.full(TINY.dim, 1e6))
+        train = generate_toy_dataset(3, 4, 8, seed=502)
+        config = TrainConfig(model=TINY, epochs=1, learning_rate=1e305, batch_size=12, seed=3)
+        with pytest.raises(DivergenceError) as exc:
+            unlearning._sgd_phase(params, [(0, np.arange(12))], config, "train",
+                                  unlearning._cross_entropy_loss(params, train))
+        assert (exc.value.phase, exc.value.step) == ("train", 0)
+        assert isinstance(exc.value.__cause__, NonFiniteError)
+        assert "parameters contain NaN or Inf" in str(exc.value)
+        assert np.isfinite(params.grad).all()
 
     def test_empty_index_set_with_epochs_rejected(self, tiny_world):
         train, test, split, config, theta_o = tiny_world
@@ -544,7 +595,7 @@ class TestFusedOpDivergence:
         def overflowing_init(config, seed):
             params = init_params(config, seed)
             for name in overflowing:
-                params.replace(name, params[name].values * 1e200)
+                params = with_entry(params, name, params[name].values * 1e200)
             return params
 
         monkeypatch.setattr("lethevit.unlearning.init_params", overflowing_init)

@@ -7,9 +7,10 @@ import pytest
 
 from lethevit.errors import ConfigError, DimensionError
 from lethevit.masking import class_token_attention, select_top_k
-from lethevit.tensor import Tape, Tensor, backward, cross_entropy
+from lethevit.tensor import Tape, Tensor, add, backward, cross_entropy, mean_all
 from lethevit.vit import (
     ViTConfig,
+    ViTParams,
     forward,
     init_params,
     params_checksum,
@@ -17,7 +18,7 @@ from lethevit.vit import (
     patchify,
 )
 
-from helpers import assert_gradients_match, reference_forward
+from helpers import assert_gradients_match, reference_forward, with_entry
 
 TINY = ViTConfig(image_size=8, patch_size=4, channels=1, depth=1,
                  heads=2, dim=8, mlp_ratio=2, num_classes=3)
@@ -93,8 +94,8 @@ class TestForward:
 
     def test_zero_query_key_gives_uniform_attention(self):
         params = init_params(TINY, seed=2)
-        params.replace("block0.attn.wq", np.zeros((TINY.dim, TINY.dim)))
-        params.replace("block0.attn.wk", np.zeros((TINY.dim, TINY.dim)))
+        params = with_entry(params, "block0.attn.wq", np.zeros((TINY.dim, TINY.dim)))
+        params = with_entry(params, "block0.attn.wk", np.zeros((TINY.dim, TINY.dim)))
         out = forward(params, np.random.default_rng(2).normal(size=(2, 1, 8, 8)),
                       capture_attention=True)
         np.testing.assert_allclose(out.last_attention, 1.0 / TINY.tokens, atol=1e-12)
@@ -153,8 +154,44 @@ class TestInitParams:
     def test_copy_is_independent(self):
         params = init_params(TINY, seed=0)
         clone = params.copy()
-        clone.replace("head.bias", np.ones(TINY.num_classes))
+        clone.assign(with_entry(clone, "head.bias", np.ones(TINY.num_classes)).vector)
+        np.testing.assert_array_equal(clone["head.bias"].values, 1.0)
         np.testing.assert_array_equal(params["head.bias"].values, 0.0)
+
+    def test_vector_of_another_size_or_dtype_is_rejected(self):
+        vector = init_params(TINY, seed=0).vector
+        for bad in (vector[:-1].copy(), np.zeros(2 * vector.size), vector.astype(np.float32)):
+            with pytest.raises(DimensionError, match=f"float64 of shape \\({vector.size},\\)"):
+                ViTParams(TINY, bad)
+
+    def test_gradient_buffer_takes_each_backward_by_copy(self):
+        """With a gradient buffer, each backward copies a parameter's
+        gradient into its view (no accumulation across passes), with the
+        bytes of the per-leaf path; a recorded parameter off the loss
+        path gets exact zeros. A model only evaluated has no buffer."""
+        params = init_params(TINY, seed=0)
+        images = np.random.default_rng(4).normal(size=(3, 1, 8, 8))
+        labels = np.array([0, 1, 2])
+        params.attach_gradient()
+        for _ in range(2):
+            with Tape() as tape:
+                loss = cross_entropy(forward(params, images).logits, labels)
+            backward(loss, tape)
+        probe = params.copy()
+        assert probe.grad is None and params.frozen().grad is None
+        with Tape() as tape:
+            loss = cross_entropy(forward(probe, images).logits, labels)
+        backward(loss, tape)
+        for name, t in params.items():
+            assert np.shares_memory(t.grad, params.grad), name
+            assert t.grad.tobytes() == probe[name].grad.tobytes(), name
+        assert np.abs(params["ln_final.bias"].grad).max() > 0.0
+        with Tape() as tape:
+            _unused = add(params["ln_final.bias"], params["ln_final.bias"])
+            loss = mean_all(add(params["head.bias"], params["head.bias"]))
+        backward(loss, tape)
+        assert params["ln_final.bias"].grad.tobytes() == np.zeros(TINY.dim).tobytes()
+        np.testing.assert_array_equal(params["head.bias"].grad, 2.0 / TINY.num_classes)
 
     def test_frozen_copy_keeps_the_bytes_and_records_nothing(self):
         params = init_params(TINY, seed=0)
@@ -196,7 +233,7 @@ def _committed_shapes(depth, seed):
     params = init_params(cfg, seed)
     rng = np.random.default_rng(seed)
     for name, tensor in list(params.items()):
-        params.replace(name, tensor.values + 0.1 * rng.normal(size=tensor.shape))
+        params = with_entry(params, name, tensor.values + 0.1 * rng.normal(size=tensor.shape))
     return params
 
 
