@@ -54,12 +54,14 @@ class NonFiniteError(LetheError):
 
 
 class DivergenceError(LetheError):
-    """Training produced a non-finite loss; names the phase and step."""
+    """A training step produced a non-finite value: its loss, a gradient,
+    the parameter update or a teacher forward. Names the phase and step;
+    the detail says which value."""
 
     def __init__(self, phase: str, step: int, detail: str = ""):
         self.phase = phase
         self.step = step
-        msg = f"non-finite loss in phase '{phase}' at step {step}"
+        msg = f"non-finite value in phase '{phase}' at step {step}"
         if detail:
             msg += f": {detail}"
         super().__init__(msg)

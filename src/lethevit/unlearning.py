@@ -14,8 +14,9 @@ and each step is one update of the model's parameter vector (`ViTParams`).
   `frozen_teacher` computes them once per forget image, in one capture
   pass before the first step. The masked forward of the original (the
   positives) depends on the batch, the mask seed and the frozen weights
-  only, so a worker thread runs every step's while the main thread runs
-  the tracked forwards of the model being unlearned.
+  only, so on Linux a forked helper process computes every step's while
+  this process runs the tracked forwards of the model being unlearned
+  (`_run_ahead`); a thread would share the interpreter lock with them.
 
   retain: ordinary cross-entropy training on the retain set.
 
@@ -28,14 +29,20 @@ point takes `on_step(phase, step, batch)`, called after each SGD step.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import contextlib
+import os
+import pickle
+import signal
+import struct
+import sys
+import threading
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from .data import DataSplit, LabeledDataset
-from .errors import (ConfigError, ContractError, DivergenceError, NonFiniteError,
+from .errors import (ConfigError, ContractError, DivergenceError, LetheError, NonFiniteError,
                      require_finite, require_seed)
 from .masking import MaskSpec, forward_chunks, mask_from_scores
 from .masking import build_masked_view  # noqa: F401  unused; perfbench/layertrace.py wraps it
@@ -93,37 +100,133 @@ class UnlearnConfig:
             raise ConfigError("learning_rate, temperature and batch_size must be positive")
 
 
-TeacherViews = Callable[[np.ndarray, int], tuple[Tensor, Tensor]]  # (batch, mask_seed)
-
-
 def frozen_teacher(original: ViTParams, images: np.ndarray, indices: np.ndarray,
-                   mask_spec: MaskSpec, chunk: int) -> TeacherViews:
+                   mask_spec: MaskSpec, chunk: int
+                   ) -> tuple[Callable[[np.ndarray, int], np.ndarray],
+                              Callable[[np.ndarray], Tensor]]:
     """The frozen original as the teacher of `images[indices]` (distinct
-    indices). Its unmasked logits (the negatives) and the class-token
-    attention that picks the masked patches depend on the image alone,
-    so one capture pass of at most `chunk` rows per forward computes
-    them once. The returned `views(batch, mask_seed)` masks
+    indices), as `(positives, negatives)`. Its unmasked logits (the
+    negatives) and the class-token attention that picks the masked
+    patches depend on the image alone, so one capture pass of at most
+    `chunk` rows per forward computes them once; `negatives(batch)`
+    gathers their rows. `positives(batch, mask_seed)` masks
     `images[batch]` by those scores and runs the one forward that gives
-    the positive logits; it returns (positive, negative). `unlearn`
-    passes `batch_size` as `chunk`, not evaluation's 64: at 64 rows the
-    `forget` benchmark's peak RSS rose by about 3 MB at the same speed.
+    the positive logits, as an array. `unlearn` passes `batch_size` as
+    `chunk`, not evaluation's 64: at 64 rows the `forget` benchmark's
+    peak RSS rose by about 3 MB at the same speed.
 
     The teacher runs on `original.frozen()`. An op records only when an
-    input requires a gradient, so `views` never touches a tape, not
-    even one another thread has open: it may run on a worker thread
-    beside a tracked step."""
+    input requires a gradient, so `positives` never touches a tape, not
+    even one open on its own or another thread: it may run inside a
+    tracked step, or in a process forked from one."""
     frozen = original.frozen()
     [[negatives, scores]] = forward_chunks(frozen, [images[indices]], chunk, True)
     row_of = np.zeros(len(images), dtype=np.int64)  # image index -> cached row
     row_of[indices] = np.arange(len(indices))
 
-    def views(batch: np.ndarray, mask_seed: int) -> tuple[Tensor, Tensor]:
-        rows = row_of[batch]
-        masked = mask_from_scores(images[batch], scores[rows], mask_spec,
+    def positives(batch: np.ndarray, mask_seed: int) -> np.ndarray:
+        masked = mask_from_scores(images[batch], scores[row_of[batch]], mask_spec,
                                   frozen.config.patch_size, mask_seed)
-        return forward(frozen, masked).logits, Tensor(negatives[rows])
+        return forward(frozen, masked).logits.values
 
-    return views
+    return positives, lambda batch: Tensor(negatives[row_of[batch]])
+
+
+# a `_run_ahead` record: (rows, columns) and then that float64 array, or
+# (-1, n) and then an n-byte pickled error
+_RECORD = struct.Struct("=qq")
+
+
+def _pickled_error(exc: Exception) -> bytes:
+    """`exc` pickled, or its type name and message where it does not
+    survive the round trip (an `__init__` that `args` cannot replay)."""
+    try:
+        payload = pickle.dumps(exc)
+        pickle.loads(payload)
+    except Exception:
+        payload = pickle.dumps((type(exc).__name__, str(exc)))
+    return payload
+
+
+def _serve(job: Callable[[int], np.ndarray], count: int, out) -> None:
+    """The helper's work: the record of `job(k)` for k = 0, 1, ...,
+    each flushed as soon as it is done; an error ends the stream."""
+    for k in range(count):
+        try:
+            values = job(k)
+        except Exception as exc:
+            payload = _pickled_error(exc)
+            out.write(_RECORD.pack(-1, len(payload)) + payload)
+            out.flush()
+            return
+        out.write(_RECORD.pack(*values.shape) + values.tobytes())
+        out.flush()
+
+
+@contextlib.contextmanager
+def _run_ahead(job: Callable[[int], np.ndarray], count: int
+               ) -> Iterator[Callable[[int], np.ndarray]]:
+    """Yields `result(k)`, which returns the 2-D float64 array `job(k)`
+    and is called for k = 0, 1, ..., count - 1 in turn.
+
+    On Linux, in a process with no other thread, a forked helper process
+    computes every `job(k)` in order while the caller works, and streams
+    each to `result` through a pipe: the helper holds no lock the caller
+    needs. `fork` copies only the calling thread, hence the thread
+    condition; macOS and Windows get no fork. Elsewhere `result` is
+    `job`, run inline: the same bytes, on the same inherited data and
+    settings. An error in `job(k)` is raised by `result(k)`; a helper
+    that ends without a record is a `LetheError` naming its exit status.
+    However the block ends, the helper is killed if still running and
+    reaped, so no process outlives it."""
+    if sys.platform != "linux" or threading.active_count() != 1:
+        yield job
+        return
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:  # the helper: never returns into the caller, never flushes its stdio
+        status = 1
+        try:
+            os.close(read_fd)
+            signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller decides when it stops
+            with os.fdopen(write_fd, "wb") as out:  # EPIPE once the caller is gone
+                _serve(job, count, out)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    reaped = False
+
+    def result(k: int) -> np.ndarray:
+        nonlocal reaped
+        header = source.read(_RECORD.size)
+        if len(header) == _RECORD.size:
+            rows, size = _RECORD.unpack(header)
+            payload = source.read(size if rows < 0 else 8 * rows * size)
+            if rows >= 0 and len(payload) == 8 * rows * size:
+                return np.frombuffer(payload).reshape(rows, size)
+            if rows < 0 and len(payload) == size:
+                error = pickle.loads(payload)
+                if isinstance(error, Exception):
+                    raise error
+                raise LetheError(f"{error[0]} in the teacher process: {error[1]}")
+        _, status = os.waitpid(pid, 0)
+        reaped = True
+        raise LetheError(f"the teacher process exited with status "
+                         f"{os.waitstatus_to_exitcode(status)} before step {k}'s record")
+
+    try:
+        with os.fdopen(read_fd, "rb") as source:
+            yield result
+    finally:
+        if not reaped and os.waitpid(pid, os.WNOHANG) == (0, 0):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def contrastive_loss(anchor: Tensor, positive: Tensor, negative: Tensor,
@@ -272,29 +375,28 @@ def unlearn(original: ViTParams, split: DataSplit, config: UnlearnConfig, *,
     then `retain_epochs` of cross-entropy SGD over the retain set
     (`retain`). One generator, seeded with `config.seed`, orders the
     batches of both phases; each mask is seeded from (seed, epoch, step).
-    Every forget batch is known before the first step, so one worker
-    thread computes the teacher's views of all of them, in step order,
-    while the steps run.
+    Every forget batch is known before the first step, so the teacher's
+    positives of all of them are computed ahead, in step order, while
+    the steps run (`_run_ahead`).
     """
     def run(theta: ViTParams, rng: np.random.Generator) -> None:
         forget = _batches(split.forget, config.forget_epochs, config.batch_size, rng, "forget")
-        pool = ThreadPoolExecutor(1)
-        try:
-            if forget:
-                teacher = frozen_teacher(original, split.train.images, split.forget,
-                                         config.mask_spec, config.batch_size)
-                futures = [pool.submit(teacher, batch, int(np.random.SeedSequence(
+        if forget:
+            positives, negatives = frozen_teacher(original, split.train.images, split.forget,
+                                                  config.mask_spec, config.batch_size)
+
+            def teacher(step: int) -> np.ndarray:
+                epoch, batch = forget[step]
+                return positives(batch, int(np.random.SeedSequence(
                     (config.seed, epoch, step)).generate_state(1, np.uint64)[0]))
-                    for step, (epoch, batch) in enumerate(forget)]
 
-            def forget_loss(batch: np.ndarray, step: int) -> Tensor:
-                positive, negative = futures[step].result()
-                anchor = forward(theta, split.train.images[batch]).logits
-                return contrastive_loss(anchor, positive, negative, config.temperature)
+            with _run_ahead(teacher, len(forget)) as positive:
+                def forget_loss(batch: np.ndarray, step: int) -> Tensor:
+                    anchor = forward(theta, split.train.images[batch]).logits
+                    return contrastive_loss(anchor, Tensor(positive(step)), negatives(batch),
+                                            config.temperature)
 
-            _sgd_phase(theta, forget, config, "forget", forget_loss, on_step=on_step)
-        finally:
-            pool.shutdown(cancel_futures=True)
+                _sgd_phase(theta, forget, config, "forget", forget_loss, on_step=on_step)
         _cross_entropy_phase(theta, split.train, split.retain, config.retain_epochs, config, rng,
                              "retain", on_step)
 

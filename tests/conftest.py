@@ -1,5 +1,7 @@
 """Suite-wide set-up: the heap policy and BLAS thread count the CLI
-runs under."""
+runs under, and a check that no test leaves a child process behind."""
+
+import os
 
 import pytest
 
@@ -13,3 +15,16 @@ def _keep_heap():
     allocator behaviour and bytes as the CLI."""
     keep_heap()
     pin_blas_threads()
+
+
+@pytest.fixture(autouse=True)
+def _no_child_left():
+    """Fail the test after which this process still has a child, running
+    or a zombie: every process a test or the code it runs starts must be
+    reaped by the time it ends."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process was left behind (waitpid gave pid {pid}, status {status})")

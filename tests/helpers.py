@@ -6,8 +6,15 @@ the recompute-everything reference compositions of the evaluation,
 masking sweep and teacher paths, the per-patch masking loop, the
 per-method training loops the one SGD phase loop replaced, the
 per-parameter SGD step the one vector update replaced, a copy of a
-model with one parameter changed, and a forward-call counter with a
-sorter for the chunks it logs from a thread pool."""
+model with one parameter changed, a call log that forked processes
+append to, and a forward-call counter with a sorter for the chunks it
+logs from a thread pool."""
+
+import json
+import os
+import tempfile
+import weakref
+from collections.abc import Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -411,12 +418,45 @@ def reference_from_original(method, original, split, config):
     return theta
 
 
+class CallLog(Sequence):
+    """A log that calls append entries to, whether they run in this
+    process or in a process forked from it: one JSON line per entry,
+    written with O_APPEND to one unlinked temporary file, so the lines
+    of both processes land whole, in the order they were written. Reads
+    see every line written so far, with JSON lists read back as tuples."""
+
+    def __init__(self):
+        fd, path = tempfile.mkstemp(prefix="lethevit-calls-")
+        os.close(fd)
+        self._fd = os.open(path, os.O_RDWR | os.O_APPEND)
+        os.unlink(path)
+        weakref.finalize(self, os.close, self._fd)
+
+    def append(self, entry):
+        os.write(self._fd, (json.dumps(entry) + "\n").encode())
+
+    def _entries(self):
+        lines = os.pread(self._fd, os.fstat(self._fd).st_size, 0).decode().splitlines()
+        return [json.loads(line) for line in lines]
+
+    def __len__(self):
+        return len(self._entries())
+
+    def __getitem__(self, index):
+        entries = [tuple(e) if isinstance(e, list) else e for e in self._entries()]
+        return entries[index]
+
+    def __eq__(self, other):
+        return list(self) == list(other)
+
+
 def count_forwards(monkeypatch, captured=None):
     """Route `forward` in every module that calls it through a counter;
-    returns the list that receives (images, capture_attention, tracked)
-    per call. A `captured` list receives the images of each capture
-    forward."""
-    calls = []
+    returns the `CallLog` that receives (images, capture_attention,
+    tracked) per call, from this process or a forked teacher. A
+    `captured` list receives the images of each capture forward; those
+    run in this process."""
+    calls = CallLog()
     real = vit.forward
 
     def counted(params, images, capture_attention=False):

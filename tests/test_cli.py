@@ -799,22 +799,34 @@ class TestWriteDiscipline:
 # `lethevit.cli.main(argv[3:])` in a child process, under the `resource`
 # limit named argv[1] ("none" for no limit) at argv[2] bytes, with SIGXFSZ
 # ignored so that writing past RLIMIT_FSIZE fails with EFBIG; it prints
-# "training" as `train_model` starts
+# "training" as `train_model` starts and each SGD phase's name as that
+# phase starts, and reports on stderr a child process the command left
 _CHILD = """
-import resource, signal, sys
+import os, resource, signal, sys
 if sys.argv[1] != "none":
     limit = getattr(resource, sys.argv[1])
     resource.setrlimit(limit, (int(sys.argv[2]), int(sys.argv[2])))
 signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
 from lethevit import cli, unlearning
 train_model = unlearning.train_model
+sgd_phase = unlearning._sgd_phase
 
 def announced(*args, **kwargs):
     print("training", flush=True)
     return train_model(*args, **kwargs)
 
+def announced_phase(params, batches, config, phase, *args, **kwargs):
+    print(phase, flush=True)
+    return sgd_phase(params, batches, config, phase, *args, **kwargs)
+
 unlearning.train_model = announced
-sys.exit(cli.main(sys.argv[3:]))
+unlearning._sgd_phase = announced_phase
+code = cli.main(sys.argv[3:])
+try:
+    print(f"child process left behind: {os.waitpid(-1, os.WNOHANG)}", file=sys.stderr)
+except ChildProcessError:
+    pass
+sys.exit(code)
 """
 
 
@@ -911,6 +923,26 @@ class TestOutputsReplaceTarget:
         try:
             assert select.select([child.stdout], [], [], 60)[0], "training never started"
             assert child.stdout.readline() == "training\n"
+            child.send_signal(signal.SIGINT)
+            _, err = child.communicate(timeout=60)
+        finally:
+            child.kill()
+            child.wait()
+        assert (child.returncode, err) == (130, "error: interrupted\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sigint_during_lethevit_forget_phase_exits_130(self, pipeline, tmp_path):
+        """SIGINT while the forget phase's teacher process runs: the
+        command kills and reaps it, writes nothing and exits 130."""
+        _, train_path, test_path, theta_o = pipeline
+        child = start_child("none", 0, "unlearn", "--method", "lethevit", "--data", train_path,
+                            "--test", test_path, "--original", theta_o,
+                            "--out", str(tmp_path / "m.ltvt"),
+                            *sets("seed=1", "lr=0.05", "batch=6", "ef=20000", "er=0",
+                                  "forget_ratio=0.25"))
+        try:
+            assert select.select([child.stdout], [], [], 60)[0], "unlearning never started"
+            assert child.stdout.readline() == "forget\n"
             child.send_signal(signal.SIGINT)
             _, err = child.communicate(timeout=60)
         finally:

@@ -1,7 +1,10 @@
 """Unlearning tests: contrastive loss analytics, pipeline contracts,
 the one-step finite-difference oracle, and baseline behaviors."""
 
+import dataclasses
+import os
 import re
+import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -16,6 +19,8 @@ from lethevit.errors import (
     DegenerateVectorError,
     DimensionError,
     DivergenceError,
+    FormatError,
+    LetheError,
     NonFiniteError,
 )
 from lethevit.evaluation import batched_logits
@@ -47,6 +52,7 @@ from lethevit.unlearning import (
 from lethevit.vit import ViTConfig, forward, init_params, params_checksum
 
 from helpers import (
+    CallLog,
     count_forwards,
     in_set_order,
     reference_from_original,
@@ -290,54 +296,75 @@ def _assert_params_identical(got, want):
         assert got[name].values.tobytes() == want[name].values.tobytes(), name
 
 
-class TestTeacherWorker:
-    """`unlearn` runs every forget step's teacher views on one worker
-    thread while the main thread runs the tracked steps."""
+class TestTeacherProcess:
+    """`unlearn` computes every forget step's positives in a forked helper
+    process while this process runs the tracked steps, or inline where
+    it cannot fork; either way no process outlives it."""
 
     CFG = UnlearnConfig(forget_epochs=5, retain_epochs=0, learning_rate=0.05, batch_size=4,
                         mask_spec=MaskSpec(0.25, MaskType.GAUSSIAN, 0.7), seed=3)
 
-    def test_worker_leaves_an_open_tape_clean(self, tiny_world):
-        """A teacher forward on a worker adds no record to the tape the
-        main thread has open, and gives the bytes of a call on the main
-        thread."""
+    def test_teacher_leaves_an_open_tape_clean(self, tiny_world):
+        """The teacher's positives, inside a tape open on this thread (the
+        inline path) or on a worker beside it, add no record to that tape,
+        and give the bytes of a call with no tape open."""
         train, test, split, config, theta_o = tiny_world
-        teacher = unlearning.frozen_teacher(theta_o, train.images, split.forget,
-                                            self.CFG.mask_spec, self.CFG.batch_size)
+        positives, negatives = unlearning.frozen_teacher(theta_o, train.images, split.forget,
+                                                         self.CFG.mask_spec,
+                                                         self.CFG.batch_size)
         batch = split.forget[:4]
         theta = theta_o.copy()
         with Tape() as alone:
             forward(theta, train.images[batch])
         with ThreadPoolExecutor(1) as pool, Tape() as tape:
-            job = pool.submit(teacher, batch, 7)
+            job = pool.submit(positives, batch, 7)
             forward(theta, train.images[batch])
-            positive, negative = job.result()
+            inline = positives(batch, 7)
+            on_worker = job.result()
         assert len(tape) == len(alone)
-        assert not positive.requires_grad and not negative.requires_grad
-        want = teacher(batch, 7)
-        assert positive.values.tobytes() == want[0].values.tobytes()
-        assert negative.values.tobytes() == want[1].values.tobytes()
+        assert not negatives(batch).requires_grad
+        want = positives(batch, 7)
+        assert inline.tobytes() == on_worker.tobytes() == want.tobytes()
 
     @staticmethod
-    def _slow_teacher(monkeypatch, fail_at=None):
-        """Route `unlearn`'s teacher through views that log each job's
-        batch, take at least 10 ms, and raise `NonFiniteError` at job
-        `fail_at`. One worker runs the jobs in step order, so job k is
-        step k."""
+    def _forks(monkeypatch):
+        """Route `os.fork` through a wrapper; returns the list that
+        receives the pid of each child forked."""
+        pids = []
+        real = os.fork
+
+        def fork():
+            pid = real()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        return pids
+
+    @staticmethod
+    def _slow_teacher(monkeypatch, fail_at=None, error=None, block_at=None):
+        """Route `unlearn`'s teacher through positives that log each job's
+        batch, take at least 10 ms, raise `error` (by default a
+        `NonFiniteError`) at job `fail_at` and sleep for a minute at job
+        `block_at`. The jobs run in step order, so job k is step k; the
+        log counts the jobs of the helper process too."""
         real = unlearning.frozen_teacher
-        jobs = []
+        jobs = CallLog()
 
         def teacher(*args):
-            views = real(*args)
+            positives, negatives = real(*args)
 
             def slow(batch, mask_seed):
-                jobs.append(batch)
+                jobs.append(batch.tolist())
                 time.sleep(0.01)
                 if len(jobs) - 1 == fail_at:
-                    raise NonFiniteError("tensor contains NaN or Inf values")
-                return views(batch, mask_seed)
+                    raise error or NonFiniteError("tensor contains NaN or Inf values")
+                if len(jobs) - 1 == block_at:
+                    time.sleep(60)
+                return positives(batch, mask_seed)
 
-            return slow
+            return slow, negatives
 
         monkeypatch.setattr(unlearning, "frozen_teacher", teacher)
         return jobs
@@ -347,17 +374,37 @@ class TestTeacherWorker:
 
     def test_teacher_error_is_a_divergence_at_its_step(self, tiny_world, monkeypatch):
         train, test, split, config, theta_o = tiny_world
+        pids = self._forks(monkeypatch)
         jobs = self._slow_teacher(monkeypatch, fail_at=2)
         threads = threading.active_count()
         with pytest.raises(DivergenceError) as exc:
             unlearn(theta_o, split, self.CFG)
         assert (exc.value.phase, exc.value.step) == ("forget", 2)
         assert isinstance(exc.value.__cause__, NonFiniteError)
+        assert str(exc.value) == ("non-finite value in phase 'forget' at step 2: "
+                                  "tensor contains NaN or Inf values")
         assert threading.active_count() == threads
+        assert len(pids) == 1
         assert 3 <= len(jobs) < self._scheduled_steps(split)
+
+    def test_unpicklable_teacher_error_keeps_its_name_and_message(self, tiny_world,
+                                                                 monkeypatch):
+        """A `FormatError` does not survive pickling (its `__init__` takes
+        an offset that `args` lacks), so step 1 raises a `LetheError`
+        naming its type and message."""
+        train, test, split, config, theta_o = tiny_world
+        pids = self._forks(monkeypatch)
+        self._slow_teacher(monkeypatch, fail_at=1, error=FormatError("bad record", 12))
+        with pytest.raises(LetheError) as exc:
+            unlearn(theta_o, split, self.CFG)
+        assert type(exc.value) is LetheError
+        assert str(exc.value) == ("FormatError in the teacher process: "
+                                  "bad record (byte offset 12)")
+        assert len(pids) == 1
 
     def test_on_step_error_propagates_unchanged(self, tiny_world, monkeypatch):
         train, test, split, config, theta_o = tiny_world
+        pids = self._forks(monkeypatch)
         jobs = self._slow_teacher(monkeypatch)
         stop = KeyError("stop")
 
@@ -370,7 +417,70 @@ class TestTeacherWorker:
             unlearn(theta_o, split, self.CFG, on_step=on_step)
         assert exc.value is stop
         assert threading.active_count() == threads
+        assert len(pids) == 1
         assert 2 <= len(jobs) < self._scheduled_steps(split)
+
+    def test_keyboard_interrupt_in_phase1_leaves_no_child(self, tiny_world, monkeypatch):
+        train, test, split, config, theta_o = tiny_world
+        pids = self._forks(monkeypatch)
+        jobs = self._slow_teacher(monkeypatch)
+
+        def on_step(phase, step, batch):
+            if (phase, step) == ("forget", 1):
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            unlearn(theta_o, split, self.CFG, on_step=on_step)
+        assert len(pids) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert 2 <= len(jobs) < self._scheduled_steps(split)
+
+    def test_killed_helper_is_an_error_at_the_first_missing_step(self, tiny_world,
+                                                                 monkeypatch):
+        """The helper blocks in job 3, after writing records 0-2, and is
+        killed from outside: steps 0-2 run, and step 3 is a `LetheError`
+        naming the signal, not a hang."""
+        train, test, split, config, theta_o = tiny_world
+        pids = self._forks(monkeypatch)
+        jobs = self._slow_teacher(monkeypatch, block_at=3)
+        steps = []
+
+        def on_step(phase, step, batch):
+            steps.append(step)
+            if step == 1:
+                deadline = time.monotonic() + 30
+                while len(jobs) < 4 and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                os.kill(pids[0], signal.SIGKILL)
+
+        with pytest.raises(LetheError) as exc:
+            unlearn(theta_o, split, self.CFG, on_step=on_step)
+        assert type(exc.value) is LetheError
+        assert str(exc.value) == ("the teacher process exited with status -9 "
+                                  "before step 3's record")
+        assert steps == [0, 1, 2]
+        assert len(jobs) == 4
+
+    def test_inline_path_gives_the_fork_paths_bytes(self, tiny_world, monkeypatch):
+        """With a second thread alive `unlearn` does not fork; it computes
+        the positives inline, with the same parameter bytes."""
+        train, test, split, config, theta_o = tiny_world
+        cfg = dataclasses.replace(self.CFG, retain_epochs=1, momentum=0.9, weight_decay=0.001)
+        pids = self._forks(monkeypatch)
+        forked = unlearn(theta_o, split, cfg)
+        assert len(pids) == 1
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(60,))
+        waiter.start()
+        try:
+            inline = unlearn(theta_o, split, cfg)
+        finally:
+            release.set()
+            waiter.join(60)
+        assert not waiter.is_alive()
+        assert len(pids) == 1
+        _assert_params_identical(inline, forked)
 
 
 class TestOnePhaseLoop:
@@ -459,7 +569,8 @@ class TestOnePhaseLoop:
                                   unlearning._cross_entropy_loss(params, train))
         assert (exc.value.phase, exc.value.step) == ("train", 0)
         assert isinstance(exc.value.__cause__, NonFiniteError)
-        assert "parameters contain NaN or Inf" in str(exc.value)
+        assert str(exc.value) == ("non-finite value in phase 'train' at step 0: "
+                                  "parameters contain NaN or Inf values")
         assert np.isfinite(params.grad).all()
 
     def test_empty_index_set_with_epochs_rejected(self, tiny_world):
