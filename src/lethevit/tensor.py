@@ -294,7 +294,8 @@ def pin_blas_threads() -> Optional[dict]:
     says. Checkpoint bytes depend on the BLAS thread count: a
     weight-gradient product over a partial batch is split differently
     between two threads. One thread per process also leaves the second
-    core to the package's own worker threads.
+    core to the package's own parallel work: evaluation's worker threads
+    and the forget phase's forked teacher, which inherits the pin.
 
     Returns `blas_threads()`, or None where the OpenBLAS symbols are
     missing; then nothing is applied. Importing the package does not

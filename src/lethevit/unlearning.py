@@ -137,25 +137,20 @@ def frozen_teacher(original: ViTParams, images: np.ndarray, indices: np.ndarray,
 _RECORD = struct.Struct("=qq")
 
 
-def _pickled_error(exc: Exception) -> bytes:
-    """`exc` pickled, or its type name and message where it does not
-    survive the round trip (an `__init__` that `args` cannot replay)."""
-    try:
-        payload = pickle.dumps(exc)
-        pickle.loads(payload)
-    except Exception:
-        payload = pickle.dumps((type(exc).__name__, str(exc)))
-    return payload
-
-
 def _serve(job: Callable[[int], np.ndarray], count: int, out) -> None:
     """The helper's work: the record of `job(k)` for k = 0, 1, ...,
-    each flushed as soon as it is done; an error ends the stream."""
+    each flushed as soon as it is done. An error ends the stream with
+    its record: the exception pickled, or its type name and message
+    where it does not survive the round trip."""
     for k in range(count):
         try:
             values = job(k)
         except Exception as exc:
-            payload = _pickled_error(exc)
+            try:
+                payload = pickle.dumps(exc)
+                pickle.loads(payload)  # fails for an `__init__` that `args` cannot replay
+            except Exception:
+                payload = pickle.dumps((type(exc).__name__, str(exc)))
             out.write(_RECORD.pack(-1, len(payload)) + payload)
             out.flush()
             return
@@ -171,11 +166,11 @@ def _run_ahead(job: Callable[[int], np.ndarray], count: int
 
     On Linux, in a process with no other thread, a forked helper process
     computes every `job(k)` in order while the caller works, and streams
-    each to `result` through a pipe: the helper holds no lock the caller
-    needs. `fork` copies only the calling thread, hence the thread
-    condition; macOS and Windows get no fork. Elsewhere `result` is
-    `job`, run inline: the same bytes, on the same inherited data and
-    settings. An error in `job(k)` is raised by `result(k)`; a helper
+    each to `result` through a pipe: the two share no interpreter lock.
+    `fork` copies only the calling thread, hence the thread condition;
+    Windows has no `fork`, and on macOS forked children of system
+    frameworks crash. Elsewhere `result` is `job`, run inline, with the
+    same bytes. An error in `job(k)` is raised by `result(k)`; a helper
     that ends without a record is a `LetheError` naming its exit status.
     However the block ends, the helper is killed if still running and
     reaped, so no process outlives it."""
@@ -183,50 +178,45 @@ def _run_ahead(job: Callable[[int], np.ndarray], count: int
         yield job
         return
     read_fd, write_fd = os.pipe()
-    try:
+    with os.fdopen(read_fd, "rb") as source, os.fdopen(write_fd, "wb") as sink:
         pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:  # the helper: never returns into the caller, never flushes its stdio
-        status = 1
+        if pid == 0:  # the helper: never returns into the caller, never flushes its stdio
+            status = 1
+            try:
+                source.close()
+                signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller decides when it stops
+                _serve(job, count, sink)  # EPIPE once the caller is gone
+                status = 0
+            finally:
+                os._exit(status)
+        sink.close()
+        reaped = False
+
+        def result(k: int) -> np.ndarray:
+            nonlocal reaped
+            header = source.read(_RECORD.size)
+            if len(header) == _RECORD.size:
+                rows, size = _RECORD.unpack(header)
+                payload = source.read(size if rows < 0 else 8 * rows * size)
+                if rows >= 0 and len(payload) == 8 * rows * size:
+                    return np.frombuffer(payload).reshape(rows, size)
+                if rows < 0 and len(payload) == size:
+                    error = pickle.loads(payload)
+                    if isinstance(error, Exception):
+                        raise error
+                    raise LetheError(f"{error[0]} in the teacher process: {error[1]}")
+            _, status = os.waitpid(pid, 0)
+            reaped = True
+            raise LetheError(f"the teacher process exited with status "
+                             f"{os.waitstatus_to_exitcode(status)} before step {k}'s record")
+
         try:
-            os.close(read_fd)
-            signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller decides when it stops
-            with os.fdopen(write_fd, "wb") as out:  # EPIPE once the caller is gone
-                _serve(job, count, out)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    reaped = False
-
-    def result(k: int) -> np.ndarray:
-        nonlocal reaped
-        header = source.read(_RECORD.size)
-        if len(header) == _RECORD.size:
-            rows, size = _RECORD.unpack(header)
-            payload = source.read(size if rows < 0 else 8 * rows * size)
-            if rows >= 0 and len(payload) == 8 * rows * size:
-                return np.frombuffer(payload).reshape(rows, size)
-            if rows < 0 and len(payload) == size:
-                error = pickle.loads(payload)
-                if isinstance(error, Exception):
-                    raise error
-                raise LetheError(f"{error[0]} in the teacher process: {error[1]}")
-        _, status = os.waitpid(pid, 0)
-        reaped = True
-        raise LetheError(f"the teacher process exited with status "
-                         f"{os.waitstatus_to_exitcode(status)} before step {k}'s record")
-
-    try:
-        with os.fdopen(read_fd, "rb") as source:
             yield result
-    finally:
-        if not reaped and os.waitpid(pid, os.WNOHANG) == (0, 0):
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        finally:
+            source.close()
+            if not reaped and os.waitpid(pid, os.WNOHANG) == (0, 0):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def contrastive_loss(anchor: Tensor, positive: Tensor, negative: Tensor,
