@@ -437,14 +437,16 @@ class CallLog(Sequence):
 
     def _entries(self):
         lines = os.pread(self._fd, os.fstat(self._fd).st_size, 0).decode().splitlines()
-        return [json.loads(line) for line in lines]
+        return [tuple(e) if isinstance(e, list) else e for e in map(json.loads, lines)]
 
     def __len__(self):
         return len(self._entries())
 
     def __getitem__(self, index):
-        entries = [tuple(e) if isinstance(e, list) else e for e in self._entries()]
-        return entries[index]
+        return self._entries()[index]
+
+    def __iter__(self):
+        return iter(self._entries())
 
     def __eq__(self, other):
         return list(self) == list(other)

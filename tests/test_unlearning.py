@@ -296,15 +296,15 @@ def _assert_params_identical(got, want):
         assert got[name].values.tobytes() == want[name].values.tobytes(), name
 
 
-class TestTeacherProcess:
-    """`unlearn` computes every forget step's positives in a forked helper
-    process while this process runs the tracked steps, or inline where
-    it cannot fork; either way no process outlives it."""
+class TestTeacherWorker:
+    """`unlearn` computes every forget step's positives in a worker, a
+    forked helper process, while this process runs the tracked steps,
+    or inline where it cannot fork; either way no process outlives it."""
 
     CFG = UnlearnConfig(forget_epochs=5, retain_epochs=0, learning_rate=0.05, batch_size=4,
                         mask_spec=MaskSpec(0.25, MaskType.GAUSSIAN, 0.7), seed=3)
 
-    def test_teacher_leaves_an_open_tape_clean(self, tiny_world):
+    def test_worker_leaves_an_open_tape_clean(self, tiny_world):
         """The teacher's positives, inside a tape open on this thread (the
         inline path) or on a worker beside it, add no record to that tape,
         and give the bytes of a call with no tape open."""
