@@ -41,7 +41,7 @@ import scipy
 from . import data as data_mod
 from . import evaluation, unlearning, vit
 from .checkpoint import replacing
-from .errors import ConfigError, FormatError, LetheError, require_seed
+from .errors import ConfigError, FormatError, LetheError, require_nonnegative
 from .masking import MaskSpec, MaskType, pool_size
 from .tensor import blas_threads, heap_policy, keep_heap, pin_blas_threads
 
@@ -120,7 +120,7 @@ def _resolve_config(args, needed: dict) -> dict:
             raise ConfigError(f"missing config key: {key}")
         else:
             resolved[key] = default
-    require_seed(resolved.get("seed", 0))
+    require_nonnegative(resolved.get("seed", 0), "seed")
     if resolved.get("split_seed", -1) < -1:
         raise ConfigError(f"split_seed must be >= 0, or -1 for seed, "
                           f"got {resolved['split_seed']}")

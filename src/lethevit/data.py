@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import Reader, write_container
-from .errors import ConfigError, ContractError, DimensionError, FormatError, require_seed
+from .errors import ConfigError, ContractError, DimensionError, FormatError, require_nonnegative
 
 MAGIC = b"LTDS"
 
@@ -114,7 +114,7 @@ def split_random_forget(
     """Draw floor(ratio * n) forget indices uniformly without replacement."""
     if not 0.0 < ratio < 1.0:
         raise ConfigError(f"forget ratio must be in (0, 1), got {ratio}")
-    require_seed(seed)
+    require_nonnegative(seed, "seed")
     n = len(train)
     k = int(np.floor(ratio * n + 1e-9))
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -152,7 +152,7 @@ def generate_toy_dataset(
                           "(the mark size)")
     if channels < 1:
         raise ConfigError(f"channels must be >= 1, got {channels}")
-    require_seed(seed)
+    require_nonnegative(seed, "seed")
     rng = np.random.Generator(np.random.PCG64(seed))
     n = class_count * samples_per_class
     try:

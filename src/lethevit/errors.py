@@ -26,11 +26,12 @@ def require_finite(config) -> None:
             raise ConfigError(f"{type(config).__name__}.{f.name} must be finite, got {value}")
 
 
-def require_seed(seed: int, name: str = "seed") -> None:
-    """Raise ConfigError naming `name` when `seed` is negative: numpy's
-    PCG64 generators take no negative seed."""
-    if seed < 0:
-        raise ConfigError(f"{name} must be >= 0, got {seed}")
+def require_nonnegative(value: float, name: str) -> None:
+    """Raise ConfigError naming `name` when `value` is negative: numpy's
+    PCG64 generators take no negative seed, and SGD (as PyTorch's) no
+    negative momentum or weight decay."""
+    if value < 0:
+        raise ConfigError(f"{name} must be >= 0, got {value}")
 
 
 class DimensionError(LetheError):

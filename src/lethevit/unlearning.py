@@ -17,6 +17,8 @@ and each step is one update of the model's parameter vector (`ViTParams`).
   only, so on Linux a forked helper process computes every step's while
   this process runs the tracked forwards of the model being unlearned
   (`_run_ahead`); a thread would share the interpreter lock with them.
+  The helper sends results only: a step it did not deliver, because its
+  job raised or the helper died, computes its positives here.
 
   retain: ordinary cross-entropy training on the retain set.
 
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import pickle
 import signal
 import struct
 import sys
@@ -42,8 +43,8 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .data import DataSplit, LabeledDataset
-from .errors import (ConfigError, ContractError, DivergenceError, LetheError, NonFiniteError,
-                     require_finite, require_seed)
+from .errors import (ConfigError, ContractError, DivergenceError, NonFiniteError,
+                     require_finite, require_nonnegative)
 from .masking import MaskSpec, forward_chunks, mask_from_scores
 from .masking import build_masked_view  # noqa: F401  unused; perfbench/layertrace.py wraps it
 from .tensor import (
@@ -74,7 +75,8 @@ class TrainConfig:
 
     def __post_init__(self):
         require_finite(self)
-        require_seed(self.seed, "TrainConfig.seed")
+        for name in ("seed", "momentum", "weight_decay"):
+            require_nonnegative(getattr(self, name), f"TrainConfig.{name}")
         if self.epochs < 0 or self.learning_rate <= 0 or self.batch_size < 1:
             raise ConfigError("epochs >= 0, learning_rate > 0 and batch_size >= 1 required")
 
@@ -93,7 +95,8 @@ class UnlearnConfig:
 
     def __post_init__(self):
         require_finite(self)
-        require_seed(self.seed, "UnlearnConfig.seed")
+        for name in ("seed", "momentum", "weight_decay"):
+            require_nonnegative(getattr(self, name), f"UnlearnConfig.{name}")
         if self.forget_epochs < 0 or self.retain_epochs < 0:
             raise ConfigError("epoch counts must be >= 0")
         if self.learning_rate <= 0 or self.temperature <= 0 or self.batch_size < 1:
@@ -132,48 +135,27 @@ def frozen_teacher(original: ViTParams, images: np.ndarray, indices: np.ndarray,
     return positives, lambda batch: Tensor(negatives[row_of[batch]])
 
 
-# a `_run_ahead` record: (rows, columns) and then that float64 array, or
-# (-1, n) and then an n-byte pickled error
+# a `_run_ahead` record: (rows, columns) and then that float64 array
 _RECORD = struct.Struct("=qq")
-
-
-def _serve(job: Callable[[int], np.ndarray], count: int, out) -> None:
-    """The helper's work: the record of `job(k)` for k = 0, 1, ...,
-    each flushed as soon as it is done. An error ends the stream with
-    its record: the exception pickled, or its type name and message
-    where it does not survive the round trip."""
-    for k in range(count):
-        try:
-            values = job(k)
-        except Exception as exc:
-            try:
-                payload = pickle.dumps(exc)
-                pickle.loads(payload)  # fails for an `__init__` that `args` cannot replay
-            except Exception:
-                payload = pickle.dumps((type(exc).__name__, str(exc)))
-            out.write(_RECORD.pack(-1, len(payload)) + payload)
-            out.flush()
-            return
-        out.write(_RECORD.pack(*values.shape) + values.tobytes())
-        out.flush()
 
 
 @contextlib.contextmanager
 def _run_ahead(job: Callable[[int], np.ndarray], count: int
                ) -> Iterator[Callable[[int], np.ndarray]]:
     """Yields `result(k)`, which returns the 2-D float64 array `job(k)`
-    and is called for k = 0, 1, ..., count - 1 in turn.
+    and is called for k = 0, 1, ..., count - 1 in turn. `job` must be a
+    function of k alone: the same k gives the same bytes or error.
 
     On Linux, in a process with no other thread, a forked helper process
     computes every `job(k)` in order while the caller works, and streams
     each to `result` through a pipe: the two share no interpreter lock.
     `fork` copies only the calling thread, hence the thread condition;
     Windows has no `fork`, and on macOS forked children of system
-    frameworks crash. Elsewhere `result` is `job`, run inline, with the
-    same bytes. An error in `job(k)` is raised by `result(k)`; a helper
-    that ends without a record is a `LetheError` naming its exit status.
-    However the block ends, the helper is killed if still running and
-    reaped, so no process outlives it."""
+    frameworks crash. The helper sends results only: from the first step
+    whose record it did not send (its job raised, or it died) on, and
+    wherever it cannot fork, `result` runs `job` inline, so an error is
+    raised as itself at its step. However the block ends, the helper is
+    killed if still running and reaped, so no process outlives it."""
     if sys.platform != "linux" or threading.active_count() != 1:
         yield job
         return
@@ -181,40 +163,31 @@ def _run_ahead(job: Callable[[int], np.ndarray], count: int
     with os.fdopen(read_fd, "rb") as source, os.fdopen(write_fd, "wb") as sink:
         pid = os.fork()
         if pid == 0:  # the helper: never returns into the caller, never flushes its stdio
-            status = 1
             try:
                 source.close()
                 signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller decides when it stops
-                _serve(job, count, sink)  # EPIPE once the caller is gone
-                status = 0
+                for k in range(count):
+                    values = job(k)
+                    sink.write(_RECORD.pack(*values.shape) + values.tobytes())
+                    sink.flush()  # EPIPE once the caller is gone
             finally:
-                os._exit(status)
+                os._exit(0)
         sink.close()
-        reaped = False
 
         def result(k: int) -> np.ndarray:
-            nonlocal reaped
             header = source.read(_RECORD.size)
             if len(header) == _RECORD.size:
-                rows, size = _RECORD.unpack(header)
-                payload = source.read(size if rows < 0 else 8 * rows * size)
-                if rows >= 0 and len(payload) == 8 * rows * size:
-                    return np.frombuffer(payload).reshape(rows, size)
-                if rows < 0 and len(payload) == size:
-                    error = pickle.loads(payload)
-                    if isinstance(error, Exception):
-                        raise error
-                    raise LetheError(f"{error[0]} in the teacher process: {error[1]}")
-            _, status = os.waitpid(pid, 0)
-            reaped = True
-            raise LetheError(f"the teacher process exited with status "
-                             f"{os.waitstatus_to_exitcode(status)} before step {k}'s record")
+                rows, columns = _RECORD.unpack(header)
+                payload = source.read(8 * rows * columns)
+                if len(payload) == 8 * rows * columns:
+                    return np.frombuffer(payload).reshape(rows, columns)
+            return job(k)  # the stream has ended: this step and every later one run here
 
         try:
             yield result
         finally:
             source.close()
-            if not reaped and os.waitpid(pid, os.WNOHANG) == (0, 0):
+            if os.waitpid(pid, os.WNOHANG) == (0, 0):
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
 
@@ -365,9 +338,10 @@ def unlearn(original: ViTParams, split: DataSplit, config: UnlearnConfig, *,
     then `retain_epochs` of cross-entropy SGD over the retain set
     (`retain`). One generator, seeded with `config.seed`, orders the
     batches of both phases; each mask is seeded from (seed, epoch, step).
-    Every forget batch is known before the first step, so the teacher's
-    positives of all of them are computed ahead, in step order, while
-    the steps run (`_run_ahead`).
+    Every forget batch is known before the first step, and a step's
+    positives depend on the guarded `original.frozen()`, its batch and
+    its mask seed alone, so those of every step are computed ahead, in
+    step order, while the steps run (`_run_ahead`).
     """
     def run(theta: ViTParams, rng: np.random.Generator) -> None:
         forget = _batches(split.forget, config.forget_epochs, config.batch_size, rng, "forget")

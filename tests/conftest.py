@@ -1,7 +1,9 @@
 """Suite-wide set-up: the heap policy and BLAS thread count the CLI
-runs under, and a check that no test leaves a child process behind."""
+runs under, and checks that no test leaves a child process or a thread
+behind."""
 
 import os
+import threading
 
 import pytest
 
@@ -28,3 +30,15 @@ def _no_child_left():
     except ChildProcessError:
         return
     pytest.fail(f"a child process was left behind (waitpid gave pid {pid}, status {status})")
+
+
+@pytest.fixture(autouse=True)
+def _no_thread_left():
+    """Fail the test after which a thread is alive that was not alive
+    before it: a leftover thread would switch every later `unlearn` to
+    the inline path, and the fork path would go untested unnoticed."""
+    before = set(threading.enumerate())
+    yield
+    left = [thread.name for thread in threading.enumerate() if thread not in before]
+    if left:
+        pytest.fail(f"threads were left behind: {left}")

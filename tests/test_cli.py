@@ -328,6 +328,25 @@ class TestUnlearn:
         assert capsys.readouterr().err == f"error: {field} must be finite, got {value}\n"
         assert not (tmp_path / "u.ltvt").exists()
 
+    @pytest.mark.parametrize("command", ["train", "unlearn"])
+    @pytest.mark.parametrize("pair", ["momentum=-0.5", "momentum=-3", "weight_decay=-0.1"])
+    def test_negative_sgd_extra_exits_2_naming_it(self, pipeline, tmp_path, capsys, command,
+                                                  pair):
+        _, train_path, test_path, theta_o = pipeline
+        out = tmp_path / "m.ltvt"
+        if command == "train":
+            argv = ["train", "--data", train_path, *sets("epochs=1", *MODEL_KEYS)]
+        else:
+            argv = ["unlearn", "--method", "lethevit", "--data", train_path, "--test",
+                    test_path, "--original", theta_o, *sets("forget_ratio=0.25")]
+        code = run(*argv, "--out", str(out), *sets("seed=5", "lr=0.05", "batch=6", pair))
+        assert code == 2
+        key, value = pair.split("=")
+        config = "TrainConfig" if command == "train" else "UnlearnConfig"
+        assert capsys.readouterr().err == (f"error: {config}.{key} must be >= 0, "
+                                           f"got {float(value)}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("method,phase", [
         ("retrain", "train"), ("ft", "fine_tune"), ("ga", "gradient_ascent"),
         ("rl", "random_labels"),

@@ -1,10 +1,13 @@
 """Unlearning tests: contrastive loss analytics, pipeline contracts,
 the one-step finite-difference oracle, and baseline behaviors."""
 
+import contextlib
 import dataclasses
 import os
 import re
 import signal
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -20,7 +23,6 @@ from lethevit.errors import (
     DimensionError,
     DivergenceError,
     FormatError,
-    LetheError,
     NonFiniteError,
 )
 from lethevit.evaluation import batched_logits
@@ -60,6 +62,7 @@ from helpers import (
     with_entry,
 )
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RNG = np.random.default_rng(99)
 
 TINY = ViTConfig(image_size=8, patch_size=4, channels=1, depth=1,
@@ -296,10 +299,170 @@ def _assert_params_identical(got, want):
         assert got[name].values.tobytes() == want[name].values.tobytes(), name
 
 
+def _forks(monkeypatch):
+    """Route `os.fork` through a wrapper; returns the list that receives
+    the pid of each child forked."""
+    pids = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+@contextlib.contextmanager
+def _on_path(path):
+    """Run the block on `_run_ahead`'s "fork" path or its "inline" one,
+    which a second thread, alive for the block, selects."""
+    if path == "fork":
+        yield
+        return
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(60,))
+    waiter.start()
+    try:
+        yield
+    finally:
+        release.set()
+        waiter.join(60)
+    assert not waiter.is_alive()
+
+
+def _wait_until(condition, seconds=30):
+    deadline = time.monotonic() + seconds
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.005)
+
+
+def _where(me):
+    """Where a job runs: "here", in process `me`, or in the "helper"."""
+    return "here" if os.getpid() == me else "helper"
+
+
+class TestRunAhead:
+    """`_run_ahead` on a toy job, `np.full((2, 3), k)`: the helper sends
+    only results, and from the first step whose record it did not send
+    on, `result` runs the job here."""
+
+    COUNT = 6
+
+    @staticmethod
+    def _job(fail_at=None, error=None, helper_only=False, block_at=None):
+        """The toy job and the `CallLog` of (where, k) of its calls (see
+        `_where`). Job `fail_at` raises `error`, in the helper only given
+        `helper_only`; job `block_at` sleeps for a minute in the helper."""
+        calls = CallLog()
+        me = os.getpid()
+
+        def job(k):
+            where = _where(me)
+            calls.append((where, k))
+            if k == fail_at and (where == "helper" or not helper_only):
+                raise error
+            if k == block_at and where == "helper":
+                time.sleep(60)
+            return np.full((2, 3), float(k))
+
+        return job, calls
+
+    def _assert_values(self, got):
+        assert [g.tobytes() for g in got] == [np.full((2, 3), float(k)).tobytes()
+                                              for k in range(self.COUNT)]
+
+    @pytest.mark.parametrize("path", ["fork", "inline"])
+    def test_every_value_in_step_order(self, monkeypatch, path):
+        pids = _forks(monkeypatch)
+        job, calls = self._job()
+        with _on_path(path), unlearning._run_ahead(job, self.COUNT) as result:
+            got = [result(k) for k in range(self.COUNT)]
+        self._assert_values(got)
+        where = "helper" if path == "fork" else "here"
+        assert list(calls) == [(where, k) for k in range(self.COUNT)]
+        assert len(pids) == (path == "fork")
+
+    @pytest.mark.parametrize("path", ["fork", "inline"])
+    def test_job_error_is_raised_as_itself_at_its_step(self, monkeypatch, path):
+        pids = _forks(monkeypatch)
+        error = KeyError("step 2")
+        job, calls = self._job(fail_at=2, error=error)
+        with _on_path(path), unlearning._run_ahead(job, self.COUNT) as result:
+            assert [result(k)[0, 0] for k in range(2)] == [0.0, 1.0]
+            with pytest.raises(KeyError) as exc:
+                result(2)
+        assert exc.value is error
+        assert exc.traceback[-1].name == "job"
+        assert list(calls) == ([("helper", 0), ("helper", 1), ("helper", 2), ("here", 2)]
+                               if path == "fork" else [("here", 0), ("here", 1), ("here", 2)])
+        assert len(pids) == (path == "fork")
+
+    def test_job_failing_only_in_the_helper_gives_every_value(self):
+        job, calls = self._job(fail_at=2, error=KeyError("helper only"), helper_only=True)
+        with unlearning._run_ahead(job, self.COUNT) as result:
+            got = [result(k) for k in range(self.COUNT)]
+        self._assert_values(got)
+        assert list(calls) == ([("helper", k) for k in range(3)]
+                               + [("here", k) for k in range(2, self.COUNT)])
+
+    def test_killed_helper_gives_every_value(self, monkeypatch):
+        """The helper blocks in job 3, after sending records 0-2, and is
+        killed from outside: steps 3-5 run here."""
+        pids = _forks(monkeypatch)
+        job, calls = self._job(block_at=3)
+        with unlearning._run_ahead(job, self.COUNT) as result:
+            got = [result(0), result(1)]
+            _wait_until(lambda: ("helper", 3) in calls)
+            os.kill(pids[0], signal.SIGKILL)
+            got += [result(k) for k in range(2, self.COUNT)]
+        self._assert_values(got)
+        assert list(calls) == ([("helper", k) for k in range(4)]
+                               + [("here", k) for k in range(3, self.COUNT)])
+
+
+# runs `unlearn` through the fork path with a line left in block-buffered
+# stdout, lets the helper exit by itself before the forget phase ends
+# (`_run_ahead` still reaps it), then prints how many processes it forked
+_STDIO_CHILD = """
+import os, sys
+from lethevit import unlearning
+from lethevit.data import generate_toy_dataset, split_random_forget
+from lethevit.vit import ViTConfig, init_params
+
+assert not (sys.stdout.line_buffering or sys.stdout.write_through)
+train = generate_toy_dataset(3, 12, 8, seed=500)
+split = split_random_forget(train, generate_toy_dataset(3, 4, 8, seed=501), 0.25, seed=500)
+model = init_params(ViTConfig(image_size=8, patch_size=4, channels=1, depth=1, heads=2, dim=8,
+                              mlp_ratio=2, num_classes=3), 0)
+helpers = []
+fork = os.fork
+
+def forked():
+    pid = fork()
+    helpers.append(pid)
+    return pid
+
+def on_step(phase, step, batch):
+    if (phase, step) == ("forget", 0):
+        os.waitid(os.P_PID, helpers[0], os.WEXITED | os.WNOWAIT)
+
+os.fork = forked
+sys.stdout.write("written before the fork\\n")
+unlearning.unlearn(model, split, unlearning.UnlearnConfig(forget_epochs=5, retain_epochs=0,
+                                                          batch_size=4), on_step=on_step)
+print(f"forks: {len(helpers)}")
+"""
+
+
 class TestTeacherWorker:
     """`unlearn` computes every forget step's positives in a worker, a
     forked helper process, while this process runs the tracked steps,
-    or inline where it cannot fork; either way no process outlives it."""
+    or inline where it cannot fork or the helper sent no record; either
+    way no process outlives it."""
 
     CFG = UnlearnConfig(forget_epochs=5, retain_epochs=0, learning_rate=0.05, batch_size=4,
                         mask_spec=MaskSpec(0.25, MaskType.GAUSSIAN, 0.7), seed=3)
@@ -326,41 +489,35 @@ class TestTeacherWorker:
         want = positives(batch, 7)
         assert inline.tobytes() == on_worker.tobytes() == want.tobytes()
 
-    @staticmethod
-    def _forks(monkeypatch):
-        """Route `os.fork` through a wrapper; returns the list that
-        receives the pid of each child forked."""
-        pids = []
-        real = os.fork
+    def _scheduled_steps(self, split):
+        return self.CFG.forget_epochs * -(-len(split.forget) // self.CFG.batch_size)
 
-        def fork():
-            pid = real()
-            if pid:
-                pids.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", fork)
-        return pids
-
-    @staticmethod
-    def _slow_teacher(monkeypatch, fail_at=None, error=None, block_at=None):
-        """Route `unlearn`'s teacher through positives that log each job's
-        batch, take at least 10 ms, raise `error` (by default a
-        `NonFiniteError`) at job `fail_at` and sleep for a minute at job
-        `block_at`. The jobs run in step order, so job k is step k; the
-        log counts the jobs of the helper process too."""
+    def _slow_teacher(self, monkeypatch, split, fail_at=None, error=None, helper_only=False,
+                      block_at=None):
+        """Route `unlearn`'s teacher through positives that log (where,
+        step) of each job (see `_where`), take at least 10 ms, raise
+        `error` (by default a `NonFiniteError`) at step `fail_at`, in the
+        helper only given `helper_only`, and sleep for a minute at step
+        `block_at` in the helper. A job knows its step by its mask seed,
+        so one recomputed here fails as it did in the helper."""
         real = unlearning.frozen_teacher
         jobs = CallLog()
+        me = os.getpid()
+        per_epoch = -(-len(split.forget) // self.CFG.batch_size)
+        step_of = {int(np.random.SeedSequence((self.CFG.seed, step // per_epoch, step))
+                       .generate_state(1, np.uint64)[0]): step
+                   for step in range(self._scheduled_steps(split))}
 
         def teacher(*args):
             positives, negatives = real(*args)
 
             def slow(batch, mask_seed):
-                jobs.append(batch.tolist())
+                where, step = _where(me), step_of[mask_seed]
+                jobs.append((where, step))
                 time.sleep(0.01)
-                if len(jobs) - 1 == fail_at:
+                if step == fail_at and (where == "helper" or not helper_only):
                     raise error or NonFiniteError("tensor contains NaN or Inf values")
-                if len(jobs) - 1 == block_at:
+                if step == block_at and where == "helper":
                     time.sleep(60)
                 return positives(batch, mask_seed)
 
@@ -369,13 +526,10 @@ class TestTeacherWorker:
         monkeypatch.setattr(unlearning, "frozen_teacher", teacher)
         return jobs
 
-    def _scheduled_steps(self, split):
-        return self.CFG.forget_epochs * -(-len(split.forget) // self.CFG.batch_size)
-
     def test_teacher_error_is_a_divergence_at_its_step(self, tiny_world, monkeypatch):
         train, test, split, config, theta_o = tiny_world
-        pids = self._forks(monkeypatch)
-        jobs = self._slow_teacher(monkeypatch, fail_at=2)
+        pids = _forks(monkeypatch)
+        jobs = self._slow_teacher(monkeypatch, split, fail_at=2)
         threads = threading.active_count()
         with pytest.raises(DivergenceError) as exc:
             unlearn(theta_o, split, self.CFG)
@@ -385,27 +539,30 @@ class TestTeacherWorker:
                                   "tensor contains NaN or Inf values")
         assert threading.active_count() == threads
         assert len(pids) == 1
-        assert 3 <= len(jobs) < self._scheduled_steps(split)
+        assert list(jobs) == [("helper", 0), ("helper", 1), ("helper", 2), ("here", 2)]
 
-    def test_unpicklable_teacher_error_keeps_its_name_and_message(self, tiny_world,
-                                                                 monkeypatch):
-        """A `FormatError` does not survive pickling (its `__init__` takes
-        an offset that `args` lacks), so step 1 raises a `LetheError`
-        naming its type and message."""
+    @pytest.mark.parametrize("path", ["fork", "inline"])
+    def test_teacher_error_is_raised_as_itself(self, tiny_world, monkeypatch, path):
+        """A `FormatError` at step 1 is that `FormatError`, offset and
+        all, raised in this process, on both paths."""
         train, test, split, config, theta_o = tiny_world
-        pids = self._forks(monkeypatch)
-        self._slow_teacher(monkeypatch, fail_at=1, error=FormatError("bad record", 12))
-        with pytest.raises(LetheError) as exc:
+        pids = _forks(monkeypatch)
+        error = FormatError("bad record", 12)
+        jobs = self._slow_teacher(monkeypatch, split, fail_at=1, error=error)
+        with _on_path(path), pytest.raises(FormatError) as exc:
             unlearn(theta_o, split, self.CFG)
-        assert type(exc.value) is LetheError
-        assert str(exc.value) == ("FormatError in the teacher process: "
-                                  "bad record (byte offset 12)")
-        assert len(pids) == 1
+        assert exc.value is error
+        assert exc.value.offset == 12
+        assert str(exc.value) == "bad record (byte offset 12)"
+        assert exc.traceback[-1].name == "slow"
+        assert len(pids) == (path == "fork")
+        assert list(jobs) == ([("helper", 0), ("helper", 1), ("here", 1)] if path == "fork"
+                              else [("here", 0), ("here", 1)])
 
     def test_on_step_error_propagates_unchanged(self, tiny_world, monkeypatch):
         train, test, split, config, theta_o = tiny_world
-        pids = self._forks(monkeypatch)
-        jobs = self._slow_teacher(monkeypatch)
+        pids = _forks(monkeypatch)
+        jobs = self._slow_teacher(monkeypatch, split)
         stop = KeyError("stop")
 
         def on_step(phase, step, batch):
@@ -422,8 +579,8 @@ class TestTeacherWorker:
 
     def test_keyboard_interrupt_in_phase1_leaves_no_child(self, tiny_world, monkeypatch):
         train, test, split, config, theta_o = tiny_world
-        pids = self._forks(monkeypatch)
-        jobs = self._slow_teacher(monkeypatch)
+        pids = _forks(monkeypatch)
+        jobs = self._slow_teacher(monkeypatch, split)
 
         def on_step(phase, step, batch):
             if (phase, step) == ("forget", 1):
@@ -436,51 +593,71 @@ class TestTeacherWorker:
             os.waitpid(-1, os.WNOHANG)
         assert 2 <= len(jobs) < self._scheduled_steps(split)
 
-    def test_killed_helper_is_an_error_at_the_first_missing_step(self, tiny_world,
-                                                                 monkeypatch):
-        """The helper blocks in job 3, after writing records 0-2, and is
-        killed from outside: steps 0-2 run, and step 3 is a `LetheError`
-        naming the signal, not a hang."""
+    def _unlearn_inline(self, theta_o, split, cfg):
+        with _on_path("inline"):
+            return unlearn(theta_o, split, cfg)
+
+    def test_killed_helper_gives_the_inline_paths_bytes(self, tiny_world, monkeypatch):
+        """The helper blocks in step 3's job, after sending records 0-2,
+        and is killed from outside: steps 3 onward compute their
+        positives here, and the run ends as the inline path does."""
         train, test, split, config, theta_o = tiny_world
-        pids = self._forks(monkeypatch)
-        jobs = self._slow_teacher(monkeypatch, block_at=3)
+        pids = _forks(monkeypatch)
+        jobs = self._slow_teacher(monkeypatch, split, block_at=3)
+        scheduled = self._scheduled_steps(split)
         steps = []
 
         def on_step(phase, step, batch):
             steps.append(step)
             if step == 1:
-                deadline = time.monotonic() + 30
-                while len(jobs) < 4 and time.monotonic() < deadline:
-                    time.sleep(0.005)
+                _wait_until(lambda: ("helper", 3) in jobs)
                 os.kill(pids[0], signal.SIGKILL)
 
-        with pytest.raises(LetheError) as exc:
-            unlearn(theta_o, split, self.CFG, on_step=on_step)
-        assert type(exc.value) is LetheError
-        assert str(exc.value) == ("the teacher process exited with status -9 "
-                                  "before step 3's record")
-        assert steps == [0, 1, 2]
-        assert len(jobs) == 4
+        got = unlearn(theta_o, split, self.CFG, on_step=on_step)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert steps == list(range(scheduled))
+        assert list(jobs) == ([("helper", step) for step in range(4)]
+                              + [("here", step) for step in range(3, scheduled)])
+        _assert_params_identical(got, self._unlearn_inline(theta_o, split, self.CFG))
+        assert len(pids) == 1
+
+    def test_teacher_failing_only_in_the_helper_gives_the_inline_paths_bytes(self, tiny_world,
+                                                                            monkeypatch):
+        train, test, split, config, theta_o = tiny_world
+        jobs = self._slow_teacher(monkeypatch, split, fail_at=2, helper_only=True)
+        got = unlearn(theta_o, split, self.CFG)
+        scheduled = self._scheduled_steps(split)
+        assert list(jobs) == ([("helper", step) for step in range(3)]
+                              + [("here", step) for step in range(2, scheduled)])
+        _assert_params_identical(got, self._unlearn_inline(theta_o, split, self.CFG))
 
     def test_inline_path_gives_the_fork_paths_bytes(self, tiny_world, monkeypatch):
         """With a second thread alive `unlearn` does not fork; it computes
         the positives inline, with the same parameter bytes."""
         train, test, split, config, theta_o = tiny_world
         cfg = dataclasses.replace(self.CFG, retain_epochs=1, momentum=0.9, weight_decay=0.001)
-        pids = self._forks(monkeypatch)
+        pids = _forks(monkeypatch)
         forked = unlearn(theta_o, split, cfg)
         assert len(pids) == 1
-        release = threading.Event()
-        waiter = threading.Thread(target=release.wait, args=(60,))
-        waiter.start()
-        try:
-            inline = unlearn(theta_o, split, cfg)
-        finally:
-            release.set()
-            waiter.join(60)
-        assert not waiter.is_alive()
+        inline = self._unlearn_inline(theta_o, split, cfg)
         assert len(pids) == 1
         _assert_params_identical(inline, forked)
+
+    def test_helper_never_flushes_the_callers_stdio(self, tmp_path):
+        """A line left in block-buffered stdout before the fork is written
+        once, by this process, even when the helper exits by itself."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.path.join(ROOT, "src")
+        child = subprocess.Popen([sys.executable, "-c", _STDIO_CHILD], env=env, cwd=tmp_path,
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            out, err = child.communicate(timeout=120)
+        finally:
+            child.kill()
+            child.wait()
+        assert (child.returncode, err) == (0, "")
+        assert out == "written before the fork\nforks: 1\n"
 
 
 class TestOnePhaseLoop:
