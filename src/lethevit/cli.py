@@ -283,7 +283,6 @@ def _write_csv(path: Optional[str], header: str, rows) -> None:
 
 
 def cmd_gen_data(args, cfg: dict):
-    os.makedirs(args.out_dir, exist_ok=True)
     train = data_mod.generate_toy_dataset(
         cfg["classes"], cfg["per_class"], cfg["image_size"], cfg["seed"], cfg["channels"]
     )
@@ -291,6 +290,7 @@ def cmd_gen_data(args, cfg: dict):
         cfg["classes"], cfg["test_per_class"], cfg["image_size"], cfg["seed"] + 1,
         cfg["channels"]
     )
+    os.makedirs(args.out_dir, exist_ok=True)  # after the checks: a usage error makes nothing
     train_path = os.path.join(args.out_dir, "train.ltds")
     test_path = os.path.join(args.out_dir, "test.ltds")
     data_mod.save_dataset(train, train_path)

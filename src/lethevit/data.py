@@ -205,37 +205,54 @@ def _header_fault(header: tuple) -> tuple[str, int] | None:
 
 
 def save_dataset(dataset: LabeledDataset, path: str) -> None:
-    """Write the LTDS layout (see `load_dataset`); a header `load_dataset`
-    would refuse raises `ConfigError` before the file is opened."""
+    """Write the LTDS layout (see `load_dataset`); a header or a pixel
+    `load_dataset` would refuse (NaN, or Inf in float32, 1e39 included)
+    raises `ConfigError` before the file is opened."""
     n, channels, size, _ = dataset.images.shape
     fault = _header_fault((n, dataset.class_count, size, channels))
     if fault:
         raise ConfigError(f"cannot save {path}: {fault[0]}")
     header = struct.pack("<IIII", n, dataset.class_count, size, channels)
-    pixels = np.ascontiguousarray(dataset.images, dtype="<f4").tobytes()
+    with np.errstate(over="ignore"):  # an overflow is Inf, refused just below
+        pixels = np.ascontiguousarray(dataset.images, dtype="<f4")
+    bad = _first_non_finite(pixels)
+    if bad is not None:
+        raise ConfigError(f"cannot save {path}: pixel {bad} is "
+                          f"{dataset.images.flat[bad]}, not a finite float32")
     labels = np.ascontiguousarray(dataset.labels, dtype="<u2").tobytes()
-    write_container(path, MAGIC, header, [(b"", pixels), (b"", labels)])
+    write_container(path, MAGIC, header, [(b"", pixels.tobytes()), (b"", labels)])
 
 
 def load_dataset(path: str) -> LabeledDataset:
     """Read an LTDS file: the container of `lethevit.checkpoint` with
     magic "LTDS", a header of n / class_count / image_size / channels
     (`HEADER_FIELDS`) and two payloads, float32 pixels then u16 labels.
-    Round-trips are bit-exact at float32 precision."""
+    Round-trips are bit-exact at float32 precision. A NaN or Inf pixel
+    is a `FormatError` at its byte offset."""
     reader = Reader(path, MAGIC)
     header = reader.unpack("<IIII", "header")
     fault = _header_fault(header)
     if fault:
         raise FormatError(*fault)
     n, class_count, size, channels = header
-    pixels = reader.payload(4 * n * channels * size * size, "pixels")
+    pixels_offset = reader.offset
+    pixels = np.frombuffer(reader.payload(4 * n * channels * size * size, "pixels"), dtype="<f4")
     labels_offset = reader.offset
     labels = np.frombuffer(reader.payload(2 * n, "labels"), dtype="<u2").astype(np.int64)
     reader.close()
+    bad = _first_non_finite(pixels)
+    if bad is not None:
+        raise FormatError(f"{path}: pixel {bad} is {pixels[bad]}", pixels_offset + 4 * bad)
     bad = np.flatnonzero(labels >= class_count)
     if bad.size:
         raise FormatError(f"label {int(labels[bad[0]])} outside [0, {class_count})",
                           labels_offset + 2 * int(bad[0]))
-    images = np.frombuffer(pixels, dtype="<f4").reshape(n, channels, size, size)
+    images = pixels.reshape(n, channels, size, size)
     return LabeledDataset(images=images.astype(np.float64), labels=labels,
                           class_count=class_count)
+
+
+def _first_non_finite(pixels: np.ndarray) -> int | None:
+    """The flat index of the first NaN or Inf in `pixels`, None if none."""
+    finite = np.isfinite(pixels)
+    return None if finite.all() else int(np.argmin(finite))

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, require_finite
 from .tensor import DTYPE
-from .vit import ViTParams, forward
+from .vit import ViTParams, forward, patch_grid
 
 
 class MaskType(enum.Enum):
@@ -147,12 +147,13 @@ def apply_mask(
     seed: int = 0,
 ) -> np.ndarray:
     """A copy of `images` [B, C, S, S] with the pixels of the patches in
-    `indices` [B, k] replaced; all others unchanged.
+    `indices` [B, k] replaced, through `vit.patch_grid`'s view of the
+    copy; all others unchanged.
 
     Gaussian replacement draws per sample from a generator seeded
     `seed + sample_index`, so samples can be processed independently;
-    a sample's draws fill its patches in the order of its row of
-    `indices`.
+    a sample's one (k, C, p, p) draw fills its patches in the order of
+    its row of `indices`.
     Square images that `patch_size` tiles exactly and patch indices in
     [0, N) are checked before any pixel is written (`DimensionError`).
     """
@@ -172,21 +173,15 @@ def apply_mask(
         raise DimensionError(f"patch index outside [0, {n}) in mask indices of shape "
                              f"{indices.shape}")
 
-    # pixel coordinates of every selected patch: rows [B, k, p, 1], cols [B, k, 1, p]
-    p = patch_size
-    offsets = np.arange(p)
-    rows = (indices // grid * p)[:, :, None, None] + offsets[:, None]
-    cols = (indices % grid * p)[:, :, None, None] + offsets
     out = images.copy()
-    pixels = out.transpose(0, 2, 3, 1)  # [B, S, S, C] view: a patch pixel holds all channels
+    patches = patch_grid(out, patch_size)  # [B, g, g, C, p, p] view of `out`
+    rows, cols = np.divmod(indices, grid)
     if spec.mask_type is MaskType.ZERO:
-        pixels[np.arange(b)[:, None, None, None], rows, cols] = 0.0
+        patches[np.arange(b)[:, None], rows, cols] = 0.0
     else:
         for i in range(b):
-            # one (k, c, p, p) draw is the stream of k successive (c, p, p) draws
-            noise = np.random.Generator(np.random.PCG64(seed + i)).normal(
-                0.0, spec.gaussian_std, (indices.shape[1], c, p, p))
-            pixels[i, rows[i], cols[i]] = noise.transpose(0, 2, 3, 1)
+            patches[i, rows[i], cols[i]] = np.random.Generator(np.random.PCG64(seed + i)).normal(
+                0.0, spec.gaussian_std, (indices.shape[1], c, patch_size, patch_size))
     return out
 
 

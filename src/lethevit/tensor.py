@@ -73,15 +73,16 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 class Tensor:
-    """Dense n-dimensional float64 array with an optional gradient buffer.
+    """Dense n-dimensional float64 array with an optional gradient.
 
     Values are frozen at construction (the numpy buffer is marked
     read-only), so tensors can be shared freely across threads; only
     `grad` is written afterwards, and a model parameter's `values`
-    when `ViTParams.assign` points it at the model's next vector.
+    when `ViTParams.assign` points it at the model's next vector. A
+    leaf's `grad` is None until a `backward` reaches it (see there).
     """
 
-    __slots__ = ("values", "requires_grad", "grad", "grad_buffer", "is_leaf")
+    __slots__ = ("values", "requires_grad", "grad", "is_leaf")
 
     def __init__(self, values, requires_grad: bool = False, *, _leaf: bool = True,
                  _view: bool = False):
@@ -95,7 +96,6 @@ class Tensor:
         self.values = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
-        self.grad_buffer: Optional[np.ndarray] = None
         self.is_leaf = _leaf
 
     @property
@@ -171,15 +171,15 @@ def _result(inputs: tuple[Tensor, ...], out_values: np.ndarray, backward_fn) -> 
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Populate d(loss)/d(param) into every parameter reached by `tape`.
+    """Copy d(loss)/d(leaf) into the `.grad` of every leaf on `tape`.
 
-    `loss` must be a scalar produced while `tape` was active. Gradients
-    accumulate into `.grad` (a fresh buffer is created when `.grad` is
-    None), except that a parameter's is copied into its view of its
-    model's `grad_buffer`, which gets one NaN/Inf scan; leaf tensors
-    recorded on the tape but not on the path to the loss receive an
-    exact zero gradient. The tape is consumed: each record is dropped,
-    and its arrays freed, as soon as its backward has run.
+    `loss` must be a scalar produced while `tape` was active. `.grad` is
+    an array the leaf owns, made on its first backward (a parameter's is
+    its view of `ViTParams.grad`), and holds this backward's gradient,
+    not a sum; a leaf off the path to the loss gets exact zeros. Each
+    array the `.grad`s view is scanned once for NaN/Inf (a model's one
+    buffer, not each view). The tape is consumed: each record is
+    dropped, and its arrays freed, as soon as its backward has run.
     """
     if loss.values.ndim != 0:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -204,19 +204,15 @@ def backward(loss: Tensor, tape: Tape) -> None:
             acc = grads.get(id(t))
             grads[id(t)] = g_in if acc is None else acc + g_in
 
-    buffers: dict[int, np.ndarray] = {}
+    owners: dict[int, np.ndarray] = {}
     for key, t in leaves.items():
         g = grads.pop(key, None)
-        if t.grad_buffer is not None:
-            np.copyto(t.grad, 0.0 if g is None else g)
-            buffers[id(t.grad_buffer)] = t.grad_buffer
-            continue
-        if g is None:
-            g = np.zeros(t.shape, dtype=DTYPE)
-        if not np.isfinite(g).all():
-            raise NonFiniteError("gradient contains NaN or Inf values")
-        t.grad = g if t.grad is None else t.grad + g
-    if not all(np.isfinite(buffer).all() for buffer in buffers.values()):
+        if t.grad is None:
+            t.grad = np.empty(t.shape, dtype=DTYPE)
+        np.copyto(t.grad, 0.0 if g is None else g)
+        owner = t.grad if t.grad.base is None else t.grad.base
+        owners[id(owner)] = owner
+    if not all(np.isfinite(owner).all() for owner in owners.values()):
         raise NonFiniteError("gradient contains NaN or Inf values")
 
 

@@ -160,13 +160,13 @@ class ViTParams:
             t.values = view
 
     def attach_gradient(self) -> None:
-        """Make the gradient buffer `grad` (once). From then on `backward`
-        copies each parameter's gradient into the parameter's view of it;
-        `forward` reads every parameter, so each step rewrites all of it."""
+        """Make the gradient buffer `grad` (once), each parameter's `.grad`
+        its view, which `backward` fills and scans as one array; `forward`
+        reads every parameter, so each step rewrites all of it."""
         if self.grad is None:
             self.grad = np.zeros(self.vector.shape, dtype=DTYPE)
             for t, (_, view) in zip(self.tensors.values(), _views(self._layout, self.grad)):
-                t.grad, t.grad_buffer = view, self.grad
+                t.grad = view
 
 
 def parameter_shapes(config: ViTConfig) -> dict[str, tuple[int, ...]]:
@@ -252,12 +252,19 @@ def init_params(config: ViTConfig, seed: int) -> ViTParams:
     return ViTParams(config, vector)
 
 
-def patchify(images: np.ndarray, config: ViTConfig) -> np.ndarray:
-    """Cut [B, C, S, S] images into [B, N, C*P*P] flat patch vectors.
+def patch_grid(images: np.ndarray, patch_size: int) -> np.ndarray:
+    """The [B, g, g, C, p, p] view of C-contiguous [B, C, S, S] images that
+    p = `patch_size` tiles (the callers check), g = S // p: patch k, row-major
+    from the top left, is `[:, k // g, k % g]`."""
+    b, c, s, _ = images.shape
+    g = s // patch_size
+    return images.reshape(b, c, g, patch_size, g, patch_size).transpose(0, 2, 4, 1, 3, 5)
 
-    Patches are ordered row-major over the image grid (top-left patch is
-    index 0). Each patch vector is flattened channel-major, then row,
-    then column.
+
+def patchify(images: np.ndarray, config: ViTConfig) -> np.ndarray:
+    """Cut [B, C, S, S] images into [B, N, C*P*P] flat patch vectors:
+    `patch_grid`'s patches in its order, each flattened channel-major,
+    then row, then column.
     """
     images = np.asarray(images, dtype=DTYPE)
     if images.ndim != 4:
@@ -268,11 +275,8 @@ def patchify(images: np.ndarray, config: ViTConfig) -> np.ndarray:
             f"image shape {images.shape[1:]} does not match config "
             f"({config.channels}, {config.image_size}, {config.image_size})"
         )
-    p = config.patch_size
-    g = s // p
-    patches = images.reshape(b, c, g, p, g, p)
-    patches = patches.transpose(0, 2, 4, 1, 3, 5)  # [B, gy, gx, C, py, px]
-    return patches.reshape(b, g * g, c * p * p)
+    patches = patch_grid(images, config.patch_size)
+    return patches.reshape(b, config.num_patches, config.patch_dim)
 
 
 def forward(params: ViTParams, images: np.ndarray, capture_attention: bool = False) -> ForwardOutput:
@@ -323,7 +327,8 @@ def save_params(params: ViTParams, path: str) -> None:
 
 
 def load_params(path: str) -> ViTParams:
-    """Load a model checkpoint; a bad entry is a `FormatError` at its offset."""
+    """Load a model checkpoint; a bad entry (misshapen, extra, or holding
+    NaN or Inf) is a `FormatError` at its offset, a missing one at 0."""
     offsets: dict[str, int] = {}
     arrays = checkpoint.load_arrays(path, offsets)
     if _CONFIG_KEY not in arrays:
@@ -341,6 +346,9 @@ def load_params(path: str) -> ViTParams:
         if values.shape != shape:
             raise FormatError(f"checkpoint parameter '{name}' has shape {values.shape}, "
                               f"expected {shape}", offsets[name])
+        if not np.isfinite(values).all():
+            raise FormatError(f"checkpoint parameter '{name}' holds NaN or Inf values",
+                              offsets[name])
         parts.append(values.ravel())
     if arrays:
         extra = sorted(arrays)

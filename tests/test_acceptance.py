@@ -4,6 +4,7 @@ training runs on the committed toy setup; expect a few minutes total."""
 
 import csv
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,11 +325,11 @@ class TestCriterion6PipelineDeterminism:
                              "--checkpoint", f"lethevit={theta_u}",
                              "--out", report, "--set", "forget_ratio=0.2"] + common) == 0
             outputs[tag] = {
-                "train.ltds": open(train_p, "rb").read(),
-                "theta_o.ltvt": open(theta_o, "rb").read(),
-                "theta_u.ltvt": open(theta_u, "rb").read(),
-                "theta_r.ltvt": open(theta_r, "rb").read(),
-                "report.csv": open(report, "rb").read(),
+                "train.ltds": Path(train_p).read_bytes(),
+                "theta_o.ltvt": Path(theta_o).read_bytes(),
+                "theta_u.ltvt": Path(theta_u).read_bytes(),
+                "theta_r.ltvt": Path(theta_r).read_bytes(),
+                "report.csv": Path(report).read_bytes(),
             }
         mismatched = [name for name in outputs["first"]
                       if outputs["first"][name] != outputs["second"][name]]

@@ -228,6 +228,8 @@ class TestModelCheckpoints:
         ("__config__", lambda arrays: arrays["__config__"].__setitem__(0, np.nan)),
         ("__config__", lambda arrays: arrays["__config__"].__setitem__(4, 2.5)),
         ("zzz.extra", lambda arrays: arrays.update({"zzz.extra": np.zeros(1)})),
+        pytest.param("head.bias", lambda arrays: arrays.update(
+            {"head.bias": arrays["head.bias"] + np.nan}), id="head.bias-nan"),
     ])
     def test_bad_entry_named_at_its_offset(self, tmp_path, entry, corrupt):
         """A checksum-valid file with a wrong entry is a corrupt file, not

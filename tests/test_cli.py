@@ -14,6 +14,7 @@ import signal
 import subprocess
 import sys
 from argparse import Namespace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,7 +72,7 @@ class TestGenData:
         root, train_path, test_path, _ = pipeline
         assert os.path.exists(train_path) and os.path.exists(test_path)
         manifest_path = os.path.dirname(train_path) + "/manifests.jsonl"
-        entries = [json.loads(line) for line in open(manifest_path)]
+        entries = [json.loads(line) for line in Path(manifest_path).read_text().splitlines()]
         assert entries[0]["command"] == "gen-data"
         assert entries[0]["seed"] == 5
         assert train_path in entries[0]["outputs"]
@@ -119,6 +120,13 @@ class TestGenData:
         assert err.startswith("error: ") and "Traceback" not in err
         assert f"{key} {value}" in err and f"need {nbytes} bytes" in err
 
+    def test_usage_error_makes_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "new"
+        code = run("gen-data", "--out-dir", str(out), *sets("seed=1", "classes=1"))
+        assert code == 2
+        assert "need at least 2 classes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         code = run("gen-data", "--out-dir", str(tmp_path),
                    *sets("seed=1", "bogus_key=1", *TINY_KEYS))
@@ -149,14 +157,15 @@ class TestTrain:
         code = run("train", "--data", train_path, "--out", str(again),
                    *sets("seed=5", "epochs=2", "lr=0.05", "batch=6", *MODEL_KEYS))
         assert code == 0
-        assert open(theta_o, "rb").read() == open(again, "rb").read()
+        assert Path(theta_o).read_bytes() == Path(again).read_bytes()
 
     def test_manifest_records_phases(self, pipeline, tmp_path):
         _, train_path, _, _ = pipeline
         code = run("train", "--data", train_path, "--out", str(tmp_path / "t.ltvt"),
                    *sets("seed=5", "epochs=2", "lr=0.05", "batch=6", *MODEL_KEYS))
         assert code == 0
-        manifest = [json.loads(line) for line in open(tmp_path / "manifests.jsonl")][-1]
+        lines = (tmp_path / "manifests.jsonl").read_text().splitlines()
+        manifest = [json.loads(line) for line in lines][-1]
         assert manifest["phases"]["train"]["steps"] == 4  # 12 images, batch 6, 2 epochs
         assert manifest["phases"]["train"]["seconds"] > 0.0
 
@@ -169,7 +178,8 @@ class TestTrain:
         code = run("train", "--config", str(cfg), "--data", train_path,
                    "--out", str(out), "--set", "epochs=2")
         assert code == 0
-        manifest = [json.loads(line) for line in open(tmp_path / "manifests.jsonl")][-1]
+        lines = (tmp_path / "manifests.jsonl").read_text().splitlines()
+        manifest = [json.loads(line) for line in lines][-1]
         assert manifest["config"]["epochs"] == 2  # flag wins over file
 
 
@@ -178,7 +188,7 @@ class TestCorruptInputs:
 
     def test_invalid_utf8_checkpoint_name_exits_1(self, pipeline, tmp_path, capsys):
         _, train_path, test_path, theta_o = pipeline
-        raw = bytearray(open(theta_o, "rb").read())
+        raw = bytearray(Path(theta_o).read_bytes())
         raw[14] = 0xFF  # first byte of the first entry name
         bad = tmp_path / "bad_name.ltvt"
         bad.write_bytes(bytes(raw))
@@ -205,12 +215,32 @@ class TestCorruptInputs:
         _, train_path, _, _ = pipeline
         ds = load_dataset(train_path)
         bad = tmp_path / "bad_label.ltds"
-        bad.write_bytes(open(train_path, "rb").read())
+        bad.write_bytes(Path(train_path).read_bytes())
         write_label(bad, ds, index=0, label=ds.class_count)
         code = run("train", "--data", str(bad), "--out", str(tmp_path / "t.ltvt"),
                    *sets("seed=5", "epochs=1", "lr=0.05", "batch=6", *MODEL_KEYS))
         assert code == 1
         assert f"label {ds.class_count}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_non_finite_pixel_exits_1_naming_offset(self, pipeline, tmp_path, capsys, command):
+        _, train_path, _, theta_o = pipeline
+        ds = load_dataset(train_path)
+        pixels = ds.images.ravel().copy()
+        pixels[3] = np.nan
+        bad = tmp_path / "nan_pixel.ltds"
+        n, channels, size, _ = ds.images.shape
+        bad.write_bytes(raw_dataset((n, ds.class_count, size, channels), pixels, ds.labels))
+        if command == "train":
+            code = run("train", "--data", str(bad), "--out", str(tmp_path / "t.ltvt"),
+                       *sets("seed=5", "epochs=1", "lr=0.05", "batch=6", *MODEL_KEYS))
+        else:
+            code = run("evaluate", "--data", train_path, "--test", str(bad),
+                       "--checkpoint", f"retrain={theta_o}", "--out", str(tmp_path / "r.csv"),
+                       *sets("seed=5", "forget_ratio=0.25"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: pixel 3 is nan (byte offset 36)\n"
 
 
     @pytest.mark.parametrize("header, field", [((4, 1, 8, 1), "class_count"),
@@ -290,7 +320,7 @@ class TestUnlearn:
                    "--test", test_path, "--original", theta_o, "--out", str(out),
                    *sets("seed=5", "lr=0.05", "batch=6", "ef=0", "er=0"))
         assert code == 0
-        assert open(str(out), "rb").read() == open(theta_o, "rb").read()
+        assert Path(out).read_bytes() == Path(theta_o).read_bytes()
 
     def test_lethevit_records_phase_times(self, pipeline, tmp_path):
         _, train_path, test_path, theta_o = pipeline
@@ -300,7 +330,8 @@ class TestUnlearn:
                    *sets("seed=5", "lr=0.02", "batch=4", "ef=1", "er=1",
                          "forget_ratio=0.25", "ratio=0.25"))
         assert code == 0
-        manifest = [json.loads(line) for line in open(tmp_path / "manifests.jsonl")][-1]
+        lines = (tmp_path / "manifests.jsonl").read_text().splitlines()
+        manifest = [json.loads(line) for line in lines][-1]
         assert manifest["command"] == "unlearn"
         assert manifest["method"] == "lethevit"
         assert list(manifest["phases"]) == ["forget", "retain"]
@@ -359,7 +390,8 @@ class TestUnlearn:
                    *sets("seed=5", "epochs=1", "lr=0.02", "batch=4", "ef=1", "er=1",
                          "forget_ratio=0.25", "ratio=0.25", *MODEL_KEYS))
         assert code == 0
-        manifest = [json.loads(line) for line in open(tmp_path / "manifests.jsonl")][-1]
+        lines = (tmp_path / "manifests.jsonl").read_text().splitlines()
+        manifest = [json.loads(line) for line in lines][-1]
         assert list(manifest["phases"]) == [phase]
         assert set(manifest["phases"][phase]) == {"seconds", "steps"}
         assert manifest["phases"][phase]["steps"] >= 1
@@ -637,7 +669,7 @@ def test_every_manifest_records_environment(pipeline, checkpoints, tmp_path):
                "--out", str(tmp_path / "r.csv"), *split) == 0
     assert run("sweep-mask", *data, "--checkpoint", retrain_path,
                "--out", str(tmp_path / "s.csv"), *split, *sets("ratios=0.25")) == 0
-    entries = [json.loads(line) for line in open(tmp_path / "manifests.jsonl")]
+    entries = [json.loads(line) for line in (tmp_path / "manifests.jsonl").read_text().splitlines()]
     assert [e["command"] for e in entries] == [
         "gen-data", "train", "unlearn", "evaluate", "sweep-mask"]
     for entry in entries:
@@ -672,13 +704,13 @@ def test_every_manifest_records_its_inputs(pipeline, checkpoints, tmp_path):
                "--checkpoint", f"ft={ft_path}", "--out", str(tmp_path / "e.csv"), *split) == 0
     assert run("sweep-mask", *data, "--checkpoint", retrain_path,
                "--out", str(tmp_path / "s.csv"), *split, *sets("ratios=0.25")) == 0
-    entries = [json.loads(line) for line in open(tmp_path / "manifests.jsonl")]
+    entries = [json.loads(line) for line in (tmp_path / "manifests.jsonl").read_text().splitlines()]
     assert [set(e["inputs"]) for e in entries] == [
         set(), {train_path}, {train_path, test_path}, {train_path, test_path, theta_o},
         {train_path, test_path, retrain_path, ft_path}, {train_path, test_path, retrain_path}]
     for entry in entries:
         for path, digest in entry["inputs"].items():
-            assert digest == hashlib.sha256(open(path, "rb").read()).hexdigest()
+            assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 # each subcommand's required arguments as (flag, value) pairs

@@ -235,6 +235,31 @@ class TestPersistence:
         assert f"label {ds.class_count}" in str(exc.value)
         assert exc.value.offset == 24 + ds.images.size * 4 + 2 * 7
 
+    @pytest.mark.parametrize("value", [np.nan, -np.inf], ids=["nan", "inf"])
+    def test_non_finite_pixel_names_offset(self, tmp_path, value):
+        """A checksum-valid file with a NaN or Inf pixel is a corrupt file,
+        named at the pixel's first byte."""
+        path = tmp_path / "pixel.ltds"
+        pixels = np.zeros(8)
+        pixels[5] = value
+        path.write_bytes(raw_dataset((2, 2, 2, 1), pixels, [0, 1]))
+        with pytest.raises(FormatError) as exc:
+            load_dataset(str(path))
+        assert str(exc.value) == f"{path}: pixel 5 is {value} (byte offset 44)"
+        assert exc.value.offset == 24 + 4 * 5
+
+    @pytest.mark.parametrize("value", [np.nan, 1e39], ids=["nan", "beyond-float32"])
+    def test_save_refuses_a_pixel_load_refuses(self, tmp_path, value):
+        """NaN, or a value float32 rounds to Inf, is refused before the
+        file is opened, with no overflow warning on the way."""
+        images = np.zeros((2, 1, 2, 2))
+        images[1, 0, 0, 1] = value  # flat index 5
+        ds = LabeledDataset(images, np.array([0, 1]), 2)
+        with pytest.raises(ConfigError) as exc:
+            save_dataset(ds, str(tmp_path / "refused.ltds"))
+        assert f"pixel 5 is {value}, not a finite float32" in str(exc.value)
+        assert list(tmp_path.iterdir()) == []
+
     def test_truncation_names_offset(self, tmp_path):
         path = tmp_path / "short.ltds"
         save_dataset(small_dataset(), str(path))

@@ -166,15 +166,19 @@ class TestApplyMask:
     def test_equals_per_patch_loop(self, mask_type, batch, channels):
         """One assignment per sample (one for a whole zero-masked batch)
         writes the bytes of the per-patch loop; a Gaussian mask's single
-        `(k, c, p, p)` draw is the stream of k `(c, p, p)` draws."""
+        `(k, c, p, p)` draw is the stream of k `(c, p, p)` draws. Patch
+        sizes 4, 2 and 5 cut the 20x20 images into 5x5, 10x10 and 4x4 grids."""
         rng = np.random.default_rng(batch * 10 + channels)
         images = rng.normal(size=(batch, channels, 20, 20))
-        for ratio in (0.0, 0.1, 0.3, 1.0):
-            spec = MaskSpec(ratio, mask_type, gaussian_std=0.7)
-            indices = select_top_k(rng.random((batch, 25)), ratio)
-            got = apply_mask(images, indices, spec, patch_size=4, seed=17)
-            want = reference_apply_mask(images, indices, spec, patch_size=4, seed=17)
-            assert got.tobytes() == want.tobytes(), ratio
+        for patch_size in (4, 2, 5):
+            n = (20 // patch_size) ** 2
+            for ratio in (0.0, 0.1, 0.3, 1.0):
+                spec = MaskSpec(ratio, mask_type, gaussian_std=0.7)
+                indices = select_top_k(rng.random((batch, n)), ratio)
+                got = apply_mask(images, indices, spec, patch_size=patch_size, seed=17)
+                want = reference_apply_mask(images, indices, spec, patch_size=patch_size,
+                                            seed=17)
+                assert got.tobytes() == want.tobytes(), (patch_size, ratio)
 
     def test_index_rows_must_match_the_batch(self):
         with pytest.raises(DimensionError):

@@ -289,6 +289,46 @@ class TestBackward:
         backward(loss, tape)
         np.testing.assert_array_equal(x.grad, [[2.0, 2.0]])
 
+    @pytest.mark.parametrize("op", [add, lambda a, b: concat([a, b], axis=1)],
+                             ids=["add", "concat"])
+    def test_leaves_share_no_gradient_memory(self, op):
+        """`add` hands its one upstream gradient to both inputs and
+        `concat`'s backward splits one into views; each leaf still gets
+        an array of its own."""
+        x = Tensor([[1.0, 2.0]], requires_grad=True)
+        y = Tensor([[3.0, 4.0]], requires_grad=True)
+        with Tape() as tape:
+            loss = sum_all(op(x, y))
+        backward(loss, tape)
+        assert not np.shares_memory(x.grad, y.grad)
+        assert x.grad.base is None and y.grad.base is None  # not views of one array
+        x.grad *= 10.0
+        np.testing.assert_array_equal(y.grad, [[1.0, 1.0]])
+
+    def test_each_backward_replaces_the_gradient(self):
+        """Two backwards on fresh tapes leave one pass's gradient, in the
+        array the leaf's first backward made."""
+        x = Tensor([[1.0, 2.0]], requires_grad=True)
+        with Tape() as tape:
+            loss = sum_all(scale(x, 3.0))
+        backward(loss, tape)
+        first = x.grad
+        with Tape() as tape:
+            loss = sum_all(scale(x, 3.0))
+        backward(loss, tape)
+        assert x.grad is first
+        np.testing.assert_array_equal(x.grad, [[3.0, 3.0]])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_leaf_gradient_overflow_raises(self):
+        """Finite forward (1e-300 * 1e200 * 1e200 = 1e100), infinite backward
+        (1e200 * 1e200): the leaf's scan raises."""
+        x = Tensor([1e-300], requires_grad=True)
+        with Tape() as tape:
+            loss = mean_all(scale(scale(x, 1e200), 1e200))
+        with pytest.raises(NonFiniteError):
+            backward(loss, tape)
+
     def test_no_tape_means_no_tracking(self):
         x = Tensor([[1.0]], requires_grad=True)
         y = matmul(x, x)
