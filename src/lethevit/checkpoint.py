@@ -111,6 +111,12 @@ class Reader:
             raise FormatError("trailing bytes after checksum", self.offset)
 
 
+def first_non_finite(values: np.ndarray) -> Optional[int]:
+    """The flat index of the first NaN or Inf in `values`, None if none."""
+    finite = np.isfinite(values)
+    return None if finite.all() else int(np.argmin(finite))
+
+
 def save_arrays(path: str, arrays: Mapping[str, np.ndarray]) -> None:
     entries = []
     for name in sorted(arrays):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import Reader, write_container
+from .checkpoint import Reader, first_non_finite, write_container
 from .errors import ConfigError, ContractError, DimensionError, FormatError, require_nonnegative
 
 MAGIC = b"LTDS"
@@ -215,7 +215,7 @@ def save_dataset(dataset: LabeledDataset, path: str) -> None:
     header = struct.pack("<IIII", n, dataset.class_count, size, channels)
     with np.errstate(over="ignore"):  # an overflow is Inf, refused just below
         pixels = np.ascontiguousarray(dataset.images, dtype="<f4")
-    bad = _first_non_finite(pixels)
+    bad = first_non_finite(pixels)
     if bad is not None:
         raise ConfigError(f"cannot save {path}: pixel {bad} is "
                           f"{dataset.images.flat[bad]}, not a finite float32")
@@ -240,7 +240,7 @@ def load_dataset(path: str) -> LabeledDataset:
     labels_offset = reader.offset
     labels = np.frombuffer(reader.payload(2 * n, "labels"), dtype="<u2").astype(np.int64)
     reader.close()
-    bad = _first_non_finite(pixels)
+    bad = first_non_finite(pixels)
     if bad is not None:
         raise FormatError(f"{path}: pixel {bad} is {pixels[bad]}", pixels_offset + 4 * bad)
     bad = np.flatnonzero(labels >= class_count)
@@ -251,8 +251,3 @@ def load_dataset(path: str) -> LabeledDataset:
     return LabeledDataset(images=images.astype(np.float64), labels=labels,
                           class_count=class_count)
 
-
-def _first_non_finite(pixels: np.ndarray) -> int | None:
-    """The flat index of the first NaN or Inf in `pixels`, None if none."""
-    finite = np.isfinite(pixels)
-    return None if finite.all() else int(np.argmin(finite))

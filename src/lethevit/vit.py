@@ -321,7 +321,17 @@ def params_checksum(params: ViTParams) -> int:
 
 
 def save_params(params: ViTParams, path: str) -> None:
+    """Write a model checkpoint of float32 entries. A parameter float32
+    cannot hold (beyond its range, 1e39 included), which would be stored
+    as the Inf `load_params` refuses, raises `NonFiniteError` naming it
+    before the file is opened."""
     arrays = {name: t.values for name, t in params.tensors.items()}
+    for name, values in arrays.items():
+        with np.errstate(over="ignore"):  # an overflow is Inf, refused just below
+            bad = checkpoint.first_non_finite(values.astype(np.float32))
+        if bad is not None:
+            raise NonFiniteError(f"cannot save {path}: parameter '{name}' element {bad} is "
+                                 f"{values.flat[bad]}, not a finite float32")
     arrays[_CONFIG_KEY] = params.config.to_array()
     checkpoint.save_arrays(path, arrays)
 

@@ -4,11 +4,12 @@ softmax and GELU kernels, the fine-grained reference compositions of
 the fused model ops, the `x.var` layer norm, the all-token ViT forward,
 the recompute-everything reference compositions of the evaluation,
 masking sweep and teacher paths, the per-patch masking loop, the
-per-method training loops the one SGD phase loop replaced, the
-per-parameter SGD step the one vector update replaced, a copy of a
-model with one parameter changed, a call log that forked processes
-append to, and a forward-call counter with a sorter for the chunks it
-logs from a thread pool."""
+per-method training loops the one SGD phase loop replaced (each
+cross-entropy step split in two halves), the per-parameter SGD step
+the one vector update replaced, a copy of a model with one parameter
+changed, a call log that forked processes append to, and a
+forward-call counter with a sorter for the chunks it logs from a
+thread pool."""
 
 import json
 import os
@@ -336,21 +337,39 @@ def reference_sgd_step(params, velocity, learning_rate, momentum, weight_decay):
     return params
 
 
+def reference_split_gradient(params, dataset, batch, sign=1.0):
+    """Leave in each parameter's `.grad` the gradient of `batch`'s first
+    (n + 1) // 2 rows plus that of the rest, each half's cross-entropy
+    scaled by `sign` times its share of the batch's n rows: the
+    arithmetic of every cross-entropy step, from two backwards of the
+    per-parameter leaves."""
+    middle = (len(batch) + 1) // 2
+    total = {}
+    for rows in (batch[:middle], batch[middle:]):
+        if not len(rows):
+            continue
+        with Tape() as tape:
+            logits = vit.forward(params, dataset.images[rows]).logits
+            loss = T.scale(T.cross_entropy(logits, dataset.labels[rows]),
+                           sign * len(rows) / len(batch))
+        backward(loss, tape)
+        for name, t in params.items():
+            total[name] = t.grad.copy() if name not in total else total[name] + t.grad
+    for name, t in params.items():
+        t.grad = total[name]
+
+
 def reference_train_cross_entropy(params, dataset, indices, epochs, config, rng,
                                   negate=False):
     """The cross-entropy SGD loop every cross-entropy phase had its own
-    call of before the phase loop took a loss closure; `negate` descends
-    the negated cross-entropy (gradient ascent). Returns the trained
-    model."""
+    call of before the phase loop took a loss closure, each step's
+    gradient split in two halves (`reference_split_gradient`); `negate`
+    descends the negated cross-entropy (gradient ascent). Returns the
+    trained model."""
     velocity = {}
     for _ in range(epochs):
         for batch in _reference_batches(indices, config.batch_size, rng):
-            with Tape() as tape:
-                logits = vit.forward(params, dataset.images[batch]).logits
-                loss = T.cross_entropy(logits, dataset.labels[batch])
-                if negate:
-                    loss = T.scale(loss, -1.0)
-            backward(loss, tape)
+            reference_split_gradient(params, dataset, batch, -1.0 if negate else 1.0)
             params = reference_sgd_step(params, velocity, config.learning_rate,
                                         config.momentum, config.weight_decay)
     return params

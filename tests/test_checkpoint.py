@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from lethevit import checkpoint
-from lethevit.errors import FormatError
+from lethevit.errors import ConfigError, FormatError, NonFiniteError
 from lethevit.vit import ViTConfig, init_params, load_params, save_params
+
+from helpers import with_entry
 
 
 def test_golden_byte_layout(tmp_path):
@@ -254,3 +256,19 @@ class TestModelCheckpoints:
         save_params(init_params(self.CONFIG, seed=5), str(a))
         save_params(init_params(self.CONFIG, seed=5), str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_parameter_beyond_float32_refused_before_writing(self, tmp_path):
+        """A parameter float32 rounds to Inf (1e39 in `head.bias`), which
+        `load_params` would refuse, is a `NonFiniteError`, a runtime
+        failure (exit 1) and not a usage error, naming the parameter and
+        its value; no file is opened and no overflow warning is raised."""
+        params = init_params(self.CONFIG, seed=5)
+        bias = params["head.bias"].values.copy()
+        bias[1] = 1e39
+        path = tmp_path / "overflow.ltvt"
+        with pytest.raises(NonFiniteError) as exc:
+            save_params(with_entry(params, "head.bias", bias), str(path))
+        assert not isinstance(exc.value, ConfigError)
+        assert str(exc.value) == (f"cannot save {path}: parameter 'head.bias' element 1 is "
+                                  "1e+39, not a finite float32")
+        assert list(tmp_path.iterdir()) == []

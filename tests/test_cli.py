@@ -967,6 +967,9 @@ class TestOutputsReplaceTarget:
                    "--out", str(tmp_path / "report.csv")) == 0
 
     def test_sigint_during_train_exits_130(self, pipeline, tmp_path):
+        """SIGINT once the train phase, and so its gradient helper, has
+        started: the command kills and reaps the helper, writes nothing
+        and exits 130."""
         _, train_path, _, _ = pipeline
         child = start_child("none", 0, "train", "--data", train_path,
                             "--out", str(tmp_path / "m.ltvt"),
@@ -974,6 +977,7 @@ class TestOutputsReplaceTarget:
         try:
             assert select.select([child.stdout], [], [], 60)[0], "training never started"
             assert child.stdout.readline() == "training\n"
+            assert child.stdout.readline() == "train\n"
             child.send_signal(signal.SIGINT)
             _, err = child.communicate(timeout=60)
         finally:

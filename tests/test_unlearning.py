@@ -213,7 +213,7 @@ class TestUnlearnPipeline:
     def test_equals_three_forward_teacher_bit_for_bit(self, tiny_world, mask_type):
         """With every forget batch a multiple of 16 rows, a cached teacher
         row equals the row of the per-step 3-forward teacher, so the
-        parameters (with momentum, the teacher on its worker thread) are
+        parameters (with momentum, the teacher in its forked helper) are
         the same bytes."""
         train, test, split, config, theta_o = tiny_world
         aligned_train = generate_toy_dataset(3, 16, 8, seed=510)
@@ -634,14 +634,15 @@ class TestTeacherWorker:
 
     def test_inline_path_gives_the_fork_paths_bytes(self, tiny_world, monkeypatch):
         """With a second thread alive `unlearn` does not fork; it computes
-        the positives inline, with the same parameter bytes."""
+        the positives, and both halves of each retain step, inline, with
+        the same parameter bytes."""
         train, test, split, config, theta_o = tiny_world
         cfg = dataclasses.replace(self.CFG, retain_epochs=1, momentum=0.9, weight_decay=0.001)
         pids = _forks(monkeypatch)
         forked = unlearn(theta_o, split, cfg)
-        assert len(pids) == 1
+        assert len(pids) == 2  # the teacher, pids[0], then the retain phase's gradient helper
         inline = self._unlearn_inline(theta_o, split, cfg)
-        assert len(pids) == 1
+        assert len(pids) == 2
         _assert_params_identical(inline, forked)
 
     def test_helper_never_flushes_the_callers_stdio(self, tmp_path):
@@ -658,6 +659,169 @@ class TestTeacherWorker:
             child.wait()
         assert (child.returncode, err) == (0, "")
         assert out == "written before the fork\nforks: 1\n"
+
+
+class TestGradientHelper:
+    """Every cross-entropy step's gradient is its first half's plus its
+    second's. A forked helper computes the second half on a replica of
+    the model, or this process does where it cannot fork or once the
+    helper sent no half; either way the parameters are the same bytes
+    and no process outlives the phase."""
+
+    # 36 images at batch 5: per epoch seven 5-row steps (halves of 3 and
+    # 2 rows), then a 1-row step with no second half
+    CFG = TrainConfig(model=TINY, epochs=2, learning_rate=0.05, batch_size=5, seed=41,
+                      momentum=0.9, weight_decay=0.001)
+    UNLEARN_CFG = UnlearnConfig(forget_epochs=2, retain_epochs=2, learning_rate=0.05,
+                                batch_size=5, seed=41, momentum=0.9, weight_decay=0.001)
+
+    def _run(self, tiny_world, method):
+        """Entry point `method` on `tiny_world` at `CFG` (from scratch) or
+        `UNLEARN_CFG` (from the original)."""
+        train, _, split, _, theta_o = tiny_world
+        if method == "train_model":
+            return train_model(train, self.CFG)
+        if method == "retrain":
+            return retrain(split, self.CFG)
+        return getattr(unlearning, method)(theta_o, split, self.UNLEARN_CFG)
+
+    def _logged_forwards(self, monkeypatch, block_at=None, fail_on=None):
+        """Route the tracked forwards through a wrapper that logs (where,
+        rows) of each (see `_where`); the helper's k-th is the second
+        half of step k (of a step that has one). The helper sleeps for a
+        minute in its `block_at`-th, before sending that half. A forward
+        of the images `fail_on` raises a `NonFiniteError` in either
+        process."""
+        calls = CallLog()
+        me = os.getpid()
+        real = unlearning.forward
+
+        def logged(params, images, capture_attention=False):
+            where = _where(me)
+            calls.append((where, len(images)))
+            if where == "helper" and sum(w == "helper" for w, _ in calls) - 1 == block_at:
+                time.sleep(60)
+            if fail_on is not None and np.array_equal(images, fail_on):
+                raise NonFiniteError("tensor contains NaN or Inf values")
+            return real(params, images, capture_attention)
+
+        monkeypatch.setattr(unlearning, "forward", logged)
+        return calls
+
+    @pytest.mark.parametrize("method", ["train_model", "retrain", "fine_tune",
+                                        "gradient_ascent", "random_labels"])
+    def test_fork_path_gives_the_inline_paths_bytes(self, tiny_world, monkeypatch, method):
+        """With a second thread alive the phase does not fork; it computes
+        both halves of each step here, with the same parameter bytes."""
+        pids = _forks(monkeypatch)
+        forked = self._run(tiny_world, method)
+        assert len(pids) == 1
+        with _on_path("inline"):
+            inline = self._run(tiny_world, method)
+        assert len(pids) == 1
+        _assert_params_identical(inline, forked)
+
+    def test_killed_helper_gives_the_inline_paths_bytes(self, tiny_world, monkeypatch):
+        """The helper blocks in step 2's second half, after sending those
+        of steps 0 and 1, and is killed from outside: from step 2 on this
+        process computes both halves, every step runs, and the run ends
+        as the inline path does."""
+        train = tiny_world[0]
+        pids = _forks(monkeypatch)
+        calls = self._logged_forwards(monkeypatch, block_at=2)
+        steps = []
+
+        def on_step(phase, step, batch):
+            steps.append(step)
+            if step == 1:
+                _wait_until(lambda: sum(where == "helper" for where, _ in calls) == 3)
+                os.kill(pids[0], signal.SIGKILL)
+
+        got = train_model(train, self.CFG, on_step=on_step)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert steps == list(range(16))
+        helper = [rows for where, rows in calls if where == "helper"]
+        here = [rows for where, rows in calls if where == "here"]
+        assert helper == [2, 2, 2]
+        # the first halves of steps 0 and 1, then both halves of steps 2-6
+        # and 8-14, and the one row of steps 7 and 15
+        assert here == [3, 3] + [3, 2] * 5 + [1] + [3, 2] * 7 + [1]
+        with _on_path("inline"):
+            _assert_params_identical(got, train_model(train, self.CFG))
+        assert len(pids) == 1
+
+    def test_non_finite_second_half_is_a_divergence_at_its_step(self, tiny_world,
+                                                                 monkeypatch):
+        """The forward of step 2's second half raises a `NonFiniteError`,
+        wherever it runs. The helper, which computes that half, raises and
+        sends none; this process computes the half itself, and the phase
+        ends as a `DivergenceError` at step 2."""
+        train = tiny_world[0]
+        config = dataclasses.replace(self.CFG, epochs=1)
+        batches = unlearning._batches(np.arange(len(train)), 1, config.batch_size,
+                                      np.random.Generator(np.random.PCG64(config.seed)),
+                                      "train")
+        pids = _forks(monkeypatch)
+        calls = self._logged_forwards(
+            monkeypatch, fail_on=train.images[unlearning._halves(batches[2][1])[1]])
+        with pytest.raises(DivergenceError) as exc:
+            train_model(train, config)
+        assert (exc.value.phase, exc.value.step) == ("train", 2)
+        assert isinstance(exc.value.__cause__, NonFiniteError)
+        assert str(exc.value) == ("non-finite value in phase 'train' at step 2: "
+                                  "tensor contains NaN or Inf values")
+        assert len(pids) == 1
+        assert [rows for where, rows in calls if where == "helper"] == [2, 2, 2]
+        assert [rows for where, rows in calls if where == "here"] == [3, 3, 3, 2]
+
+    @pytest.mark.parametrize("error", [KeyError("stop"), KeyboardInterrupt()],
+                             ids=["on_step-error", "KeyboardInterrupt"])
+    def test_stopping_mid_phase_leaves_no_child(self, tiny_world, monkeypatch, error):
+        pids = _forks(monkeypatch)
+
+        def on_step(phase, step, batch):
+            if step == 1:
+                raise error
+
+        with pytest.raises(type(error)) as exc:
+            train_model(tiny_world[0], self.CFG, on_step=on_step)
+        assert exc.value is error
+        assert len(pids) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("run", [
+        lambda world: train_model(world[0], TrainConfig(model=TINY, epochs=0)),
+        lambda world: fine_tune(world[4], world[2], UnlearnConfig(retain_epochs=0)),
+        lambda world: unlearn(world[4], world[2], UnlearnConfig(forget_epochs=0,
+                                                                 retain_epochs=0)),
+        lambda world: train_model(world[0], TrainConfig(model=TINY, epochs=1, batch_size=1)),
+    ], ids=["no-epochs", "fine_tune-no-epochs", "unlearn-no-epochs", "one-row-batches"])
+    def test_no_helper_without_a_second_half(self, tiny_world, monkeypatch, run):
+        """A phase with no step, or whose every step has one row, forks
+        nothing."""
+        pids = _forks(monkeypatch)
+        run(tiny_world)
+        assert pids == []
+
+    @pytest.mark.parametrize("rows", [32, 7, 1])
+    def test_split_gradient_equals_the_full_batch_gradient(self, tiny_world, rows):
+        """One step's gradient, first half plus second half each scaled by
+        its share of the rows, equals the unsplit mean cross-entropy's
+        gradient over the same rows to rounding."""
+        train = tiny_world[0]
+        theta = init_params(TINY, seed=5)
+        whole = theta.copy()
+        config = TrainConfig(model=TINY, epochs=1, batch_size=rows, seed=0)
+        unlearning._cross_entropy_phase(theta, train, np.arange(rows), 1, config,
+                                        np.random.default_rng(0), "train", None)
+        with Tape() as tape:
+            loss = cross_entropy(forward(whole, train.images[:rows]).logits,
+                                 train.labels[:rows])
+        backward(loss, tape)
+        want = np.concatenate([t.grad.ravel() for _, t in whole.items()])
+        assert np.abs(theta.grad - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestOnePhaseLoop:
@@ -725,8 +889,8 @@ class TestOnePhaseLoop:
                 assert np.shares_memory(t.values, original.vector), name
         with pytest.raises(ValueError, match="read-only"):
             original.vector[0] = 1.0
-        unlearning._sgd_phase(theta, [(0, split.retain[:4])], config, "train",
-                              unlearning._cross_entropy_loss(theta, train))
+        unlearning._cross_entropy_phase(theta, train, split.retain[:4], 1, config,
+                                        np.random.default_rng(0), "train", None)
         assert theta.vector is not original.vector and not theta.vector.flags.writeable
         assert theta.vector.tobytes() != before and original.vector.tobytes() == before
         for name, t in theta.items():
@@ -742,8 +906,8 @@ class TestOnePhaseLoop:
         train = generate_toy_dataset(3, 4, 8, seed=502)
         config = TrainConfig(model=TINY, epochs=1, learning_rate=1e305, batch_size=12, seed=3)
         with pytest.raises(DivergenceError) as exc:
-            unlearning._sgd_phase(params, [(0, np.arange(12))], config, "train",
-                                  unlearning._cross_entropy_loss(params, train))
+            unlearning._cross_entropy_phase(params, train, np.arange(12), 1, config,
+                                            np.random.default_rng(0), "train", None)
         assert (exc.value.phase, exc.value.step) == ("train", 0)
         assert isinstance(exc.value.__cause__, NonFiniteError)
         assert str(exc.value) == ("non-finite value in phase 'train' at step 0: "
