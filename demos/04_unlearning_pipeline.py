@@ -6,7 +6,7 @@ import time
 
 from lethevit import (
     MaskSpec, MaskType, TrainConfig, UnlearnConfig, ViTConfig, average_gap,
-    evaluate_model, generate_toy_dataset, gradient_ascent, retrain,
+    evaluate_models, generate_toy_dataset, gradient_ascent, retrain,
     split_random_forget, train_model, unlearn,
 )
 
@@ -45,11 +45,10 @@ ga_cfg = UnlearnConfig(forget_epochs=10, retain_epochs=0, learning_rate=0.3,
 theta_ga = gradient_ascent(theta_o, split, ga_cfg)
 
 print("\nmethod      FA      RA      TA      MIA     AG")
-reference = evaluate_model(theta_r, split)
-for name, params in [("retrain", theta_r), ("original", theta_o),
-                     ("lethevit", theta_u), ("ga", theta_ga)]:
-    report = evaluate_model(params, split)
-    gap = average_gap(report, reference)
+models = [("retrain", theta_r), ("original", theta_o), ("lethevit", theta_u), ("ga", theta_ga)]
+reports = evaluate_models([params for _, params in models], split)
+for (name, _), report in zip(models, reports):
+    gap = average_gap(report, reports[0])
     print(f"{name:10s} {report.fa:6.2f}  {report.ra:6.2f}  {report.ta:6.2f}  "
           f"{report.mia:6.2f}  {gap.ag:6.2f}")
 print(f"\ntotal {time.time()-t0:.0f}s; lower AG = closer to the retrained reference")

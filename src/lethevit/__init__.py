@@ -24,6 +24,7 @@ from .evaluation import (
     MetricsReport,
     average_gap,
     evaluate_model,
+    evaluate_models,
     masking_sweep,
 )
 from .masking import MaskSpec, MaskType, build_masked_view
@@ -61,6 +62,7 @@ __all__ = [
     "build_masked_view",
     "contrastive_loss",
     "evaluate_model",
+    "evaluate_models",
     "fine_tune",
     "forward",
     "generate_toy_dataset",

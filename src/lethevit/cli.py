@@ -14,7 +14,8 @@ overridden on the command line with repeated `--set key=value` flags
 (flags win). The manifest is one JSON line in `manifests.jsonl` beside
 the main output: the resolved configuration, input and output checksums,
 wall time and environment (versions, BLAS and its thread count and
-kernel, thread variables, heap, pool size);
+kernel, thread variables, heap, and the CPU count that decides whether
+helpers fork);
 `train` and `unlearn` add per-phase wall time and step counts.
 
 Every output replaces its target only once it is complete
@@ -346,10 +347,10 @@ def cmd_evaluate(args, cfg: dict):
 
     models = {name: _load_checkpoint(named[name], split.train)  # the retrain row comes first
               for name in ["retrain"] + [name for name in named if name != "retrain"]}
-    rows, reports = [], {}
-    for name, params in models.items():
-        rep = reports[name] = evaluation.evaluate_model(params, split)
-        gap = evaluation.average_gap(rep, reports["retrain"])
+    reports = evaluation.evaluate_models(list(models.values()), split)  # one forked helper
+    rows = []
+    for name, rep in zip(models, reports):
+        gap = evaluation.average_gap(rep, reports[0])
         rows.append(
             f"{name},{cfg['seed']},{rep.fa:.2f},{rep.ra:.2f},{rep.ta:.2f},{rep.mia:.2f},"
             f"{gap.d_fa:.2f},{gap.d_ra:.2f},{gap.d_ta:.2f},{gap.d_mia:.2f},{gap.ag:.2f}"

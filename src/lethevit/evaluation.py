@@ -9,18 +9,21 @@ member/non-member accuracy is fitted on those two sets
 (`fit_loss_threshold`), and the attack score is the fraction of forget
 samples whose loss falls below it (`mia_at`).
 
-A model is scored through two entry points, each running a forward once:
-`evaluate_model` takes the FA/RA/TA accuracies and the attack's losses
-from one forward per set, and `masking_sweep` scores attention once per
-set and fits the attack threshold once. Every forward runs in 64-row
-chunks on `masking.forward_chunks`'s thread pool. The sweep's masked
-sets of every setting go through one such call, whose workers mask
-each chunk; a setting that masks no patch runs no forward at all.
+Models are scored through two entry points, each running a forward once:
+`evaluate_models` takes the FA/RA/TA accuracies and the attack's losses
+from one forward per set and model, and `masking_sweep` scores attention
+once per set and fits the attack threshold once. Every forward runs in
+64-row chunks on `masking.forward_chunks`, whose one forked helper
+computes about half of the rows: `evaluate_models` forwards every set of
+every model in one call, and `masking_sweep` runs two, its unmasked
+sets and then the masked sets of every setting, whose chunks are
+masked one by one; a setting that masks no patch runs no forward at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -64,7 +67,7 @@ class GapReport:
 
 def batched_logits(params: ViTParams, images: np.ndarray) -> np.ndarray:
     """Logits of `images` in evaluation mode (no gradient recording), chunked."""
-    return forward_chunks(params, [images], _EVAL_BATCH)[0][0]
+    return forward_chunks([params], [images], _EVAL_BATCH)[0][0]
 
 
 def _accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -108,16 +111,28 @@ def mia_at(forget_losses: np.ndarray, threshold: float) -> float:
     return 100.0 * float((forget_losses < threshold).mean())
 
 
-def evaluate_model(params: ViTParams, split) -> MetricsReport:
-    """Full FA / RA / TA / MIA report for one model on one split; one
-    forward per set gives both its accuracy and its per-sample losses."""
+def evaluate_models(models: Sequence[ViTParams], split) -> list[MetricsReport]:
+    """Full FA / RA / TA / MIA report per model on one split; one forward
+    per set gives both its accuracy and its per-sample losses, and the
+    sets of every model go through one `forward_chunks` call."""
     sets = (split.forget_set(), split.retain_set(), split.test)
-    logits = [z for [z] in forward_chunks(params, [d.images for d in sets], _EVAL_BATCH)]
-    fa, ra, ta = (_accuracy(z, dataset.labels) for z, dataset in zip(logits, sets))
-    forget, member, nonmember = (per_sample_cross_entropy(z, dataset.labels)
-                                 for z, dataset in zip(logits, sets))
-    mia = mia_at(forget, fit_loss_threshold(member, nonmember))
-    return MetricsReport(fa=fa, ra=ra, ta=ta, mia=mia)
+    outputs = iter(forward_chunks([model for model in models for _ in sets],
+                                  [d.images for _ in models for d in sets], _EVAL_BATCH))
+    reports = []
+    for _ in models:
+        logits = [z for [z] in islice(outputs, len(sets))]
+        fa, ra, ta = (_accuracy(z, dataset.labels) for z, dataset in zip(logits, sets))
+        forget, member, nonmember = (per_sample_cross_entropy(z, dataset.labels)
+                                     for z, dataset in zip(logits, sets))
+        mia = mia_at(forget, fit_loss_threshold(member, nonmember))
+        reports.append(MetricsReport(fa=fa, ra=ra, ta=ta, mia=mia))
+    return reports
+
+
+def evaluate_model(params: ViTParams, split) -> MetricsReport:
+    """`evaluate_models` of one model."""
+    [report] = evaluate_models([params], split)
+    return report
 
 
 def average_gap(method: MetricsReport, retrain: MetricsReport) -> GapReport:
@@ -154,26 +169,28 @@ def masking_sweep(
     the attack's input losses; the attack threshold itself is fitted on
     the unmasked retain and test sets. Neither the attention scores nor
     the threshold depend on the ratio or the type, so each set is scored
-    once and the threshold is fitted once. Every `MaskSpec` is built, and
-    so validated, before the first forward. A setting that masks no
-    patch (floor(ratio * N) = 0) reuses the unmasked logits of the
-    scoring pass; every other setting's masked test and forget sets run
-    in one `forward_chunks` call, which masks them chunk by chunk.
+    once and the threshold is fitted once: one `forward_chunks` call
+    runs the retain set and the capture pass over the test and forget
+    sets. Every `MaskSpec` is built, and so validated, before the first
+    forward. A setting that masks no patch (floor(ratio * N) = 0) reuses
+    the unmasked logits of the scoring pass; every other setting's
+    masked test and forget sets run in a second `forward_chunks` call,
+    which masks them chunk by chunk.
     """
     specs = [MaskSpec(ratio=ratio, mask_type=mask_type, gaussian_std=gaussian_std)
              for ratio in ratios for mask_type in types]
-    member_losses = per_sample_cross_entropy(batched_logits(params, retain.images), retain.labels)
-    [test_logits, test_scores], [forget_logits, forget_scores] = forward_chunks(
-        params, [test.images, forget.images], _EVAL_BATCH, capture_attention=True)
+    [retain_logits], [test_logits, test_scores], [forget_logits, forget_scores] = forward_chunks(
+        [params] * 3, [retain.images, test.images, forget.images], _EVAL_BATCH,
+        capture_attention=[False, True, True])
+    member_losses = per_sample_cross_entropy(retain_logits, retain.labels)
     threshold = fit_loss_threshold(member_losses,
                                    per_sample_cross_entropy(test_logits, test.labels))
     needs_forward = [patch_count(spec.ratio, test_scores.shape[1]) > 0 for spec in specs]
-    masked = iter(forward_chunks(
-        params, [MaskedSet(images, scores, spec, seed)
-                 for spec, forwards in zip(specs, needs_forward) if forwards
-                 for images, scores in ((test.images, test_scores),
-                                        (forget.images, forget_scores))],
-        _EVAL_BATCH))
+    masked_sets = [MaskedSet(images, scores, spec, seed)
+                   for spec, forwards in zip(specs, needs_forward) if forwards
+                   for images, scores in ((test.images, test_scores),
+                                          (forget.images, forget_scores))]
+    masked = iter(forward_chunks([params] * len(masked_sets), masked_sets, _EVAL_BATCH))
     rows = []
     for spec, forwards in zip(specs, needs_forward):
         if forwards:

@@ -7,7 +7,7 @@ outside any active tape compute plain values and track no gradients.
 The threading contract is one rule: gradient-free tensors never
 record, and one tape is open at a time. An op records only when an
 input requires a gradient, so a frozen model's forward (on
-`ViTParams.frozen()`) may run on any thread beside an open tape;
+`ViTParams.frozen()`) may run beside an open tape;
 entering a `Tape` while one is open raises `ContractError`.
 
 Shapes are explicit everywhere; the only broadcasting is trailing-shape
@@ -223,7 +223,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
 # glibc mallopt(3) parameter numbers and the values keep_heap sets.
 # Every array the engine makes is under 3.5 MB; 32 MiB is glibc's
 # largest mmap threshold on 64-bit hosts, so all of them come from the
-# heap. One arena lets pool workers reuse the main heap's freed pages.
+# heap. One arena lets any thread reuse the main heap's freed pages.
 _HEAP_SETTINGS = {"M_MMAP_THRESHOLD": (-3, 32 << 20), "M_TRIM_THRESHOLD": (-1, 256 << 20),
                   "M_ARENA_MAX": (-8, 1)}
 
@@ -290,8 +290,8 @@ def pin_blas_threads() -> Optional[dict]:
     says. Checkpoint bytes depend on the BLAS thread count: a
     weight-gradient product over a partial batch is split differently
     between two threads. One thread per process also leaves the second
-    core to the package's own parallel work: evaluation's worker threads
-    and the forget phase's forked teacher, which inherits the pin.
+    core to the package's own parallel work: its forked helpers, which
+    inherit the pin.
 
     Returns `blas_threads()`, or None where the OpenBLAS symbols are
     missing; then nothing is applied. Importing the package does not

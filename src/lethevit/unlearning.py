@@ -14,9 +14,10 @@ and each step is one update of the model's parameter vector (`ViTParams`).
   `frozen_teacher` computes them once per forget image, in one capture
   pass before the first step. The masked forward of the original (the
   positives) depends on the batch, the mask seed and the frozen weights
-  only, so on Linux a forked helper process computes every step's while
-  this process runs the tracked forwards of the model being unlearned
-  (`_run_ahead`); a thread would share the interpreter lock with them.
+  only, so on Linux with a second CPU a forked helper process computes
+  every step's while this process runs the tracked forwards of the model
+  being unlearned (`masking._run_ahead`); a thread would share the
+  interpreter lock with them.
   The helper sends results only: a step it did not deliver, because its
   job raised or the helper died, computes its positives here.
 
@@ -32,11 +33,12 @@ Every cross-entropy step (training and every phase but forget) splits
 its batch of n rows into two fixed halves, the first (n + 1) // 2 rows
 and the rest, each half's loss scaled by its share of the rows, and
 descends first + second (`_data_parallel`, the gradient all-reduce of
-data-parallel SGD). On Linux a forked gradient helper keeps a replica
-of the model and computes each step's second half while this process
-computes the first. Per step the helper writes its half-gradient, this
-process reads it after its own backward and then writes its own, and
-both apply the same update. A step whose half the helper did not send,
+data-parallel SGD). On Linux with a second CPU a forked gradient
+helper (`masking._helper`) keeps a replica of the model and computes
+each step's second half while this process computes the first. Per
+step the helper writes its half-gradient, this process reads it after
+its own backward and then writes its own, and both apply the same
+update. A step whose half the helper did not send,
 and every later one, computes both halves here, as every step does
 where the helper cannot fork: the same bytes, at about 8% less
 throughput than an unsplit step on the benchmark's `train` workload.
@@ -45,11 +47,6 @@ throughput than an unsplit step on the benchmark's `train` workload.
 from __future__ import annotations
 
 import contextlib
-import os
-import signal
-import struct
-import sys
-import threading
 from dataclasses import dataclass, field
 from typing import BinaryIO, Callable, Iterator, Optional
 
@@ -58,7 +55,7 @@ import numpy as np
 from .data import DataSplit, LabeledDataset
 from .errors import (ConfigError, ContractError, DivergenceError, NonFiniteError,
                      require_finite, require_nonnegative)
-from .masking import MaskSpec, forward_chunks, mask_from_scores
+from .masking import MaskSpec, _helper, _run_ahead, class_token_attention, mask_from_scores
 from .masking import build_masked_view  # noqa: F401  unused; perfbench/layertrace.py wraps it
 from .tensor import (
     Tape,
@@ -124,19 +121,26 @@ def frozen_teacher(original: ViTParams, images: np.ndarray, indices: np.ndarray,
     indices), as `(positives, negatives)`. Its unmasked logits (the
     negatives) and the class-token attention that picks the masked
     patches depend on the image alone, so one capture pass of at most
-    `chunk` rows per forward computes them once; `negatives(batch)`
-    gathers their rows. `positives(batch, mask_seed)` masks
-    `images[batch]` by those scores and runs the one forward that gives
-    the positive logits, as an array. `unlearn` passes `batch_size` as
-    `chunk`, not evaluation's 64: at 64 rows the `forget` benchmark's
-    peak RSS rose by about 3 MB at the same speed.
+    `chunk` rows per forward computes them once, in this process;
+    `negatives(batch)` gathers their rows. `positives(batch, mask_seed)`
+    masks `images[batch]` by those scores and runs the one forward that
+    gives the positive logits, as an array. `unlearn` passes
+    `batch_size` as `chunk`, not evaluation's 64: at 64 rows the
+    `forget` benchmark's peak RSS rose by about 3 MB at the same speed.
+    The pass forks no helper of its own: at 32-row chunks a helper
+    forked for it cost more than the second core gave back.
 
     The teacher runs on `original.frozen()`. An op records only when an
     input requires a gradient, so `positives` never touches a tape, not
     even one open on its own or another thread: it may run inside a
     tracked step, or in a process forked from one."""
     frozen = original.frozen()
-    [[negatives, scores]] = forward_chunks(frozen, [images[indices]], chunk, True)
+    logits, attention = [], []
+    for start in range(0, len(indices), chunk):
+        out = forward(frozen, images[indices[start:start + chunk]], capture_attention=True)
+        logits.append(out.logits.values)
+        attention.append(class_token_attention(out.last_attention))
+    negatives, scores = np.concatenate(logits), np.concatenate(attention)
     row_of = np.zeros(len(images), dtype=np.int64)  # image index -> cached row
     row_of[indices] = np.arange(len(indices))
 
@@ -146,91 +150,6 @@ def frozen_teacher(original: ViTParams, images: np.ndarray, indices: np.ndarray,
         return forward(frozen, masked).logits.values
 
     return positives, lambda batch: Tensor(negatives[row_of[batch]])
-
-
-@contextlib.contextmanager
-def _helper(work: Callable[[BinaryIO, BinaryIO], None]
-            ) -> Iterator[Optional[tuple[BinaryIO, BinaryIO]]]:
-    """Runs `work(source, sink)` in a forked helper process while the
-    block runs and yields this process's ends of the two pipes between
-    them, `(source, sink)`: `source` reads what the helper writes to its
-    `sink`, and the helper's `source` reads what this `sink` writes.
-    Yields None where it cannot fork.
-
-    It forks only on Linux, in a process with no other thread: `fork`
-    copies only the calling thread; Windows has no `fork`, and on macOS
-    forked children of system frameworks crash. The helper ignores
-    SIGINT (the caller decides when it stops) and ends in `os._exit`
-    however `work` ends, EPIPE or EOF once the caller is gone included:
-    it never returns into the caller and never flushes the stdio it
-    inherited. However the block ends, the pipes close and the helper
-    is killed if still running and reaped, so no process outlives it."""
-    if sys.platform != "linux" or threading.active_count() != 1:
-        yield None
-        return
-    up, down = os.pipe(), os.pipe()  # (read end, write end): helper -> caller, caller -> helper
-    pid = os.fork()
-    if pid == 0:
-        try:
-            os.close(up[0])
-            os.close(down[1])
-            signal.signal(signal.SIGINT, signal.SIG_IGN)
-            work(os.fdopen(down[0], "rb"), os.fdopen(up[1], "wb"))
-        finally:
-            os._exit(0)
-    os.close(up[1])
-    os.close(down[0])
-    source, sink = os.fdopen(up[0], "rb"), os.fdopen(down[1], "wb")
-    try:
-        yield source, sink
-    finally:
-        source.close()
-        with contextlib.suppress(BrokenPipeError):  # the last write to a dead helper
-            sink.close()
-        if os.waitpid(pid, os.WNOHANG) == (0, 0):
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-# a `_run_ahead` record: (rows, columns) and then that float64 array
-_RECORD = struct.Struct("=qq")
-
-
-@contextlib.contextmanager
-def _run_ahead(job: Callable[[int], np.ndarray], count: int
-               ) -> Iterator[Callable[[int], np.ndarray]]:
-    """Yields `result(k)`, which returns the 2-D float64 array `job(k)`
-    and is called for k = 0, 1, ..., count - 1 in turn. `job` must be a
-    function of k alone: the same k gives the same bytes or error.
-
-    Where `_helper` can fork, the helper computes every `job(k)` in
-    order while the caller works, and streams each to `result` through
-    a pipe: the two share no interpreter lock. The helper sends results
-    only: from the first step whose record it did not send (its job
-    raised, or it died) on, and wherever it cannot fork, `result` runs
-    `job` inline, so an error is raised as itself at its step."""
-    def work(source: BinaryIO, sink: BinaryIO) -> None:
-        for k in range(count):
-            values = job(k)
-            sink.write(_RECORD.pack(*values.shape) + values.tobytes())
-            sink.flush()
-
-    with _helper(work) as pipes:
-        if pipes is None:
-            yield job
-            return
-        source = pipes[0]
-
-        def result(k: int) -> np.ndarray:
-            header = source.read(_RECORD.size)
-            if len(header) == _RECORD.size:
-                rows, columns = _RECORD.unpack(header)
-                payload = source.read(8 * rows * columns)
-                if len(payload) == 8 * rows * columns:
-                    return np.frombuffer(payload).reshape(rows, columns)
-            return job(k)  # the stream has ended: this step and every later one run here
-
-        yield result
 
 
 def contrastive_loss(anchor: Tensor, positive: Tensor, negative: Tensor,

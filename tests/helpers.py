@@ -7,13 +7,16 @@ masking sweep and teacher paths, the per-patch masking loop, the
 per-method training loops the one SGD phase loop replaced (each
 cross-entropy step split in two halves), the per-parameter SGD step
 the one vector update replaced, a copy of a model with one parameter
-changed, a call log that forked processes append to, and a
-forward-call counter with a sorter for the chunks it logs from a
-thread pool."""
+changed, a call log that forked processes append to, a forward-call
+counter with a sorter for the chunks it logs from either process, and
+the fork counter, path switch and waits of the helper tests."""
 
+import contextlib
 import json
 import os
 import tempfile
+import threading
+import time
 import weakref
 from collections.abc import Sequence
 
@@ -474,9 +477,9 @@ class CallLog(Sequence):
 def count_forwards(monkeypatch, captured=None):
     """Route `forward` in every module that calls it through a counter;
     returns the `CallLog` that receives (images, capture_attention,
-    tracked) per call, from this process or a forked teacher. A
-    `captured` list receives the images of each capture forward; those
-    run in this process."""
+    tracked) per call, from this process or a forked helper. A
+    `captured` log (a `CallLog` where a helper forwards) receives the
+    images of each capture forward, as nested lists."""
     calls = CallLog()
     real = vit.forward
 
@@ -484,7 +487,7 @@ def count_forwards(monkeypatch, captured=None):
         out = real(params, images, capture_attention)
         calls.append((len(images), capture_attention, out.logits.requires_grad))
         if capture_attention and captured is not None:
-            captured.append(np.array(images))
+            captured.append(np.asarray(images).tolist())
         return out
 
     for module in (evaluation, masking, unlearning):
@@ -493,8 +496,56 @@ def count_forwards(monkeypatch, captured=None):
 
 
 def in_set_order(chunks, images):
-    """Image chunks a pool logged in completion order, sorted by where
-    each starts in `images`."""
+    """Image chunks logged in the order they ran, whichever process ran
+    them, as arrays sorted by where each starts in `images`."""
     def start(chunk):
         return int(np.flatnonzero((images == chunk[0]).all(axis=(1, 2, 3)))[0])
-    return sorted(chunks, key=start)
+    return sorted(map(np.asarray, chunks), key=start)
+
+
+def forks(monkeypatch):
+    """Route `os.fork` through a wrapper and let this process see two
+    CPUs, so `masking._helper` forks wherever it may on Linux; returns
+    the list that receives the pid of each child forked."""
+    pids = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return pids
+
+
+@contextlib.contextmanager
+def on_path(path):
+    """Run the block on a helper's "fork" path or on its "inline" one,
+    which a second thread, alive for the block, selects."""
+    if path == "fork":
+        yield
+        return
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(60,))
+    waiter.start()
+    try:
+        yield
+    finally:
+        release.set()
+        waiter.join(60)
+    assert not waiter.is_alive()
+
+
+def wait_until(condition, seconds=30):
+    deadline = time.monotonic() + seconds
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.005)
+
+
+def process_of(me):
+    """Where a job runs: "here", in process `me`, or in the "helper"."""
+    return "here" if os.getpid() == me else "helper"

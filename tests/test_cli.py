@@ -13,6 +13,7 @@ import select
 import signal
 import subprocess
 import sys
+import threading
 from argparse import Namespace
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from lethevit.masking import pool_size
 from lethevit.tensor import blas_threads, keep_heap
 from lethevit.vit import ViTConfig, parameter_shapes
 
+from helpers import forks
 from test_checkpoint import HOSTILE_DIMS, write_raw_checkpoint
 from test_data import raw_dataset, write_label
 
@@ -595,7 +597,7 @@ def test_evaluate_checks_every_checkpoint_before_any_forward(pipeline, checkpoin
     _, _, _, retrain_path, _ = checkpoints
     _, three_class = misfits
     evaluated = []
-    monkeypatch.setattr("lethevit.evaluation.evaluate_model",
+    monkeypatch.setattr("lethevit.evaluation.forward_chunks",
                         lambda *args, **kwargs: evaluated.append(args))
     code = run("evaluate", "--data", train_path, "--test", test_path,
                "--checkpoint", f"retrain={retrain_path}", "--checkpoint", f"big={three_class}",
@@ -881,6 +883,38 @@ sys.exit(code)
 """
 
 
+# `lethevit.cli.main(argv[1:])` in a child process that sees two CPUs; it
+# prints "helper" after each fork and "forward" as each forward of this
+# process starts, which then sleeps for a minute, and reports on stderr a
+# child process the command left
+_SLOW_FORWARD_CHILD = """
+import os, sys, time
+from lethevit import cli, masking
+fork, forward, me = os.fork, masking.forward, os.getpid()
+
+def announced_fork():
+    pid = fork()
+    if pid:
+        print("helper", flush=True)
+    return pid
+
+def slow(*args, **kwargs):
+    if os.getpid() == me:
+        print("forward", flush=True)
+        time.sleep(60)
+    return forward(*args, **kwargs)
+
+os.fork, masking.forward = announced_fork, slow
+os.sched_getaffinity = lambda pid: {0, 1}
+code = cli.main(sys.argv[1:])
+try:
+    print(f"child process left behind: {os.waitpid(-1, os.WNOHANG)}", file=sys.stderr)
+except ChildProcessError:
+    pass
+sys.exit(code)
+"""
+
+
 def start_child(limit, size, *argv):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     return subprocess.Popen([sys.executable, "-c", _CHILD, limit, str(size), *argv], env=env,
@@ -1006,6 +1040,29 @@ class TestOutputsReplaceTarget:
         assert (child.returncode, err) == (130, "error: interrupted\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_sigint_during_evaluate_exits_130(self, checkpoints, tmp_path):
+        """SIGINT while `evaluate`'s forward helper runs: the command kills
+        and reaps it, writes nothing and exits 130."""
+        _, train_path, test_path, retrain_path, ft_path = checkpoints
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        child = subprocess.Popen(
+            [sys.executable, "-c", _SLOW_FORWARD_CHILD, "evaluate", "--data", train_path,
+             "--test", test_path, "--checkpoint", f"retrain={retrain_path}",
+             "--checkpoint", f"ft={ft_path}", "--out", str(tmp_path / "r.csv"),
+             *sets("seed=5", "forget_ratio=0.25")],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            assert select.select([child.stdout], [], [], 60)[0], "evaluation never started"
+            assert child.stdout.readline() == "helper\n"
+            assert child.stdout.readline() == "forward\n"
+            child.send_signal(signal.SIGINT)
+            _, err = child.communicate(timeout=60)
+        finally:
+            child.kill()
+            child.wait()
+        assert (child.returncode, err) == (130, "error: interrupted\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_output_gets_plain_open_permissions(self, tmp_path):
         """0666 less the umask, as `open` gives, not `mkstemp`'s 0600."""
         umask = os.umask(0o022)
@@ -1100,3 +1157,44 @@ class TestFuzzedInputs:
         else:
             assert code == 1
             assert err.startswith(f"error: {path}:")
+
+
+def test_no_command_starts_a_thread_and_each_forks_its_helpers(tmp_path, monkeypatch):
+    """Every command that computes, in-process at tiny shapes, with
+    `threading.Thread.start` recording: no thread starts. The second
+    core is used by forked helpers only: one per cross-entropy phase,
+    the teacher, one for all of `evaluate` and two for `sweep-mask`."""
+    started = []
+    start = threading.Thread.start
+
+    def recorded(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recorded)
+    pids = forks(monkeypatch)
+    data = tmp_path / "data"
+    train, test = str(data / "train.ltds"), str(data / "test.ltds")
+    split = sets("seed=5", "forget_ratio=0.25")
+    sgd = sets("lr=0.05", "batch=6")
+    original, retrain, unlearned = (str(tmp_path / name) for name in ("o.ltvt", "r.ltvt",
+                                                                      "u.ltvt"))
+    commands = [
+        (["gen-data", "--out-dir", str(data), *sets("seed=5", *TINY_KEYS)], 0),
+        (["train", "--data", train, "--out", original, *sets("seed=5", "epochs=1", *MODEL_KEYS),
+          *sgd], 1),
+        (["unlearn", "--method", "retrain", "--data", train, "--test", test, "--out", retrain,
+          *split, *sgd, *sets("epochs=1", *MODEL_KEYS)], 1),
+        (["unlearn", "--method", "lethevit", "--data", train, "--test", test,
+          "--original", original, "--out", unlearned, *split, *sgd, *sets("ef=1", "er=1")], 2),
+        (["evaluate", "--data", train, "--test", test, "--checkpoint", f"retrain={retrain}",
+          "--checkpoint", f"lethevit={unlearned}", "--checkpoint", f"original={original}",
+          "--out", str(tmp_path / "e.csv"), *split], 1),
+        (["sweep-mask", "--data", train, "--test", test, "--checkpoint", retrain,
+          "--out", str(tmp_path / "s.csv"), *split, *sets("ratios=0,0.5")], 2),
+    ]
+    for argv, helpers in commands:
+        before = len(pids)
+        assert run(*argv) == 0, argv[0]
+        assert (argv[0], len(pids) - before) == (argv[0], helpers)
+    assert started == []

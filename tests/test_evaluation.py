@@ -17,6 +17,7 @@ from lethevit.evaluation import (
     MetricsReport,
     average_gap,
     evaluate_model,
+    evaluate_models,
     fit_loss_threshold,
     masking_sweep,
     mia_at,
@@ -26,7 +27,9 @@ from lethevit.unlearning import TrainConfig, train_model
 from lethevit.vit import ViTConfig, init_params
 
 from helpers import (
+    CallLog,
     count_forwards,
+    forks,
     in_set_order,
     reference_evaluate_model,
     reference_fit_loss_threshold,
@@ -298,6 +301,18 @@ class TestComputeOnce:
         params, split = trained_world
         assert evaluate_model(params, split) == reference_evaluate_model(params, split)
 
+    def test_evaluate_models_forks_one_helper_for_every_model(self, trained_world,
+                                                               monkeypatch):
+        """Every set of every model goes through one `forward_chunks`
+        call: one helper, and each model's report as `evaluate_model`
+        gives it alone."""
+        params, split = trained_world
+        models = [params, init_params(TINY, seed=7), params]
+        pids = forks(monkeypatch)
+        reports = evaluate_models(models, split)
+        assert len(pids) == 1
+        assert reports == [reference_evaluate_model(model, split) for model in models]
+
     def test_masking_sweep_equals_reference(self, trained_world):
         params, split = trained_world
         args = (params, split.forget_set(), split.retain_set(), split.test,
@@ -318,7 +333,7 @@ class TestComputeOnce:
     def test_masking_sweep_scores_each_set_once(self, trained_world, monkeypatch):
         params, split = trained_world
         forget, retain, test = split.forget_set(), split.retain_set(), split.test
-        captured = []
+        captured = CallLog()  # the helper runs some of the capture forwards
         calls = count_forwards(monkeypatch, captured)
         masking_sweep(params, forget, retain, test, self.RATIOS, self.TYPES)
         patches = (TINY.image_size // TINY.patch_size) ** 2
@@ -330,6 +345,14 @@ class TestComputeOnce:
         assert len(calls) == (_chunks(retain) + _chunks(test) + _chunks(forget)
                               + masked_pairs * (_chunks(test) + _chunks(forget))) == 15
         assert not any(tracked for _, _, tracked in calls)
+
+    def test_masking_sweep_forks_at_most_two_helpers(self, trained_world, monkeypatch):
+        """One helper for the unmasked forwards and one for the masked pass."""
+        params, split = trained_world
+        pids = forks(monkeypatch)
+        masking_sweep(params, split.forget_set(), split.retain_set(), split.test,
+                      self.RATIOS, self.TYPES)
+        assert len(pids) == 2
 
     def test_masking_sweep_validates_the_grid_before_any_forward(self, trained_world,
                                                                  monkeypatch):

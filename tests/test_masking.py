@@ -1,10 +1,13 @@
 """Masking tests: class-token attention scores, top-k selection against
 a sort-based oracle, pixel replacement semantics, the composed masked
-view against an independent brute-force recomputation, and the thread
-pool that runs chunked forwards."""
+view against an independent brute-force recomputation, and the chunked
+forwards with their forked helper."""
 
+import os
 import re
+import signal
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -13,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lethevit import masking, tensor
-from lethevit.errors import ConfigError, DimensionError, NonFiniteError
+from lethevit.errors import ConfigError, ContractError, DimensionError, NonFiniteError
 from lethevit.masking import (
     MaskedSet,
     MaskSpec,
@@ -29,7 +32,8 @@ from lethevit.masking import (
 from lethevit.tensor import Tape, Tensor, linear
 from lethevit.vit import ViTConfig, forward, init_params, patchify
 
-from helpers import reference_apply_mask, with_entry
+from helpers import (CallLog, forks, on_path, process_of, reference_apply_mask,
+                     wait_until, with_entry)
 
 RNG = np.random.default_rng(77)
 
@@ -255,8 +259,9 @@ class TestBuildMaskedView:
 
 
 class TestForwardChunks:
-    """Chunks run on a pool: serial-loop results and errors, no tape
-    records, and no thread left behind."""
+    """Chunks run in job order, about half in a forked helper:
+    serial-loop results and errors, no tape records, and no thread or
+    process left behind."""
 
     def _serial(self, params, images, chunk, capture):
         logits, scores = [], []
@@ -271,7 +276,7 @@ class TestForwardChunks:
     def test_equals_serial_loop_per_set(self, capture):
         params = init_params(TINY, seed=8)
         sets = [RNG.normal(size=(n, 1, 8, 8)) for n in (10, 3, 8)]
-        got = forward_chunks(params, sets, 4, capture_attention=capture)
+        got = forward_chunks([params] * len(sets), sets, 4, capture_attention=capture)
         assert len(got) == len(sets)
         for arrays, images in zip(got, sets):
             for a, b in zip(arrays, self._serial(params, images, 4, capture), strict=True):
@@ -292,17 +297,34 @@ class TestForwardChunks:
     def test_masked_sets_equal_masking_whole_then_serial_loop(self, mask_type):
         params = init_params(TINY, seed=8)
         sets = [self._masked(RNG.normal(size=(n, 1, 8, 8)), mask_type) for n in (10, 3)]
-        got = forward_chunks(params, sets, 4)
+        got = forward_chunks([params] * len(sets), sets, 4)
         assert len(got) == len(sets)
         for [logits], masked in zip(got, sets):
             [serial] = self._serial(params, self._masked_whole(masked), 4, False)
             assert logits.tobytes() == serial.tobytes()
 
+    def test_each_set_runs_on_its_own_model_with_its_own_capture(self):
+        models = [init_params(TINY, seed=seed) for seed in (8, 9)]
+        images = RNG.normal(size=(10, 1, 8, 8))
+        masked = self._masked(images, MaskType.GAUSSIAN)
+        got = forward_chunks([models[0], models[1], models[1]], [images, images, masked], 4,
+                             capture_attention=[True, False, True])
+        want = [self._serial(models[0], images, 4, True), self._serial(models[1], images, 4, False),
+                self._serial(models[1], self._masked_whole(masked), 4, True)]
+        assert [[a.tobytes() for a in arrays] for arrays in got] == [
+            [a.tobytes() for a in arrays] for arrays in want]
+
+    def test_a_model_per_set_is_required(self):
+        params = init_params(TINY, seed=8)
+        with pytest.raises(ContractError, match="1 models for 2 sets"):
+            forward_chunks([params], [RNG.normal(size=(4, 1, 8, 8))] * 2, 4)
+
     def test_open_tape_records_nothing_and_stays_active(self):
         params = init_params(TINY, seed=8)
         with Tape() as tape:
-            forward_chunks(params, [RNG.normal(size=(12, 1, 8, 8)),
-                                    self._masked(RNG.normal(size=(12, 1, 8, 8)), MaskType.ZERO)],
+            forward_chunks([params] * 2,
+                           [RNG.normal(size=(12, 1, 8, 8)),
+                            self._masked(RNG.normal(size=(12, 1, 8, 8)), MaskType.ZERO)],
                            4, capture_attention=True)
             assert len(tape) == 0
             assert tensor._active is tape
@@ -324,7 +346,7 @@ class TestForwardChunks:
         monkeypatch.setattr(masking, "forward", held)
         x, w, b = (Tensor(RNG.normal(size=s), requires_grad=True) for s in ((2, 3), (3, 4), (4,)))
         with ThreadPoolExecutor(1) as pool, Tape() as tape:
-            job = pool.submit(forward_chunks, params, [RNG.normal(size=(4, 1, 8, 8))], 4)
+            job = pool.submit(forward_chunks, [params], [RNG.normal(size=(4, 1, 8, 8))], 4)
             try:
                 assert inside.wait(timeout=30)
                 out = linear(x, w, b)
@@ -341,11 +363,11 @@ class TestForwardChunks:
         with pytest.raises(NonFiniteError) as serial:
             self._serial(params, images, 4, False)
         threads = threading.active_count()
-        with pytest.raises(NonFiniteError) as pooled:
-            forward_chunks(params, [images], 4)
-        assert str(pooled.value) == str(serial.value)
+        with pytest.raises(NonFiniteError) as chunked:
+            forward_chunks([params], [images], 4)
+        assert str(chunked.value) == str(serial.value)
         assert threading.active_count() == threads
-        forward_chunks(params, [images[:4], images[8:]], 4)
+        forward_chunks([params] * 2, [images[:4], images[8:]], 4)
         assert threading.active_count() == threads
 
     def test_error_in_a_middle_masked_chunk_is_the_serial_error(self):
@@ -357,9 +379,9 @@ class TestForwardChunks:
         with pytest.raises(NonFiniteError) as serial:
             self._serial(params, self._masked_whole(masked), 4, False)
         threads = threading.active_count()
-        with pytest.raises(NonFiniteError) as pooled:
-            forward_chunks(params, [masked], 4)
-        assert str(pooled.value) == str(serial.value)
+        with pytest.raises(NonFiniteError) as chunked:
+            forward_chunks([params], [masked], 4)
+        assert str(chunked.value) == str(serial.value)
         assert threading.active_count() == threads
 
     @pytest.mark.parametrize("masked", [False, True])
@@ -370,7 +392,188 @@ class TestForwardChunks:
         calls = []
         monkeypatch.setattr("lethevit.masking.forward", lambda *args: calls.append(args))
         with pytest.raises(DimensionError, match="set 1 of 2 has no images"):
-            forward_chunks(params, [images, empty], 4, capture_attention=True)
+            forward_chunks([params] * 2, [images, empty], 4, capture_attention=True)
         assert calls == []
         with pytest.raises(DimensionError):  # the error `forward` of zero rows raises
             forward(params, images[:0])
+
+
+class TestForwardHelper:
+    """`forward_chunks` on its fork path: a helper forked for the call
+    computes the jobs that keep the two processes' rows even, and this
+    process the others, taking results in job order. Each set here is 24
+    rows at chunk 4, six jobs of equal rows, so the helper computes jobs
+    1, 3 and 5; pixel (0, 0, 0) of row i holds i, so a logged forward
+    names its job."""
+
+    ROWS = 24
+
+    @staticmethod
+    def _sets(count):
+        sets = []
+        for _ in range(count):
+            images = RNG.normal(size=(TestForwardHelper.ROWS, 1, 8, 8))
+            images[:, 0, 0, 0] = np.arange(TestForwardHelper.ROWS)
+            sets.append(images)
+        return sets
+
+    @staticmethod
+    def _logged(monkeypatch, fail=None, block_at=None):
+        """Route `masking.forward` through a wrapper that logs (where, job)
+        of each call to a `CallLog` (see `process_of`); job k raises
+        `fail[k]` in either process, and job `block_at` sleeps for a
+        minute in the helper. Jobs are numbered within the first set."""
+        calls = CallLog()
+        me = os.getpid()
+        real = masking.forward
+
+        def logged(params, images, capture_attention=False):
+            where, job = process_of(me), int(images[0, 0, 0, 0]) // 4
+            calls.append((where, job))
+            if fail and job in fail:
+                raise fail[job]
+            if job == block_at and where == "helper":
+                time.sleep(60)
+            return real(params, images, capture_attention)
+
+        monkeypatch.setattr(masking, "forward", logged)
+        return calls
+
+    @staticmethod
+    def _bytes(result):
+        return [[a.tobytes() for a in arrays] for arrays in result]
+
+    @pytest.mark.parametrize("capture", [False, True, [True, False, True, False]],
+                             ids=["plain", "capture", "capture-per-set"])
+    def test_fork_path_gives_the_inline_paths_bytes(self, monkeypatch, capture):
+        """Two models, plain and masked sets of both mask types: the same
+        bytes on both paths, one helper forked for the call, and every
+        second forward run in it."""
+        models = [init_params(TINY, seed=seed) for seed in (8, 9)]
+        plain = self._sets(2)
+        sets = [plain[0], TestForwardChunks._masked(plain[1], MaskType.GAUSSIAN),
+                plain[1], TestForwardChunks._masked(plain[0], MaskType.ZERO)]
+        args = ([models[0], models[0], models[1], models[1]], sets, 4, capture)
+        pids = forks(monkeypatch)
+        calls = CallLog()
+        me = os.getpid()
+        real = masking.forward
+
+        def logged(params, images, capture_attention=False):
+            calls.append(process_of(me))
+            return real(params, images, capture_attention)
+
+        monkeypatch.setattr(masking, "forward", logged)
+        forked = forward_chunks(*args)
+        assert len(pids) == 1
+        assert sorted(calls) == ["helper"] * 12 + ["here"] * 12  # 4 sets of 6 jobs
+        with on_path("inline"):
+            inline = forward_chunks(*args)
+        assert len(pids) == 1
+        assert self._bytes(forked) == self._bytes(inline)
+
+    def test_jobs_split_by_rows(self, monkeypatch):
+        """Sets of 6 and 8 rows at chunk 4 give jobs of 4, 2, 4 and 4
+        rows. Each goes to the process with fewer rows so far, this one
+        on a tie: jobs 0 and 3 here, 1 and 2 in the helper."""
+        params = init_params(TINY, seed=8)
+        sets = [RNG.normal(size=(n, 1, 8, 8)) for n in (6, 8)]
+        for index, images in enumerate(sets):
+            images[:, 0, 0, 0] = 100 * index + np.arange(len(images))
+        forks(monkeypatch)
+        calls = CallLog()
+        me = os.getpid()
+        real = masking.forward
+
+        def logged(params, images, capture_attention=False):
+            calls.append((process_of(me), int(images[0, 0, 0, 0])))
+            return real(params, images, capture_attention)
+
+        monkeypatch.setattr(masking, "forward", logged)
+        got = forward_chunks([params] * 2, sets, 4)
+        assert sorted(calls) == [("helper", 4), ("helper", 100), ("here", 0), ("here", 104)]
+        assert self._bytes(got) == self._bytes(
+            [[np.concatenate([forward(params, images[:4]).logits.values,
+                              forward(params, images[4:]).logits.values])] for images in sets])
+
+    def test_one_job_forks_nothing(self, monkeypatch):
+        pids = forks(monkeypatch)
+        params = init_params(TINY, seed=8)
+        [[logits]] = forward_chunks([params], [RNG.normal(size=(4, 1, 8, 8))], 4)
+        assert logits.shape == (4, TINY.num_classes)
+        assert pids == []
+
+    def test_killed_helper_gives_every_result(self, monkeypatch):
+        """The helper blocks in job 3, after sending job 1, and is killed
+        from outside while this process runs job 2: jobs 3-5 run here."""
+        params = init_params(TINY, seed=8)
+        [images] = self._sets(1)
+        with on_path("inline"):
+            want = forward_chunks([params], [images], 4, capture_attention=True)
+        pids = forks(monkeypatch)
+        calls = self._logged(monkeypatch, block_at=3)
+        real = masking.forward
+
+        def killing(params, images, capture_attention=False):
+            if int(images[0, 0, 0, 0]) // 4 == 2 and process_of(me) == "here":
+                wait_until(lambda: ("helper", 3) in calls)
+                os.kill(pids[0], signal.SIGKILL)
+            return real(params, images, capture_attention)
+
+        me = os.getpid()
+        monkeypatch.setattr(masking, "forward", killing)
+        got = forward_chunks([params], [images], 4, capture_attention=True)
+        assert self._bytes(got) == self._bytes(want)
+        assert [job for where, job in calls if where == "helper"] == [1, 3]
+        assert [job for where, job in calls if where == "here"] == [0, 2, 3, 4, 5]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("failing", [(3, 4), (1, 2)], ids=["jobs-3-4", "jobs-1-2"])
+    def test_chunk_error_is_raised_as_itself_at_the_first_failing_job(self, monkeypatch,
+                                                                      failing):
+        """Jobs `failing` raise, in either process. The first of them is
+        the helper's (odd), so the helper sends nothing from it on, and
+        this process, which reads results in job order, recomputes it and
+        raises its error as itself; the later failing job, this
+        process's own, never runs."""
+        params = init_params(TINY, seed=8)
+        errors = {job: KeyError(f"job {job}") for job in failing}
+        pids = forks(monkeypatch)
+        calls = self._logged(monkeypatch, fail=errors)
+        with pytest.raises(KeyError) as exc:
+            forward_chunks([params], self._sets(1), 4)
+        first = min(failing)
+        assert exc.value is errors[first]
+        assert len(pids) == 1
+        assert [job for where, job in calls if where == "here"] == list(range(0, first, 2)) + [
+            first]
+        assert [job for where, job in calls if where == "helper"] == list(range(1, first + 1, 2))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_job_failing_only_in_the_helper_gives_every_result(self, monkeypatch):
+        """Job 3 raises in the helper only: the helper sends job 1 and
+        nothing after, and this process computes jobs 3-5, with the inline
+        path's bytes."""
+        params = init_params(TINY, seed=8)
+        [images] = self._sets(1)
+        with on_path("inline"):
+            want = forward_chunks([params], [images], 4)
+        forks(monkeypatch)
+        me = os.getpid()
+        calls = CallLog()
+        real = masking.forward
+
+        def helper_fails(params, images, capture_attention=False):
+            where, job = process_of(me), int(images[0, 0, 0, 0]) // 4
+            calls.append((where, job))
+            if (where, job) == ("helper", 3):
+                raise KeyError("helper only")
+            return real(params, images, capture_attention)
+
+        monkeypatch.setattr(masking, "forward", helper_fails)
+        got = forward_chunks([params], [images], 4)
+        assert self._bytes(got) == self._bytes(want)
+        assert [job for where, job in calls if where == "helper"] == [1, 3]
+        assert [job for where, job in calls if where == "here"] == [0, 2, 3, 4, 5]

@@ -1,7 +1,6 @@
 """Unlearning tests: contrastive loss analytics, pipeline contracts,
 the one-step finite-difference oracle, and baseline behaviors."""
 
-import contextlib
 import dataclasses
 import os
 import re
@@ -38,7 +37,7 @@ from lethevit.tensor import (
     scale,
     softplus,
 )
-from lethevit import unlearning
+from lethevit import masking, unlearning
 from lethevit.unlearning import (
     TrainConfig,
     UnlearnConfig,
@@ -56,9 +55,13 @@ from lethevit.vit import ViTConfig, forward, init_params, params_checksum
 from helpers import (
     CallLog,
     count_forwards,
+    forks,
     in_set_order,
+    on_path,
+    process_of,
     reference_from_original,
     reference_train_model,
+    wait_until,
     with_entry,
 )
 
@@ -299,52 +302,6 @@ def _assert_params_identical(got, want):
         assert got[name].values.tobytes() == want[name].values.tobytes(), name
 
 
-def _forks(monkeypatch):
-    """Route `os.fork` through a wrapper; returns the list that receives
-    the pid of each child forked."""
-    pids = []
-    real = os.fork
-
-    def fork():
-        pid = real()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
-
-
-@contextlib.contextmanager
-def _on_path(path):
-    """Run the block on `_run_ahead`'s "fork" path or its "inline" one,
-    which a second thread, alive for the block, selects."""
-    if path == "fork":
-        yield
-        return
-    release = threading.Event()
-    waiter = threading.Thread(target=release.wait, args=(60,))
-    waiter.start()
-    try:
-        yield
-    finally:
-        release.set()
-        waiter.join(60)
-    assert not waiter.is_alive()
-
-
-def _wait_until(condition, seconds=30):
-    deadline = time.monotonic() + seconds
-    while not condition():
-        assert time.monotonic() < deadline, "timed out"
-        time.sleep(0.005)
-
-
-def _where(me):
-    """Where a job runs: "here", in process `me`, or in the "helper"."""
-    return "here" if os.getpid() == me else "helper"
-
-
 class TestRunAhead:
     """`_run_ahead` on a toy job, `np.full((2, 3), k)`: the helper sends
     only results, and from the first step whose record it did not send
@@ -355,13 +312,13 @@ class TestRunAhead:
     @staticmethod
     def _job(fail_at=None, error=None, helper_only=False, block_at=None):
         """The toy job and the `CallLog` of (where, k) of its calls (see
-        `_where`). Job `fail_at` raises `error`, in the helper only given
+        `process_of`). Job `fail_at` raises `error`, in the helper only given
         `helper_only`; job `block_at` sleeps for a minute in the helper."""
         calls = CallLog()
         me = os.getpid()
 
         def job(k):
-            where = _where(me)
+            where = process_of(me)
             calls.append((where, k))
             if k == fail_at and (where == "helper" or not helper_only):
                 raise error
@@ -377,9 +334,9 @@ class TestRunAhead:
 
     @pytest.mark.parametrize("path", ["fork", "inline"])
     def test_every_value_in_step_order(self, monkeypatch, path):
-        pids = _forks(monkeypatch)
+        pids = forks(monkeypatch)
         job, calls = self._job()
-        with _on_path(path), unlearning._run_ahead(job, self.COUNT) as result:
+        with on_path(path), masking._run_ahead(job, self.COUNT) as result:
             got = [result(k) for k in range(self.COUNT)]
         self._assert_values(got)
         where = "helper" if path == "fork" else "here"
@@ -388,10 +345,10 @@ class TestRunAhead:
 
     @pytest.mark.parametrize("path", ["fork", "inline"])
     def test_job_error_is_raised_as_itself_at_its_step(self, monkeypatch, path):
-        pids = _forks(monkeypatch)
+        pids = forks(monkeypatch)
         error = KeyError("step 2")
         job, calls = self._job(fail_at=2, error=error)
-        with _on_path(path), unlearning._run_ahead(job, self.COUNT) as result:
+        with on_path(path), masking._run_ahead(job, self.COUNT) as result:
             assert [result(k)[0, 0] for k in range(2)] == [0.0, 1.0]
             with pytest.raises(KeyError) as exc:
                 result(2)
@@ -401,9 +358,10 @@ class TestRunAhead:
                                if path == "fork" else [("here", 0), ("here", 1), ("here", 2)])
         assert len(pids) == (path == "fork")
 
-    def test_job_failing_only_in_the_helper_gives_every_value(self):
+    def test_job_failing_only_in_the_helper_gives_every_value(self, monkeypatch):
+        forks(monkeypatch)
         job, calls = self._job(fail_at=2, error=KeyError("helper only"), helper_only=True)
-        with unlearning._run_ahead(job, self.COUNT) as result:
+        with masking._run_ahead(job, self.COUNT) as result:
             got = [result(k) for k in range(self.COUNT)]
         self._assert_values(got)
         assert list(calls) == ([("helper", k) for k in range(3)]
@@ -412,11 +370,11 @@ class TestRunAhead:
     def test_killed_helper_gives_every_value(self, monkeypatch):
         """The helper blocks in job 3, after sending records 0-2, and is
         killed from outside: steps 3-5 run here."""
-        pids = _forks(monkeypatch)
+        pids = forks(monkeypatch)
         job, calls = self._job(block_at=3)
-        with unlearning._run_ahead(job, self.COUNT) as result:
+        with masking._run_ahead(job, self.COUNT) as result:
             got = [result(0), result(1)]
-            _wait_until(lambda: ("helper", 3) in calls)
+            wait_until(lambda: ("helper", 3) in calls)
             os.kill(pids[0], signal.SIGKILL)
             got += [result(k) for k in range(2, self.COUNT)]
         self._assert_values(got)
@@ -451,6 +409,7 @@ def on_step(phase, step, batch):
         os.waitid(os.P_PID, helpers[0], os.WEXITED | os.WNOWAIT)
 
 os.fork = forked
+os.sched_getaffinity = lambda pid: {0, 1}  # a second CPU, so the helper forks
 sys.stdout.write("written before the fork\\n")
 unlearning.unlearn(model, split, unlearning.UnlearnConfig(forget_epochs=5, retain_epochs=0,
                                                           batch_size=4), on_step=on_step)
@@ -495,7 +454,7 @@ class TestTeacherWorker:
     def _slow_teacher(self, monkeypatch, split, fail_at=None, error=None, helper_only=False,
                       block_at=None):
         """Route `unlearn`'s teacher through positives that log (where,
-        step) of each job (see `_where`), take at least 10 ms, raise
+        step) of each job (see `process_of`), take at least 10 ms, raise
         `error` (by default a `NonFiniteError`) at step `fail_at`, in the
         helper only given `helper_only`, and sleep for a minute at step
         `block_at` in the helper. A job knows its step by its mask seed,
@@ -512,7 +471,7 @@ class TestTeacherWorker:
             positives, negatives = real(*args)
 
             def slow(batch, mask_seed):
-                where, step = _where(me), step_of[mask_seed]
+                where, step = process_of(me), step_of[mask_seed]
                 jobs.append((where, step))
                 time.sleep(0.01)
                 if step == fail_at and (where == "helper" or not helper_only):
@@ -528,7 +487,7 @@ class TestTeacherWorker:
 
     def test_teacher_error_is_a_divergence_at_its_step(self, tiny_world, monkeypatch):
         train, test, split, config, theta_o = tiny_world
-        pids = _forks(monkeypatch)
+        pids = forks(monkeypatch)
         jobs = self._slow_teacher(monkeypatch, split, fail_at=2)
         threads = threading.active_count()
         with pytest.raises(DivergenceError) as exc:
@@ -546,10 +505,10 @@ class TestTeacherWorker:
         """A `FormatError` at step 1 is that `FormatError`, offset and
         all, raised in this process, on both paths."""
         train, test, split, config, theta_o = tiny_world
-        pids = _forks(monkeypatch)
+        pids = forks(monkeypatch)
         error = FormatError("bad record", 12)
         jobs = self._slow_teacher(monkeypatch, split, fail_at=1, error=error)
-        with _on_path(path), pytest.raises(FormatError) as exc:
+        with on_path(path), pytest.raises(FormatError) as exc:
             unlearn(theta_o, split, self.CFG)
         assert exc.value is error
         assert exc.value.offset == 12
@@ -561,7 +520,7 @@ class TestTeacherWorker:
 
     def test_on_step_error_propagates_unchanged(self, tiny_world, monkeypatch):
         train, test, split, config, theta_o = tiny_world
-        pids = _forks(monkeypatch)
+        pids = forks(monkeypatch)
         jobs = self._slow_teacher(monkeypatch, split)
         stop = KeyError("stop")
 
@@ -579,7 +538,7 @@ class TestTeacherWorker:
 
     def test_keyboard_interrupt_in_phase1_leaves_no_child(self, tiny_world, monkeypatch):
         train, test, split, config, theta_o = tiny_world
-        pids = _forks(monkeypatch)
+        pids = forks(monkeypatch)
         jobs = self._slow_teacher(monkeypatch, split)
 
         def on_step(phase, step, batch):
@@ -594,7 +553,7 @@ class TestTeacherWorker:
         assert 2 <= len(jobs) < self._scheduled_steps(split)
 
     def _unlearn_inline(self, theta_o, split, cfg):
-        with _on_path("inline"):
+        with on_path("inline"):
             return unlearn(theta_o, split, cfg)
 
     def test_killed_helper_gives_the_inline_paths_bytes(self, tiny_world, monkeypatch):
@@ -602,7 +561,7 @@ class TestTeacherWorker:
         and is killed from outside: steps 3 onward compute their
         positives here, and the run ends as the inline path does."""
         train, test, split, config, theta_o = tiny_world
-        pids = _forks(monkeypatch)
+        pids = forks(monkeypatch)
         jobs = self._slow_teacher(monkeypatch, split, block_at=3)
         scheduled = self._scheduled_steps(split)
         steps = []
@@ -610,7 +569,7 @@ class TestTeacherWorker:
         def on_step(phase, step, batch):
             steps.append(step)
             if step == 1:
-                _wait_until(lambda: ("helper", 3) in jobs)
+                wait_until(lambda: ("helper", 3) in jobs)
                 os.kill(pids[0], signal.SIGKILL)
 
         got = unlearn(theta_o, split, self.CFG, on_step=on_step)
@@ -625,6 +584,7 @@ class TestTeacherWorker:
     def test_teacher_failing_only_in_the_helper_gives_the_inline_paths_bytes(self, tiny_world,
                                                                             monkeypatch):
         train, test, split, config, theta_o = tiny_world
+        forks(monkeypatch)
         jobs = self._slow_teacher(monkeypatch, split, fail_at=2, helper_only=True)
         got = unlearn(theta_o, split, self.CFG)
         scheduled = self._scheduled_steps(split)
@@ -638,7 +598,7 @@ class TestTeacherWorker:
         the same parameter bytes."""
         train, test, split, config, theta_o = tiny_world
         cfg = dataclasses.replace(self.CFG, retain_epochs=1, momentum=0.9, weight_decay=0.001)
-        pids = _forks(monkeypatch)
+        pids = forks(monkeypatch)
         forked = unlearn(theta_o, split, cfg)
         assert len(pids) == 2  # the teacher, pids[0], then the retain phase's gradient helper
         inline = self._unlearn_inline(theta_o, split, cfg)
@@ -687,7 +647,7 @@ class TestGradientHelper:
 
     def _logged_forwards(self, monkeypatch, block_at=None, fail_on=None):
         """Route the tracked forwards through a wrapper that logs (where,
-        rows) of each (see `_where`); the helper's k-th is the second
+        rows) of each (see `process_of`); the helper's k-th is the second
         half of step k (of a step that has one). The helper sleeps for a
         minute in its `block_at`-th, before sending that half. A forward
         of the images `fail_on` raises a `NonFiniteError` in either
@@ -697,7 +657,7 @@ class TestGradientHelper:
         real = unlearning.forward
 
         def logged(params, images, capture_attention=False):
-            where = _where(me)
+            where = process_of(me)
             calls.append((where, len(images)))
             if where == "helper" and sum(w == "helper" for w, _ in calls) - 1 == block_at:
                 time.sleep(60)
@@ -713,10 +673,10 @@ class TestGradientHelper:
     def test_fork_path_gives_the_inline_paths_bytes(self, tiny_world, monkeypatch, method):
         """With a second thread alive the phase does not fork; it computes
         both halves of each step here, with the same parameter bytes."""
-        pids = _forks(monkeypatch)
+        pids = forks(monkeypatch)
         forked = self._run(tiny_world, method)
         assert len(pids) == 1
-        with _on_path("inline"):
+        with on_path("inline"):
             inline = self._run(tiny_world, method)
         assert len(pids) == 1
         _assert_params_identical(inline, forked)
@@ -727,14 +687,14 @@ class TestGradientHelper:
         process computes both halves, every step runs, and the run ends
         as the inline path does."""
         train = tiny_world[0]
-        pids = _forks(monkeypatch)
+        pids = forks(monkeypatch)
         calls = self._logged_forwards(monkeypatch, block_at=2)
         steps = []
 
         def on_step(phase, step, batch):
             steps.append(step)
             if step == 1:
-                _wait_until(lambda: sum(where == "helper" for where, _ in calls) == 3)
+                wait_until(lambda: sum(where == "helper" for where, _ in calls) == 3)
                 os.kill(pids[0], signal.SIGKILL)
 
         got = train_model(train, self.CFG, on_step=on_step)
@@ -747,7 +707,7 @@ class TestGradientHelper:
         # the first halves of steps 0 and 1, then both halves of steps 2-6
         # and 8-14, and the one row of steps 7 and 15
         assert here == [3, 3] + [3, 2] * 5 + [1] + [3, 2] * 7 + [1]
-        with _on_path("inline"):
+        with on_path("inline"):
             _assert_params_identical(got, train_model(train, self.CFG))
         assert len(pids) == 1
 
@@ -762,7 +722,7 @@ class TestGradientHelper:
         batches = unlearning._batches(np.arange(len(train)), 1, config.batch_size,
                                       np.random.Generator(np.random.PCG64(config.seed)),
                                       "train")
-        pids = _forks(monkeypatch)
+        pids = forks(monkeypatch)
         calls = self._logged_forwards(
             monkeypatch, fail_on=train.images[unlearning._halves(batches[2][1])[1]])
         with pytest.raises(DivergenceError) as exc:
@@ -778,7 +738,7 @@ class TestGradientHelper:
     @pytest.mark.parametrize("error", [KeyError("stop"), KeyboardInterrupt()],
                              ids=["on_step-error", "KeyboardInterrupt"])
     def test_stopping_mid_phase_leaves_no_child(self, tiny_world, monkeypatch, error):
-        pids = _forks(monkeypatch)
+        pids = forks(monkeypatch)
 
         def on_step(phase, step, batch):
             if step == 1:
@@ -801,7 +761,7 @@ class TestGradientHelper:
     def test_no_helper_without_a_second_half(self, tiny_world, monkeypatch, run):
         """A phase with no step, or whose every step has one row, forks
         nothing."""
-        pids = _forks(monkeypatch)
+        pids = forks(monkeypatch)
         run(tiny_world)
         assert pids == []
 
@@ -822,6 +782,37 @@ class TestGradientHelper:
         backward(loss, tape)
         want = np.concatenate([t.grad.ravel() for _, t in whole.items()])
         assert np.abs(theta.grad - want).max() <= 1e-13 * np.abs(want).max()
+
+
+class TestOneCPU:
+    """On one CPU no helper forks: `unlearn`, training and the chunked
+    forwards run every job here, with the bytes of the fork path."""
+
+    def test_nothing_forks_and_the_bytes_hold(self, tiny_world, monkeypatch):
+        train, _, split, _, theta_o = tiny_world
+        unlearn_cfg = UnlearnConfig(forget_epochs=2, retain_epochs=1, learning_rate=0.05,
+                                    batch_size=4, mask_spec=MaskSpec(0.25, MaskType.GAUSSIAN),
+                                    seed=3)
+        train_cfg = TrainConfig(model=TINY, epochs=1, learning_rate=0.05, batch_size=5, seed=3)
+        images = train.images[:12]
+        sets = [images, masking.MaskedSet(images, RNG.random((12, 4)), MaskSpec(0.5), 4)]
+
+        def run():
+            return (unlearn(theta_o, split, unlearn_cfg), train_model(train, train_cfg),
+                    masking.forward_chunks([theta_o] * 2, sets, 4, capture_attention=True))
+
+        pids = forks(monkeypatch)
+        forked = run()
+        # the teacher and the retain phase's gradient helper, training's, the forwards'
+        assert len(pids) == 4
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert masking.pool_size() == 1
+        alone = run()
+        assert len(pids) == 4
+        for a, b in zip(forked[:2], alone[:2]):
+            _assert_params_identical(a, b)
+        assert [[x.tobytes() for x in arrays] for arrays in forked[2]] == [
+            [x.tobytes() for x in arrays] for arrays in alone[2]]
 
 
 class TestOnePhaseLoop:
