@@ -7,18 +7,13 @@ zeros or Gaussian noise. `apply_mask`, `mask_from_scores` and
 `build_masked_view` return the masked [B, C, S, S] array; the masked
 indices are the caller's, or `select_top_k(scores, ratio)`.
 
-`forward_chunks` runs evaluation's untracked, chunked forwards, one
-model per set, with each chunk's serial arithmetic and the results in
-chunk order: the same bytes. On Linux with a second CPU a forked helper
-process (`_run_ahead`) computes chunks holding about half of the rows
-while this process computes the others; the two share no interpreter
-lock. The forwards run on gradient-free copies of the models
-(`ViTParams.frozen()`), so they never record, even beside an open tape. A set may be a `MaskedSet`,
-which each chunk masks just before its forward, so a masked set never
-exists whole and its masking runs in both processes.
+`forward_chunks` runs evaluation's untracked, chunked forwards with the
+serial loop's bytes; on Linux with a second CPU a forked helper process
+(`_run_ahead`) computes chunks holding about half of the rows. A set may
+be a `MaskedSet`, which each chunk masks just before its forward.
 
 `_helper` is the package's one way to use the second core: it forks the
-teacher and gradient helpers of `unlearning` and the helper of
+gradient helper of every SGD phase of `unlearning` and the helper of
 `forward_chunks`. No code in the package starts a thread.
 """
 
@@ -90,44 +85,63 @@ def _helper(work: Callable[[BinaryIO, BinaryIO], None]
     block runs and yields this process's ends of the two pipes between
     them, `(source, sink)`: `source` reads what the helper writes to its
     `sink`, and the helper's `source` reads what this `sink` writes.
-    Yields None where it does not fork.
+    Yields None where it does not fork, or where a pipe or the fork
+    fails (`OSError`), having closed whatever it opened.
 
-    It forks only on Linux, in a process with no other thread, given at
-    least two CPUs (`pool_size()`): `fork` copies only the calling
-    thread; Windows has no `fork`, and on macOS forked children of
+    It forks only on Linux, from the main thread with no other thread
+    alive, given at least two CPUs (`pool_size()`): `fork` copies only
+    the calling thread, and only the main thread may swap the SIGINT
+    handler, one set from Python; Windows has no `fork`, and on macOS forked children of
     system frameworks crash; on one CPU a helper would only time-share
     the core, at the cost of the fork and of the copy-on-write faults
-    the parent takes afterwards. The helper ignores SIGINT (the caller
-    decides when it stops) and ends in `os._exit` however `work` ends,
-    EPIPE or EOF once the caller is gone included: it never returns into
-    the caller and never flushes the stdio it inherited. However the
-    block ends, the pipes close and the helper is killed if still
-    running and reaped, so no process outlives it."""
-    if sys.platform != "linux" or threading.active_count() != 1 or pool_size() < 2:
+    the parent takes afterwards. An at-fork hook would swallow the
+    `KeyboardInterrupt` of a SIGINT handled in it, so one that comes
+    while it forks is noted, and raised once the block is set up. The
+    helper ignores SIGINT (the caller decides when it stops) and ends in
+    `os._exit` however `work` ends, EPIPE or EOF once the caller is gone
+    included: it never returns into the caller and never flushes the
+    stdio it inherited. However the block ends, the pipes close and the
+    helper is killed if still running and reaped, so no process
+    outlives it."""
+    if (sys.platform != "linux" or threading.enumerate() != [threading.main_thread()]
+            or pool_size() < 2 or signal.getsignal(signal.SIGINT) is None):
         yield None
         return
-    up, down = os.pipe(), os.pipe()  # (read end, write end): helper -> caller, caller -> helper
-    pid = os.fork()
+    pid, fds, interrupted = None, [], []
+    handler = signal.signal(signal.SIGINT, lambda *_: interrupted.append(True))
+    try:  # two pipes, (read end, write end): helper -> caller, then caller -> helper
+        fds += os.pipe()
+        fds += os.pipe()
+        pid = os.fork()
+    except OSError:  # EMFILE, or EAGAIN at the process limit: the caller runs the work
+        for fd in fds:
+            os.close(fd)
     if pid == 0:
         try:
-            os.close(up[0])
-            os.close(down[1])
             signal.signal(signal.SIGINT, signal.SIG_IGN)
-            work(os.fdopen(down[0], "rb"), os.fdopen(up[1], "wb"))
+            os.close(fds[0])
+            os.close(fds[3])
+            work(os.fdopen(fds[2], "rb"), os.fdopen(fds[1], "wb"))
         finally:
             os._exit(0)
-    os.close(up[1])
-    os.close(down[0])
-    source, sink = os.fdopen(up[0], "rb"), os.fdopen(down[1], "wb")
+    pipes = None
+    if pid:
+        os.close(fds[1])
+        os.close(fds[2])
+        pipes = os.fdopen(fds[0], "rb"), os.fdopen(fds[3], "wb")
     try:
-        yield source, sink
+        signal.signal(signal.SIGINT, handler)
+        if interrupted:
+            signal.raise_signal(signal.SIGINT)
+        yield pipes
     finally:
-        source.close()
-        with contextlib.suppress(BrokenPipeError):  # the last write to a dead helper
-            sink.close()
-        if os.waitpid(pid, os.WNOHANG) == (0, 0):
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        if pipes:
+            pipes[0].close()
+            with contextlib.suppress(BrokenPipeError):  # the last write to a dead helper
+                pipes[1].close()
+            if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 # a `_run_ahead` record: (rows, columns) and then that float64 array

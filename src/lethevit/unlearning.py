@@ -12,14 +12,8 @@ and each step is one update of the model's parameter vector (`ViTParams`).
   and away from its logits for the unmasked ones (negative). The
   unmasked logits and the attention depend on the image alone, so
   `frozen_teacher` computes them once per forget image, in one capture
-  pass before the first step. The masked forward of the original (the
-  positives) depends on the batch, the mask seed and the frozen weights
-  only, so on Linux with a second CPU a forked helper process computes
-  every step's while this process runs the tracked forwards of the model
-  being unlearned (`masking._run_ahead`); a thread would share the
-  interpreter lock with them.
-  The helper sends results only: a step it did not deliver, because its
-  job raised or the helper died, computes its positives here.
+  pass before the first step; each step runs the masked forward of the
+  original (the positives) beside the tracked forward.
 
   retain: ordinary cross-entropy training on the retain set.
 
@@ -29,33 +23,23 @@ fine-tuning on the retain set, gradient ascent on the forget set (its
 loss negated), and training with randomized forget labels. Every entry
 point takes `on_step(phase, step, batch)`, called after each SGD step.
 
-Every cross-entropy step (training and every phase but forget) splits
-its batch of n rows into two fixed halves, the first (n + 1) // 2 rows
-and the rest, each half's loss scaled by its share of the rows, and
-descends first + second (`_data_parallel`, the gradient all-reduce of
-data-parallel SGD). On Linux with a second CPU a forked gradient
-helper (`masking._helper`) keeps a replica of the model and computes
-each step's second half while this process computes the first. Per
-step the helper writes its half-gradient, this process reads it after
-its own backward and then writes its own, and both apply the same
-update. A step whose half the helper did not send,
-and every later one, computes both halves here, as every step does
-where the helper cannot fork: the same bytes, at about 8% less
-throughput than an unsplit step on the benchmark's `train` workload.
+Every step of every phase splits its batch into two fixed halves and
+descends the sum of their gradients (data-parallel SGD); on Linux with a
+second CPU a forked helper computes the second (`_sgd_phase`).
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from typing import BinaryIO, Callable, Iterator, Optional
+from typing import BinaryIO, Callable, Optional
 
 import numpy as np
 
 from .data import DataSplit, LabeledDataset
 from .errors import (ConfigError, ContractError, DivergenceError, NonFiniteError,
                      require_finite, require_nonnegative)
-from .masking import MaskSpec, _helper, _run_ahead, class_token_attention, mask_from_scores
+from .masking import MaskSpec, _helper, class_token_attention, mask_from_scores
 from .masking import build_masked_view  # noqa: F401  unused; perfbench/layertrace.py wraps it
 from .tensor import (
     Tape,
@@ -123,12 +107,13 @@ def frozen_teacher(original: ViTParams, images: np.ndarray, indices: np.ndarray,
     patches depend on the image alone, so one capture pass of at most
     `chunk` rows per forward computes them once, in this process;
     `negatives(batch)` gathers their rows. `positives(batch, mask_seed)`
-    masks `images[batch]` by those scores and runs the one forward that
-    gives the positive logits, as an array. `unlearn` passes
-    `batch_size` as `chunk`, not evaluation's 64: at 64 rows the
-    `forget` benchmark's peak RSS rose by about 3 MB at the same speed.
-    The pass forks no helper of its own: at 32-row chunks a helper
-    forked for it cost more than the second core gave back.
+    masks `images[batch]` by those scores, row i seeded `mask_seed + i`,
+    and runs the one forward that gives the positive logits, as an
+    array. `unlearn` passes `batch_size` as `chunk`, not evaluation's
+    64: at 64 rows the `forget` benchmark's peak RSS rose by about 3 MB
+    at the same speed. The pass forks no helper of its own: at 32-row
+    chunks a helper forked for it cost more than the second core gave
+    back; the phase's helper, forked after it, inherits the cache.
 
     The teacher runs on `original.frozen()`. An op records only when an
     input requires a gradient, so `positives` never touches a tape, not
@@ -193,7 +178,6 @@ def _sgd_step(params: ViTParams, velocity: Optional[np.ndarray], learning_rate: 
 
 
 StepSink = Callable[[str, int, np.ndarray], None]  # (phase, step, batch)
-Gradient = Callable[[np.ndarray, int], None]  # (batch, step): fills the model's `grad`
 
 
 def _batches(indices: np.ndarray, epochs: int, batch_size: int, rng: np.random.Generator,
@@ -211,49 +195,26 @@ def _batches(indices: np.ndarray, epochs: int, batch_size: int, rng: np.random.G
     return batches
 
 
-def _sgd_phase(
-    params: ViTParams,
-    batches: list[tuple[int, np.ndarray]],
-    config: TrainConfig | UnlearnConfig,
-    phase: str,
-    gradient: Gradient,
-    *,
-    on_step: Optional[StepSink] = None,
-) -> None:
-    """The one SGD loop, mutating `params`: one descent step per batch of
-    `batches` (see `_batches`) along the gradient `gradient(batch, step)`
-    leaves in `params.grad`, weight decay included. Step count and
-    momentum restart per phase; `on_step(phase, step, batch)` runs after
-    each step. A non-finite gradient or update is a `DivergenceError`."""
-    params.attach_gradient()
-    velocity = None
-    for step, (_, batch) in enumerate(batches):
-        try:
-            gradient(batch, step)
-            velocity = _sgd_step(params, velocity, config.learning_rate, config.momentum,
-                                 config.weight_decay)
-        except NonFiniteError as exc:
-            raise DivergenceError(phase, step, str(exc)) from exc
-        if on_step is not None:
-            on_step(phase, step, batch)
-
-
 def _halves(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A cross-entropy step's two fixed halves: the first (n + 1) // 2
-    rows of its n, and the rest (empty for one row)."""
+    """A step's two fixed halves: the first (n + 1) // 2 rows of its n,
+    and the rest (empty for one row)."""
     middle = (len(batch) + 1) // 2
     return batch[:middle], batch[middle:]
 
 
-@contextlib.contextmanager
-def _data_parallel(params: ViTParams, batches: list[tuple[int, np.ndarray]],
-                   config: TrainConfig | UnlearnConfig,
-                   half: Callable[[np.ndarray, int], None]) -> Iterator[Gradient]:
-    """Yields the `Gradient` of a cross-entropy phase over `batches`:
-    a batch's gradient is that of its first half (`_halves`) plus, if it
-    has a second, that of its second, in that order; `half(rows, n)`
-    leaves in `params.grad` the gradient of `rows`, n rows' share of the
-    batch. So the split is part of the arithmetic, not of the host.
+def _sgd_phase(params: ViTParams, batches: list[tuple[int, np.ndarray]],
+               config: TrainConfig | UnlearnConfig, phase: str,
+               half: Callable[[int, np.ndarray, int, int], None], *,
+               on_step: Optional[StepSink] = None) -> None:
+    """The one SGD loop, mutating `params`: one descent step per batch of
+    `batches` (see `_batches`). A batch's gradient is that of its first
+    half (`_halves`) plus, if it has a second, that of its second, in
+    that order: `half(step, rows, n, offset)` leaves in `params.grad` the
+    gradient of `rows`, the part of step `step`'s n-row batch that starts
+    at row `offset`. So the split is part of the arithmetic, not of the
+    host. Step count and momentum restart per phase; `on_step(phase,
+    step, batch)` runs after each step. A non-finite gradient or update
+    is a `DivergenceError`.
 
     Where `_helper` can fork and some batch has two rows, the helper
     keeps a replica of `params` and computes each step's second half
@@ -261,17 +222,18 @@ def _data_parallel(params: ViTParams, batches: list[tuple[int, np.ndarray]],
     its half-gradient, this process reads it after its own backward and
     then writes its own, which the helper reads: if both wrote first, a
     gradient larger than the 64 KB pipe buffer (149 KB at the benchmark's
-    shapes) would block both writes. Both add the halves and apply the same `_sgd_step`, so the
-    replicas keep the same bytes and only gradients cross the pipes.
-    The helper sends results only: from the first step whose half it
-    did not send (it raised, or died) on, and wherever it cannot fork,
-    this process computes both halves, with the same bytes."""
+    shapes) would block both writes. Both add the halves and apply the
+    same `_sgd_step`, so the replicas keep the same bytes and only
+    gradients cross the pipes. The helper sends results only: from the
+    first step whose half it did not send (it raised, or died) on, and
+    wherever it cannot fork, this process computes both halves, with the
+    same bytes."""
     def work(source: BinaryIO, sink: BinaryIO) -> None:  # the helper's phase, on its replica
         velocity, theirs = None, np.empty_like(params.grad)
-        for _, batch in batches:
-            second = _halves(batch)[1]
+        for step, (_, batch) in enumerate(batches):
+            first, second = _halves(batch)
             if len(second):
-                half(second, len(batch))
+                half(step, second, len(batch), len(first))
                 sink.write(params.grad)
                 sink.flush()
             if source.readinto(theirs) != theirs.nbytes:
@@ -287,28 +249,30 @@ def _data_parallel(params: ViTParams, batches: list[tuple[int, np.ndarray]],
     pairs = any(len(batch) > 1 for _, batch in batches)
     with _helper(work) if pairs else contextlib.nullcontext() as pipes:
         source, sink = pipes or (None, None)
-        theirs = np.empty_like(params.grad)
-        streaming = pipes is not None
-
-        def gradient(batch: np.ndarray, step: int) -> None:
-            nonlocal streaming
+        theirs, streaming, velocity = np.empty_like(params.grad), pipes is not None, None
+        for step, (_, batch) in enumerate(batches):
             first, second = _halves(batch)
-            half(first, len(batch))
-            if streaming and len(second):
-                # once the stream has ended, this step and every later one run here
-                streaming = source.readinto(theirs) == theirs.nbytes
-            if streaming:
-                with contextlib.suppress(BrokenPipeError):  # a helper gone after its half
-                    sink.write(params.grad)
-                    sink.flush()
-                if len(second):
-                    params.grad += theirs
-            elif len(second):
-                mine = params.grad.copy()
-                half(second, len(batch))
-                params.grad += mine
-
-        yield gradient
+            try:
+                half(step, first, len(batch), 0)
+                if streaming and len(second):
+                    # once the stream has ended, this step and every later one run here
+                    streaming = source.readinto(theirs) == theirs.nbytes
+                if streaming:
+                    with contextlib.suppress(BrokenPipeError):  # a helper gone after its half
+                        sink.write(params.grad)
+                        sink.flush()
+                    if len(second):
+                        params.grad += theirs
+                elif len(second):
+                    mine = params.grad.copy()
+                    half(step, second, len(batch), len(first))
+                    params.grad += mine
+                velocity = _sgd_step(params, velocity, config.learning_rate, config.momentum,
+                                     config.weight_decay)
+            except NonFiniteError as exc:
+                raise DivergenceError(phase, step, str(exc)) from exc
+            if on_step is not None:
+                on_step(phase, step, batch)
 
 
 def _cross_entropy_phase(params: ViTParams, dataset: LabeledDataset, indices: np.ndarray,
@@ -320,16 +284,14 @@ def _cross_entropy_phase(params: ViTParams, dataset: LabeledDataset, indices: np
     negated loss (gradient ascent). Each half of a batch contributes its
     share of the rows times its own mean cross-entropy, so at an even
     batch every row's upstream gradient is exactly 1 / n."""
-    batches = _batches(indices, epochs, config.batch_size, rng, phase)
-
-    def half(rows: np.ndarray, n: int) -> None:
+    def half(step: int, rows: np.ndarray, n: int, offset: int) -> None:
         with Tape() as tape:
             logits = forward(params, dataset.images[rows]).logits
             loss = scale(cross_entropy(logits, dataset.labels[rows]), sign * len(rows) / n)
         backward(loss, tape)
 
-    with _data_parallel(params, batches, config, half) as gradient:
-        _sgd_phase(params, batches, config, phase, gradient, on_step=on_step)
+    _sgd_phase(params, _batches(indices, epochs, config.batch_size, rng, phase), config, phase,
+               half, on_step=on_step)
 
 
 def _from_scratch(dataset: LabeledDataset, config: TrainConfig, indices: np.ndarray,
@@ -373,32 +335,25 @@ def unlearn(original: ViTParams, split: DataSplit, config: UnlearnConfig, *,
     `forget_epochs` of contrastive SGD over the forget set (`forget`),
     then `retain_epochs` of cross-entropy SGD over the retain set
     (`retain`). One generator, seeded with `config.seed`, orders the
-    batches of both phases; each mask is seeded from (seed, epoch, step).
-    Every forget batch is known before the first step, and a step's
-    positives depend on the guarded `original.frozen()`, its batch and
-    its mask seed alone, so those of every step are computed ahead, in
-    step order, while the steps run (`_run_ahead`).
-    """
+    batches of both phases; each mask is seeded from (seed, epoch, step),
+    and a half from row `offset` on masks with that seed plus `offset`,
+    so every row keeps the noise of masking its whole batch at once."""
     def run(theta: ViTParams, rng: np.random.Generator) -> None:
         forget = _batches(split.forget, config.forget_epochs, config.batch_size, rng, "forget")
         if forget:
             positives, negatives = frozen_teacher(original, split.train.images, split.forget,
                                                   config.mask_spec, config.batch_size)
 
-            def teacher(step: int) -> np.ndarray:
-                epoch, batch = forget[step]
-                return positives(batch, int(np.random.SeedSequence(
-                    (config.seed, epoch, step)).generate_state(1, np.uint64)[0]))
+            def half(step: int, rows: np.ndarray, n: int, offset: int) -> None:
+                mask_seed = np.random.SeedSequence((config.seed, forget[step][0], step))
+                positive = positives(rows, int(mask_seed.generate_state(1, np.uint64)[0]) + offset)
+                with Tape() as tape:
+                    anchor = forward(theta, split.train.images[rows]).logits
+                    loss = scale(contrastive_loss(anchor, Tensor(positive), negatives(rows),
+                                                  config.temperature), len(rows) / n)
+                backward(loss, tape)
 
-            with _run_ahead(teacher, len(forget)) as positive:
-                def gradient(batch: np.ndarray, step: int) -> None:
-                    with Tape() as tape:
-                        anchor = forward(theta, split.train.images[batch]).logits
-                        loss = contrastive_loss(anchor, Tensor(positive(step)),
-                                                negatives(batch), config.temperature)
-                    backward(loss, tape)
-
-                _sgd_phase(theta, forget, config, "forget", gradient, on_step=on_step)
+            _sgd_phase(theta, forget, config, "forget", half, on_step=on_step)
         _cross_entropy_phase(theta, split.train, split.retain, config.retain_epochs, config, rng,
                              "retain", on_step)
 

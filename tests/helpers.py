@@ -4,9 +4,9 @@ softmax and GELU kernels, the fine-grained reference compositions of
 the fused model ops, the `x.var` layer norm, the all-token ViT forward,
 the recompute-everything reference compositions of the evaluation,
 masking sweep and teacher paths, the per-patch masking loop, the
-per-method training loops the one SGD phase loop replaced (each
-cross-entropy step split in two halves), the per-parameter SGD step
-the one vector update replaced, a copy of a model with one parameter
+per-method training loops the one SGD phase loop replaced (each step
+split in two halves), the per-parameter SGD step the one vector update
+replaced, a copy of a model with one parameter
 changed, a call log that forked processes append to, a forward-call
 counter with a sorter for the chunks it logs from either process, and
 the fork counter, path switch and waits of the helper tests."""
@@ -340,26 +340,40 @@ def reference_sgd_step(params, velocity, learning_rate, momentum, weight_decay):
     return params
 
 
-def reference_split_gradient(params, dataset, batch, sign=1.0):
-    """Leave in each parameter's `.grad` the gradient of `batch`'s first
-    (n + 1) // 2 rows plus that of the rest, each half's cross-entropy
-    scaled by `sign` times its share of the batch's n rows: the
-    arithmetic of every cross-entropy step, from two backwards of the
-    per-parameter leaves."""
+def _reference_split(batch):
+    """`batch`'s first (n + 1) // 2 rows and the rest, if any, each as
+    (rows, offset), the half from row `offset` of the batch."""
     middle = (len(batch) + 1) // 2
+    return [(rows, offset) for rows, offset in ((batch[:middle], 0), (batch[middle:], middle))
+            if len(rows)]
+
+
+def _reference_halves(params, batch, half_loss):
+    """Leave in each parameter's `.grad` the gradient of `batch`'s first
+    half plus that of the second (`_reference_split`), from one backward
+    of `half_loss(rows, offset)` per half on the per-parameter leaves."""
     total = {}
-    for rows in (batch[:middle], batch[middle:]):
-        if not len(rows):
-            continue
+    for rows, offset in _reference_split(batch):
         with Tape() as tape:
-            logits = vit.forward(params, dataset.images[rows]).logits
-            loss = T.scale(T.cross_entropy(logits, dataset.labels[rows]),
-                           sign * len(rows) / len(batch))
+            loss = half_loss(rows, offset)
         backward(loss, tape)
         for name, t in params.items():
             total[name] = t.grad.copy() if name not in total else total[name] + t.grad
     for name, t in params.items():
         t.grad = total[name]
+
+
+def reference_split_gradient(params, dataset, batch, sign=1.0):
+    """Leave in each parameter's `.grad` the gradient of `batch` split in
+    two halves (`_reference_halves`), each half's cross-entropy scaled
+    by `sign` times its share of the batch's n rows: the arithmetic of
+    every cross-entropy step."""
+    def half_loss(rows, offset):
+        logits = vit.forward(params, dataset.images[rows]).logits
+        return T.scale(T.cross_entropy(logits, dataset.labels[rows]),
+                       sign * len(rows) / len(batch))
+
+    _reference_halves(params, batch, half_loss)
 
 
 def reference_train_cross_entropy(params, dataset, indices, epochs, config, rng,
@@ -380,23 +394,28 @@ def reference_train_cross_entropy(params, dataset, indices, epochs, config, rng,
 
 def reference_forget_phase(theta, original, split, config, rng):
     """`unlearn`'s hand-written phase-1 loop: the per-step 3-forward
-    teacher outside the tape, the contrastive loss on it. Returns the
-    stepped model."""
+    teacher outside the tape, the contrastive loss on it, each step split
+    in two halves as `reference_split_gradient` splits a cross-entropy
+    step, the half from row `offset` masked with seed `mask_seed +
+    offset`. Returns the stepped model."""
     velocity = {}
     step = 0
     for epoch in range(config.forget_epochs):
         for batch in _reference_batches(split.forget, config.batch_size, rng):
-            images = split.train.images[batch]
             mask_seed = int(
                 np.random.SeedSequence((config.seed, epoch, step)).generate_state(1, np.uint64)[0]
             )
-            positive, negative = reference_teacher_views(original, images, config.mask_spec,
-                                                         mask_seed)
-            with Tape() as tape:
-                anchor = vit.forward(theta, images).logits
-                loss = unlearning.contrastive_loss(anchor, positive, negative,
-                                                   config.temperature)
-            backward(loss, tape)
+            views = {offset: reference_teacher_views(original, split.train.images[rows],
+                                                     config.mask_spec, mask_seed + offset)
+                     for rows, offset in _reference_split(batch)}
+
+            def half_loss(rows, offset):
+                anchor = vit.forward(theta, split.train.images[rows]).logits
+                return T.scale(unlearning.contrastive_loss(anchor, *views[offset],
+                                                           config.temperature),
+                               len(rows) / len(batch))
+
+            _reference_halves(theta, batch, half_loss)
             theta = reference_sgd_step(theta, velocity, config.learning_rate, config.momentum,
                                        config.weight_decay)
             step += 1

@@ -1001,9 +1001,9 @@ class TestOutputsReplaceTarget:
                    "--out", str(tmp_path / "report.csv")) == 0
 
     def test_sigint_during_train_exits_130(self, pipeline, tmp_path):
-        """SIGINT once the train phase, and so its gradient helper, has
-        started: the command kills and reaps the helper, writes nothing
-        and exits 130."""
+        """SIGINT once the train phase has started, while or after its
+        gradient helper forks: the command kills and reaps the helper,
+        writes nothing and exits 130."""
         _, train_path, _, _ = pipeline
         child = start_child("none", 0, "train", "--data", train_path,
                             "--out", str(tmp_path / "m.ltvt"),
@@ -1021,8 +1021,9 @@ class TestOutputsReplaceTarget:
         assert list(tmp_path.iterdir()) == []
 
     def test_sigint_during_lethevit_forget_phase_exits_130(self, pipeline, tmp_path):
-        """SIGINT while the forget phase's teacher process runs: the
-        command kills and reaps it, writes nothing and exits 130."""
+        """SIGINT once the forget phase has started, while or after its
+        gradient helper forks: the command kills and reaps the helper,
+        writes nothing and exits 130."""
         _, train_path, test_path, theta_o = pipeline
         child = start_child("none", 0, "unlearn", "--method", "lethevit", "--data", train_path,
                             "--test", test_path, "--original", theta_o,
@@ -1162,8 +1163,8 @@ class TestFuzzedInputs:
 def test_no_command_starts_a_thread_and_each_forks_its_helpers(tmp_path, monkeypatch):
     """Every command that computes, in-process at tiny shapes, with
     `threading.Thread.start` recording: no thread starts. The second
-    core is used by forked helpers only: one per cross-entropy phase,
-    the teacher, one for all of `evaluate` and two for `sweep-mask`."""
+    core is used by forked helpers only: one per SGD phase, one for all
+    of `evaluate` and two for `sweep-mask`."""
     started = []
     start = threading.Thread.start
 

@@ -2,6 +2,7 @@
 the one-step finite-difference oracle, and baseline behaviors."""
 
 import dataclasses
+import errno
 import os
 import re
 import signal
@@ -214,10 +215,11 @@ class TestUnlearnPipeline:
 
     @pytest.mark.parametrize("mask_type", [MaskType.ZERO, MaskType.GAUSSIAN])
     def test_equals_three_forward_teacher_bit_for_bit(self, tiny_world, mask_type):
-        """With every forget batch a multiple of 16 rows, a cached teacher
-        row equals the row of the per-step 3-forward teacher, so the
-        parameters (with momentum, the teacher in its forked helper) are
-        the same bytes."""
+        """With every half of a forget batch a multiple of 4 rows (batches
+        of 16, halves of 8), a cached teacher row equals the row of the
+        per-step 3-forward teacher on that half, so the parameters (with
+        momentum, each second half in the forked helper) are the same
+        bytes."""
         train, test, split, config, theta_o = tiny_world
         aligned_train = generate_toy_dataset(3, 16, 8, seed=510)
         aligned = split_random_forget(aligned_train, test, 32 / 48, seed=510)
@@ -231,7 +233,8 @@ class TestUnlearnPipeline:
     def test_teacher_scores_each_forget_image_once(self, tiny_world, monkeypatch):
         """Over 3 forget epochs the original's capture forwards cover each
         forget image exactly once, in chunks of at most `batch_size` rows;
-        each step adds one untracked (masked) and one tracked forward."""
+        each half of a step adds one untracked (masked) and one tracked
+        forward of its rows, in whichever process runs it."""
         train, test, split, config, theta_o = tiny_world
         cfg = UnlearnConfig(forget_epochs=3, retain_epochs=0, learning_rate=0.05,
                             batch_size=4, mask_spec=MaskSpec(0.25), seed=2)
@@ -247,17 +250,25 @@ class TestUnlearnPipeline:
         assert sum(rows for rows, capture, tracked in calls
                    if not capture and not tracked) == 3 * n
         assert sum(rows for rows, _, tracked in calls if tracked) == 3 * n
-        steps = 3 * -(-n // cfg.batch_size)
-        assert len(calls) == len(captured) + 2 * steps
+        # per epoch, steps of 4, 4 and 1 rows: halves of 2, 2, 2, 2 and 1 rows
+        assert n == 9
+        assert sorted((rows, tracked) for rows, capture, tracked in calls if not capture) == (
+            [(1, False)] * 3 + [(1, True)] * 3 + [(2, False)] * 12 + [(2, True)] * 12)
+        assert len(calls) == len(captured) + 30
 
     def test_phase1_step_runs_original_twice(self, tiny_world, monkeypatch):
+        """One step over the whole forget set runs the original over its
+        rows twice: once in the capture pass, and once masked, in the
+        step's halves of 5 and 4 rows, each beside its tracked forward."""
         train, test, split, config, theta_o = tiny_world
         cfg = UnlearnConfig(forget_epochs=1, retain_epochs=0, learning_rate=0.05,
                             batch_size=len(split.forget), mask_spec=MaskSpec(0.25), seed=2)
         calls = count_forwards(monkeypatch)
         unlearn(theta_o, split, cfg)
         n = len(split.forget)
-        assert sorted(calls) == [(n, False, False), (n, False, True), (n, True, False)]
+        assert n == 9
+        assert sorted(calls) == [(4, False, False), (4, False, True), (5, False, False),
+                                 (5, False, True), (9, True, False)]
 
     def test_single_step_matches_finite_difference_gradient(self, tiny_world):
         """One phase-1 step must equal theta_o - lr * dL/dtheta with the
@@ -383,8 +394,9 @@ class TestRunAhead:
 
 
 # runs `unlearn` through the fork path with a line left in block-buffered
-# stdout, lets the helper exit by itself before the forget phase ends
-# (`_run_ahead` still reaps it), then prints how many processes it forked
+# stdout, lets the forget phase's helper exit by itself once it has taken
+# the last step's gradient (`_helper` still reaps it), then prints how many
+# processes it forked
 _STDIO_CHILD = """
 import os, sys
 from lethevit import unlearning
@@ -398,6 +410,7 @@ model = init_params(ViTConfig(image_size=8, patch_size=4, channels=1, depth=1, h
                               mlp_ratio=2, num_classes=3), 0)
 helpers = []
 fork = os.fork
+last = 5 * -(-len(split.forget) // 4) - 1
 
 def forked():
     pid = fork()
@@ -405,7 +418,7 @@ def forked():
     return pid
 
 def on_step(phase, step, batch):
-    if (phase, step) == ("forget", 0):
+    if (phase, step) == ("forget", last):
         os.waitid(os.P_PID, helpers[0], os.WEXITED | os.WNOWAIT)
 
 os.fork = forked
@@ -418,11 +431,15 @@ print(f"forks: {len(helpers)}")
 
 
 class TestTeacherWorker:
-    """`unlearn` computes every forget step's positives in a worker, a
-    forked helper process, while this process runs the tracked steps,
-    or inline where it cannot fork or the helper sent no record; either
-    way no process outlives it."""
+    """`unlearn`'s forget phase splits each step like every other phase:
+    a forked helper computes each step's second half, the teacher's
+    positives included, while this process computes the first, or this
+    process computes both where it cannot fork or once the helper sent
+    no half; either way the parameters are the same bytes and no process
+    outlives the phase."""
 
+    # 9 forget images at batch 4: per epoch steps of 4, 4 and 1 rows, so
+    # every step but each epoch's third has a second half, from row 2
     CFG = UnlearnConfig(forget_epochs=5, retain_epochs=0, learning_rate=0.05, batch_size=4,
                         mask_spec=MaskSpec(0.25, MaskType.GAUSSIAN, 0.7), seed=3)
 
@@ -451,32 +468,34 @@ class TestTeacherWorker:
     def _scheduled_steps(self, split):
         return self.CFG.forget_epochs * -(-len(split.forget) // self.CFG.batch_size)
 
-    def _slow_teacher(self, monkeypatch, split, fail_at=None, error=None, helper_only=False,
+    def _logged_teacher(self, monkeypatch, split, fail_at=None, error=None, helper_only=False,
                       block_at=None):
         """Route `unlearn`'s teacher through positives that log (where,
-        step) of each job (see `process_of`), take at least 10 ms, raise
-        `error` (by default a `NonFiniteError`) at step `fail_at`, in the
-        helper only given `helper_only`, and sleep for a minute at step
-        `block_at` in the helper. A job knows its step by its mask seed,
-        so one recomputed here fails as it did in the helper."""
+        step, offset) of each half (see `process_of`), raise `error` (by
+        default a `NonFiniteError`) in the second half of step `fail_at`,
+        in the helper only given `helper_only`, and sleep for a minute in
+        the second half of step `block_at` in the helper. A half knows its
+        step and offset by its mask seed, so one recomputed here fails as
+        it did in the helper."""
         real = unlearning.frozen_teacher
         jobs = CallLog()
         me = os.getpid()
         per_epoch = -(-len(split.forget) // self.CFG.batch_size)
-        step_of = {int(np.random.SeedSequence((self.CFG.seed, step // per_epoch, step))
-                       .generate_state(1, np.uint64)[0]): step
-                   for step in range(self._scheduled_steps(split))}
+        step_of = {}
+        for step in range(self._scheduled_steps(split)):
+            seed = int(np.random.SeedSequence((self.CFG.seed, step // per_epoch, step))
+                       .generate_state(1, np.uint64)[0])
+            step_of.update({seed: (step, 0), seed + 2: (step, 2)})
 
         def teacher(*args):
             positives, negatives = real(*args)
 
             def slow(batch, mask_seed):
-                where, step = process_of(me), step_of[mask_seed]
-                jobs.append((where, step))
-                time.sleep(0.01)
-                if step == fail_at and (where == "helper" or not helper_only):
+                where, (step, offset) = process_of(me), step_of[mask_seed]
+                jobs.append((where, step, offset))
+                if offset and step == fail_at and (where == "helper" or not helper_only):
                     raise error or NonFiniteError("tensor contains NaN or Inf values")
-                if step == block_at and where == "helper":
+                if offset and step == block_at and where == "helper":
                     time.sleep(60)
                 return positives(batch, mask_seed)
 
@@ -485,29 +504,46 @@ class TestTeacherWorker:
         monkeypatch.setattr(unlearning, "frozen_teacher", teacher)
         return jobs
 
+    @staticmethod
+    def _halves_in(jobs, where):
+        """The (step, offset) of each half that ran `where`, in order."""
+        return [(step, offset) for w, step, offset in jobs if w == where]
+
+    def _here_from(self, split, inline_from):
+        """The halves this process runs when the helper computes the
+        second halves before step `inline_from` and none after."""
+        per_epoch = -(-len(split.forget) // self.CFG.batch_size)
+        return [half for step in range(self._scheduled_steps(split))
+                for half in [(step, 0)] + [(step, 2)] * (step >= inline_from
+                                                         and step % per_epoch != 2)]
+
     def test_teacher_error_is_a_divergence_at_its_step(self, tiny_world, monkeypatch):
+        """Step 3's second half raises a `NonFiniteError` wherever it runs:
+        the helper sends no half, this process computes it itself, and
+        the phase ends as a `DivergenceError` at step 3."""
         train, test, split, config, theta_o = tiny_world
         pids = forks(monkeypatch)
-        jobs = self._slow_teacher(monkeypatch, split, fail_at=2)
+        jobs = self._logged_teacher(monkeypatch, split, fail_at=3)
         threads = threading.active_count()
         with pytest.raises(DivergenceError) as exc:
             unlearn(theta_o, split, self.CFG)
-        assert (exc.value.phase, exc.value.step) == ("forget", 2)
+        assert (exc.value.phase, exc.value.step) == ("forget", 3)
         assert isinstance(exc.value.__cause__, NonFiniteError)
-        assert str(exc.value) == ("non-finite value in phase 'forget' at step 2: "
+        assert str(exc.value) == ("non-finite value in phase 'forget' at step 3: "
                                   "tensor contains NaN or Inf values")
         assert threading.active_count() == threads
         assert len(pids) == 1
-        assert list(jobs) == [("helper", 0), ("helper", 1), ("helper", 2), ("here", 2)]
+        assert self._halves_in(jobs, "helper") == [(0, 2), (1, 2), (3, 2)]
+        assert self._halves_in(jobs, "here") == [(0, 0), (1, 0), (2, 0), (3, 0), (3, 2)]
 
     @pytest.mark.parametrize("path", ["fork", "inline"])
     def test_teacher_error_is_raised_as_itself(self, tiny_world, monkeypatch, path):
-        """A `FormatError` at step 1 is that `FormatError`, offset and
-        all, raised in this process, on both paths."""
+        """A `FormatError` in step 1's second half is that `FormatError`,
+        offset and all, raised in this process, on both paths."""
         train, test, split, config, theta_o = tiny_world
         pids = forks(monkeypatch)
         error = FormatError("bad record", 12)
-        jobs = self._slow_teacher(monkeypatch, split, fail_at=1, error=error)
+        jobs = self._logged_teacher(monkeypatch, split, fail_at=1, error=error)
         with on_path(path), pytest.raises(FormatError) as exc:
             unlearn(theta_o, split, self.CFG)
         assert exc.value is error
@@ -515,69 +551,66 @@ class TestTeacherWorker:
         assert str(exc.value) == "bad record (byte offset 12)"
         assert exc.traceback[-1].name == "slow"
         assert len(pids) == (path == "fork")
-        assert list(jobs) == ([("helper", 0), ("helper", 1), ("here", 1)] if path == "fork"
-                              else [("here", 0), ("here", 1)])
+        assert self._halves_in(jobs, "helper") == ([(0, 2), (1, 2)] if path == "fork" else [])
+        assert self._halves_in(jobs, "here") == ([(0, 0), (1, 0), (1, 2)] if path == "fork"
+                                                  else [(0, 0), (0, 2), (1, 0), (1, 2)])
 
-    def test_on_step_error_propagates_unchanged(self, tiny_world, monkeypatch):
+    def _stop_at_step_1(self, tiny_world, monkeypatch, error):
+        """Raise `error` from `on_step` after forget step 1: it propagates
+        as itself, the helper has computed the second halves of steps 0
+        and 1 only, and no process is left."""
         train, test, split, config, theta_o = tiny_world
         pids = forks(monkeypatch)
-        jobs = self._slow_teacher(monkeypatch, split)
-        stop = KeyError("stop")
-
-        def on_step(phase, step, batch):
-            if step == 1:
-                raise stop
-
-        threads = threading.active_count()
-        with pytest.raises(KeyError) as exc:
-            unlearn(theta_o, split, self.CFG, on_step=on_step)
-        assert exc.value is stop
-        assert threading.active_count() == threads
-        assert len(pids) == 1
-        assert 2 <= len(jobs) < self._scheduled_steps(split)
-
-    def test_keyboard_interrupt_in_phase1_leaves_no_child(self, tiny_world, monkeypatch):
-        train, test, split, config, theta_o = tiny_world
-        pids = forks(monkeypatch)
-        jobs = self._slow_teacher(monkeypatch, split)
+        jobs = self._logged_teacher(monkeypatch, split)
 
         def on_step(phase, step, batch):
             if (phase, step) == ("forget", 1):
-                raise KeyboardInterrupt
+                raise error
 
-        with pytest.raises(KeyboardInterrupt):
+        threads = threading.active_count()
+        with pytest.raises(type(error)) as exc:
             unlearn(theta_o, split, self.CFG, on_step=on_step)
+        assert exc.value is error
+        assert threading.active_count() == threads
         assert len(pids) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        assert 2 <= len(jobs) < self._scheduled_steps(split)
+        assert self._halves_in(jobs, "helper") == [(0, 2), (1, 2)]
+        assert self._halves_in(jobs, "here") == [(0, 0), (1, 0)]
+
+    def test_on_step_error_propagates_unchanged(self, tiny_world, monkeypatch):
+        self._stop_at_step_1(tiny_world, monkeypatch, KeyError("stop"))
+
+    def test_keyboard_interrupt_in_phase1_leaves_no_child(self, tiny_world, monkeypatch):
+        self._stop_at_step_1(tiny_world, monkeypatch, KeyboardInterrupt())
 
     def _unlearn_inline(self, theta_o, split, cfg):
         with on_path("inline"):
             return unlearn(theta_o, split, cfg)
 
     def test_killed_helper_gives_the_inline_paths_bytes(self, tiny_world, monkeypatch):
-        """The helper blocks in step 3's job, after sending records 0-2,
-        and is killed from outside: steps 3 onward compute their
-        positives here, and the run ends as the inline path does."""
+        """The helper blocks in step 3's second half, after sending those
+        of steps 0 and 1, and is killed from outside: from step 3 on this
+        process computes both halves, every step runs, and the run ends as
+        the inline path does."""
         train, test, split, config, theta_o = tiny_world
         pids = forks(monkeypatch)
-        jobs = self._slow_teacher(monkeypatch, split, block_at=3)
+        jobs = self._logged_teacher(monkeypatch, split, block_at=3)
         scheduled = self._scheduled_steps(split)
         steps = []
 
         def on_step(phase, step, batch):
             steps.append(step)
-            if step == 1:
-                wait_until(lambda: ("helper", 3) in jobs)
+            if step == 2:
+                wait_until(lambda: ("helper", 3, 2) in jobs)
                 os.kill(pids[0], signal.SIGKILL)
 
         got = unlearn(theta_o, split, self.CFG, on_step=on_step)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert steps == list(range(scheduled))
-        assert list(jobs) == ([("helper", step) for step in range(4)]
-                              + [("here", step) for step in range(3, scheduled)])
+        assert self._halves_in(jobs, "helper") == [(0, 2), (1, 2), (3, 2)]
+        assert self._halves_in(jobs, "here") == self._here_from(split, 3)
         _assert_params_identical(got, self._unlearn_inline(theta_o, split, self.CFG))
         assert len(pids) == 1
 
@@ -585,22 +618,21 @@ class TestTeacherWorker:
                                                                             monkeypatch):
         train, test, split, config, theta_o = tiny_world
         forks(monkeypatch)
-        jobs = self._slow_teacher(monkeypatch, split, fail_at=2, helper_only=True)
+        jobs = self._logged_teacher(monkeypatch, split, fail_at=3, helper_only=True)
         got = unlearn(theta_o, split, self.CFG)
-        scheduled = self._scheduled_steps(split)
-        assert list(jobs) == ([("helper", step) for step in range(3)]
-                              + [("here", step) for step in range(2, scheduled)])
+        assert self._halves_in(jobs, "helper") == [(0, 2), (1, 2), (3, 2)]
+        assert self._halves_in(jobs, "here") == self._here_from(split, 3)
         _assert_params_identical(got, self._unlearn_inline(theta_o, split, self.CFG))
 
     def test_inline_path_gives_the_fork_paths_bytes(self, tiny_world, monkeypatch):
         """With a second thread alive `unlearn` does not fork; it computes
-        the positives, and both halves of each retain step, inline, with
-        the same parameter bytes."""
+        both halves of each forget and retain step inline, with the same
+        parameter bytes."""
         train, test, split, config, theta_o = tiny_world
         cfg = dataclasses.replace(self.CFG, retain_epochs=1, momentum=0.9, weight_decay=0.001)
         pids = forks(monkeypatch)
         forked = unlearn(theta_o, split, cfg)
-        assert len(pids) == 2  # the teacher, pids[0], then the retain phase's gradient helper
+        assert len(pids) == 2  # the forget phase's helper, then the retain phase's
         inline = self._unlearn_inline(theta_o, split, cfg)
         assert len(pids) == 2
         _assert_params_identical(inline, forked)
@@ -637,13 +669,18 @@ class TestGradientHelper:
 
     def _run(self, tiny_world, method):
         """Entry point `method` on `tiny_world` at `CFG` (from scratch) or
-        `UNLEARN_CFG` (from the original)."""
+        `UNLEARN_CFG` (from the original); "unlearn-zero" and
+        "unlearn-gaussian" are `unlearn` with that mask type."""
         train, _, split, _, theta_o = tiny_world
         if method == "train_model":
             return train_model(train, self.CFG)
         if method == "retrain":
             return retrain(split, self.CFG)
-        return getattr(unlearning, method)(theta_o, split, self.UNLEARN_CFG)
+        method, _, mask_type = method.partition("-")
+        config = self.UNLEARN_CFG
+        if mask_type:
+            config = dataclasses.replace(config, mask_spec=MaskSpec(0.25, MaskType(mask_type)))
+        return getattr(unlearning, method)(theta_o, split, config)
 
     def _logged_forwards(self, monkeypatch, block_at=None, fail_on=None):
         """Route the tracked forwards through a wrapper that logs (where,
@@ -669,16 +706,19 @@ class TestGradientHelper:
         return calls
 
     @pytest.mark.parametrize("method", ["train_model", "retrain", "fine_tune",
-                                        "gradient_ascent", "random_labels"])
+                                        "gradient_ascent", "random_labels", "unlearn-zero",
+                                        "unlearn-gaussian"])
     def test_fork_path_gives_the_inline_paths_bytes(self, tiny_world, monkeypatch, method):
-        """With a second thread alive the phase does not fork; it computes
-        both halves of each step here, with the same parameter bytes."""
+        """With a second thread alive no phase forks; each computes both
+        halves of each step here, with the same parameter bytes. `unlearn`
+        forks one helper per phase, forget then retain."""
         pids = forks(monkeypatch)
         forked = self._run(tiny_world, method)
-        assert len(pids) == 1
+        helpers = 2 if method.startswith("unlearn") else 1
+        assert len(pids) == helpers
         with on_path("inline"):
             inline = self._run(tiny_world, method)
-        assert len(pids) == 1
+        assert len(pids) == helpers
         _assert_params_identical(inline, forked)
 
     def test_killed_helper_gives_the_inline_paths_bytes(self, tiny_world, monkeypatch):
@@ -783,6 +823,45 @@ class TestGradientHelper:
         want = np.concatenate([t.grad.ravel() for _, t in whole.items()])
         assert np.abs(theta.grad - want).max() <= 1e-13 * np.abs(want).max()
 
+    @pytest.mark.parametrize("rows", [32, 7, 1])
+    def test_split_forget_gradient_equals_the_full_batch_gradient(self, tiny_world, monkeypatch,
+                                                                  rows):
+        """One forget step's gradient, first half plus second half each
+        scaled by its share of the rows, equals the unsplit contrastive
+        loss's gradient over the same rows to rounding; with a Gaussian
+        mask the halves' masked images are the whole batch's, byte for
+        byte, as each half seeds its rows from the step's mask seed plus
+        its offset."""
+        train, test, _, _, theta_o = tiny_world
+        split = DataSplit(train, np.arange(rows), np.arange(rows, len(train)), test)
+        spec = MaskSpec(0.5, MaskType.GAUSSIAN, 0.7)
+        cfg = UnlearnConfig(forget_epochs=1, retain_epochs=0, batch_size=rows, mask_spec=spec,
+                            seed=4)
+        masked, batches = [], []
+        real = unlearning.mask_from_scores
+
+        def logged(*args):
+            masked.append(real(*args))
+            return masked[-1]
+
+        monkeypatch.setattr(unlearning, "mask_from_scores", logged)
+        with on_path("inline"):
+            theta = unlearn(theta_o, split, cfg, on_step=lambda *step: batches.append(step[2]))
+        assert len(masked) == 1 + (rows > 1)
+        (batch,) = batches
+        positives, negatives = unlearning.frozen_teacher(theta_o, train.images, split.forget,
+                                                         spec, rows)
+        mask_seed = np.random.SeedSequence((cfg.seed, 0, 0)).generate_state(1, np.uint64)[0]
+        positive = positives(batch, int(mask_seed))
+        assert np.concatenate(masked[:-1]).tobytes() == masked[-1].tobytes()
+        whole = theta_o.copy()
+        with Tape() as tape:
+            loss = contrastive_loss(forward(whole, train.images[batch]).logits,
+                                    Tensor(positive), negatives(batch), cfg.temperature)
+        backward(loss, tape)
+        want = np.concatenate([t.grad.ravel() for _, t in whole.items()])
+        assert np.abs(theta.grad - want).max() <= 1e-13 * np.abs(want).max()
+
 
 class TestOneCPU:
     """On one CPU no helper forks: `unlearn`, training and the chunked
@@ -803,7 +882,7 @@ class TestOneCPU:
 
         pids = forks(monkeypatch)
         forked = run()
-        # the teacher and the retain phase's gradient helper, training's, the forwards'
+        # unlearn's forget and retain phases' helpers, training's, the forwards'
         assert len(pids) == 4
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert masking.pool_size() == 1
@@ -813,6 +892,67 @@ class TestOneCPU:
             _assert_params_identical(a, b)
         assert [[x.tobytes() for x in arrays] for arrays in forked[2]] == [
             [x.tobytes() for x in arrays] for arrays in alone[2]]
+
+
+class TestFailedFork:
+    """Where a pipe or the fork fails, here `os.fork` raising EAGAIN as at
+    the process limit, `_helper` closes what it opened and the work runs
+    inline: training, `unlearn` and the chunked forwards give the inline
+    path's bytes and leave no file descriptor open. A fork interrupted
+    by SIGINT leaves neither a descriptor nor a process."""
+
+    def test_work_runs_inline_with_no_descriptor_left(self, tiny_world, monkeypatch):
+        train, _, split, _, theta_o = tiny_world
+        unlearn_cfg = UnlearnConfig(forget_epochs=1, retain_epochs=1, learning_rate=0.05,
+                                    batch_size=4, mask_spec=MaskSpec(0.25, MaskType.GAUSSIAN),
+                                    seed=3)
+        train_cfg = TrainConfig(model=TINY, epochs=1, learning_rate=0.05, batch_size=5, seed=3)
+
+        def run():
+            return (train_model(train, train_cfg), unlearn(theta_o, split, unlearn_cfg),
+                    masking.forward_chunks([theta_o], [train.images[:12]], 4))
+
+        with on_path("inline"):
+            inline = run()
+        attempts = []
+
+        def fork():
+            attempts.append(os.getpid())
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        descriptors = len(os.listdir("/proc/self/fd"))
+        failed = run()
+        assert len(os.listdir("/proc/self/fd")) <= descriptors
+        assert len(attempts) == 4  # training's, unlearn's forget and retain phases', the forwards'
+        for a, b in zip(failed[:2], inline[:2]):
+            _assert_params_identical(a, b)
+        assert failed[2][0][0].tobytes() == inline[2][0][0].tobytes()
+
+    def test_sigint_as_the_fork_returns_leaves_no_child(self, monkeypatch):
+        """A SIGINT handled as `os.fork` returns, where an at-fork hook
+        would swallow its `KeyboardInterrupt`, is raised once the block is
+        set up: the block never runs, and the helper is killed and reaped."""
+        real = os.fork
+
+        def fork():
+            pid = real()
+            if pid:
+                signal.raise_signal(signal.SIGINT)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        handler = signal.getsignal(signal.SIGINT)
+        descriptors = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(KeyboardInterrupt):
+            with masking._helper(lambda source, sink: source.read()):
+                pytest.fail("the block ran")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert len(os.listdir("/proc/self/fd")) <= descriptors
+        assert signal.getsignal(signal.SIGINT) is handler
 
 
 class TestOnePhaseLoop:
@@ -837,8 +977,9 @@ class TestOnePhaseLoop:
     def test_from_original_methods_match_reference(self, tiny_world, method):
         """`unlearn` caches the teacher's rows from batches of 4 and 1 rows
         in forget order, while the reference computes them per shuffled
-        batch; a row's logits depend on its batch at rounding level only
-        (README, determinism), so there the parameters agree to rounding."""
+        half of 2 or 1 rows; a row's logits depend on its batch at rounding
+        level only (README, determinism), so there the parameters agree to
+        rounding."""
         train, test, split, config, theta_o = tiny_world
         got = getattr(unlearning, method)(theta_o, split, self.CFG)
         want = reference_from_original(method, theta_o, split, self.CFG)
