@@ -13,8 +13,10 @@ serial loop's bytes; on Linux with a second CPU a forked helper process
 be a `MaskedSet`, which each chunk masks just before its forward.
 
 `_helper` is the package's one way to use the second core: it forks the
-gradient helper of every SGD phase of `unlearning` and the helper of
-`forward_chunks`. No code in the package starts a thread.
+one gradient helper of each training or unlearning call of
+`unlearning` (`unlearn`'s also computes half of its teacher's capture
+pass) and the helper of `forward_chunks`. No code in the package starts
+a thread.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import signal
 import struct
 import sys
 import threading
+import warnings
 from dataclasses import dataclass
 from itertools import islice
 from typing import BinaryIO, Callable, Iterator, NamedTuple, Optional, Sequence
@@ -97,12 +100,14 @@ def _helper(work: Callable[[BinaryIO, BinaryIO], None]
     the parent takes afterwards. An at-fork hook would swallow the
     `KeyboardInterrupt` of a SIGINT handled in it, so one that comes
     while it forks is noted, and raised once the block is set up. The
-    helper ignores SIGINT (the caller decides when it stops) and ends in
-    `os._exit` however `work` ends, EPIPE or EOF once the caller is gone
-    included: it never returns into the caller and never flushes the
-    stdio it inherited. However the block ends, the pipes close and the
-    helper is killed if still running and reaped, so no process
-    outlives it."""
+    helper ignores SIGINT (the caller decides when it stops), turns every
+    warning into an error, which fails the job it comes from (the caller
+    reruns a job the helper did not deliver, and prints its warning
+    itself), and ends in `os._exit` however `work` ends, EPIPE or EOF
+    once the caller is gone included: it never returns into the caller,
+    never writes to the stdio it inherited and never flushes it. However
+    the block ends, the pipes close and the helper is killed if still
+    running and reaped, so no process outlives it."""
     if (sys.platform != "linux" or threading.enumerate() != [threading.main_thread()]
             or pool_size() < 2 or signal.getsignal(signal.SIGINT) is None):
         yield None
@@ -119,9 +124,11 @@ def _helper(work: Callable[[BinaryIO, BinaryIO], None]
     if pid == 0:
         try:
             signal.signal(signal.SIGINT, signal.SIG_IGN)
+            warnings.simplefilter("error")  # a warning fails the job, which the caller reruns
             os.close(fds[0])
             os.close(fds[3])
-            work(os.fdopen(fds[2], "rb"), os.fdopen(fds[1], "wb"))
+            with os.fdopen(fds[2], "rb") as source, os.fdopen(fds[1], "wb") as sink:
+                work(source, sink)
         finally:
             os._exit(0)
     pipes = None

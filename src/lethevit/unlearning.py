@@ -25,12 +25,16 @@ point takes `on_step(phase, step, batch)`, called after each SGD step.
 
 Every step of every phase splits its batch into two fixed halves and
 descends the sum of their gradients (data-parallel SGD); on Linux with a
-second CPU a forked helper computes the second (`_sgd_phase`).
+second CPU one helper, forked once per call (`_session`), computes the
+second half of every step of every phase of the call, and `unlearn`'s
+helper also half of the teacher's capture pass.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
+import mmap
 from dataclasses import dataclass, field
 from typing import BinaryIO, Callable, Optional
 
@@ -39,7 +43,7 @@ import numpy as np
 from .data import DataSplit, LabeledDataset
 from .errors import (ConfigError, ContractError, DivergenceError, NonFiniteError,
                      require_finite, require_nonnegative)
-from .masking import MaskSpec, _helper, class_token_attention, mask_from_scores
+from .masking import _RECORD, MaskSpec, _helper, class_token_attention, mask_from_scores
 from .masking import build_masked_view  # noqa: F401  unused; perfbench/layertrace.py wraps it
 from .tensor import (
     Tape,
@@ -95,37 +99,172 @@ class UnlearnConfig:
             raise ConfigError("epoch counts must be >= 0")
         if self.learning_rate <= 0 or self.temperature <= 0 or self.batch_size < 1:
             raise ConfigError("learning_rate, temperature and batch_size must be positive")
+        _require_finite_reciprocal(self.temperature, "UnlearnConfig.temperature")
+
+
+def _require_finite_reciprocal(temperature: float, name: str) -> None:
+    """The contrastive loss scales by 1 / temperature: below about
+    5.6e-309 a positive temperature makes that scale Inf, and the loss
+    NaN."""
+    if math.isinf(1.0 / temperature):
+        raise ConfigError(f"{name} must have a finite reciprocal, got {temperature}")
+
+
+_TOKEN = b"\x01"  # one step's "my half is in my slot", or "I have read yours"
+
+
+class _Link:
+    """One process's end of a `_session`: the pipes to the other process
+    and the two gradient slots, `mine` and `theirs`; or, made with no
+    pipes, a closed end, with which this process computes everything.
+    `helper` marks the forked process's end.
+
+    The helper sends first at every exchange. Where the stream from the
+    helper ends (it raised, was killed or died), this process closes its
+    end for good and computes the rest of the call itself; where the
+    stream from this process ends (it has stopped), the helper raises
+    `EOFError`, which ends it."""
+
+    def __init__(self, pipes: Optional[tuple[BinaryIO, BinaryIO]] = None,
+                 slots: Optional[np.ndarray] = None, helper: bool = False):
+        self.source, self.sink = pipes or (None, None)
+        self.open, self.helper = pipes is not None, helper
+        if slots is not None:
+            self.mine, self.theirs = slots[::-1] if helper else slots
+
+    def _send(self, data: bytes) -> None:
+        if self.open:
+            with contextlib.suppress(BrokenPipeError):  # the other is gone: its end is read next
+                self.sink.write(data)
+                self.sink.flush()
+
+    def _receive(self, size: int) -> Optional[bytes]:
+        data = self.source.read(size) if self.open else b""
+        if len(data) == size:
+            return data
+        if self.helper:
+            raise EOFError("the caller has stopped")
+        self.open = False
+        return None
+
+    def _send_array(self, values: np.ndarray) -> None:
+        self._send(_RECORD.pack(*values.shape) + values.tobytes())
+
+    def _receive_array(self) -> Optional[np.ndarray]:
+        header = self._receive(_RECORD.size)
+        if header is None:
+            return None
+        rows, columns = _RECORD.unpack(header)
+        payload = self._receive(8 * rows * columns)
+        return None if payload is None else np.frombuffer(payload).reshape(rows, columns)
+
+    def split(self, job: Callable[[int], np.ndarray], count: int) -> list[np.ndarray]:
+        """`[job(0), ..., job(count - 1)]`, 2-D float64 arrays, with job k
+        run in process k % 2 on an open link; `job` must be a function of
+        k alone. The helper runs its jobs, sending each result, and then
+        takes this process's results; this process runs its jobs between
+        taking the helper's, in job order, and then sends its own. So
+        neither writes while the other is blocked writing, whatever the
+        results' size. A job the helper did not deliver runs here, so an
+        error is raised here as itself."""
+        if self.helper:
+            results = {}
+            for k in range(1, count, 2):
+                results[k] = job(k)
+                self._send_array(results[k])
+            return [results[k] if k % 2 else self._receive_array() for k in range(count)]
+        results = []
+        for k in range(count):
+            theirs = self._receive_array() if k % 2 else None
+            results.append(job(k) if theirs is None else theirs)
+        for values in results[::2]:
+            self._send_array(values)
+        return results
+
+    def reduce(self, grad: np.ndarray, paired: bool) -> bool:
+        """The all-reduce of one SGD step: `grad` holds this process's half
+        of the step (in the helper, nothing at a step with no second half,
+        `paired` false), and then first half + second half, the same bytes
+        in both processes since IEEE addition commutes. The helper writes
+        its slot and sends a token, then takes this process's token and
+        adds this process's slot. This process takes the helper's token,
+        writes its slot, adds the helper's and then sends its token. So a
+        side rewrites its slot only once the other has read it: this
+        process after the helper's token of the next step, the helper after
+        this process's token of the step before. False, with `grad`
+        untouched, where this process's end is closed or closes now."""
+        if self.helper:
+            if paired:
+                np.copyto(self.mine, grad)
+            self._send(_TOKEN)
+            self._receive(1)
+            if paired:
+                grad += self.theirs
+            else:
+                np.copyto(grad, self.theirs)
+            return True
+        if self._receive(1) is None:
+            return False
+        np.copyto(self.mine, grad)
+        if paired:
+            grad += self.theirs
+        self._send(_TOKEN)
+        return True
+
+
+def _session(params: ViTParams, fork: bool, run: Callable[[_Link], None]) -> None:
+    """Runs `run(link)`, the SGD phases of one training or unlearning call
+    on `params` (and `unlearn`'s capture pass), in this process and, where
+    `fork` and `_helper` forks, in one helper forked for the whole call,
+    each process with its end of the link. The helper starts from this
+    process's `params` and keeps its replica in step with them. The two
+    gradient slots, one per side, live in a shared anonymous mapping made
+    before the fork, so a step passes a 1-byte token each way through the
+    pipes, not a half-gradient (149 KB at the benchmark's shapes)."""
+    if not fork:
+        run(_Link())
+        return
+    slots = np.frombuffer(mmap.mmap(-1, 2 * params.vector.nbytes)).reshape(2, -1)
+    with _helper(lambda source, sink: run(_Link((source, sink), slots, helper=True))) as pipes:
+        run(_Link(pipes, slots))
 
 
 def frozen_teacher(original: ViTParams, images: np.ndarray, indices: np.ndarray,
-                   mask_spec: MaskSpec, chunk: int
+                   mask_spec: MaskSpec, chunk: int, link: Optional[_Link] = None
                    ) -> tuple[Callable[[np.ndarray, int], np.ndarray],
                               Callable[[np.ndarray], Tensor]]:
     """The frozen original as the teacher of `images[indices]` (distinct
     indices), as `(positives, negatives)`. Its unmasked logits (the
     negatives) and the class-token attention that picks the masked
     patches depend on the image alone, so one capture pass of at most
-    `chunk` rows per forward computes them once, in this process;
-    `negatives(batch)` gathers their rows. `positives(batch, mask_seed)`
-    masks `images[batch]` by those scores, row i seeded `mask_seed + i`,
-    and runs the one forward that gives the positive logits, as an
-    array. `unlearn` passes `batch_size` as `chunk`, not evaluation's
-    64: at 64 rows the `forget` benchmark's peak RSS rose by about 3 MB
-    at the same speed. The pass forks no helper of its own: at 32-row
-    chunks a helper forked for it cost more than the second core gave
-    back; the phase's helper, forked after it, inherits the cache.
+    `chunk` rows per forward computes them once; `negatives(batch)`
+    gathers their rows. `positives(batch, mask_seed)` masks
+    `images[batch]` by those scores, row i seeded `mask_seed + i`, and
+    runs the one forward that gives the positive logits, as an array.
+    `unlearn` passes `batch_size` as `chunk`, not evaluation's 64: at 64
+    rows the `forget` benchmark's peak RSS rose by about 3 MB at the
+    same speed.
+
+    Given an open `link` (see `_session`), each of the two processes
+    calls this, and capture chunk k runs in process k % 2 (`_Link.split`):
+    the chunk's forward gives the same bytes in either, so both hold the
+    same cache. Otherwise this process runs every chunk.
 
     The teacher runs on `original.frozen()`. An op records only when an
     input requires a gradient, so `positives` never touches a tape, not
     even one open on its own or another thread: it may run inside a
     tracked step, or in a process forked from one."""
     frozen = original.frozen()
-    logits, attention = [], []
-    for start in range(0, len(indices), chunk):
-        out = forward(frozen, images[indices[start:start + chunk]], capture_attention=True)
-        logits.append(out.logits.values)
-        attention.append(class_token_attention(out.last_attention))
-    negatives, scores = np.concatenate(logits), np.concatenate(attention)
+
+    def capture(k: int) -> np.ndarray:
+        """Chunk k's logits, and then its scores as further columns."""
+        out = forward(frozen, images[indices[k * chunk:(k + 1) * chunk]], capture_attention=True)
+        return np.concatenate([out.logits.values, class_token_attention(out.last_attention)],
+                              axis=1)
+
+    cache = np.concatenate((link or _Link()).split(capture, -(-len(indices) // chunk)))
+    classes = frozen.config.num_classes
+    negatives, scores = cache[:, :classes], cache[:, classes:]
     row_of = np.zeros(len(images), dtype=np.int64)  # image index -> cached row
     row_of[indices] = np.arange(len(indices))
 
@@ -149,6 +288,7 @@ def contrastive_loss(anchor: Tensor, positive: Tensor, negative: Tensor,
         raise ContractError("positive/negative logits must be produced with gradients disabled")
     if temperature <= 0:
         raise ConfigError(f"temperature must be positive, got {temperature}")
+    _require_finite_reciprocal(temperature, "temperature")
     s_p = row_cosine(anchor, positive)
     s_n = row_cosine(anchor, negative)
     gap = add(s_n, scale(s_p, -1.0))
@@ -202,9 +342,14 @@ def _halves(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return batch[:middle], batch[middle:]
 
 
+def _pairs(batches: list[tuple[int, np.ndarray]]) -> bool:
+    """Whether some step of `batches` has a second half to give a helper."""
+    return any(len(batch) > 1 for _, batch in batches)
+
+
 def _sgd_phase(params: ViTParams, batches: list[tuple[int, np.ndarray]],
                config: TrainConfig | UnlearnConfig, phase: str,
-               half: Callable[[int, np.ndarray, int, int], None], *,
+               half: Callable[[int, np.ndarray, int, int], None], link: _Link, *,
                on_step: Optional[StepSink] = None) -> None:
     """The one SGD loop, mutating `params`: one descent step per batch of
     `batches` (see `_batches`). A batch's gradient is that of its first
@@ -216,82 +361,61 @@ def _sgd_phase(params: ViTParams, batches: list[tuple[int, np.ndarray]],
     step, batch)` runs after each step. A non-finite gradient or update
     is a `DivergenceError`.
 
-    Where `_helper` can fork and some batch has two rows, the helper
-    keeps a replica of `params` and computes each step's second half
-    while this process computes the first. Per step, the helper writes
-    its half-gradient, this process reads it after its own backward and
-    then writes its own, which the helper reads: if both wrote first, a
-    gradient larger than the 64 KB pipe buffer (149 KB at the benchmark's
-    shapes) would block both writes. Both add the halves and apply the
-    same `_sgd_step`, so the replicas keep the same bytes and only
-    gradients cross the pipes. The helper sends results only: from the
-    first step whose half it did not send (it raised, or died) on, and
-    wherever it cannot fork, this process computes both halves, with the
-    same bytes."""
-    def work(source: BinaryIO, sink: BinaryIO) -> None:  # the helper's phase, on its replica
-        velocity, theirs = None, np.empty_like(params.grad)
-        for step, (_, batch) in enumerate(batches):
-            first, second = _halves(batch)
-            if len(second):
-                half(step, second, len(batch), len(first))
-                sink.write(params.grad)
-                sink.flush()
-            if source.readinto(theirs) != theirs.nbytes:
-                return  # the caller has stopped
-            if len(second):
-                params.grad += theirs  # IEEE addition commutes: second + first is first + second
-            else:
-                np.copyto(params.grad, theirs)
-            velocity = _sgd_step(params, velocity, config.learning_rate, config.momentum,
-                                 config.weight_decay)
-
+    Both processes of a `_session` run the loop: on an open `link` the
+    helper computes each step's second half and this process its first,
+    `_Link.reduce` exchanges them, and both apply the same `_sgd_step`,
+    so the replicas keep the same bytes; the helper calls no `on_step`.
+    Where the link is closed, and from the first step whose half the
+    helper did not deliver (it raised, was killed or died) on, this
+    process computes both halves, with the same bytes."""
     params.attach_gradient()
-    pairs = any(len(batch) > 1 for _, batch in batches)
-    with _helper(work) if pairs else contextlib.nullcontext() as pipes:
-        source, sink = pipes or (None, None)
-        theirs, streaming, velocity = np.empty_like(params.grad), pipes is not None, None
-        for step, (_, batch) in enumerate(batches):
-            first, second = _halves(batch)
-            try:
+    velocity = None
+    for step, (_, batch) in enumerate(batches):
+        first, second = _halves(batch)
+        try:
+            if link.helper:
+                if len(second):
+                    half(step, second, len(batch), len(first))
+                link.reduce(params.grad, len(second) > 0)
+            else:
                 half(step, first, len(batch), 0)
-                if streaming and len(second):
-                    # once the stream has ended, this step and every later one run here
-                    streaming = source.readinto(theirs) == theirs.nbytes
-                if streaming:
-                    with contextlib.suppress(BrokenPipeError):  # a helper gone after its half
-                        sink.write(params.grad)
-                        sink.flush()
-                    if len(second):
-                        params.grad += theirs
-                elif len(second):
+                if not link.reduce(params.grad, len(second) > 0) and len(second):
                     mine = params.grad.copy()
                     half(step, second, len(batch), len(first))
                     params.grad += mine
-                velocity = _sgd_step(params, velocity, config.learning_rate, config.momentum,
-                                     config.weight_decay)
-            except NonFiniteError as exc:
-                raise DivergenceError(phase, step, str(exc)) from exc
-            if on_step is not None:
-                on_step(phase, step, batch)
+            velocity = _sgd_step(params, velocity, config.learning_rate, config.momentum,
+                                 config.weight_decay)
+        except NonFiniteError as exc:
+            raise DivergenceError(phase, step, str(exc)) from exc
+        if on_step is not None and not link.helper:
+            on_step(phase, step, batch)
 
 
-def _cross_entropy_phase(params: ViTParams, dataset: LabeledDataset, indices: np.ndarray,
-                         epochs: int, config: TrainConfig | UnlearnConfig,
-                         rng: np.random.Generator, phase: str,
-                         on_step: Optional[StepSink], sign: float = 1.0) -> None:
-    """A cross-entropy SGD phase over `dataset[indices]`: training and
-    every phase but `unlearn`'s forget phase; `sign` -1 descends the
-    negated loss (gradient ascent). Each half of a batch contributes its
-    share of the rows times its own mean cross-entropy, so at an even
-    batch every row's upstream gradient is exactly 1 / n."""
+def _cross_entropy_half(params: ViTParams, dataset: LabeledDataset,
+                        sign: float = 1.0) -> Callable[[int, np.ndarray, int, int], None]:
+    """The `half` of a cross-entropy phase over `dataset`: each half of a
+    batch contributes its share of the rows times its own mean
+    cross-entropy, so at an even batch every row's upstream gradient is
+    exactly 1 / n; `sign` -1 descends the negated loss (gradient ascent)."""
     def half(step: int, rows: np.ndarray, n: int, offset: int) -> None:
         with Tape() as tape:
             logits = forward(params, dataset.images[rows]).logits
             loss = scale(cross_entropy(logits, dataset.labels[rows]), sign * len(rows) / n)
         backward(loss, tape)
 
-    _sgd_phase(params, _batches(indices, epochs, config.batch_size, rng, phase), config, phase,
-               half, on_step=on_step)
+    return half
+
+
+def _cross_entropy_phase(params: ViTParams, dataset: LabeledDataset, indices: np.ndarray,
+                         epochs: int, config: TrainConfig | UnlearnConfig,
+                         rng: np.random.Generator, phase: str,
+                         on_step: Optional[StepSink], sign: float = 1.0) -> None:
+    """A call of one cross-entropy SGD phase over `dataset[indices]`, in
+    its own `_session`: training and every method but `unlearn`."""
+    batches = _batches(indices, epochs, config.batch_size, rng, phase)
+    half = _cross_entropy_half(params, dataset, sign)
+    _session(params, _pairs(batches), lambda link: _sgd_phase(
+        params, batches, config, phase, half, link, on_step=on_step))
 
 
 def _from_scratch(dataset: LabeledDataset, config: TrainConfig, indices: np.ndarray,
@@ -335,27 +459,36 @@ def unlearn(original: ViTParams, split: DataSplit, config: UnlearnConfig, *,
     `forget_epochs` of contrastive SGD over the forget set (`forget`),
     then `retain_epochs` of cross-entropy SGD over the retain set
     (`retain`). One generator, seeded with `config.seed`, orders the
-    batches of both phases; each mask is seeded from (seed, epoch, step),
-    and a half from row `offset` on masks with that seed plus `offset`,
-    so every row keeps the noise of masking its whole batch at once."""
+    batches of both phases, all drawn before the first step; each mask is
+    seeded from (seed, epoch, step), and a half from row `offset` on
+    masks with that seed plus `offset`, so every row keeps the noise of
+    masking its whole batch at once. One `_session` runs the teacher's
+    capture pass and both phases, so at most one helper forks per call."""
     def run(theta: ViTParams, rng: np.random.Generator) -> None:
         forget = _batches(split.forget, config.forget_epochs, config.batch_size, rng, "forget")
-        if forget:
-            positives, negatives = frozen_teacher(original, split.train.images, split.forget,
-                                                  config.mask_spec, config.batch_size)
+        retain = _batches(split.retain, config.retain_epochs, config.batch_size, rng, "retain")
+        chunks = -(-len(split.forget) // config.batch_size) if forget else 0
 
-            def half(step: int, rows: np.ndarray, n: int, offset: int) -> None:
-                mask_seed = np.random.SeedSequence((config.seed, forget[step][0], step))
-                positive = positives(rows, int(mask_seed.generate_state(1, np.uint64)[0]) + offset)
-                with Tape() as tape:
-                    anchor = forward(theta, split.train.images[rows]).logits
-                    loss = scale(contrastive_loss(anchor, Tensor(positive), negatives(rows),
-                                                  config.temperature), len(rows) / n)
-                backward(loss, tape)
+        def session(link: _Link) -> None:
+            if forget:
+                positives, negatives = frozen_teacher(original, split.train.images, split.forget,
+                                                      config.mask_spec, config.batch_size, link)
 
-            _sgd_phase(theta, forget, config, "forget", half, on_step=on_step)
-        _cross_entropy_phase(theta, split.train, split.retain, config.retain_epochs, config, rng,
-                             "retain", on_step)
+                def half(step: int, rows: np.ndarray, n: int, offset: int) -> None:
+                    mask_seed = np.random.SeedSequence((config.seed, forget[step][0], step))
+                    positive = positives(rows,
+                                         int(mask_seed.generate_state(1, np.uint64)[0]) + offset)
+                    with Tape() as tape:
+                        anchor = forward(theta, split.train.images[rows]).logits
+                        loss = scale(contrastive_loss(anchor, Tensor(positive), negatives(rows),
+                                                      config.temperature), len(rows) / n)
+                    backward(loss, tape)
+
+                _sgd_phase(theta, forget, config, "forget", half, link, on_step=on_step)
+            _sgd_phase(theta, retain, config, "retain", _cross_entropy_half(theta, split.train),
+                       link, on_step=on_step)
+
+        _session(theta, chunks > 1 or _pairs(forget + retain), session)
 
     return _from_original(original, config, run)
 

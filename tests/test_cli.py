@@ -361,6 +361,20 @@ class TestUnlearn:
         assert capsys.readouterr().err == f"error: {field} must be finite, got {value}\n"
         assert not (tmp_path / "u.ltvt").exists()
 
+    def test_temperature_whose_reciprocal_overflows_exits_2_naming_it(self, pipeline, tmp_path,
+                                                                       capsys):
+        """tau=1e-310 is positive and finite, but 1 / tau is Inf: a usage
+        error before any step, with no warning printed and no output."""
+        _, train_path, test_path, theta_o = pipeline
+        code = run("unlearn", "--method", "lethevit", "--data", train_path,
+                   "--test", test_path, "--original", theta_o,
+                   "--out", str(tmp_path / "u.ltvt"),
+                   *sets("seed=5", "lr=0.05", "batch=6", "forget_ratio=0.25", "tau=1e-310"))
+        assert code == 2
+        assert capsys.readouterr().err == ("error: UnlearnConfig.temperature must have a "
+                                           "finite reciprocal, got 1e-310\n")
+        assert not (tmp_path / "u.ltvt").exists()
+
     @pytest.mark.parametrize("command", ["train", "unlearn"])
     @pytest.mark.parametrize("pair", ["momentum=-0.5", "momentum=-3", "weight_decay=-0.1"])
     def test_negative_sgd_extra_exits_2_naming_it(self, pipeline, tmp_path, capsys, command,
@@ -853,7 +867,8 @@ class TestWriteDiscipline:
 # limit named argv[1] ("none" for no limit) at argv[2] bytes, with SIGXFSZ
 # ignored so that writing past RLIMIT_FSIZE fails with EFBIG; it prints
 # "training" as `train_model` starts and each SGD phase's name as that
-# phase starts, and reports on stderr a child process the command left
+# phase starts in this process (a gradient helper runs the phases too),
+# and reports on stderr a child process the command left
 _CHILD = """
 import os, resource, signal, sys
 if sys.argv[1] != "none":
@@ -863,13 +878,15 @@ signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
 from lethevit import cli, unlearning
 train_model = unlearning.train_model
 sgd_phase = unlearning._sgd_phase
+me = os.getpid()
 
 def announced(*args, **kwargs):
     print("training", flush=True)
     return train_model(*args, **kwargs)
 
 def announced_phase(params, batches, config, phase, *args, **kwargs):
-    print(phase, flush=True)
+    if os.getpid() == me:
+        print(phase, flush=True)
     return sgd_phase(params, batches, config, phase, *args, **kwargs)
 
 unlearning.train_model = announced
@@ -885,11 +902,11 @@ sys.exit(code)
 
 # `lethevit.cli.main(argv[1:])` in a child process that sees two CPUs; it
 # prints "helper" after each fork and "forward" as each forward of this
-# process starts, which then sleeps for a minute, and reports on stderr a
-# child process the command left
+# process in `masking` or `unlearning` starts, which then sleeps for a
+# minute, and reports on stderr a child process the command left
 _SLOW_FORWARD_CHILD = """
 import os, sys, time
-from lethevit import cli, masking
+from lethevit import cli, masking, unlearning
 fork, forward, me = os.fork, masking.forward, os.getpid()
 
 def announced_fork():
@@ -904,7 +921,7 @@ def slow(*args, **kwargs):
         time.sleep(60)
     return forward(*args, **kwargs)
 
-os.fork, masking.forward = announced_fork, slow
+os.fork, masking.forward, unlearning.forward = announced_fork, slow, slow
 os.sched_getaffinity = lambda pid: {0, 1}
 code = cli.main(sys.argv[1:])
 try:
@@ -923,12 +940,11 @@ def start_child(limit, size, *argv):
 
 def run_child(limit, size, *argv):
     """(exit code, stderr) of the CLI run in a child process under the limit."""
-    child = start_child(limit, size, *argv)
-    try:
-        _, err = child.communicate(timeout=120)
-    finally:
-        child.kill()
-        child.wait()
+    with start_child(limit, size, *argv) as child:
+        try:
+            _, err = child.communicate(timeout=120)
+        finally:
+            child.kill()
     return child.returncode, err
 
 
@@ -1005,18 +1021,18 @@ class TestOutputsReplaceTarget:
         gradient helper forks: the command kills and reaps the helper,
         writes nothing and exits 130."""
         _, train_path, _, _ = pipeline
-        child = start_child("none", 0, "train", "--data", train_path,
-                            "--out", str(tmp_path / "m.ltvt"),
-                            *sets("seed=1", "epochs=100000", "lr=0.05", "batch=6", *MODEL_KEYS))
-        try:
-            assert select.select([child.stdout], [], [], 60)[0], "training never started"
-            assert child.stdout.readline() == "training\n"
-            assert child.stdout.readline() == "train\n"
-            child.send_signal(signal.SIGINT)
-            _, err = child.communicate(timeout=60)
-        finally:
-            child.kill()
-            child.wait()
+        with start_child("none", 0, "train", "--data", train_path,
+                         "--out", str(tmp_path / "m.ltvt"),
+                         *sets("seed=1", "epochs=100000", "lr=0.05", "batch=6",
+                               *MODEL_KEYS)) as child:
+            try:
+                assert select.select([child.stdout], [], [], 60)[0], "training never started"
+                assert child.stdout.readline() == "training\n"
+                assert child.stdout.readline() == "train\n"
+                child.send_signal(signal.SIGINT)
+                _, err = child.communicate(timeout=60)
+            finally:
+                child.kill()
         assert (child.returncode, err) == (130, "error: interrupted\n")
         assert list(tmp_path.iterdir()) == []
 
@@ -1025,44 +1041,58 @@ class TestOutputsReplaceTarget:
         gradient helper forks: the command kills and reaps the helper,
         writes nothing and exits 130."""
         _, train_path, test_path, theta_o = pipeline
-        child = start_child("none", 0, "unlearn", "--method", "lethevit", "--data", train_path,
-                            "--test", test_path, "--original", theta_o,
-                            "--out", str(tmp_path / "m.ltvt"),
-                            *sets("seed=1", "lr=0.05", "batch=6", "ef=20000", "er=0",
-                                  "forget_ratio=0.25"))
-        try:
-            assert select.select([child.stdout], [], [], 60)[0], "unlearning never started"
-            assert child.stdout.readline() == "forget\n"
-            child.send_signal(signal.SIGINT)
-            _, err = child.communicate(timeout=60)
-        finally:
-            child.kill()
-            child.wait()
+        with start_child("none", 0, "unlearn", "--method", "lethevit", "--data", train_path,
+                         "--test", test_path, "--original", theta_o,
+                         "--out", str(tmp_path / "m.ltvt"),
+                         *sets("seed=1", "lr=0.05", "batch=6", "ef=20000", "er=0",
+                               "forget_ratio=0.25")) as child:
+            try:
+                assert select.select([child.stdout], [], [], 60)[0], "unlearning never started"
+                assert child.stdout.readline() == "forget\n"
+                child.send_signal(signal.SIGINT)
+                _, err = child.communicate(timeout=60)
+            finally:
+                child.kill()
+        assert (child.returncode, err) == (130, "error: interrupted\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @staticmethod
+    def _interrupt_the_first_forward(tmp_path, *argv):
+        """Run the CLI in `_SLOW_FORWARD_CHILD`, send SIGINT once a helper
+        has forked and this process's first forward sleeps, and check
+        that the command kills and reaps the helper, writes nothing and
+        exits 130."""
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        with subprocess.Popen([sys.executable, "-c", _SLOW_FORWARD_CHILD, *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as child:
+            try:
+                assert select.select([child.stdout], [], [], 60)[0], "the command never started"
+                assert child.stdout.readline() == "helper\n"
+                assert child.stdout.readline() == "forward\n"
+                child.send_signal(signal.SIGINT)
+                _, err = child.communicate(timeout=60)
+            finally:
+                child.kill()
         assert (child.returncode, err) == (130, "error: interrupted\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_sigint_during_evaluate_exits_130(self, checkpoints, tmp_path):
-        """SIGINT while `evaluate`'s forward helper runs: the command kills
-        and reaps it, writes nothing and exits 130."""
+        """SIGINT while `evaluate`'s forward helper runs."""
         _, train_path, test_path, retrain_path, ft_path = checkpoints
-        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-        child = subprocess.Popen(
-            [sys.executable, "-c", _SLOW_FORWARD_CHILD, "evaluate", "--data", train_path,
-             "--test", test_path, "--checkpoint", f"retrain={retrain_path}",
-             "--checkpoint", f"ft={ft_path}", "--out", str(tmp_path / "r.csv"),
-             *sets("seed=5", "forget_ratio=0.25")],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        try:
-            assert select.select([child.stdout], [], [], 60)[0], "evaluation never started"
-            assert child.stdout.readline() == "helper\n"
-            assert child.stdout.readline() == "forward\n"
-            child.send_signal(signal.SIGINT)
-            _, err = child.communicate(timeout=60)
-        finally:
-            child.kill()
-            child.wait()
-        assert (child.returncode, err) == (130, "error: interrupted\n")
-        assert list(tmp_path.iterdir()) == []
+        self._interrupt_the_first_forward(
+            tmp_path, "evaluate", "--data", train_path, "--test", test_path,
+            "--checkpoint", f"retrain={retrain_path}", "--checkpoint", f"ft={ft_path}",
+            "--out", str(tmp_path / "r.csv"), *sets("seed=5", "forget_ratio=0.25"))
+
+    def test_sigint_during_lethevit_capture_pass_exits_130(self, pipeline, tmp_path):
+        """SIGINT in the teacher's capture pass, in its first chunk here
+        while the call's one helper computes the second (3 forget images
+        in chunks of 2)."""
+        _, train_path, test_path, theta_o = pipeline
+        self._interrupt_the_first_forward(
+            tmp_path, "unlearn", "--method", "lethevit", "--data", train_path,
+            "--test", test_path, "--original", theta_o, "--out", str(tmp_path / "m.ltvt"),
+            *sets("seed=1", "lr=0.05", "batch=2", "ef=1", "er=1", "forget_ratio=0.25"))
 
     def test_output_gets_plain_open_permissions(self, tmp_path):
         """0666 less the umask, as `open` gives, not `mkstemp`'s 0600."""
@@ -1163,8 +1193,9 @@ class TestFuzzedInputs:
 def test_no_command_starts_a_thread_and_each_forks_its_helpers(tmp_path, monkeypatch):
     """Every command that computes, in-process at tiny shapes, with
     `threading.Thread.start` recording: no thread starts. The second
-    core is used by forked helpers only: one per SGD phase, one for all
-    of `evaluate` and two for `sweep-mask`."""
+    core is used by forked helpers only: one per training or unlearning
+    call (for `unlearn --method lethevit`, its capture pass and both its
+    phases), one for all of `evaluate` and two for `sweep-mask`."""
     started = []
     start = threading.Thread.start
 
@@ -1187,7 +1218,7 @@ def test_no_command_starts_a_thread_and_each_forks_its_helpers(tmp_path, monkeyp
         (["unlearn", "--method", "retrain", "--data", train, "--test", test, "--out", retrain,
           *split, *sgd, *sets("epochs=1", *MODEL_KEYS)], 1),
         (["unlearn", "--method", "lethevit", "--data", train, "--test", test,
-          "--original", original, "--out", unlearned, *split, *sgd, *sets("ef=1", "er=1")], 2),
+          "--original", original, "--out", unlearned, *split, *sgd, *sets("ef=1", "er=1")], 1),
         (["evaluate", "--data", train, "--test", test, "--checkpoint", f"retrain={retrain}",
           "--checkpoint", f"lethevit={unlearned}", "--checkpoint", f"original={original}",
           "--out", str(tmp_path / "e.csv"), *split], 1),
@@ -1199,3 +1230,41 @@ def test_no_command_starts_a_thread_and_each_forks_its_helpers(tmp_path, monkeyp
         assert run(*argv) == 0, argv[0]
         assert (argv[0], len(pids) - before) == (argv[0], helpers)
     assert started == []
+
+
+# `lethevit.cli.main(argv[2:])` in a child process that sees argv[1] CPUs
+_CPUS_CHILD = """
+import os, sys
+os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))
+from lethevit import cli
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def test_a_warning_is_printed_as_on_one_cpu(pipeline, tmp_path):
+    """Masking every patch with Gaussian noise of std 1e300 overflows in
+    a layer norm, which numpy warns of. A helper prints nothing: a
+    warning fails its job, which this process reruns and warns of itself,
+    so stderr on two CPUs is stderr on one, and so are the bytes."""
+    _, train_path, test_path, theta_o = pipeline
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    env.pop("PYTHONWARNINGS", None)
+    results = []
+    for cpus in ("1", "2"):
+        out = tmp_path / f"u{cpus}.ltvt"
+        with subprocess.Popen(
+                [sys.executable, "-c", _CPUS_CHILD, cpus, "unlearn", "--method", "lethevit",
+                 "--data", train_path, "--test", test_path, "--original", theta_o,
+                 "--out", str(out),
+                 *sets("seed=5", "lr=0.05", "batch=6", "forget_ratio=0.25", "ratio=1",
+                       "mask_type=gaussian", "gaussian_std=1e300")],
+                env=env, cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                text=True) as child:
+            try:
+                _, err = child.communicate(timeout=120)
+            finally:
+                child.kill()
+        results.append((child.returncode, err, _sha256(out)))
+    assert results[0][0] == 0
+    assert results[0][1].count("RuntimeWarning: overflow encountered") == 1
+    assert results[1] == results[0]

@@ -159,6 +159,19 @@ class TestContrastiveLoss:
         with pytest.raises(ConfigError):
             contrastive_loss(*t, 0.0)
 
+    def test_temperature_whose_reciprocal_overflows_rejected(self):
+        """1 / 1e-310 is Inf: the config and the loss refuse the temperature
+        by name, where it would have made every step's loss NaN."""
+        assert np.isinf(1.0 / 1e-310)
+        with pytest.raises(ConfigError, match=re.escape(
+                "UnlearnConfig.temperature must have a finite reciprocal, got 1e-310")):
+            UnlearnConfig(temperature=1e-310)
+        t = _triplet(np.ones((1, 2)), np.ones((1, 2)), np.ones((1, 2)))
+        with pytest.raises(ConfigError, match=re.escape(
+                "temperature must have a finite reciprocal, got 1e-310")):
+            contrastive_loss(*t, 1e-310)
+        UnlearnConfig(temperature=1e-300)  # a tiny temperature whose reciprocal is finite
+
 
 class TestUnlearnPipeline:
     def test_no_op_pipeline_is_bit_identical(self, tiny_world):
@@ -232,15 +245,16 @@ class TestUnlearnPipeline:
 
     def test_teacher_scores_each_forget_image_once(self, tiny_world, monkeypatch):
         """Over 3 forget epochs the original's capture forwards cover each
-        forget image exactly once, in chunks of at most `batch_size` rows;
-        each half of a step adds one untracked (masked) and one tracked
-        forward of its rows, in whichever process runs it."""
+        forget image exactly once across both processes, in chunks of at
+        most `batch_size` rows; each half of a step adds one untracked
+        (masked) and one tracked forward of its rows, in whichever process
+        runs it."""
         train, test, split, config, theta_o = tiny_world
         cfg = UnlearnConfig(forget_epochs=3, retain_epochs=0, learning_rate=0.05,
                             batch_size=4, mask_spec=MaskSpec(0.25), seed=2)
         n = len(split.forget)
         assert n > cfg.batch_size
-        captured = []
+        captured = CallLog()
         calls = count_forwards(monkeypatch, captured)
         unlearn(theta_o, split, cfg)
         forget_images = train.images[split.forget]
@@ -632,9 +646,9 @@ class TestTeacherWorker:
         cfg = dataclasses.replace(self.CFG, retain_epochs=1, momentum=0.9, weight_decay=0.001)
         pids = forks(monkeypatch)
         forked = unlearn(theta_o, split, cfg)
-        assert len(pids) == 2  # the forget phase's helper, then the retain phase's
+        assert len(pids) == 1  # one helper for the capture pass and both phases
         inline = self._unlearn_inline(theta_o, split, cfg)
-        assert len(pids) == 2
+        assert len(pids) == 1
         _assert_params_identical(inline, forked)
 
     def test_helper_never_flushes_the_callers_stdio(self, tmp_path):
@@ -642,15 +656,140 @@ class TestTeacherWorker:
         once, by this process, even when the helper exits by itself."""
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         env["PYTHONPATH"] = os.path.join(ROOT, "src")
-        child = subprocess.Popen([sys.executable, "-c", _STDIO_CHILD], env=env, cwd=tmp_path,
-                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        try:
-            out, err = child.communicate(timeout=120)
-        finally:
-            child.kill()
-            child.wait()
+        with subprocess.Popen([sys.executable, "-c", _STDIO_CHILD], env=env, cwd=tmp_path,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as child:
+            try:
+                out, err = child.communicate(timeout=120)
+            finally:
+                child.kill()
         assert (child.returncode, err) == (0, "")
         assert out == "written before the fork\nforks: 1\n"
+
+
+class TestHelperSession:
+    """`unlearn` forks one helper for its whole call: it computes every
+    other chunk of the teacher's capture pass, then the second half of
+    every forget and retain step. Wherever it is killed, and where a
+    capture chunk fails in it only, this process computes what it did not
+    deliver, and the parameters are the inline path's bytes."""
+
+    # 9 forget images at batch 2: capture chunks 0-4 of 2, 2, 2, 2 and 1
+    # rows, 1 and 3 in the helper; per epoch 5 forget steps and, over the
+    # 27 retain images, 14 retain steps
+    CFG = UnlearnConfig(forget_epochs=2, retain_epochs=2, learning_rate=0.05, batch_size=2,
+                        seed=13, momentum=0.9, weight_decay=0.001)
+    STEPS = [("forget", i) for i in range(10)] + [("retain", i) for i in range(28)]
+
+    def _config(self, mask_type):
+        return dataclasses.replace(self.CFG, mask_spec=MaskSpec(0.25, MaskType(mask_type), 0.7))
+
+    def _logged_forwards(self, monkeypatch, world, block_at=None, fail_at=None,
+                         on_capture=None):
+        """Route `unlearning.forward` through a wrapper that logs (where,
+        chunk) of each capture forward and (where, "tracked") of each
+        tracked one (see `process_of`). In the helper, capture chunk
+        `block_at` sleeps for a minute and chunk `fail_at` raises; here,
+        `on_capture(chunk)` runs before each capture forward."""
+        train, _, split, _, _ = world
+        forget_images = train.images[split.forget]
+        calls = CallLog()
+        me = os.getpid()
+        real = unlearning.forward
+
+        def logged(params, images, capture_attention=False):
+            where = process_of(me)
+            if capture_attention:
+                first = (forget_images == images[0]).all(axis=(1, 2, 3))
+                chunk = int(np.flatnonzero(first)[0]) // self.CFG.batch_size
+                calls.append((where, chunk))
+                if where == "helper" and chunk == block_at:
+                    time.sleep(60)
+                if where == "helper" and chunk == fail_at:
+                    raise RuntimeError("a capture chunk that fails in the helper only")
+                if where == "here" and on_capture is not None:
+                    on_capture(chunk)
+            out = real(params, images, capture_attention)
+            if out.logits.requires_grad:
+                calls.append((where, "tracked"))
+            return out
+
+        monkeypatch.setattr(unlearning, "forward", logged)
+        return calls
+
+    @staticmethod
+    def _chunks_in(calls, where):
+        return [chunk for w, chunk in calls if w == where and chunk != "tracked"]
+
+    def _inline(self, world, cfg):
+        """The parameters of the inline path, run before any patching."""
+        with on_path("inline"):
+            return unlearn(world[4], world[2], cfg)
+
+    @staticmethod
+    def _assert_recovered(got, want, pids):
+        _assert_params_identical(got, want)
+        assert len(pids) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("mask_type", ["zero", "gaussian"])
+    def test_killed_in_the_capture_pass(self, tiny_world, monkeypatch, mask_type):
+        """The helper delivers chunk 1, blocks in chunk 3 and is killed
+        from outside: this process computes chunk 3 and the rest."""
+        cfg = self._config(mask_type)
+        want = self._inline(tiny_world, cfg)
+        pids = forks(monkeypatch)
+
+        def on_capture(chunk):
+            if chunk == 2:
+                wait_until(lambda: ("helper", 3) in calls)
+                os.kill(pids[0], signal.SIGKILL)
+
+        calls = self._logged_forwards(monkeypatch, tiny_world, block_at=3, on_capture=on_capture)
+        got = unlearn(tiny_world[4], tiny_world[2], cfg)
+        assert self._chunks_in(calls, "helper") == [1, 3]
+        assert self._chunks_in(calls, "here") == [0, 2, 3, 4]
+        assert ("helper", "tracked") not in calls
+        self._assert_recovered(got, want, pids)
+
+    @pytest.mark.parametrize("mask_type", ["zero", "gaussian"])
+    def test_capture_chunk_failing_only_in_the_helper(self, tiny_world, monkeypatch,
+                                                       mask_type):
+        """Chunk 3 raises in the helper only: this process computes it, as
+        its own inline chunk, and everything after it."""
+        cfg = self._config(mask_type)
+        want = self._inline(tiny_world, cfg)
+        pids = forks(monkeypatch)
+        calls = self._logged_forwards(monkeypatch, tiny_world, fail_at=3)
+        got = unlearn(tiny_world[4], tiny_world[2], cfg)
+        assert self._chunks_in(calls, "helper") == [1, 3]
+        assert self._chunks_in(calls, "here") == [0, 2, 3, 4]
+        assert ("helper", "tracked") not in calls
+        self._assert_recovered(got, want, pids)
+
+    @pytest.mark.parametrize("mask_type", ["zero", "gaussian"])
+    @pytest.mark.parametrize("at", [("forget", 9), ("retain", 3)],
+                             ids=["between-the-phases", "in-the-retain-phase"])
+    def test_killed_in_or_before_the_retain_phase(self, tiny_world, monkeypatch, mask_type, at):
+        """The helper is killed after this process's last forget step, or
+        after its retain step 3: every step runs, and the helper had
+        computed forget halves."""
+        cfg = self._config(mask_type)
+        want = self._inline(tiny_world, cfg)
+        pids = forks(monkeypatch)
+        calls = self._logged_forwards(monkeypatch, tiny_world)
+        steps = []
+
+        def on_step(phase, step, batch):
+            steps.append((phase, step))
+            if (phase, step) == at:
+                os.kill(pids[0], signal.SIGKILL)
+
+        got = unlearn(tiny_world[4], tiny_world[2], cfg, on_step=on_step)
+        assert steps == self.STEPS
+        assert self._chunks_in(calls, "helper") == [1, 3]
+        assert list(calls).count(("helper", "tracked")) >= 10 - 2  # all but one-row steps
+        self._assert_recovered(got, want, pids)
 
 
 class TestGradientHelper:
@@ -710,15 +849,15 @@ class TestGradientHelper:
                                         "unlearn-gaussian"])
     def test_fork_path_gives_the_inline_paths_bytes(self, tiny_world, monkeypatch, method):
         """With a second thread alive no phase forks; each computes both
-        halves of each step here, with the same parameter bytes. `unlearn`
-        forks one helper per phase, forget then retain."""
+        halves of each step here, with the same parameter bytes. Every
+        entry point forks one helper for the whole call: `unlearn` one for
+        its capture pass and both its phases."""
         pids = forks(monkeypatch)
         forked = self._run(tiny_world, method)
-        helpers = 2 if method.startswith("unlearn") else 1
-        assert len(pids) == helpers
+        assert len(pids) == 1
         with on_path("inline"):
             inline = self._run(tiny_world, method)
-        assert len(pids) == helpers
+        assert len(pids) == 1
         _assert_params_identical(inline, forked)
 
     def test_killed_helper_gives_the_inline_paths_bytes(self, tiny_world, monkeypatch):
@@ -882,12 +1021,12 @@ class TestOneCPU:
 
         pids = forks(monkeypatch)
         forked = run()
-        # unlearn's forget and retain phases' helpers, training's, the forwards'
-        assert len(pids) == 4
+        # unlearn's helper, training's, the forwards'
+        assert len(pids) == 3
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert masking.pool_size() == 1
         alone = run()
-        assert len(pids) == 4
+        assert len(pids) == 3
         for a, b in zip(forked[:2], alone[:2]):
             _assert_params_identical(a, b)
         assert [[x.tobytes() for x in arrays] for arrays in forked[2]] == [
@@ -925,7 +1064,7 @@ class TestFailedFork:
         descriptors = len(os.listdir("/proc/self/fd"))
         failed = run()
         assert len(os.listdir("/proc/self/fd")) <= descriptors
-        assert len(attempts) == 4  # training's, unlearn's forget and retain phases', the forwards'
+        assert len(attempts) == 3  # training's, unlearn's, the forwards'
         for a, b in zip(failed[:2], inline[:2]):
             _assert_params_identical(a, b)
         assert failed[2][0][0].tobytes() == inline[2][0][0].tobytes()
