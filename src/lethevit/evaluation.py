@@ -15,9 +15,10 @@ from one forward per set and model, and `masking_sweep` scores attention
 once per set and fits the attack threshold once. Every forward runs in
 64-row chunks on `masking.forward_chunks`, whose one forked helper
 computes about half of the rows: `evaluate_models` forwards every set of
-every model in one call, and `masking_sweep` runs two, its unmasked
-sets and then the masked sets of every setting, whose chunks are
-masked one by one; a setting that masks no patch runs no forward at all.
+every model in one call, and `masking_sweep` runs two calls on one
+helper (`masking._session`), its unmasked sets and then the masked sets
+of every setting, whose chunks are masked one by one; a setting that
+masks no patch runs no forward at all.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .data import LabeledDataset
 from .errors import ContractError
-from .masking import MaskedSet, MaskSpec, MaskType, forward_chunks, patch_count
+from .masking import MaskedSet, MaskSpec, MaskType, _Link, _session, forward_chunks, patch_count
 from .masking import build_masked_view  # noqa: F401  unused; perfbench/layertrace.py wraps it
 from .tensor import per_sample_cross_entropy
 from .vit import ViTParams, forward  # noqa: F401  forward unused; perfbench/layertrace.py wraps it
@@ -175,25 +176,34 @@ def masking_sweep(
     forward. A setting that masks no patch (floor(ratio * N) = 0) reuses
     the unmasked logits of the scoring pass; every other setting's
     masked test and forget sets run in a second `forward_chunks` call,
-    which masks them chunk by chunk.
+    which masks them chunk by chunk. One `_session` runs both calls, so
+    the sweep forks one helper.
     """
     specs = [MaskSpec(ratio=ratio, mask_type=mask_type, gaussian_std=gaussian_std)
              for ratio in ratios for mask_type in types]
-    [retain_logits], [test_logits, test_scores], [forget_logits, forget_scores] = forward_chunks(
-        [params] * 3, [retain.images, test.images, forget.images], _EVAL_BATCH,
-        capture_attention=[False, True, True])
+
+    def passes(link: _Link) -> list[list[np.ndarray]]:
+        """The unmasked sets' outputs, then the masked sets', which each
+        process builds from the scores `_Link.split` leaves in both."""
+        unmasked = forward_chunks([params] * 3, [retain.images, test.images, forget.images],
+                                  _EVAL_BATCH, capture_attention=[False, True, True], link=link)
+        [_, [_, test_scores], [_, forget_scores]] = unmasked
+        masked_sets = [MaskedSet(images, scores, spec, seed) for spec in specs
+                       if patch_count(spec.ratio, test_scores.shape[1])
+                       for images, scores in ((test.images, test_scores),
+                                              (forget.images, forget_scores))]
+        return unmasked + forward_chunks([params] * len(masked_sets), masked_sets, _EVAL_BATCH,
+                                         link=link)
+
+    [retain_logits], [test_logits, test_scores], [forget_logits, _], *masked = _session(
+        True, passes)
     member_losses = per_sample_cross_entropy(retain_logits, retain.labels)
     threshold = fit_loss_threshold(member_losses,
                                    per_sample_cross_entropy(test_logits, test.labels))
-    needs_forward = [patch_count(spec.ratio, test_scores.shape[1]) > 0 for spec in specs]
-    masked_sets = [MaskedSet(images, scores, spec, seed)
-                   for spec, forwards in zip(specs, needs_forward) if forwards
-                   for images, scores in ((test.images, test_scores),
-                                          (forget.images, forget_scores))]
-    masked = iter(forward_chunks([params] * len(masked_sets), masked_sets, _EVAL_BATCH))
+    masked = iter(masked)
     rows = []
-    for spec, forwards in zip(specs, needs_forward):
-        if forwards:
+    for spec in specs:
+        if patch_count(spec.ratio, test_scores.shape[1]):
             [test_z], [forget_z] = next(masked), next(masked)
         else:  # masking no patch copies the images, so their logits are the scoring pass's
             test_z, forget_z = test_logits, forget_logits

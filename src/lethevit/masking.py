@@ -7,22 +7,25 @@ zeros or Gaussian noise. `apply_mask`, `mask_from_scores` and
 `build_masked_view` return the masked [B, C, S, S] array; the masked
 indices are the caller's, or `select_top_k(scores, ratio)`.
 
-`forward_chunks` runs evaluation's untracked, chunked forwards with the
+`forward_chunks` runs the package's untracked, chunked forwards with the
 serial loop's bytes; on Linux with a second CPU a forked helper process
-(`_run_ahead`) computes chunks holding about half of the rows. A set may
-be a `MaskedSet`, which each chunk masks just before its forward.
+computes chunks holding about half of the rows. A set may be a
+`MaskedSet`, which each chunk masks just before its forward.
 
-`_helper` is the package's one way to use the second core: it forks the
-one gradient helper of each training or unlearning call of
-`unlearning` (`unlearn`'s also computes half of its teacher's capture
-pass) and the helper of `forward_chunks`. No code in the package starts
-a thread.
+`_helper` is the package's one way to use the second core, and
+`_session` its one user: it forks one helper for a whole call and gives
+each process its end of a `_Link`. `_Link.split` is the one exchange of
+results, used by `forward_chunks` (evaluation, the masking sweep, whose
+two passes share a session, and `unlearn`'s capture pass), and
+`_Link.reduce` the all-reduce of every SGD step of `unlearning`. No code
+in the package starts a thread.
 """
 
 from __future__ import annotations
 
 import contextlib
 import enum
+import mmap
 import os
 import signal
 import struct
@@ -31,7 +34,7 @@ import threading
 import warnings
 from dataclasses import dataclass
 from itertools import islice
-from typing import BinaryIO, Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Any, BinaryIO, Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -89,7 +92,8 @@ def _helper(work: Callable[[BinaryIO, BinaryIO], None]
     them, `(source, sink)`: `source` reads what the helper writes to its
     `sink`, and the helper's `source` reads what this `sink` writes.
     Yields None where it does not fork, or where a pipe or the fork
-    fails (`OSError`), having closed whatever it opened.
+    fails (`OSError`), having closed whatever it opened. Its one caller
+    is `_session`, whose `_Link` is all that crosses the pipes.
 
     It forks only on Linux, from the main thread with no other thread
     alive, given at least two CPUs (`pool_size()`): `fork` copies only
@@ -151,46 +155,130 @@ def _helper(work: Callable[[BinaryIO, BinaryIO], None]
                 os.waitpid(pid, 0)
 
 
-# a `_run_ahead` record: (rows, columns) and then that float64 array
-_RECORD = struct.Struct("=qq")
+_RECORD = struct.Struct("=qq")  # a result's (rows, columns), sent before its float64 bytes
+_TOKEN = b"\x01"  # one step's "my half is in my slot", or "I have read yours"
 
 
-@contextlib.contextmanager
-def _run_ahead(job: Callable[[int], np.ndarray], count: int
-               ) -> Iterator[Callable[[int], np.ndarray]]:
-    """Yields `result(k)`, which returns the 2-D float64 array `job(k)`
-    and is called for k = 0, 1, ..., count - 1 in turn. `job` must be a
-    function of k alone: the same k gives the same bytes or error.
+class _Link:
+    """One process's end of a `_session`: the pipes to the other process
+    and, for an SGD call, the two gradient slots, `mine` and `theirs`; or,
+    made with no pipes, a closed end, with which this process computes
+    everything. `helper` marks the forked process's end.
 
-    Where `_helper` forks (never for `count` 0), the helper computes
-    every `job(k)` in order while the caller works, and streams each to
-    `result` through a pipe: the two share no interpreter lock. The
-    helper sends results only: from the first step whose record it did
-    not send (its job raised, or it died) on, and wherever it does not
-    fork, `result` runs `job` inline, so an error is raised as itself at
-    its step."""
-    def work(source: BinaryIO, sink: BinaryIO) -> None:
+    The helper sends first at every exchange. Where the stream from the
+    helper ends (it raised, was killed or died), this process closes its
+    end for good and computes the rest of the session itself; where the
+    stream from this process ends (it has stopped), the helper raises
+    `EOFError`, which ends it."""
+
+    def __init__(self, pipes: Optional[tuple[BinaryIO, BinaryIO]] = None,
+                 slots: Optional[np.ndarray] = None, helper: bool = False):
+        self.source, self.sink = pipes or (None, None)
+        self.open, self.helper = pipes is not None, helper
+        if slots is not None:
+            self.mine, self.theirs = slots[::-1] if helper else slots
+
+    def _send(self, data: bytes) -> None:
+        if self.open:
+            with contextlib.suppress(BrokenPipeError):  # the other is gone: its end is read next
+                self.sink.write(data)
+                self.sink.flush()
+
+    def _receive(self, size: int) -> Optional[bytes]:
+        data = self.source.read(size) if self.open else b""
+        if len(data) == size:
+            return data
+        if self.helper:
+            raise EOFError("the caller has stopped")
+        self.open = False
+        return None
+
+    def _send_array(self, values: np.ndarray) -> None:
+        self._send(_RECORD.pack(*values.shape) + values.tobytes())
+
+    def _receive_array(self) -> Optional[np.ndarray]:
+        header = self._receive(_RECORD.size)
+        if header is None:
+            return None
+        rows, columns = _RECORD.unpack(header)
+        payload = self._receive(8 * rows * columns)
+        return None if payload is None else np.frombuffer(payload).reshape(rows, columns)
+
+    def split(self, job: Callable[[int], np.ndarray], count: int,
+              sides: Sequence[int]) -> list[np.ndarray]:
+        """`[job(0), ..., job(count - 1)]`, 2-D float64 arrays, in both
+        processes, with job k run in the helper where `sides[k]` is 1 on
+        an open link, and here otherwise; `job` must be a function of k
+        alone, and both processes pass the same `sides`. The helper runs
+        its jobs, sending each result, and then takes this process's
+        results; this process runs its jobs between taking the helper's,
+        in job order, and then sends its own. So neither writes while the
+        other is blocked writing, whatever the results' size. A job the
+        helper did not deliver runs here, so an error is raised here as
+        itself, at the first failing job."""
+        if self.helper:
+            results = {}
+            for k in range(count):
+                if sides[k]:
+                    results[k] = job(k)
+                    self._send_array(results[k])
+            return [results[k] if sides[k] else self._receive_array() for k in range(count)]
+        results = []
         for k in range(count):
-            values = job(k)
-            sink.write(_RECORD.pack(*values.shape) + values.tobytes())
-            sink.flush()
+            theirs = self._receive_array() if sides[k] else None
+            results.append(job(k) if theirs is None else theirs)
+        for k in range(count):
+            if not sides[k]:
+                self._send_array(results[k])
+        return results
 
-    with _helper(work) if count else contextlib.nullcontext() as pipes:
-        if pipes is None:
-            yield job
-            return
-        source = pipes[0]
+    def reduce(self, grad: np.ndarray, paired: bool) -> bool:
+        """The all-reduce of one SGD step: `grad` holds this process's half
+        of the step (in the helper, nothing at a step with no second half,
+        `paired` false), and then first half + second half, the same bytes
+        in both processes since IEEE addition commutes. The helper writes
+        its slot and sends a token, then takes this process's token and
+        adds this process's slot. This process takes the helper's token,
+        writes its slot, adds the helper's and then sends its token. So a
+        side rewrites its slot only once the other has read it: this
+        process after the helper's token of the next step, the helper after
+        this process's token of the step before. False, with `grad`
+        untouched, where this process's end is closed or closes now."""
+        if self.helper:
+            if paired:
+                np.copyto(self.mine, grad)
+            self._send(_TOKEN)
+            self._receive(1)
+            if paired:
+                grad += self.theirs
+            else:
+                np.copyto(grad, self.theirs)
+            return True
+        if self._receive(1) is None:
+            return False
+        np.copyto(self.mine, grad)
+        if paired:
+            grad += self.theirs
+        self._send(_TOKEN)
+        return True
 
-        def result(k: int) -> np.ndarray:
-            header = source.read(_RECORD.size)
-            if len(header) == _RECORD.size:
-                rows, columns = _RECORD.unpack(header)
-                payload = source.read(8 * rows * columns)
-                if len(payload) == 8 * rows * columns:
-                    return np.frombuffer(payload).reshape(rows, columns)
-            return job(k)  # the stream has ended: this step and every later one run here
 
-        yield result
+def _session(fork: bool, run: Callable[[_Link], Any], params: Optional[ViTParams] = None) -> Any:
+    """Returns `run(link)` of this process, having run `run` in this
+    process and, where `fork` and `_helper` forks, in one helper forked
+    for the whole session, each process with its end of the link; the
+    helper's value is dropped. Given the `params` of an SGD call, the
+    helper starts from this process's `params` and keeps its replica in
+    step with them, and the two gradient slots, one per side, live in a
+    shared anonymous mapping made before the fork, so a step passes a
+    1-byte token each way through the pipes, not a half-gradient (149 KB
+    at the benchmark's shapes)."""
+    if not fork:
+        return run(_Link())
+    slots = (None if params is None else
+             np.frombuffer(mmap.mmap(-1, 2 * params.vector.nbytes)).reshape(2, -1))
+    with _helper(lambda source, sink: run(_Link((source, sink), slots, helper=True))) as pipes:
+        return run(_Link(pipes, slots))
 
 
 class MaskedSet(NamedTuple):
@@ -204,8 +292,8 @@ class MaskedSet(NamedTuple):
 
 
 def forward_chunks(models: Sequence[ViTParams], sets: Sequence[np.ndarray | MaskedSet],
-                   chunk: int, capture_attention: bool | Sequence[bool] = False
-                   ) -> list[list[np.ndarray]]:
+                   chunk: int, capture_attention: bool | Sequence[bool] = False,
+                   link: Optional[_Link] = None) -> list[list[np.ndarray]]:
     """Per set in `sets`, the logits [B, classes] of the model at its
     place in `models` and, when capturing (one flag for every set, or
     one per set), its class-token attention scores [B, N], from one
@@ -218,32 +306,32 @@ def forward_chunks(models: Sequence[ViTParams], sets: Sequence[np.ndarray | Mask
     The chunks of all sets form one job list in chunk order, and each
     job goes to the process that has the fewer rows so far, this one on
     a tie: alternation would give one process both of a short test set's
-    long chunks in every sweep setting. Where `_helper` forks, its
-    helper computes its jobs in order (`_run_ahead`) and this process
-    the others, taking results in job order: so an error in a chunk is
-    raised as itself, at the first failing chunk, as the serial loop
-    would have raised it. Every forward runs on a gradient-free copy of
-    its model, so none records on a tape, not even one the caller has
-    open. An empty set is a `DimensionError`, as `forward` of zero rows
-    is, raised before any chunk runs."""
+    long chunks in every sweep setting. `_Link.split` runs the jobs on
+    `link`, which both processes of the caller's `_session` pass, or
+    else in a `_session` of the call's own, forked given two jobs or
+    more: so an error in a chunk is raised as itself, at the first
+    failing chunk, as the serial loop would have raised it. Every
+    forward runs on a gradient-free copy of its model, made once per
+    distinct model, so none records on a tape, not even one the caller
+    has open. An empty set is a `DimensionError`, as `forward` of zero
+    rows is, raised before any chunk runs."""
     if len(models) != len(sets):
         raise ContractError(f"{len(models)} models for {len(sets)} sets")
     captures = ([capture_attention] * len(sets) if isinstance(capture_attention, bool)
                 else list(capture_attention))
+    if len(captures) != len(sets):
+        raise ContractError(f"{len(captures)} capture flags for {len(sets)} sets")
     rows = [len(s.images if isinstance(s, MaskedSet) else s) for s in sets]
     if 0 in rows:
         raise DimensionError(f"set {rows.index(0)} of {len(rows)} has no images to forward")
-    frozen = {id(model): model.frozen() for model in models}
+    frozen = {key: model.frozen() for key, model in {id(m): m for m in models}.items()}
     jobs = [(frozen[id(model)], s, start, capture, min(chunk, n - start))
             for model, s, capture, n in zip(models, sets, captures, rows)
             for start in range(0, n, chunk)]
-    load, helper_jobs = [0, 0], []
-    for k, job in enumerate(jobs):
-        side = int(load[0] > load[1])
-        load[side] += job[-1]
-        if side:
-            helper_jobs.append(k)
-    helper_index = {k: i for i, k in enumerate(helper_jobs)}
+    load, sides = [0, 0], []
+    for *_, size in jobs:
+        sides.append(int(load[0] > load[1]))
+        load[sides[-1]] += size
 
     def run(k: int) -> np.ndarray:
         """Job k's logits, and then its scores as further columns."""
@@ -260,9 +348,8 @@ def forward_chunks(models: Sequence[ViTParams], sets: Sequence[np.ndarray | Mask
         return np.concatenate([out.logits.values, class_token_attention(out.last_attention)],
                               axis=1)
 
-    with _run_ahead(lambda i: run(helper_jobs[i]), len(helper_jobs)) as theirs:
-        results = iter([theirs(helper_index[k]) if k in helper_index else run(k)
-                        for k in range(len(jobs))])
+    results = iter(link.split(run, len(jobs), sides) if link is not None else
+                   _session(len(jobs) > 1, lambda link: link.split(run, len(jobs), sides)))
     out = []
     for model, capture, n in zip(models, captures, rows):
         parts = list(islice(results, -(-n // chunk)))

@@ -25,25 +25,24 @@ point takes `on_step(phase, step, batch)`, called after each SGD step.
 
 Every step of every phase splits its batch into two fixed halves and
 descends the sum of their gradients (data-parallel SGD); on Linux with a
-second CPU one helper, forked once per call (`_session`), computes the
-second half of every step of every phase of the call, and `unlearn`'s
-helper also half of the teacher's capture pass.
+second CPU one helper, forked once per call (`masking._session`),
+computes the second half of every step of every phase of the call, and
+`unlearn`'s helper also half of the teacher's capture pass
+(`masking.forward_chunks` on the call's link).
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-import mmap
 from dataclasses import dataclass, field
-from typing import BinaryIO, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .data import DataSplit, LabeledDataset
 from .errors import (ConfigError, ContractError, DivergenceError, NonFiniteError,
                      require_finite, require_nonnegative)
-from .masking import _RECORD, MaskSpec, _helper, class_token_attention, mask_from_scores
+from .masking import MaskSpec, _Link, _session, forward_chunks, mask_from_scores
 from .masking import build_masked_view  # noqa: F401  unused; perfbench/layertrace.py wraps it
 from .tensor import (
     Tape,
@@ -110,125 +109,6 @@ def _require_finite_reciprocal(temperature: float, name: str) -> None:
         raise ConfigError(f"{name} must have a finite reciprocal, got {temperature}")
 
 
-_TOKEN = b"\x01"  # one step's "my half is in my slot", or "I have read yours"
-
-
-class _Link:
-    """One process's end of a `_session`: the pipes to the other process
-    and the two gradient slots, `mine` and `theirs`; or, made with no
-    pipes, a closed end, with which this process computes everything.
-    `helper` marks the forked process's end.
-
-    The helper sends first at every exchange. Where the stream from the
-    helper ends (it raised, was killed or died), this process closes its
-    end for good and computes the rest of the call itself; where the
-    stream from this process ends (it has stopped), the helper raises
-    `EOFError`, which ends it."""
-
-    def __init__(self, pipes: Optional[tuple[BinaryIO, BinaryIO]] = None,
-                 slots: Optional[np.ndarray] = None, helper: bool = False):
-        self.source, self.sink = pipes or (None, None)
-        self.open, self.helper = pipes is not None, helper
-        if slots is not None:
-            self.mine, self.theirs = slots[::-1] if helper else slots
-
-    def _send(self, data: bytes) -> None:
-        if self.open:
-            with contextlib.suppress(BrokenPipeError):  # the other is gone: its end is read next
-                self.sink.write(data)
-                self.sink.flush()
-
-    def _receive(self, size: int) -> Optional[bytes]:
-        data = self.source.read(size) if self.open else b""
-        if len(data) == size:
-            return data
-        if self.helper:
-            raise EOFError("the caller has stopped")
-        self.open = False
-        return None
-
-    def _send_array(self, values: np.ndarray) -> None:
-        self._send(_RECORD.pack(*values.shape) + values.tobytes())
-
-    def _receive_array(self) -> Optional[np.ndarray]:
-        header = self._receive(_RECORD.size)
-        if header is None:
-            return None
-        rows, columns = _RECORD.unpack(header)
-        payload = self._receive(8 * rows * columns)
-        return None if payload is None else np.frombuffer(payload).reshape(rows, columns)
-
-    def split(self, job: Callable[[int], np.ndarray], count: int) -> list[np.ndarray]:
-        """`[job(0), ..., job(count - 1)]`, 2-D float64 arrays, with job k
-        run in process k % 2 on an open link; `job` must be a function of
-        k alone. The helper runs its jobs, sending each result, and then
-        takes this process's results; this process runs its jobs between
-        taking the helper's, in job order, and then sends its own. So
-        neither writes while the other is blocked writing, whatever the
-        results' size. A job the helper did not deliver runs here, so an
-        error is raised here as itself."""
-        if self.helper:
-            results = {}
-            for k in range(1, count, 2):
-                results[k] = job(k)
-                self._send_array(results[k])
-            return [results[k] if k % 2 else self._receive_array() for k in range(count)]
-        results = []
-        for k in range(count):
-            theirs = self._receive_array() if k % 2 else None
-            results.append(job(k) if theirs is None else theirs)
-        for values in results[::2]:
-            self._send_array(values)
-        return results
-
-    def reduce(self, grad: np.ndarray, paired: bool) -> bool:
-        """The all-reduce of one SGD step: `grad` holds this process's half
-        of the step (in the helper, nothing at a step with no second half,
-        `paired` false), and then first half + second half, the same bytes
-        in both processes since IEEE addition commutes. The helper writes
-        its slot and sends a token, then takes this process's token and
-        adds this process's slot. This process takes the helper's token,
-        writes its slot, adds the helper's and then sends its token. So a
-        side rewrites its slot only once the other has read it: this
-        process after the helper's token of the next step, the helper after
-        this process's token of the step before. False, with `grad`
-        untouched, where this process's end is closed or closes now."""
-        if self.helper:
-            if paired:
-                np.copyto(self.mine, grad)
-            self._send(_TOKEN)
-            self._receive(1)
-            if paired:
-                grad += self.theirs
-            else:
-                np.copyto(grad, self.theirs)
-            return True
-        if self._receive(1) is None:
-            return False
-        np.copyto(self.mine, grad)
-        if paired:
-            grad += self.theirs
-        self._send(_TOKEN)
-        return True
-
-
-def _session(params: ViTParams, fork: bool, run: Callable[[_Link], None]) -> None:
-    """Runs `run(link)`, the SGD phases of one training or unlearning call
-    on `params` (and `unlearn`'s capture pass), in this process and, where
-    `fork` and `_helper` forks, in one helper forked for the whole call,
-    each process with its end of the link. The helper starts from this
-    process's `params` and keeps its replica in step with them. The two
-    gradient slots, one per side, live in a shared anonymous mapping made
-    before the fork, so a step passes a 1-byte token each way through the
-    pipes, not a half-gradient (149 KB at the benchmark's shapes)."""
-    if not fork:
-        run(_Link())
-        return
-    slots = np.frombuffer(mmap.mmap(-1, 2 * params.vector.nbytes)).reshape(2, -1)
-    with _helper(lambda source, sink: run(_Link((source, sink), slots, helper=True))) as pipes:
-        run(_Link(pipes, slots))
-
-
 def frozen_teacher(original: ViTParams, images: np.ndarray, indices: np.ndarray,
                    mask_spec: MaskSpec, chunk: int, link: Optional[_Link] = None
                    ) -> tuple[Callable[[np.ndarray, int], np.ndarray],
@@ -245,26 +125,18 @@ def frozen_teacher(original: ViTParams, images: np.ndarray, indices: np.ndarray,
     rows the `forget` benchmark's peak RSS rose by about 3 MB at the
     same speed.
 
-    Given an open `link` (see `_session`), each of the two processes
-    calls this, and capture chunk k runs in process k % 2 (`_Link.split`):
-    the chunk's forward gives the same bytes in either, so both hold the
-    same cache. Otherwise this process runs every chunk.
+    The capture pass is one `forward_chunks` call on `link`: on an open
+    one both processes call this, and chunk k runs in process k % 2 (the
+    row-balanced split of equal chunks) with the same bytes in either,
+    so both hold the same cache; on a closed one this process runs all.
 
     The teacher runs on `original.frozen()`. An op records only when an
     input requires a gradient, so `positives` never touches a tape, not
     even one open on its own or another thread: it may run inside a
     tracked step, or in a process forked from one."""
     frozen = original.frozen()
-
-    def capture(k: int) -> np.ndarray:
-        """Chunk k's logits, and then its scores as further columns."""
-        out = forward(frozen, images[indices[k * chunk:(k + 1) * chunk]], capture_attention=True)
-        return np.concatenate([out.logits.values, class_token_attention(out.last_attention)],
-                              axis=1)
-
-    cache = np.concatenate((link or _Link()).split(capture, -(-len(indices) // chunk)))
-    classes = frozen.config.num_classes
-    negatives, scores = cache[:, :classes], cache[:, classes:]
+    [[negatives, scores]] = forward_chunks([original], [images[indices]], chunk,
+                                           capture_attention=True, link=link or _Link())
     row_of = np.zeros(len(images), dtype=np.int64)  # image index -> cached row
     row_of[indices] = np.arange(len(indices))
 
@@ -414,8 +286,8 @@ def _cross_entropy_phase(params: ViTParams, dataset: LabeledDataset, indices: np
     its own `_session`: training and every method but `unlearn`."""
     batches = _batches(indices, epochs, config.batch_size, rng, phase)
     half = _cross_entropy_half(params, dataset, sign)
-    _session(params, _pairs(batches), lambda link: _sgd_phase(
-        params, batches, config, phase, half, link, on_step=on_step))
+    _session(_pairs(batches), lambda link: _sgd_phase(
+        params, batches, config, phase, half, link, on_step=on_step), params)
 
 
 def _from_scratch(dataset: LabeledDataset, config: TrainConfig, indices: np.ndarray,
@@ -488,7 +360,7 @@ def unlearn(original: ViTParams, split: DataSplit, config: UnlearnConfig, *,
             _sgd_phase(theta, retain, config, "retain", _cross_entropy_half(theta, split.train),
                        link, on_step=on_step)
 
-        _session(theta, chunks > 1 or _pairs(forget + retain), session)
+        _session(chunks > 1 or _pairs(forget + retain), session, theta)
 
     return _from_original(original, config, run)
 

@@ -1195,7 +1195,8 @@ def test_no_command_starts_a_thread_and_each_forks_its_helpers(tmp_path, monkeyp
     `threading.Thread.start` recording: no thread starts. The second
     core is used by forked helpers only: one per training or unlearning
     call (for `unlearn --method lethevit`, its capture pass and both its
-    phases), one for all of `evaluate` and two for `sweep-mask`."""
+    phases), one for all of `evaluate` and one for both passes of
+    `sweep-mask`."""
     started = []
     start = threading.Thread.start
 
@@ -1223,7 +1224,7 @@ def test_no_command_starts_a_thread_and_each_forks_its_helpers(tmp_path, monkeyp
           "--checkpoint", f"lethevit={unlearned}", "--checkpoint", f"original={original}",
           "--out", str(tmp_path / "e.csv"), *split], 1),
         (["sweep-mask", "--data", train, "--test", test, "--checkpoint", retrain,
-          "--out", str(tmp_path / "s.csv"), *split, *sets("ratios=0,0.5")], 2),
+          "--out", str(tmp_path / "s.csv"), *split, *sets("ratios=0,0.5")], 1),
     ]
     for argv, helpers in commands:
         before = len(pids)

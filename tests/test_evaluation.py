@@ -4,13 +4,15 @@ frozen reference table, and masking-sweep invariants."""
 
 import csv
 import os
+import signal
+import time
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lethevit import evaluation
+from lethevit import evaluation, masking
 from lethevit.data import LabeledDataset, generate_toy_dataset, split_random_forget
 from lethevit.errors import ConfigError, ContractError, DimensionError
 from lethevit.evaluation import (
@@ -31,9 +33,12 @@ from helpers import (
     count_forwards,
     forks,
     in_set_order,
+    on_path,
+    process_of,
     reference_evaluate_model,
     reference_fit_loss_threshold,
     reference_masking_sweep,
+    wait_until,
     with_entry,
 )
 
@@ -346,13 +351,70 @@ class TestComputeOnce:
                               + masked_pairs * (_chunks(test) + _chunks(forget))) == 15
         assert not any(tracked for _, _, tracked in calls)
 
-    def test_masking_sweep_forks_at_most_two_helpers(self, trained_world, monkeypatch):
-        """One helper for the unmasked forwards and one for the masked pass."""
+    def test_masking_sweep_forks_one_helper(self, trained_world, monkeypatch):
+        """One helper for the unmasked forwards and the masked pass."""
         params, split = trained_world
         pids = forks(monkeypatch)
         masking_sweep(params, split.forget_set(), split.retain_set(), split.test,
                       self.RATIOS, self.TYPES)
-        assert len(pids) == 2
+        assert len(pids) == 1
+
+    def _sweep_with_masking_logged(self, trained_world, monkeypatch, helper=None, here=None):
+        """Run the sweep on the inline path, then on the fork path with
+        `masking.mask_from_scores`, which only the masked pass calls,
+        routed through a wrapper that logs where each masked chunk runs
+        (see `process_of`) and calls `helper(pids, calls)` or
+        `here(pids, calls)` there; assert the same rows, one fork and no
+        child left, and return the log. Every other setting here masks 30
+        test and 30 forget rows, one chunk each: 8 jobs, the helper's
+        first being job 1."""
+        params, split = trained_world
+        args = (params, split.forget_set(), split.retain_set(), split.test, self.RATIOS,
+                self.TYPES)
+        with on_path("inline"):
+            want = masking_sweep(*args, gaussian_std=0.7, seed=9)
+        pids = forks(monkeypatch)
+        calls = CallLog()
+        me = os.getpid()
+        real = masking.mask_from_scores
+
+        def logged(*args):
+            where = process_of(me)
+            calls.append(where)
+            hook = helper if where == "helper" else here
+            if hook is not None:
+                hook(pids, calls)
+            return real(*args)
+
+        monkeypatch.setattr(masking, "mask_from_scores", logged)
+        assert masking_sweep(*args, gaussian_std=0.7, seed=9) == want
+        assert len(pids) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return calls
+
+    def test_masking_sweep_killed_in_the_masked_pass(self, trained_world, monkeypatch):
+        """The helper blocks in its first masked chunk and is killed from
+        outside while this process masks its first: this process computes
+        every masked chunk, and the rows are the inline path's."""
+        def kill(pids, calls):
+            if calls.count("here") == 1:
+                wait_until(lambda: "helper" in calls)
+                os.kill(pids[0], signal.SIGKILL)
+
+        calls = self._sweep_with_masking_logged(trained_world, monkeypatch,
+                                                helper=lambda *_: time.sleep(60), here=kill)
+        assert (calls.count("helper"), calls.count("here")) == (1, 8)
+
+    def test_masking_sweep_masked_chunk_failing_only_in_the_helper(self, trained_world,
+                                                                  monkeypatch):
+        """The helper's first masked chunk raises there only: this process
+        computes it and every later masked chunk, with the inline rows."""
+        def fail(pids, calls):
+            raise KeyError("a masked chunk that fails in the helper only")
+
+        calls = self._sweep_with_masking_logged(trained_world, monkeypatch, helper=fail)
+        assert (calls.count("helper"), calls.count("here")) == (1, 8)
 
     def test_masking_sweep_validates_the_grid_before_any_forward(self, trained_world,
                                                                  monkeypatch):

@@ -30,7 +30,7 @@ from lethevit.masking import (
     select_top_k,
 )
 from lethevit.tensor import Tape, Tensor, linear
-from lethevit.vit import ViTConfig, forward, init_params, patchify
+from lethevit.vit import ViTConfig, ViTParams, forward, init_params, patchify
 
 from helpers import (CallLog, forks, on_path, process_of, reference_apply_mask,
                      wait_until, with_entry)
@@ -319,6 +319,27 @@ class TestForwardChunks:
         with pytest.raises(ContractError, match="1 models for 2 sets"):
             forward_chunks([params], [RNG.normal(size=(4, 1, 8, 8))] * 2, 4)
 
+    @pytest.mark.parametrize("flags", [[True], [True, False, True]], ids=["short", "long"])
+    def test_a_capture_flag_per_set_is_required(self, flags):
+        params = init_params(TINY, seed=8)
+        with pytest.raises(ContractError, match=f"{len(flags)} capture flags for 2 sets"):
+            forward_chunks([params] * 2, [RNG.normal(size=(4, 1, 8, 8))] * 2, 4,
+                           capture_attention=flags)
+
+    def test_one_frozen_copy_per_distinct_model(self, monkeypatch):
+        models = [init_params(TINY, seed=seed) for seed in (8, 9)]
+        copied = []
+        real = ViTParams.frozen
+
+        def counted(params):
+            copied.append(id(params))
+            return real(params)
+
+        monkeypatch.setattr(ViTParams, "frozen", counted)
+        forward_chunks([models[0], models[1], models[0], models[0]],
+                       [RNG.normal(size=(4, 1, 8, 8))] * 4, 4)
+        assert sorted(copied) == sorted(map(id, models))
+
     def test_open_tape_records_nothing_and_stays_active(self):
         params = init_params(TINY, seed=8)
         with Tape() as tape:
@@ -577,3 +598,100 @@ class TestForwardHelper:
         assert self._bytes(got) == self._bytes(want)
         assert [job for where, job in calls if where == "helper"] == [1, 3]
         assert [job for where, job in calls if where == "here"] == [0, 2, 3, 4, 5]
+
+
+class TestLinkSplit:
+    """`_Link.split` in a `_session` of its own, on a toy job,
+    `np.full((2, 3), k)`, with the non-alternating assignment `SIDES`: the
+    helper computes jobs 1, 2 and 4 and sends only results, and from the
+    first job it did not deliver on, this process runs the helper's jobs
+    too."""
+
+    COUNT = 6
+    SIDES = (0, 1, 1, 0, 1, 0)
+
+    @staticmethod
+    def _job(fail_at=None, error=None, helper_only=False, block_at=None, kill_at=None,
+             pids=None):
+        """The toy job and the `CallLog` of (where, k) of its calls (see
+        `process_of`). Job `fail_at` raises `error`, in the helper only given
+        `helper_only`; job `block_at` sleeps for a minute in the helper, and
+        here job `kill_at` waits for it and kills the helper, `pids[0]`."""
+        calls = CallLog()
+        me = os.getpid()
+
+        def job(k):
+            where = process_of(me)
+            calls.append((where, k))
+            if k == fail_at and (where == "helper" or not helper_only):
+                raise error
+            if k == block_at and where == "helper":
+                time.sleep(60)
+            if k == kill_at and where == "here":
+                wait_until(lambda: ("helper", block_at) in calls)
+                os.kill(pids[0], signal.SIGKILL)
+            return np.full((2, 3), float(k))
+
+        return job, calls
+
+    def _split(self, job):
+        return masking._session(True, lambda link: link.split(job, self.COUNT, self.SIDES))
+
+    def _assert_values(self, got):
+        assert [g.tobytes() for g in got] == [np.full((2, 3), float(k)).tobytes()
+                                              for k in range(self.COUNT)]
+
+    @staticmethod
+    def _jobs_in(calls, where):
+        return [k for w, k in calls if w == where]
+
+    @pytest.mark.parametrize("path", ["fork", "inline"])
+    def test_every_value_in_step_order(self, monkeypatch, path):
+        pids = forks(monkeypatch)
+        job, calls = self._job()
+        with on_path(path):
+            got = self._split(job)
+        self._assert_values(got)
+        if path == "fork":
+            assert self._jobs_in(calls, "helper") == [1, 2, 4]
+            assert self._jobs_in(calls, "here") == [0, 3, 5]
+        else:
+            assert list(calls) == [("here", k) for k in range(self.COUNT)]
+        assert len(pids) == (path == "fork")
+
+    @pytest.mark.parametrize("path", ["fork", "inline"])
+    def test_job_error_is_raised_as_itself_at_its_step(self, monkeypatch, path):
+        """Job 2, the helper's second, raises in either process: this
+        process takes job 1 from the helper, runs job 2 itself and raises
+        its error; job 3 never runs."""
+        pids = forks(monkeypatch)
+        error = KeyError("job 2")
+        job, calls = self._job(fail_at=2, error=error)
+        with on_path(path), pytest.raises(KeyError) as exc:
+            self._split(job)
+        assert exc.value is error
+        assert exc.traceback[-1].name == "job"
+        assert self._jobs_in(calls, "helper") == ([1, 2] if path == "fork" else [])
+        assert self._jobs_in(calls, "here") == ([0, 2] if path == "fork" else [0, 1, 2])
+        assert len(pids) == (path == "fork")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_job_failing_only_in_the_helper_gives_every_value(self, monkeypatch):
+        forks(monkeypatch)
+        job, calls = self._job(fail_at=2, error=KeyError("helper only"), helper_only=True)
+        self._assert_values(self._split(job))
+        assert self._jobs_in(calls, "helper") == [1, 2]
+        assert self._jobs_in(calls, "here") == [0, 2, 3, 4, 5]
+
+    def test_killed_helper_gives_every_value(self, monkeypatch):
+        """The helper blocks in job 4, after sending jobs 1 and 2, and is
+        killed from outside while this process runs job 3: job 4 runs
+        here."""
+        pids = forks(monkeypatch)
+        job, calls = self._job(block_at=4, kill_at=3, pids=pids)
+        self._assert_values(self._split(job))
+        assert self._jobs_in(calls, "helper") == [1, 2, 4]
+        assert self._jobs_in(calls, "here") == [0, 3, 4, 5]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)

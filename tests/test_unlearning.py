@@ -327,86 +327,6 @@ def _assert_params_identical(got, want):
         assert got[name].values.tobytes() == want[name].values.tobytes(), name
 
 
-class TestRunAhead:
-    """`_run_ahead` on a toy job, `np.full((2, 3), k)`: the helper sends
-    only results, and from the first step whose record it did not send
-    on, `result` runs the job here."""
-
-    COUNT = 6
-
-    @staticmethod
-    def _job(fail_at=None, error=None, helper_only=False, block_at=None):
-        """The toy job and the `CallLog` of (where, k) of its calls (see
-        `process_of`). Job `fail_at` raises `error`, in the helper only given
-        `helper_only`; job `block_at` sleeps for a minute in the helper."""
-        calls = CallLog()
-        me = os.getpid()
-
-        def job(k):
-            where = process_of(me)
-            calls.append((where, k))
-            if k == fail_at and (where == "helper" or not helper_only):
-                raise error
-            if k == block_at and where == "helper":
-                time.sleep(60)
-            return np.full((2, 3), float(k))
-
-        return job, calls
-
-    def _assert_values(self, got):
-        assert [g.tobytes() for g in got] == [np.full((2, 3), float(k)).tobytes()
-                                              for k in range(self.COUNT)]
-
-    @pytest.mark.parametrize("path", ["fork", "inline"])
-    def test_every_value_in_step_order(self, monkeypatch, path):
-        pids = forks(monkeypatch)
-        job, calls = self._job()
-        with on_path(path), masking._run_ahead(job, self.COUNT) as result:
-            got = [result(k) for k in range(self.COUNT)]
-        self._assert_values(got)
-        where = "helper" if path == "fork" else "here"
-        assert list(calls) == [(where, k) for k in range(self.COUNT)]
-        assert len(pids) == (path == "fork")
-
-    @pytest.mark.parametrize("path", ["fork", "inline"])
-    def test_job_error_is_raised_as_itself_at_its_step(self, monkeypatch, path):
-        pids = forks(monkeypatch)
-        error = KeyError("step 2")
-        job, calls = self._job(fail_at=2, error=error)
-        with on_path(path), masking._run_ahead(job, self.COUNT) as result:
-            assert [result(k)[0, 0] for k in range(2)] == [0.0, 1.0]
-            with pytest.raises(KeyError) as exc:
-                result(2)
-        assert exc.value is error
-        assert exc.traceback[-1].name == "job"
-        assert list(calls) == ([("helper", 0), ("helper", 1), ("helper", 2), ("here", 2)]
-                               if path == "fork" else [("here", 0), ("here", 1), ("here", 2)])
-        assert len(pids) == (path == "fork")
-
-    def test_job_failing_only_in_the_helper_gives_every_value(self, monkeypatch):
-        forks(monkeypatch)
-        job, calls = self._job(fail_at=2, error=KeyError("helper only"), helper_only=True)
-        with masking._run_ahead(job, self.COUNT) as result:
-            got = [result(k) for k in range(self.COUNT)]
-        self._assert_values(got)
-        assert list(calls) == ([("helper", k) for k in range(3)]
-                               + [("here", k) for k in range(2, self.COUNT)])
-
-    def test_killed_helper_gives_every_value(self, monkeypatch):
-        """The helper blocks in job 3, after sending records 0-2, and is
-        killed from outside: steps 3-5 run here."""
-        pids = forks(monkeypatch)
-        job, calls = self._job(block_at=3)
-        with masking._run_ahead(job, self.COUNT) as result:
-            got = [result(0), result(1)]
-            wait_until(lambda: ("helper", 3) in calls)
-            os.kill(pids[0], signal.SIGKILL)
-            got += [result(k) for k in range(2, self.COUNT)]
-        self._assert_values(got)
-        assert list(calls) == ([("helper", k) for k in range(4)]
-                               + [("here", k) for k in range(3, self.COUNT)])
-
-
 # runs `unlearn` through the fork path with a line left in block-buffered
 # stdout, lets the forget phase's helper exit by itself once it has taken
 # the last step's gradient (`_helper` still reaps it), then prints how many
@@ -685,9 +605,10 @@ class TestHelperSession:
 
     def _logged_forwards(self, monkeypatch, world, block_at=None, fail_at=None,
                          on_capture=None):
-        """Route `unlearning.forward` through a wrapper that logs (where,
-        chunk) of each capture forward and (where, "tracked") of each
-        tracked one (see `process_of`). In the helper, capture chunk
+        """Route `unlearning.forward` and `masking.forward` (which runs the
+        capture chunks) through a wrapper that logs (where, chunk) of each
+        capture forward and (where, "tracked") of each tracked one (see
+        `process_of`). In the helper, capture chunk
         `block_at` sleeps for a minute and chunk `fail_at` raises; here,
         `on_capture(chunk)` runs before each capture forward."""
         train, _, split, _, _ = world
@@ -713,7 +634,8 @@ class TestHelperSession:
                 calls.append((where, "tracked"))
             return out
 
-        monkeypatch.setattr(unlearning, "forward", logged)
+        for module in (unlearning, masking):
+            monkeypatch.setattr(module, "forward", logged)
         return calls
 
     @staticmethod
